@@ -13,19 +13,16 @@ from .analytic import (
     AnalyticSignal,
     analytic_signal,
     dft,
-    hilbert_kernel,
-    hilbert_kernel_fir,
     idft,
     unwrap_phase,
 )
 from .filterbank import (
     BandPlan,
+    BandSpec,
     Decomposition,
     OrthogonalityReport,
     custom_band_plan,
     dft_decompose,
-    plan_from_spec,
-    plan_spec_from_json,
     uniform_band_plan,
     verify_orthogonality,
 )
@@ -33,7 +30,6 @@ from .fmd import (
     FirFilter,
     LinoepReport,
     causal_filter,
-    cutoffs_from_spec,
     design_fir,
     fmd_decompose,
     uniform_cutoffs,
@@ -62,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticSignal",
     "BandPlan",
+    "BandSpec",
     "Decomposition",
     "DiffScheme",
     "FirFilter",
@@ -77,7 +74,6 @@ __all__ = [
     "chirp_true_if",
     "conventional_if",
     "custom_band_plan",
-    "cutoffs_from_spec",
     "delay_pad",
     "design_fir",
     "dft",
@@ -90,8 +86,6 @@ __all__ = [
     "gen_delta",
     "gen_fm",
     "gen_noise",
-    "hilbert_kernel",
-    "hilbert_kernel_fir",
     "idft",
     "if_track",
     "load_csv",
@@ -100,8 +94,6 @@ __all__ = [
     "load_wav",
     "mix",
     "phase_diff",
-    "plan_from_spec",
-    "plan_spec_from_json",
     "positive_if",
     "remove_mean",
     "save_csv",

@@ -18,8 +18,6 @@ __all__ = [
     "unwrap_phase",
     "AnalyticSignal",
     "analytic_signal",
-    "hilbert_kernel",
-    "hilbert_kernel_fir",
 ]
 
 
@@ -120,30 +118,3 @@ def analytic_signal(x: Signal) -> AnalyticSignal:
     phase = unwrap_phase(np.arctan2(quadrature, z.real))
     return AnalyticSignal(x.samples, quadrature, envelope, phase, x.sample_rate)
 
-
-def hilbert_kernel(half_length: int) -> np.ndarray:
-    """Truncated quadrature convolution kernel for lags -half_length..half_length.
-
-    The kernel is (1 - cos(pi*n))/(pi*n): zero at even lags (including 0)
-    and 2/(pi*n) at odd lags. Evaluated in closed form so even lags are
-    exactly zero.
-    """
-    if half_length < 8:
-        raise ValueError(f"half_length must be at least 8, got {half_length}")
-    lags = np.arange(-half_length, half_length + 1)
-    taps = np.zeros(lags.size)
-    odd = (lags % 2) != 0
-    taps[odd] = 2.0 / (np.pi * lags[odd])
-    return taps
-
-
-def hilbert_kernel_fir(x: Signal, half_length: int) -> np.ndarray:
-    """Quadrature of `x` by direct truncated-kernel convolution.
-
-    Centered 'same' convolution with :func:`hilbert_kernel`. Slower and
-    less exact than the spectral route in :func:`analytic_signal`; useful
-    as an independent cross-check of the quadrature on interior samples
-    (truncation error is O(1/half_length)).
-    """
-    taps = hilbert_kernel(half_length)
-    return np.convolve(x.samples, taps, mode="same")

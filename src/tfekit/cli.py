@@ -7,23 +7,20 @@ analyze    IF/TFE analysis of a signal, optionally after decomposition
 decompose  split a signal into band components and write them out
 compare    run two analysis configs on one input and report side by side
 
-Configuration may come from flags and/or a JSON file (flags win). The
-TFESPEC_THREADS environment variable caps worker parallelism; the current
-implementation computes sequentially, which respects any cap.
+Configuration may come from flags and/or a JSON file (flags win).
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .filterbank import dft_decompose, plan_from_spec, plan_spec_from_json, verify_orthogonality
-from .fmd import cutoffs_from_spec, fmd_decompose, verify_linoep
-from .instfreq import DiffScheme, if_track
+from .filterbank import BandSpec, Decomposition, dft_decompose, verify_orthogonality
+from .fmd import fmd_decompose, verify_linoep
+from .instfreq import DiffScheme, IFTrack, if_track
 from .io import load_csv, load_wav, save_csv
 from .signals import (
     NoiseSpec,
@@ -42,76 +39,80 @@ from .tfe import build_tfe, export_grid_csv, export_track_csv
 DIAGNOSTICS_SCHEMA = "tfekit-diagnostics/1"
 COMPARE_SCHEMA = "tfekit-compare/1"
 
-FIXTURES = ("chirp", "fm", "delta", "noise", "chirp-fm-mix", "five-chirps", "chirp-delayed")
-
 FIVE_CHIRP_BANDS = [(500, 1500), (1000, 2000), (1500, 2500), (2000, 3000), (2500, 3500)]
 
 
-def _fixture_defaults(name: str) -> dict:
-    return {
-        "chirp": dict(f0=1000.0, f1=2000.0, dur=1.0, fs=8000.0, amp=1.0),
-        "fm": dict(fc=780.0, dev=200.0, fm=10.0, dur=1.0, fs=8000.0),
-        "delta": dict(n0=1999, length=4000, fs=1000.0),
-        "noise": dict(seed=0, mean=0.0, var=1.0, length=10240, fs=100.0),
-        "chirp-fm-mix": dict(f0=1000.0, f1=2000.0, fc=780.0, dev=200.0, fm=10.0, dur=1.0, fs=8000.0),
-        "five-chirps": dict(dur=2.0, fs=8000.0),
-        "chirp-delayed": dict(f0=500.0, f1=1500.0, dur=1.0, delay=0.5, total_dur=1.5, fs=8000.0),
-    }[name]
+def _chirp(p):
+    return gen_chirp(p["f0"], p["f1"], p["dur"], p["fs"], p.get("amp", 1.0))
 
 
-def _fixture_params(name: str, args) -> dict:
-    params = _fixture_defaults(name)
+def _fm(p):
+    return gen_fm(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"])
+
+
+def _chirp_ridges(p):
+    return [chirp_true_if(p["f0"], p["f1"], p["dur"], p["fs"])]
+
+
+def _fm_ridges(p):
+    return [fm_true_if(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"])]
+
+
+def _delayed_pair(p):
+    base = _chirp(p)
+    return mix([delay_pad(base, 0.0, p["total_dur"]), delay_pad(base, p["delay"], p["total_dur"])])
+
+
+# name -> (default parameters, builder, ground-truth IF ridges or None);
+# builders and ridge functions take the parameter dict with any flags applied
+FIXTURES = {
+    "chirp": (
+        dict(f0=1000.0, f1=2000.0, dur=1.0, fs=8000.0, amp=1.0),
+        _chirp,
+        _chirp_ridges,
+    ),
+    "fm": (
+        dict(fc=780.0, dev=200.0, fm=10.0, dur=1.0, fs=8000.0),
+        _fm,
+        _fm_ridges,
+    ),
+    "delta": (
+        dict(n0=1999, length=4000, fs=1000.0),
+        lambda p: gen_delta(p["n0"], p["length"], p["fs"]),
+        lambda p: [np.full(p["length"], p["fs"] / 4)],
+    ),
+    "noise": (
+        dict(seed=0, mean=0.0, var=1.0, length=10240, fs=100.0),
+        lambda p: gen_noise(NoiseSpec(p["seed"], p["mean"], p["var"], p["length"]), p["fs"]),
+        None,
+    ),
+    "chirp-fm-mix": (
+        dict(f0=1000.0, f1=2000.0, fc=780.0, dev=200.0, fm=10.0, dur=1.0, fs=8000.0),
+        lambda p: mix([_chirp(p), _fm(p)]),
+        lambda p: _chirp_ridges(p) + _fm_ridges(p),
+    ),
+    "five-chirps": (
+        dict(dur=2.0, fs=8000.0),
+        lambda p: mix([gen_chirp(f0, f1, p["dur"], p["fs"]) for f0, f1 in FIVE_CHIRP_BANDS]),
+        lambda p: [chirp_true_if(f0, f1, p["dur"], p["fs"]) for f0, f1 in FIVE_CHIRP_BANDS],
+    ),
+    "chirp-delayed": (
+        dict(f0=500.0, f1=1500.0, dur=1.0, delay=0.5, total_dur=1.5, fs=8000.0),
+        _delayed_pair,
+        None,
+    ),
+}
+
+
+def _build_fixture(name: str, args) -> tuple[Signal, dict]:
+    """Build a named fixture from its defaults overridden by the flags given."""
+    defaults, build, _ = FIXTURES[name]
+    params = dict(defaults)
     for key in params:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    return params
-
-
-def make_fixture(name: str, params: dict) -> Signal:
-    """Build one of the named synthetic fixtures."""
-    p = params
-    if name == "chirp":
-        return gen_chirp(p["f0"], p["f1"], p["dur"], p["fs"], p["amp"])
-    if name == "fm":
-        return gen_fm(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"])
-    if name == "delta":
-        return gen_delta(p["n0"], p["length"], p["fs"])
-    if name == "noise":
-        return gen_noise(NoiseSpec(p["seed"], p["mean"], p["var"], p["length"]), p["fs"])
-    if name == "chirp-fm-mix":
-        return mix([
-            gen_chirp(p["f0"], p["f1"], p["dur"], p["fs"]),
-            gen_fm(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"]),
-        ])
-    if name == "five-chirps":
-        return mix([gen_chirp(f0, f1, p["dur"], p["fs"]) for f0, f1 in FIVE_CHIRP_BANDS])
-    if name == "chirp-delayed":
-        base = gen_chirp(p["f0"], p["f1"], p["dur"], p["fs"])
-        return mix([
-            delay_pad(base, 0.0, p["total_dur"]),
-            delay_pad(base, p["delay"], p["total_dur"]),
-        ])
-    raise ValueError(f"unknown fixture {name!r}; choose from {', '.join(FIXTURES)}")
-
-
-def fixture_ridges(name: str, params: dict, n_samples: int) -> list[np.ndarray] | None:
-    """Ground-truth IF ridges of a fixture, or None when it has none."""
-    p = params
-    if name == "chirp":
-        return [chirp_true_if(p["f0"], p["f1"], p["dur"], p["fs"])]
-    if name == "fm":
-        return [fm_true_if(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"])]
-    if name == "chirp-fm-mix":
-        return [
-            chirp_true_if(p["f0"], p["f1"], p["dur"], p["fs"]),
-            fm_true_if(p["fc"], p["dev"], p["fm"], p["dur"], p["fs"]),
-        ]
-    if name == "five-chirps":
-        return [chirp_true_if(f0, f1, p["dur"], p["fs"]) for f0, f1 in FIVE_CHIRP_BANDS]
-    if name == "delta":
-        return [np.full(n_samples, p["fs"] / 4)]
-    return None
+    return build(params), params
 
 
 def _add_fixture_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,24 +133,21 @@ def _add_fixture_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--total-dur", dest="total_dur", type=float, help="padded frame length, s")
 
 
-def _add_analysis_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    dash = f"--{prefix}" if prefix else "--"
-    dest = prefix.replace("-", "_") if prefix else ""
+def _add_analysis_flags(
+    parser: argparse.ArgumentParser, prefix: str = "", if_flags: bool = True
+) -> None:
     g = parser.add_argument_group(f"analysis settings{' (' + prefix.rstrip('-') + ')' if prefix else ''}")
-    g.add_argument(f"{dash}method", dest=f"{dest}method", type=str.lower,
+    g.add_argument(f"--{prefix}method", type=str.lower,
                    choices=["none", "dft", "fmd-a", "fmd-b", "causal-fir"])
-    g.add_argument(f"{dash}bands", dest=f"{dest}bands", type=int,
-                   help="uniform band count")
-    g.add_argument(f"{dash}cutoffs", dest=f"{dest}cutoffs",
-                   help="comma-separated band cutoffs in Hz, last at Nyquist")
-    g.add_argument(f"{dash}plan", dest=f"{dest}plan",
-                   help="band plan JSON file")
-    g.add_argument(f"{dash}order", dest=f"{dest}order", type=int,
+    g.add_argument(f"--{prefix}bands", type=int, help="uniform band count")
+    g.add_argument(f"--{prefix}cutoffs", help="comma-separated band cutoffs in Hz, last at Nyquist")
+    g.add_argument(f"--{prefix}plan", help="band plan JSON file")
+    g.add_argument(f"--{prefix}order", type=int,
                    help="FIR order for fmd/causal methods (default 256)")
-    g.add_argument(f"{dash}scheme", dest=f"{dest}scheme", type=str.lower,
-                   choices=["forward", "backward", "central"])
-    g.add_argument(f"{dash}if", dest=f"{dest}if_mode", type=str.lower,
-                   choices=["positive", "conventional"])
+    if if_flags:
+        g.add_argument(f"--{prefix}scheme", type=str.lower,
+                       choices=["forward", "backward", "central"])
+        g.add_argument(f"--{prefix}if", type=str.lower, choices=["positive", "conventional"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_analysis_flags(p, "b-")
         else:
             p.add_argument("--config", help="JSON config file; flags win on conflict")
-            _add_analysis_flags(p)
+            _add_analysis_flags(p, if_flags=name == "analyze")
         p.add_argument("--time-bins", type=int, default=400)
         p.add_argument("--freq-bins", type=int, default=250)
     return parser
@@ -206,15 +204,16 @@ def _load_input(args) -> tuple[Signal, str | None, dict | None]:
             signal = load_csv(path, sample_rate=args.fs)
         return signal, None, None
     if args.fixture:
-        params = _fixture_params(args.fixture, args)
-        if args.fs is not None:
-            params["fs"] = args.fs
-        return make_fixture(args.fixture, params), args.fixture, params
+        signal, params = _build_fixture(args.fixture, args)
+        return signal, args.fixture, params
     raise ValueError("no input: give --input FILE or --gen FIXTURE")
 
 
 def _settings(args, config_path: str | None, prefix: str = "") -> dict:
-    """Merge a JSON config file with command-line flags (flags win)."""
+    """Merge a JSON config file with command-line flags (flags win).
+
+    Each setting's flag has the argparse dest `prefix + key`.
+    """
     settings = {
         "method": "none",
         "bands": None,
@@ -232,100 +231,82 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
         if unknown:
             raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
         settings.update(loaded)
-    flag_map = {
-        "method": f"{prefix}method",
-        "bands": f"{prefix}bands",
-        "cutoffs": f"{prefix}cutoffs",
-        "plan": f"{prefix}plan",
-        "order": f"{prefix}order",
-        "scheme": f"{prefix}scheme",
-        "if": f"{prefix}if_mode",
-    }
-    for key, attr in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in settings:
+        value = getattr(args, prefix + key, None)
         if value is not None:
             settings[key] = value
     return settings
 
 
-def _resolve_plan_spec(settings: dict) -> dict | None:
-    given = [k for k in ("bands", "cutoffs", "plan") if settings.get(k) not in (None, "")]
-    if len(given) > 1:
-        raise ValueError(f"give only one of --bands/--cutoffs/--plan, got {given}")
-    if settings.get("bands") is not None:
-        return {"type": "uniform", "bands": int(settings["bands"])}
-    if settings.get("cutoffs"):
-        cuts = settings["cutoffs"]
-        if isinstance(cuts, str):
-            cuts = [float(c) for c in cuts.split(",") if c.strip()]
-        return {"type": "custom", "cutoffs_hz": [float(c) for c in cuts]}
-    if settings.get("plan"):
-        if isinstance(settings["plan"], dict):
-            return plan_spec_from_json(json.dumps(settings["plan"]))
-        return plan_spec_from_json(Path(settings["plan"]).read_text())
-    return None
+def _decompose(signal: Signal, settings: dict) -> tuple[Decomposition | None, dict]:
+    """Decompose as the settings ask and verify the result.
 
-
-def _run_analysis(signal: Signal, settings: dict) -> dict:
-    """Decompose (optionally), track IF per component, and collect diagnostics."""
+    Returns the decomposition (None for method 'none') and the verification
+    diagnostics.
+    """
     method = settings["method"]
-    plan_spec = _resolve_plan_spec(settings)
-    if method == "none" and plan_spec is not None:
+    spec = BandSpec.from_settings(settings["bands"], settings["cutoffs"], settings["plan"])
+    if method == "none" and spec is not None:
         raise ValueError("method 'none' forbids a band plan; pick a decomposition method")
-    if method != "none" and plan_spec is None:
+    if method != "none" and spec is None:
         raise ValueError(f"method {method!r} needs a band plan (--bands, --cutoffs or --plan)")
-    scheme = DiffScheme(settings["scheme"])
-    if_mode = settings["if"]
-
-    decomposition = None
+    checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
-        component_signals = [signal]
-    elif method == "dft":
-        plan = plan_from_spec(plan_spec, len(signal), signal.sample_rate)
-        decomposition = dft_decompose(signal, plan)
-        component_signals = [Signal(c, signal.sample_rate) for c in decomposition.components]
+        return None, checks
+    if method == "dft":
+        decomposition = dft_decompose(signal, spec.plan(len(signal), signal.sample_rate))
     else:
-        cutoffs = cutoffs_from_spec(plan_spec, signal.sample_rate)
+        cutoffs = spec.ladder(signal.sample_rate)
         part = "B" if method == "fmd-b" else "A"
         if part == "A":
             cutoffs = cutoffs[::-1]
         filtering = "causal" if method == "causal-fir" else "zero-phase"
         decomposition = fmd_decompose(signal, cutoffs, settings["order"], part, filtering)
-        component_signals = [Signal(c, signal.sample_rate) for c in decomposition.components]
+    err = np.abs(decomposition.reconstruct() - signal.samples).max()
+    checks["reconstruction_error"] = float(err / max(np.abs(signal.samples).max(), 1e-300))
+    if method == "dft":
+        rep = verify_orthogonality(decomposition)
+        checks["orthogonality"] = {
+            "max_normalized_cross": rep.max_normalized_cross,
+            "energy_ratio": rep.energy_ratio,
+        }
+    elif method in ("fmd-a", "fmd-b"):
+        rep = verify_linoep(decomposition)
+        checks["linoep"] = {
+            "max_tail_cross": rep.max_tail_cross,
+            "energy_ratio": rep.energy_ratio,
+        }
+    return decomposition, checks
 
+
+def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
+    """Decompose and verify, then track the IF of each component.
+
+    Returns the tracks and the diagnostics.
+    """
+    decomposition, checks = _decompose(signal, settings)
+    scheme = DiffScheme(settings["scheme"])
+    if_mode = settings["if"]
+    if decomposition is None:
+        component_signals = [signal]
+    else:
+        component_signals = [Signal(c, signal.sample_rate) for c in decomposition.components]
     tracks = [if_track(s, scheme, if_mode) for s in component_signals]
 
     total = sum(len(t) for t in tracks)
     negative = sum(int((t.frequency_hz < 0).sum()) for t in tracks)
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
-        "method": method,
+        "method": settings["method"],
         "if_mode": if_mode,
         "scheme": scheme.value,
         "n_samples": len(signal),
         "sample_rate_hz": signal.sample_rate,
-        "n_components": len(component_signals),
+        "n_components": len(tracks),
         "negative_if_fraction": negative / total,
-        "reconstruction_error": None,
-        "orthogonality": None,
-        "linoep": None,
+        **checks,
     }
-    if decomposition is not None:
-        err = np.abs(decomposition.reconstruct() - signal.samples).max()
-        diagnostics["reconstruction_error"] = float(err / max(np.abs(signal.samples).max(), 1e-300))
-        if method == "dft":
-            rep = verify_orthogonality(decomposition)
-            diagnostics["orthogonality"] = {
-                "max_normalized_cross": rep.max_normalized_cross,
-                "energy_ratio": rep.energy_ratio,
-            }
-        elif method in ("fmd-a", "fmd-b"):
-            rep = verify_linoep(decomposition)
-            diagnostics["linoep"] = {
-                "max_tail_cross": rep.max_tail_cross,
-                "energy_ratio": rep.energy_ratio,
-            }
-    return {"tracks": tracks, "decomposition": decomposition, "diagnostics": diagnostics}
+    return tracks, diagnostics
 
 
 def _ridge_error(tracks, ridges) -> float:
@@ -341,11 +322,12 @@ def _ridge_error(tracks, ridges) -> float:
     return weighted / total_energy if total_energy > 0 else 0.0
 
 
+def _write_json(path: Path, document: dict) -> None:
+    path.write_text(json.dumps(document, indent=2, allow_nan=False) + "\n")
+
+
 def cmd_gen(args) -> int:
-    params = _fixture_params(args.fixture, args)
-    if args.fs is not None:
-        params["fs"] = args.fs
-    signal = make_fixture(args.fixture, params)
+    signal, _ = _build_fixture(args.fixture, args)
     out = Path(args.out) if args.out else Path(f"{args.fixture}.csv")
     save_csv(signal, out)
     print(f"wrote {out} ({len(signal)} samples at {signal.sample_rate:g} Hz)")
@@ -354,18 +336,16 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     signal, _, _ = _load_input(args)
-    settings = _settings(args, args.config)
-    result = _run_analysis(signal, settings)
+    tracks, diagnostics = _run_analysis(signal, _settings(args, args.config))
     prefix = args.out_prefix
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
     diag_path = Path(f"{prefix}_diagnostics.json")
-    export_track_csv(result["tracks"], track_path)
-    grid = build_tfe(result["tracks"], args.time_bins, args.freq_bins)
+    export_track_csv(tracks, track_path)
+    grid = build_tfe(tracks, args.time_bins, args.freq_bins)
     export_grid_csv(grid, grid_path)
-    diagnostics = result["diagnostics"]
     diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
-    diag_path.write_text(json.dumps(diagnostics, indent=2) + "\n")
+    _write_json(diag_path, diagnostics)
     for path in (track_path, grid_path, diag_path):
         print(f"wrote {path}")
     return 0
@@ -376,64 +356,54 @@ def cmd_decompose(args) -> int:
     settings = _settings(args, args.config)
     if settings["method"] in ("none", None):
         raise ValueError("decompose needs --method dft|fmd-a|fmd-b|causal-fir")
-    result = _run_analysis(signal, settings)
-    decomposition = result["decomposition"]
+    decomposition, checks = _decompose(signal, settings)
     prefix = args.out_prefix
     written = []
     for i, comp in enumerate(decomposition.components, start=1):
         path = Path(f"{prefix}_component_{i:03d}.csv")
         save_csv(Signal(comp, signal.sample_rate), path)
         written.append(path)
-    diagnostics = result["diagnostics"]
-    diagnostics["c0"] = decomposition.c0
-    diagnostics["outputs"] = {"components": [str(p) for p in written]}
     diag_path = Path(f"{prefix}_diagnostics.json")
-    diag_path.write_text(json.dumps(diagnostics, indent=2) + "\n")
+    _write_json(diag_path, {
+        "schema": DIAGNOSTICS_SCHEMA,
+        "method": settings["method"],
+        "n_samples": len(signal),
+        "sample_rate_hz": signal.sample_rate,
+        "n_components": decomposition.n_components,
+        **checks,
+        "c0": decomposition.c0,
+        "outputs": {"components": [str(p) for p in written]},
+    })
     print(f"wrote {len(written)} components and {diag_path}")
     return 0
 
 
 def cmd_compare(args) -> int:
     signal, fixture, params = _load_input(args)
+    ridge_fn = FIXTURES[fixture][2] if fixture is not None else None
+    ridges = ridge_fn(params) if ridge_fn is not None else None
     report = {"schema": COMPARE_SCHEMA, "sides": {}}
     for side in ("a", "b"):
         settings = _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
-        result = _run_analysis(signal, settings)
-        grid = build_tfe(result["tracks"], args.time_bins, args.freq_bins)
+        tracks, diagnostics = _run_analysis(signal, settings)
+        grid = build_tfe(tracks, args.time_bins, args.freq_bins)
         grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
         export_grid_csv(grid, grid_path)
-        entry = dict(result["diagnostics"])
-        entry["grid_csv"] = str(grid_path)
-        if fixture is not None:
-            ridges = fixture_ridges(fixture, params, len(signal))
-            if ridges is not None:
-                entry["ridge_error_hz"] = _ridge_error(result["tracks"], ridges)
+        entry = {**diagnostics, "grid_csv": str(grid_path)}
+        if ridges is not None:
+            entry["ridge_error_hz"] = _ridge_error(tracks, ridges)
         report["sides"][side] = entry
         print(f"wrote {grid_path}")
     report_path = Path(f"{args.out_prefix}_compare.json")
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(report_path, report)
     print(f"wrote {report_path}")
     return 0
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("TFESPEC_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"TFESPEC_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"TFESPEC_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validated; execution is sequential and stays within any cap
         handler = {
             "gen": cmd_gen,
             "analyze": cmd_analyze,

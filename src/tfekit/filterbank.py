@@ -9,6 +9,7 @@ mutually orthogonal with disjoint spectral support.
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +20,7 @@ __all__ = [
     "BandPlan",
     "uniform_band_plan",
     "custom_band_plan",
-    "plan_from_spec",
-    "plan_spec_from_json",
+    "BandSpec",
     "Decomposition",
     "dft_decompose",
     "OrthogonalityReport",
@@ -86,13 +86,8 @@ def uniform_band_plan(n_bands: int, signal_length: int, sample_rate: float) -> B
     return BandPlan(tuple(bounds), signal_length, sample_rate)
 
 
-def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> BandPlan:
-    """Band plan from explicit cutoff frequencies, the last at Nyquist.
-
-    Cutoffs map to bins by round-half-up, K_i = floor(c*N/Fs + 0.5); a
-    cutoff landing between bins therefore belongs to the lower band.
-    Cutoffs that collapse a band to zero bins are rejected.
-    """
+def _check_cutoffs(cutoffs_hz, sample_rate: float) -> list[float]:
+    """Cutoffs in Hz as floats: positive, strictly increasing, the last at Nyquist."""
     cutoffs = [float(c) for c in cutoffs_hz]
     if not cutoffs:
         raise ValueError("need at least one cutoff")
@@ -105,9 +100,19 @@ def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> Band
         raise ValueError(f"cutoff {cutoffs[-1]} Hz above Nyquist {nyq} Hz")
     if abs(cutoffs[-1] - nyq) > 1e-12 * max(1.0, nyq):
         raise ValueError(f"last cutoff must equal Nyquist ({nyq} Hz), got {cutoffs[-1]}")
+    return cutoffs
+
+
+def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> BandPlan:
+    """Band plan from explicit cutoff frequencies, the last at Nyquist.
+
+    Cutoffs map to bins by round-half-up, K_i = floor(c*N/Fs + 0.5); a
+    cutoff landing between bins therefore belongs to the lower band.
+    Cutoffs that collapse a band to zero bins are rejected.
+    """
     top = _top_bin(signal_length)
     bounds = [0]
-    for c in cutoffs:
+    for c in _check_cutoffs(cutoffs_hz, sample_rate):
         k = min(int(np.floor(c * signal_length / sample_rate + 0.5)), top)
         if k <= bounds[-1]:
             raise ValueError(
@@ -118,30 +123,69 @@ def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> Band
     return BandPlan(tuple(bounds), signal_length, sample_rate)
 
 
-def plan_from_spec(spec: dict, signal_length: int, sample_rate: float) -> BandPlan:
-    """Instantiate a plan from its JSON document form.
+@dataclass(frozen=True)
+class BandSpec:
+    """A band plan independent of signal length: M uniform bands or custom cutoffs.
 
-    Accepted documents: {"type": "uniform", "bands": M} and
-    {"type": "custom", "cutoffs_hz": [...]}.
+    Exactly one of `bands` and `cutoffs_hz` is set. Custom cutoffs are in
+    Hz, the last at Nyquist; both methods check them the same way, once a
+    sample rate is known. The JSON document form is
+    {"type": "uniform", "bands": M} or {"type": "custom", "cutoffs_hz": [...]}.
     """
-    kind = spec.get("type")
-    if kind == "uniform":
-        return uniform_band_plan(int(spec["bands"]), signal_length, sample_rate)
-    if kind == "custom":
-        return custom_band_plan(spec["cutoffs_hz"], signal_length, sample_rate)
-    raise ValueError(f"unknown band plan type {kind!r}: expected 'uniform' or 'custom'")
 
+    bands: int | None = None
+    cutoffs_hz: tuple | None = None
 
-def plan_spec_from_json(text: str) -> dict:
-    """Parse and sanity-check a band-plan JSON document."""
-    spec = json.loads(text)
-    if not isinstance(spec, dict) or spec.get("type") not in ("uniform", "custom"):
-        raise ValueError("band plan document must be an object with type 'uniform' or 'custom'")
-    if spec["type"] == "uniform" and "bands" not in spec:
-        raise ValueError("uniform band plan needs a 'bands' count")
-    if spec["type"] == "custom" and "cutoffs_hz" not in spec:
-        raise ValueError("custom band plan needs 'cutoffs_hz'")
-    return spec
+    def __post_init__(self):
+        if (self.bands is None) == (self.cutoffs_hz is None):
+            raise ValueError("a band spec needs exactly one of bands or cutoffs_hz")
+        if self.bands is not None and self.bands < 1:
+            raise ValueError(f"need at least one band, got {self.bands}")
+        if self.cutoffs_hz is not None:
+            object.__setattr__(self, "cutoffs_hz", tuple(float(c) for c in self.cutoffs_hz))
+
+    @classmethod
+    def from_settings(cls, bands=None, cutoffs=None, plan=None) -> "BandSpec | None":
+        """The spec given by at most one of three settings, or None if none is set.
+
+        `bands` is a uniform band count; `cutoffs` a sequence of cutoffs or
+        a comma-separated string of them; `plan` a JSON document, given
+        as a dict or as the path of a file holding it.
+        """
+        given = [k for k, v in (("bands", bands), ("cutoffs", cutoffs), ("plan", plan))
+                 if v not in (None, "")]
+        if len(given) > 1:
+            raise ValueError(f"give only one of --bands/--cutoffs/--plan, got {given}")
+        if bands is not None:
+            return cls(bands=int(bands))
+        if cutoffs:
+            if isinstance(cutoffs, str):
+                cutoffs = [c for c in cutoffs.split(",") if c.strip()]
+            return cls(cutoffs_hz=cutoffs)
+        if not plan:
+            return None
+        doc = json.loads(Path(plan).read_text()) if isinstance(plan, str) else plan
+        if not isinstance(doc, dict) or doc.get("type") not in ("uniform", "custom"):
+            raise ValueError("band plan document must be an object with type 'uniform' or 'custom'")
+        if doc["type"] == "uniform":
+            if "bands" not in doc:
+                raise ValueError("uniform band plan needs a 'bands' count")
+            return cls(bands=int(doc["bands"]))
+        if "cutoffs_hz" not in doc:
+            raise ValueError("custom band plan needs 'cutoffs_hz'")
+        return cls(cutoffs_hz=doc["cutoffs_hz"])
+
+    def plan(self, signal_length: int, sample_rate: float) -> BandPlan:
+        """DFT bin boundaries for a signal of this length and rate."""
+        if self.bands is not None:
+            return uniform_band_plan(self.bands, signal_length, sample_rate)
+        return custom_band_plan(self.cutoffs_hz, signal_length, sample_rate)
+
+    def ladder(self, sample_rate: float) -> list[float]:
+        """Interior FIR cutoffs in Hz, increasing: M bands need M-1."""
+        if self.bands is not None:
+            return [i * (sample_rate / 2) / self.bands for i in range(1, self.bands)]
+        return _check_cutoffs(self.cutoffs_hz, sample_rate)[:-1]
 
 
 @dataclass(frozen=True)
@@ -225,10 +269,16 @@ def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
     """Check mutual orthogonality and Parseval energy balance of a DFT decomposition.
 
     Reports max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||) and
-    (sum ||y_i||^2 + N*c0^2) / ||x||^2, where x is the reconstruction.
+    (sum ||y_i||^2 + N*c0^2) / ||x||^2, where x is the reconstruction; the
+    ratio is 1 when x has zero energy. An energy that overflows float64
+    raises.
     """
     if d.method != "dft":
         raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
+    x = d.reconstruct()
+    energy = np.dot(x, x)
+    if not np.isfinite(energy):
+        raise ValueError("signal energy overflows float64; rescale the input")
     comps = np.stack(d.components)
     gram = comps @ comps.T
     norms = np.sqrt(np.diag(gram))
@@ -236,7 +286,5 @@ def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
     denom[denom == 0] = 1.0  # zero-energy bands contribute nothing
     normalized = np.abs(gram) / denom
     np.fill_diagonal(normalized, 0.0)
-    x = d.reconstruct()
-    n = x.size
-    energy_ratio = float((np.trace(gram) + n * d.c0**2) / np.dot(x, x))
+    energy_ratio = float((np.trace(gram) + x.size * d.c0**2) / energy) if energy > 0 else 1.0
     return OrthogonalityReport(float(normalized.max()), energy_ratio)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import Decomposition
+from .filterbank import BandSpec, Decomposition
 from .signals import Signal, remove_mean
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "zero_phase_filter",
     "causal_filter",
     "uniform_cutoffs",
-    "cutoffs_from_spec",
     "fmd_decompose",
     "LinoepReport",
     "verify_linoep",
@@ -54,11 +53,6 @@ class FirFilter:
     @property
     def order(self) -> int:
         return self.taps.size - 1
-
-    def response_at(self, freq_hz: float, sample_rate: float) -> complex:
-        """Frequency response by direct summation at one frequency."""
-        n = np.arange(self.taps.size)
-        return complex(np.sum(self.taps * np.exp(-2j * np.pi * freq_hz / sample_rate * n)))
 
 
 def design_fir(kind: str, cutoff_hz: float, order: int, sample_rate: float) -> FirFilter:
@@ -143,25 +137,7 @@ def causal_filter(x: Signal, h: FirFilter) -> Signal:
 
 def uniform_cutoffs(n_bands: int, sample_rate: float) -> list[float]:
     """Interior cutoffs of `n_bands` equal-width bands, increasing, in Hz."""
-    if n_bands < 1:
-        raise ValueError("need at least one band")
-    return [i * (sample_rate / 2) / n_bands for i in range(1, n_bands)]
-
-
-def cutoffs_from_spec(spec: dict, sample_rate: float) -> list[float]:
-    """Interior FIR cutoff ladder from a band-plan JSON document.
-
-    A custom plan's trailing Nyquist edge is dropped: M bands need M-1
-    interior cutoffs.
-    """
-    kind = spec.get("type")
-    if kind == "uniform":
-        return uniform_cutoffs(int(spec["bands"]), sample_rate)
-    if kind == "custom":
-        cutoffs = [float(c) for c in spec["cutoffs_hz"]]
-        interior = [c for c in cutoffs if c < sample_rate / 2 * (1 - 1e-12)]
-        return interior
-    raise ValueError(f"unknown band plan type {kind!r}")
+    return BandSpec(bands=n_bands).ladder(sample_rate)
 
 
 def fmd_decompose(
@@ -278,7 +254,8 @@ def verify_linoep(d: Decomposition) -> LinoepReport:
         ci = comps[i - 1]
         denom = np.linalg.norm(ci) * np.linalg.norm(tail)
         crosses[i - 1] = abs(float(np.dot(ci, tail))) / denom if denom > 0 else 0.0
-    detrended_energy = float(np.dot(d.reconstruct() - d.c0, d.reconstruct() - d.c0))
+    detrended = d.reconstruct() - d.c0
+    detrended_energy = float(np.dot(detrended, detrended))
     component_energy = float(sum(np.dot(c, c) for c in comps))
     ratio = component_energy / detrended_energy if detrended_energy > 0 else 1.0
     return LinoepReport(crosses, ratio)

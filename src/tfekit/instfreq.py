@@ -101,6 +101,8 @@ class IFTrack:
         e = np.asarray(self.energy, dtype=np.float64)
         if f.size != e.size:
             raise ValueError(f"frequency/energy length mismatch: {f.size} vs {e.size}")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("energy must be finite; an envelope above ~1e154 overflows its square")
         if np.any(e < 0):
             raise ValueError("energy must be nonnegative")
         object.__setattr__(self, "frequency_hz", f)

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import dft_direct, idft_direct, wrap_angle
+from oracles import dft_direct, hilbert_kernel, hilbert_kernel_fir, idft_direct, wrap_angle
 from tfekit import (
     Signal,
     analytic_signal,
     dft,
     gen_delta,
-    hilbert_kernel,
-    hilbert_kernel_fir,
     idft,
     unwrap_phase,
 )

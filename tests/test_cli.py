@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from tfekit import load_csv, load_grid_csv, load_track_csv
-from tfekit.cli import main
+from tfekit.cli import FIXTURES, main
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def _write_huge_csv(path):
+    # a 1e200-amplitude cosine: its squared envelope overflows float64
+    x = 1e200 * np.cos(2 * np.pi * np.arange(512) / 16)
+    path.write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
+
+
+def _reject(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 class TestGen:
@@ -104,13 +114,35 @@ class TestAnalyze:
         diag = json.loads((workdir / "cfgd_diagnostics.json").read_text())
         assert diag["n_components"] == 8
 
-    def test_bad_thread_cap(self, workdir, monkeypatch, capsys):
-        monkeypatch.setenv("TFESPEC_THREADS", "many")
-        rc = main(["analyze", "--gen", "chirp", "--out-prefix", "x"])
+    @pytest.mark.parametrize("cutoffs", ["5,10,20,30", "5,10"])
+    def test_custom_plan_checked_alike_for_dft_and_fmd(self, workdir, capsys, cutoffs):
+        main(["gen", "noise", "--fs", "50", "--len", "1024", "--out", "in.csv"])
+        capsys.readouterr()
+        errors = []
+        for method in ("dft", "fmd-a"):
+            rc = main(["analyze", "--input", "in.csv", "--method", method, "--cutoffs", cutoffs,
+                       "--out-prefix", method])
+            assert rc == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and "Nyquist" in errors[0]
+
+    def test_all_zero_input_strict_json(self, workdir):
+        (workdir / "zero.csv").write_text("# sample_rate=100\n" + "0.0\n" * 512)
+        rc = main(["analyze", "--input", "zero.csv", "--method", "dft", "--bands", "10",
+                   "--out-prefix", "z"])
+        assert rc == 0
+        diag = json.loads((workdir / "z_diagnostics.json").read_text(), parse_constant=_reject)
+        assert diag["orthogonality"]["energy_ratio"] == 1.0
+
+    @pytest.mark.parametrize("method", [["none"], ["fmd-a", "--bands", "4", "--order", "32"],
+                                        ["dft", "--bands", "4"]], ids=["none", "fmd-a", "dft"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_input_fails_loudly(self, workdir, capsys, method):
+        _write_huge_csv(workdir / "big.csv")
+        rc = main(["analyze", "--input", "big.csv", "--method", *method, "--out-prefix", "big"])
         assert rc == 1
-        assert "TFESPEC_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("TFESPEC_THREADS", "2")
-        assert main(["analyze", "--gen", "chirp", "--dur", "0.1", "--out-prefix", "x"]) == 0
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDecompose:
@@ -130,6 +162,57 @@ class TestDecompose:
         rc = main(["decompose", "--gen", "chirp", "--out-prefix", "dec"])
         assert rc == 1
         assert "--method" in capsys.readouterr().err
+
+    def test_no_if_settings(self, workdir):
+        config = {"method": "dft", "bands": 2, "if": "conventional"}
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        rc = main(["decompose", "--gen", "chirp", "--dur", "0.1", "--config", "cfg.json",
+                   "--out-prefix", "dec"])
+        assert rc == 0
+        diag = json.loads((workdir / "dec_diagnostics.json").read_text())
+        assert not {"if_mode", "scheme", "negative_if_fraction"} & set(diag)
+        with pytest.raises(SystemExit) as err:
+            main(["decompose", "--gen", "chirp", "--method", "dft", "--bands", "2",
+                  "--if", "positive"])
+        assert err.value.code == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unverifiable_decomposition_fails(self, workdir, capsys):
+        _write_huge_csv(workdir / "big.csv")
+        rc = main(["decompose", "--input", "big.csv", "--method", "fmd-a", "--bands", "4",
+                   "--order", "32", "--out-prefix", "big"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# fixture -> (length, sample rate) at its defaults, and whether it has true ridges
+FIXTURE_SHAPES = {
+    "chirp": (8000, 8000.0, True),
+    "fm": (8000, 8000.0, True),
+    "delta": (4000, 1000.0, True),
+    "noise": (10240, 100.0, False),
+    "chirp-fm-mix": (8000, 8000.0, True),
+    "five-chirps": (16000, 8000.0, True),
+    "chirp-delayed": (12000, 8000.0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHAPES))
+def test_every_fixture(workdir, name):
+    length, rate, has_ridges = FIXTURE_SHAPES[name]
+    assert main(["gen", name, "--out", "f.csv"]) == 0
+    x = load_csv(workdir / "f.csv")
+    assert (len(x), x.sample_rate) == (length, rate)
+    assert main(["compare", "--gen", name, "--a-method", "none", "--b-method", "none",
+                 "--b-if", "conventional", "--out-prefix", "c"]) == 0
+    report = json.loads((workdir / "c_compare.json").read_text())
+    for side in report["sides"].values():
+        assert side["n_samples"] == length
+        assert ("ridge_error_hz" in side) == has_ridges
+
+
+def test_fixture_shapes_cover_every_fixture():
+    assert set(FIXTURES) == set(FIXTURE_SHAPES)
 
 
 class TestCompare:

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import dft_direct
 from tfekit import (
+    BandSpec,
     Signal,
     custom_band_plan,
     dft_decompose,
@@ -16,8 +17,6 @@ from tfekit import (
     gen_noise,
     mix,
     NoiseSpec,
-    plan_from_spec,
-    plan_spec_from_json,
     uniform_band_plan,
     verify_orthogonality,
 )
@@ -91,22 +90,47 @@ class TestCustomPlan:
 
 class TestPlanSpec:
     def test_uniform_round_trip(self):
-        spec = plan_spec_from_json(json.dumps({"type": "uniform", "bands": 4}))
-        plan = plan_from_spec(spec, 64, 10.0)
+        spec = BandSpec.from_settings(plan={"type": "uniform", "bands": 4})
+        plan = spec.plan(64, 10.0)
         assert plan.n_bands == 4
 
-    def test_custom_round_trip(self):
-        spec = plan_spec_from_json(json.dumps({"type": "custom", "cutoffs_hz": [2, 5]}))
-        plan = plan_from_spec(spec, 64, 10.0)
+    def test_custom_round_trip(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"type": "custom", "cutoffs_hz": [2, 5]}))
+        plan = BandSpec.from_settings(plan=str(path)).plan(64, 10.0)
         assert plan.n_bands == 2
 
     def test_bad_documents(self):
         with pytest.raises(ValueError):
-            plan_spec_from_json(json.dumps({"type": "fancy"}))
+            BandSpec.from_settings(plan={"type": "fancy"})
         with pytest.raises(ValueError):
-            plan_spec_from_json(json.dumps({"type": "uniform"}))
+            BandSpec.from_settings(plan={"type": "uniform"})
         with pytest.raises(ValueError):
-            plan_spec_from_json(json.dumps([1, 2, 3]))
+            BandSpec.from_settings(plan=[1, 2, 3])
+
+    def test_settings_forms(self):
+        assert BandSpec.from_settings() is None
+        assert BandSpec.from_settings(bands=4) == BandSpec(bands=4)
+        assert BandSpec.from_settings(cutoffs="5, 10,25") == BandSpec(cutoffs_hz=(5.0, 10.0, 25.0))
+        assert BandSpec.from_settings(cutoffs=[5, 10, 25]) == BandSpec(cutoffs_hz=(5.0, 10.0, 25.0))
+        with pytest.raises(ValueError, match="only one"):
+            BandSpec.from_settings(bands=4, cutoffs="5,25")
+        with pytest.raises(ValueError):
+            BandSpec()
+        with pytest.raises(ValueError):
+            BandSpec(bands=4, cutoffs_hz=(25.0,))
+
+    @pytest.mark.parametrize("cutoffs, message", [
+        ((5, 10, 20, 30), "above Nyquist"),
+        ((5, 10), "must equal Nyquist"),
+    ])
+    def test_dft_and_fmd_reject_alike(self, cutoffs, message):
+        spec = BandSpec(cutoffs_hz=cutoffs)
+        with pytest.raises(ValueError, match=message) as dft_err:
+            spec.plan(1000, 50.0)
+        with pytest.raises(ValueError, match=message) as fmd_err:
+            spec.ladder(50.0)
+        assert str(dft_err.value) == str(fmd_err.value)
 
 
 class TestDftDecompose:
@@ -197,4 +221,17 @@ class TestVerifyOrthogonality:
         x = gen_noise(NoiseSpec(seed=3, length=2048), 1000.0)
         d = fmd_decompose(x, [250.0], order=64)
         with pytest.raises(ValueError, match="dft"):
+            verify_orthogonality(d)
+
+    def test_zero_energy_ratio_is_one(self):
+        d = dft_decompose(Signal(np.zeros(64), 8.0), uniform_band_plan(4, 64, 8.0))
+        report = verify_orthogonality(d)
+        assert report.energy_ratio == 1.0
+        assert report.max_normalized_cross == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_energy_rejected(self):
+        x = Signal(1e200 * np.cos(2 * np.pi * np.arange(64) / 8), 8.0)
+        d = dft_decompose(x, uniform_band_plan(4, 64, 8.0))
+        with pytest.raises(ValueError, match="overflows"):
             verify_orthogonality(d)

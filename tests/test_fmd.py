@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tfekit import (
+    BandSpec,
     NoiseSpec,
     Signal,
     causal_filter,
     custom_band_plan,
-    cutoffs_from_spec,
     design_fir,
     dft_decompose,
     fmd_decompose,
@@ -231,8 +231,8 @@ class TestCutoffLadders:
         assert uniform_cutoffs(1, 8000.0) == []
 
     def test_from_spec(self):
-        assert cutoffs_from_spec({"type": "uniform", "bands": 4}, 8000.0) == [1000.0, 2000.0, 3000.0]
-        got = cutoffs_from_spec({"type": "custom", "cutoffs_hz": [5, 10, 20, 25]}, 50.0)
+        assert BandSpec(bands=4).ladder(8000.0) == [1000.0, 2000.0, 3000.0]
+        got = BandSpec(cutoffs_hz=[5, 10, 20, 25]).ladder(50.0)
         assert got == [5.0, 10.0, 20.0]
         with pytest.raises(ValueError):
-            cutoffs_from_spec({"type": "mystery"}, 50.0)
+            BandSpec.from_settings(plan={"type": "mystery"})

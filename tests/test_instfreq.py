@@ -186,3 +186,10 @@ class TestIfTrack:
             IFTrack(np.zeros(4), np.zeros(5), 100.0)
         with pytest.raises(ValueError):
             IFTrack(np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0]), 100.0)
+
+    def test_non_finite_energy_rejected(self):
+        from tfekit import IFTrack
+
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                IFTrack(np.zeros(4), np.array([1.0, bad, 0.0, 0.0]), 100.0)
