@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import dft, idft
-from .signals import Signal
+from .signals import Signal, finite_energy
 
 __all__ = [
     "BandPlan",
@@ -276,9 +276,7 @@ def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
     if d.method != "dft":
         raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
     x = d.reconstruct()
-    energy = np.dot(x, x)
-    if not np.isfinite(energy):
-        raise ValueError("signal energy overflows float64; rescale the input")
+    energy = finite_energy(x)
     comps = np.stack(d.components)
     gram = comps @ comps.T
     norms = np.sqrt(np.diag(gram))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import BandSpec, Decomposition
-from .signals import Signal, remove_mean
+from .signals import Signal, finite_energy, remove_mean
 
 __all__ = [
     "FirFilter",
@@ -179,7 +179,8 @@ def fmd_decompose(
     algebraic identity, and c_i is orthogonal to the sum of all later
     components. When the orthogonalization denominator falls below
     1e-14 times the input energy, alpha is set to 0 and the remaining
-    stages degenerate gracefully.
+    stages degenerate gracefully. An input whose energy overflows float64
+    raises ValueError before any stage runs.
     """
     part = part.upper()
     if part not in ("A", "B"):
@@ -193,9 +194,9 @@ def fmd_decompose(
         raise ValueError(f"part B needs strictly increasing cutoffs, got {cutoffs}")
 
     c0, detrended = remove_mean(x)
+    alpha_floor = 1e-14 * finite_energy(detrended.samples)
     apply_filter = zero_phase_filter if filtering == "zero-phase" else causal_filter
     stage_kind = "highpass" if part == "A" else "lowpass"
-    alpha_floor = 1e-14 * detrended.energy
 
     current = detrended
     components = []
@@ -243,10 +244,14 @@ def verify_linoep(d: Decomposition) -> LinoepReport:
 
     Reports, for each i, the normalized inner product of component i with
     the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2.
+    An energy that overflows float64 raises.
     """
     if d.method not in ("fmd-A", "fmd-B"):
         raise ValueError(f"LINOEP verification applies to fmd decompositions, got {d.method!r}")
     comps = d.components
+    # in an FMD decomposition no component or tail has more energy than
+    # this, so once it is finite none of the products below overflow
+    detrended_energy = finite_energy(d.reconstruct() - d.c0)
     tail = np.zeros_like(comps[0])
     crosses = np.zeros(len(comps) - 1)
     for i in range(len(comps) - 1, 0, -1):
@@ -254,8 +259,6 @@ def verify_linoep(d: Decomposition) -> LinoepReport:
         ci = comps[i - 1]
         denom = np.linalg.norm(ci) * np.linalg.norm(tail)
         crosses[i - 1] = abs(float(np.dot(ci, tail))) / denom if denom > 0 else 0.0
-    detrended = d.reconstruct() - d.c0
-    detrended_energy = float(np.dot(detrended, detrended))
     component_energy = float(sum(np.dot(c, c) for c in comps))
     ratio = component_energy / detrended_energy if detrended_energy > 0 else 1.0
     return LinoepReport(crosses, ratio)

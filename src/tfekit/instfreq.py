@@ -147,4 +147,6 @@ def if_track(
         freq = positive_if(d, x.sample_rate)
     else:
         freq = conventional_if(d, x.sample_rate)
-    return IFTrack(freq, a.envelope**2, x.sample_rate)
+    with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
+        energy = a.envelope**2
+    return IFTrack(freq, energy, x.sample_rate)

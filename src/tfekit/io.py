@@ -15,12 +15,21 @@ from .signals import Signal
 
 __all__ = ["save_csv", "load_csv", "load_wav"]
 
+# samples formatted per write by save_csv
+SAVE_BLOCK = 8192
+
 
 def save_csv(x: Signal, path) -> None:
-    """Write a signal to CSV with its sample-rate header."""
-    lines = [f"# sample_rate={x.sample_rate:.17g}"]
-    lines.extend(f"{v:.17g}" for v in x.samples)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a signal to CSV with its sample-rate header.
+
+    Samples are formatted and written a block at a time, so memory stays
+    bounded whatever the signal's length.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"# sample_rate={x.sample_rate:.17g}\n")
+        for start in range(0, len(x), SAVE_BLOCK):
+            block = x.samples[start : start + SAVE_BLOCK].tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def load_csv(path, sample_rate: float | None = None) -> Signal:

@@ -64,6 +64,20 @@ class Signal:
         return float(np.dot(self.samples, self.samples))
 
 
+def finite_energy(samples: np.ndarray) -> float:
+    """Sum of squared samples, refusing a sum that overflows float64.
+
+    The verifiers and the FMD ladder call this before using an energy, so
+    an input too large to square fails with one clear error and no numpy
+    overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        energy = float(np.dot(samples, samples))
+    if not np.isfinite(energy):
+        raise ValueError("signal energy overflows float64; rescale the input")
+    return energy
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Parameters of a reproducible Gaussian noise draw.

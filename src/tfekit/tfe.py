@@ -90,16 +90,23 @@ def export_track_csv(tracks: list[IFTrack], path) -> None:
     """Write tracks as triplet rows: time_s,frequency_hz,energy.
 
     One row per sample per track, tracks concatenated in order; an empty
-    track list produces a header-only file.
+    track list produces a header-only file. The file is written one track
+    at a time, so memory stays at one track's rows.
     """
-    lines = [TRACK_HEADER]
-    for tr in tracks:
-        t = np.arange(len(tr)) / tr.sample_rate
-        lines.extend(
-            f"{ti:.17g},{fi:.17g},{ei:.17g}"
-            for ti, fi, ei in zip(t, tr.frequency_hz, tr.energy)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # The time column depends only on (length, rate): format it once per
+    # pair into a row template whose %-slots each track fills in one call.
+    # A formatted float contains no '%', so the baked-in times are literal.
+    templates = {}
+    with open(path, "w") as fh:
+        fh.write(TRACK_HEADER + "\n")
+        for tr in tracks:
+            key = (len(tr), tr.sample_rate)
+            template = templates.get(key)
+            if template is None:
+                times = (np.arange(len(tr)) / tr.sample_rate).tolist()
+                template = templates[key] = "".join(["%.17g,%%.17g,%%.17g\n" % t for t in times])
+            pairs = np.column_stack((tr.frequency_hz, tr.energy)).ravel().tolist()
+            fh.write(template % tuple(pairs))
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,12 +128,13 @@ def export_grid_csv(grid: TFEGrid, path) -> None:
     frequency edges; each body line is one time edge followed by that time
     bin's energy cells; the final line is the closing time edge alone.
     """
-    lines = ["," + ",".join(f"{v:.17g}" for v in grid.freq_edges)]
-    for i in range(grid.energy.shape[0]):
-        cells = ",".join(f"{v:.17g}" for v in grid.energy[i])
-        lines.append(f"{grid.time_edges[i]:.17g},{cells}")
-    lines.append(f"{grid.time_edges[-1]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    fmt = "%.17g".__mod__
+    times = grid.time_edges.tolist()
+    with open(path, "w") as fh:
+        fh.write("," + ",".join(map(fmt, grid.freq_edges.tolist())) + "\n")
+        for t, row in zip(times, grid.energy):
+            fh.write(fmt(t) + "," + ",".join(map(fmt, row.tolist())) + "\n")
+        fh.write(fmt(times[-1]) + "\n")
 
 
 def load_grid_csv(path) -> TFEGrid:

@@ -2,10 +2,16 @@
 
 These deliberately avoid the library's own code paths: transforms by
 direct O(N^2) summation, angle wrapping through the complex exponential,
-quadrature by truncated-kernel convolution.
+quadrature by truncated-kernel convolution, and CSV writers that build the
+whole file as a list of lines (the streaming writers must match them byte
+for byte).
 """
 
+from pathlib import Path
+
 import numpy as np
+
+TRACK_HEADER = "time_s,frequency_hz,energy"
 
 
 def dft_direct(x) -> np.ndarray:
@@ -55,3 +61,41 @@ def hilbert_kernel_fir(x, half_length: int) -> np.ndarray:
     error is O(1/half_length)).
     """
     return np.convolve(x.samples, hilbert_kernel(half_length), mode="same")
+
+
+def export_track_csv(tracks, path) -> None:
+    """Write tracks as triplet rows: time_s,frequency_hz,energy.
+
+    One row per sample per track, tracks concatenated in order; an empty
+    track list produces a header-only file.
+    """
+    lines = [TRACK_HEADER]
+    for tr in tracks:
+        t = np.arange(len(tr)) / tr.sample_rate
+        lines.extend(
+            f"{ti:.17g},{fi:.17g},{ei:.17g}"
+            for ti, fi, ei in zip(t, tr.frequency_hz, tr.energy)
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def export_grid_csv(grid, path) -> None:
+    """Write a grid CSV: first row the frequency edges, first column the time edges.
+
+    Layout: line 1 is an empty corner field followed by the freq_bins+1
+    frequency edges; each body line is one time edge followed by that time
+    bin's energy cells; the final line is the closing time edge alone.
+    """
+    lines = ["," + ",".join(f"{v:.17g}" for v in grid.freq_edges)]
+    for i in range(grid.energy.shape[0]):
+        cells = ",".join(f"{v:.17g}" for v in grid.energy[i])
+        lines.append(f"{grid.time_edges[i]:.17g},{cells}")
+    lines.append(f"{grid.time_edges[-1]:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_csv(x, path) -> None:
+    """Write a signal to CSV with its sample-rate header."""
+    lines = [f"# sample_rate={x.sample_rate:.17g}"]
+    lines.extend(f"{v:.17g}" for v in x.samples)
+    Path(path).write_text("\n".join(lines) + "\n")

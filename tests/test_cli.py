@@ -1,6 +1,10 @@
 """End-to-end CLI runs through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,22 @@ class TestAnalyze:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", [["none"], ["fmd-a", "--bands", "4", "--order", "16"],
+                                        ["dft", "--bands", "4"]], ids=["none", "fmd-a", "dft"])
+    def test_overflowing_input_one_error_line(self, workdir, method):
+        # a fresh process, so numpy warnings would reach stderr as users see them
+        _write_huge_csv(workdir / "big.csv")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tfekit.cli", "analyze", "--input", "big.csv",
+             "--method", *method, "--out-prefix", "big"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
 
 class TestDecompose:
     def test_components_written_and_reconstruct(self, workdir):
@@ -183,6 +203,15 @@ class TestDecompose:
                    "--order", "32", "--out-prefix", "big"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_fmd_input_refused_before_writing(self, workdir, capsys):
+        _write_huge_csv(workdir / "big.csv")
+        rc = main(["decompose", "--input", "big.csv", "--method", "fmd-a", "--bands", "4",
+                   "--order", "16", "--out-prefix", "big"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: signal energy overflows float64; rescale the input\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
 
 
 # fixture -> (length, sample rate) at its defaults, and whether it has true ridges

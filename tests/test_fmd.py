@@ -5,6 +5,7 @@ import pytest
 
 from tfekit import (
     BandSpec,
+    Decomposition,
     NoiseSpec,
     Signal,
     causal_filter,
@@ -217,6 +218,21 @@ class TestFmdDecompose:
             fmd_decompose(x, [100.0, 250.0], order=64, part="A")
         with pytest.raises(ValueError, match="increasing"):
             fmd_decompose(x, [250.0, 100.0], order=64, part="B")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("part", ["A", "B"])
+    def test_overflowing_energy_rejected(self, part):
+        # refused up front, without numpy warnings, for either ladder direction
+        x = Signal(1e200 * np.cos(2 * np.pi * np.arange(512) / 16), 100.0)
+        with pytest.raises(ValueError, match="overflows float64"):
+            fmd_decompose(x, [25.0], order=16, part=part)
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_overflowing_energy_rejected(self):
+        big = 1e200 * np.cos(2 * np.pi * np.arange(512) / 16)
+        d = Decomposition(0.0, [big, big / 2], "fmd-A", 100.0)
+        with pytest.raises(ValueError, match="overflows float64"):
+            verify_linoep(d)
 
     def test_verify_gate(self):
         x = gen_noise(NoiseSpec(seed=62, length=256), 1000.0)

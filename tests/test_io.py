@@ -4,12 +4,28 @@ import struct
 import wave
 
 import numpy as np
+import oracles
 import pytest
 
 from tfekit import Signal, gen_chirp, load_csv, load_wav, save_csv
+from tfekit.io import SAVE_BLOCK
+
+GOLDEN_SIGNALS = {
+    "odd-length": Signal(np.random.default_rng(1).normal(size=101), 12345.678),
+    "even-length": Signal(np.random.default_rng(2).normal(size=100), 8000.0),
+    "block-boundaries": Signal(np.random.default_rng(3).normal(size=2 * SAVE_BLOCK + 1), 100.0),
+    "edge-values": Signal([0.0, 5e-324, 1e300, -1e300, 50.0, 1.0, -0.0, 0.1], 100.0),
+}
 
 
 class TestCsv:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SIGNALS))
+    def test_bytes_match_oracle(self, tmp_path, case):
+        x = GOLDEN_SIGNALS[case]
+        save_csv(x, tmp_path / "got.csv")
+        oracles.save_csv(x, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_round_trip(self, tmp_path):
         x = gen_chirp(10, 10, 1.0, 100)  # 100-sample tone
         path = tmp_path / "tone.csv"

@@ -1,12 +1,15 @@
 """TFE grid accumulation and CSV serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from tfekit import (
     IFTrack,
+    TFEGrid,
     build_tfe,
     export_grid_csv,
     export_track_csv,
@@ -81,7 +84,45 @@ class TestBuildTfe:
             build_tfe([a], time_bins=0)
 
 
+def _track(n, fs, seed=0):
+    rng = np.random.default_rng(seed)
+    return IFTrack(rng.uniform(0, fs / 2, n), rng.exponential(1e-3, n), fs)
+
+
+# edge values in both columns: zero, the smallest denormal, a huge value,
+# exactly Nyquist and integral floats
+_EDGES = np.array([0.0, 5e-324, 1e300, 50.0, 1.0, 2.0, 3e5, 0.1])
+
+GOLDEN_TRACKS = {
+    "empty": [],
+    "odd-length": [_track(101, 1000.0)],
+    "even-length": [_track(100, 1000.0)],
+    "mixed-lengths-and-rates": [_track(64, 100.0, 1), _track(37, 8000.0, 2),
+                                _track(64, 100.0, 3), _track(37, 44100.0, 4),
+                                _track(64, 8000.0, 5)],
+    "edge-values": [IFTrack(_EDGES, _EDGES[::-1], 100.0)],
+}
+
+
 class TestTrackCsv:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TRACKS))
+    def test_bytes_match_oracle(self, tmp_path, case):
+        tracks = GOLDEN_TRACKS[case]
+        export_track_csv(tracks, tmp_path / "got.csv")
+        oracles.export_track_csv(tracks, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_memory_stays_at_one_track(self, tmp_path):
+        tracks = [_track(8000, 8000.0, seed) for seed in range(20)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            export_track_csv(tracks, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
     def test_row_count(self, tmp_path):
         tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
                   if_track(gen_chirp(300, 500, 0.5, 2000.0))]
@@ -114,7 +155,24 @@ class TestTrackCsv:
             load_track_csv(path)
 
 
+_CHIRP_TRACK = if_track(gen_chirp(100, 900, 1.0, 2000.0))
+
+GOLDEN_GRIDS = {
+    "one-time-bin": build_tfe([_CHIRP_TRACK], 1, 13),
+    "seven-time-bins": build_tfe([_CHIRP_TRACK], 7, 13),
+    "edge-values": TFEGrid([0.0, 0.5, 1.0], [0.0, 25.0, 50.0],
+                           [[0.0, 5e-324], [1e300, 2.0]]),
+}
+
+
 class TestGridCsv:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GRIDS))
+    def test_bytes_match_oracle(self, tmp_path, case):
+        grid = GOLDEN_GRIDS[case]
+        export_grid_csv(grid, tmp_path / "got.csv")
+        oracles.export_grid_csv(grid, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_round_trip(self, tmp_path):
         track = if_track(gen_chirp(100, 900, 1.0, 2000.0))
         grid = build_tfe([track], 25, 40)
