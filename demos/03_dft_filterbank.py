@@ -10,7 +10,6 @@ resolves into the true frequencies.
 import numpy as np
 
 from tfekit import (
-    Signal,
     build_tfe,
     chirp_true_if,
     custom_band_plan,
@@ -53,7 +52,7 @@ print("=== 3. 100 bands concentrate the energy on the true ridges ===")
 ridge_a = chirp_true_if(1000, 2000, 1.0, fs)
 ridge_b = fm_true_if(780, 200, 2, 1.0, fs)
 d = dft_decompose(x, uniform_band_plan(100, len(x), fs))
-tracks = [if_track(Signal(c, fs)) for c in d.components]
+tracks = [if_track(band) for band in d.bands()]
 on_ridge = total = 0.0
 for tr in tracks:
     dist = np.minimum(np.abs(tr.frequency_hz - ridge_a), np.abs(tr.frequency_hz - ridge_b))

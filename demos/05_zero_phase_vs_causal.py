@@ -10,7 +10,6 @@ phase response entirely and keeps every feature in place.
 import numpy as np
 
 from tfekit import (
-    Signal,
     causal_filter,
     chirp_true_if,
     design_fir,
@@ -41,8 +40,8 @@ ridges = [chirp_true_if(f0, f1, 1.0, fs) for f0, f1 in bands]
 
 def ridge_error(decomposition):
     weighted = total = 0.0
-    for c in decomposition.components:
-        tr = if_track(Signal(c, fs))
+    for band in decomposition.bands():
+        tr = if_track(band)
         dist = np.min([np.abs(tr.frequency_hz - r) for r in ridges], axis=0)
         weighted += float(dist @ tr.energy)
         total += float(tr.energy.sum())

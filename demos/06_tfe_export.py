@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from tfekit import (
-    Signal,
     build_tfe,
     dft_decompose,
     export_grid_csv,
@@ -29,7 +28,7 @@ from tfekit import (
 fs = 8000.0
 x = mix([gen_chirp(1000, 2000, 1.0, fs), gen_fm(780, 200, 2, 1.0, fs)])
 d = dft_decompose(x, uniform_band_plan(20, len(x), fs))
-tracks = [if_track(Signal(c, fs)) for c in d.components]
+tracks = [if_track(band) for band in d.bands()]
 
 print("=== 1. accumulate the grid ===")
 grid = build_tfe(tracks, time_bins=200, freq_bins=125)

@@ -14,6 +14,7 @@ from .analytic import (
     analytic_signal,
     dft,
     idft,
+    one_sided,
     unwrap_phase,
 )
 from .filterbank import (
@@ -93,6 +94,7 @@ __all__ = [
     "load_track_csv",
     "load_wav",
     "mix",
+    "one_sided",
     "phase_diff",
     "positive_if",
     "remove_mean",

@@ -1,9 +1,10 @@
 """Discrete analytic signal: envelope, quadrature and unwrapped phase.
 
-The analytic signal is built spectrally: transform, zero the
-negative-frequency bins, double the positive ones (DC and, for even
-lengths, the Nyquist bin stay unscaled), then invert. The real part of
-the result equals the input, the imaginary part is the quadrature.
+The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
+transform, zero the negative-frequency bins, double the positive ones (DC
+and, for even lengths, the Nyquist bin stay unscaled), then invert. The
+real part equals the input and the imaginary part is its quadrature; kept
+to a run of bins, :func:`one_sided` gives one band of the DFT filter bank.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ __all__ = [
     "dft",
     "idft",
     "unwrap_phase",
+    "one_sided",
     "AnalyticSignal",
     "analytic_signal",
 ]
@@ -56,6 +58,29 @@ def unwrap_phase(wrapped) -> np.ndarray:
     return out
 
 
+def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
+    """Analytic signal of the bins lo..hi of a :func:`dft` spectrum.
+
+    Zeroes every bin outside lo..hi, doubles the bins strictly between DC
+    and Nyquist, keeps DC (lo == 0) and the even-length Nyquist bin
+    (2*hi == N) unscaled, and inverts. The real part of the result is the
+    zero-phase component of those bins, the imaginary part its quadrature.
+    """
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    n = spectrum.size
+    if n < 4:
+        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
+    if not 0 <= lo <= hi <= n // 2:
+        raise ValueError(f"bins {lo}..{hi} outside 0..{n // 2} for length {n}")
+    z = np.zeros(n, dtype=np.complex128)
+    z[lo : hi + 1] = 2 * spectrum[lo : hi + 1]
+    if lo == 0:
+        z[0] = spectrum[0]
+    if 2 * hi == n:
+        z[hi] = spectrum[hi]
+    return idft(z)
+
+
 @dataclass(frozen=True)
 class AnalyticSignal:
     """Per-sample envelope and unwrapped phase of a real signal.
@@ -82,39 +107,23 @@ class AnalyticSignal:
     sample_rate: float
     degenerate: bool = False
 
+    @classmethod
+    def from_sequence(cls, in_phase, z, sample_rate: float) -> "AnalyticSignal":
+        """Envelope and phase of a :func:`one_sided` sequence `z` whose real part is `in_phase`."""
+        quadrature = z.imag
+        envelope = np.hypot(in_phase, quadrature)
+        # the angle of the synthesized z, not atan2(quadrature, in_phase): where
+        # the signal is exactly zero the two disagree and only the former keeps
+        # the phase advancing through the gap
+        phase = unwrap_phase(np.arctan2(quadrature, z.real))
+        return cls(in_phase, quadrature, envelope, phase, sample_rate, not in_phase.any())
+
 
 def analytic_signal(x: Signal) -> AnalyticSignal:
-    """Construct the analytic signal of `x` by spectral one-siding.
+    """Construct the analytic signal of `x`: :func:`one_sided` on bins 0..floor(N/2).
 
-    Notes
-    -----
-    With N samples the one-sided spectrum keeps bin 0 as is, doubles bins
-    1..ceil(N/2)-1, keeps the Nyquist bin (even N only) unscaled and zeroes
-    the rest. An all-zero input yields zero envelope and zero phase with
-    the `degenerate` flag set.
+    An all-zero input yields zero envelope and zero phase with the
+    `degenerate` flag set.
     """
-    n = len(x)
-    if n < 4:
-        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
-    if not x.samples.any():
-        zeros = np.zeros(n)
-        return AnalyticSignal(x.samples, zeros, zeros.copy(), zeros.copy(),
-                              x.sample_rate, degenerate=True)
-    spectrum = dft(x.samples)
-    one_sided = np.zeros(n, dtype=np.complex128)
-    half = n // 2
-    one_sided[0] = spectrum[0]
-    if n % 2 == 0:
-        one_sided[1:half] = 2 * spectrum[1:half]
-        one_sided[half] = spectrum[half]
-    else:
-        one_sided[1 : half + 1] = 2 * spectrum[1 : half + 1]
-    z = idft(one_sided)
-    quadrature = z.imag
-    envelope = np.hypot(x.samples, quadrature)
-    # the angle of the synthesized z, not atan2(quadrature, x): where the
-    # signal is exactly zero the two disagree and only the former keeps the
-    # phase advancing through the gap
-    phase = unwrap_phase(np.arctan2(quadrature, z.real))
-    return AnalyticSignal(x.samples, quadrature, envelope, phase, x.sample_rate)
-
+    z = one_sided(dft(x.samples), 0, len(x) // 2)
+    return AnalyticSignal.from_sequence(x.samples, z, x.sample_rate)

@@ -287,11 +287,8 @@ def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
     decomposition, checks = _decompose(signal, settings)
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
-    if decomposition is None:
-        component_signals = [signal]
-    else:
-        component_signals = [Signal(c, signal.sample_rate) for c in decomposition.components]
-    tracks = [if_track(s, scheme, if_mode) for s in component_signals]
+    bands = [signal] if decomposition is None else decomposition.bands()
+    tracks = [if_track(b, scheme, if_mode) for b in bands]
 
     total = sum(len(t) for t in tracks)
     negative = sum(int((t.frequency_hz < 0).sum()) for t in tracks)
@@ -341,8 +338,8 @@ def cmd_analyze(args) -> int:
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
     diag_path = Path(f"{prefix}_diagnostics.json")
-    export_track_csv(tracks, track_path)
     grid = build_tfe(tracks, args.time_bins, args.freq_bins)
+    export_track_csv(tracks, track_path)
     export_grid_csv(grid, grid_path)
     diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
     _write_json(diag_path, diagnostics)

@@ -1,10 +1,10 @@
 """Zero-phase spectral filter bank.
 
 A band plan partitions the nonnegative DFT bins 1..K_M into M contiguous
-runs; bin 0 (the mean) is routed to the separate c0 term. Each band keeps
-its bins plus their conjugate mirrors with a real 0/1 mask, so synthesis
-by inverse transform is exactly zero-phase and the components are
-mutually orthogonal with disjoint spectral support.
+runs; bin 0 (the mean) is routed to the separate c0 term. One inverse
+transform of the spectrum made one-sided on a band's bins gives the band
+component as the real part, exactly zero-phase, and its quadrature as the
+imaginary part; components are mutually orthogonal with disjoint support.
 """
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import dft, idft
+from .analytic import AnalyticSignal, dft, one_sided
 from .signals import Signal, finite_energy
 
 __all__ = [
@@ -28,16 +28,12 @@ __all__ = [
 ]
 
 
-def _top_bin(n: int) -> int:
-    return n // 2 if n % 2 == 0 else (n - 1) // 2
-
-
 @dataclass(frozen=True)
 class BandPlan:
     """Ordered bin boundaries K_0=0 < K_1 < ... < K_M defining M bands.
 
     Band i (1-based) covers bins K_{i-1}+1 .. K_i plus their mirrors.
-    K_M is N/2 for even N and (N-1)/2 for odd N.
+    K_M is floor(N/2).
     """
 
     boundaries: tuple
@@ -50,7 +46,7 @@ class BandPlan:
             raise ValueError("boundaries must start at 0 and define at least one band")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
-        top = _top_bin(self.signal_length)
+        top = self.signal_length // 2
         if bounds[-1] != top:
             raise ValueError(
                 f"last boundary must be {top} for length {self.signal_length}, got {bounds[-1]}"
@@ -77,10 +73,10 @@ def uniform_band_plan(n_bands: int, signal_length: int, sample_rate: float) -> B
     Band sizes differ by at most one bin. n_bands may not exceed the
     number of available non-DC bins, floor(N/2).
     """
-    top = _top_bin(signal_length)
-    if not 1 <= n_bands <= signal_length // 2:
+    top = signal_length // 2
+    if not 1 <= n_bands <= top:
         raise ValueError(
-            f"n_bands must be in [1, {signal_length // 2}] for length {signal_length}, got {n_bands}"
+            f"n_bands must be in [1, {top}] for length {signal_length}, got {n_bands}"
         )
     bounds = [(i * top) // n_bands for i in range(n_bands + 1)]
     return BandPlan(tuple(bounds), signal_length, sample_rate)
@@ -110,7 +106,7 @@ def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> Band
     cutoff landing between bins therefore belongs to the lower band.
     Cutoffs that collapse a band to zero bins are rejected.
     """
-    top = _top_bin(signal_length)
+    top = signal_length // 2
     bounds = [0]
     for c in _check_cutoffs(cutoffs_hz, sample_rate):
         k = min(int(np.floor(c * signal_length / sample_rate + 0.5)), top)
@@ -194,13 +190,15 @@ class Decomposition:
 
     c0 + sum(components) reconstructs the analyzed signal pointwise.
     `method` tags the producing algorithm: 'dft', 'fmd-A', 'fmd-B' or
-    'causal-fir'.
+    'causal-fir'. The DFT bank also keeps each band's one-sided sequence
+    in `analytic`; its components are views of their real parts.
     """
 
     c0: float
     components: list
     method: str
     sample_rate: float
+    analytic: list | None = None
 
     def __post_init__(self):
         comps = [np.asarray(c, dtype=np.float64) for c in self.components]
@@ -222,39 +220,31 @@ class Decomposition:
         """c0 + sum of components."""
         return self.c0 + np.sum(self.components, axis=0)
 
+    def bands(self):
+        """Each component as `if_track` takes it, built one at a time.
+
+        A DFT band comes as the `AnalyticSignal` of its kept sequence, any
+        other component as a `Signal`.
+        """
+        if self.analytic is None:
+            return (Signal(c, self.sample_rate) for c in self.components)
+        return (AnalyticSignal.from_sequence(z.real, z, self.sample_rate) for z in self.analytic)
+
 
 def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
     """Split a signal into zero-phase spectral band components.
 
-    Each component is the inverse transform of the input spectrum masked
-    to one band's bins and their mirrors; c0 is the DC bin (the sample
-    mean). Imaginary residue of a synthesized component above 1e-10 of
-    the signal scale indicates a broken Hermitian mask and raises.
+    Each band is :func:`one_sided` of the input spectrum on its bins: one
+    inverse transform gives the component as the real part and its
+    quadrature as the imaginary part. c0 is the DC bin (the sample mean).
     """
     n = len(x)
     if plan.signal_length != n:
         raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
     spectrum = dft(x.samples)
-    c0 = float(spectrum[0].real)
-    residue_limit = 1e-10 * max(1.0, float(np.abs(x.samples).max()))
-    components = []
-    for i in range(plan.n_bands):
-        lo, hi = plan.band_bins(i)
-        masked = np.zeros(n, dtype=np.complex128)
-        masked[lo : hi + 1] = spectrum[lo : hi + 1]
-        # mirror bins; for even N the Nyquist bin has no distinct mirror
-        mlo = max(n - hi, n // 2 + 1)
-        mhi = n - lo
-        if mlo <= mhi:
-            masked[mlo : mhi + 1] = spectrum[mlo : mhi + 1]
-        y = idft(masked)
-        if np.abs(y.imag).max() > residue_limit:
-            raise RuntimeError(
-                f"band {i}: imaginary residue {np.abs(y.imag).max():.3e} exceeds "
-                f"{residue_limit:.3e}; spectral mask lost Hermitian symmetry"
-            )
-        components.append(y.real)
-    return Decomposition(c0, components, "dft", x.sample_rate)
+    analytic = [one_sided(spectrum, *plan.band_bins(i)) for i in range(plan.n_bands)]
+    return Decomposition(float(spectrum[0].real), [z.real for z in analytic], "dft",
+                         x.sample_rate, analytic)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import analytic_signal
+from .analytic import AnalyticSignal, analytic_signal
 from .signals import Signal
 
 __all__ = [
@@ -118,7 +118,7 @@ class IFTrack:
 
 
 def if_track(
-    x: Signal,
+    x: Signal | AnalyticSignal,
     scheme: DiffScheme = DiffScheme.FORWARD,
     mode: str = "positive",
 ) -> IFTrack:
@@ -126,8 +126,9 @@ def if_track(
 
     Parameters
     ----------
-    x : Signal
-        Input, at least 4 samples.
+    x : Signal or AnalyticSignal
+        Input, at least 4 samples, or its analytic signal already built (as
+        `Decomposition.bands` gives a DFT band).
     scheme : DiffScheme
         Finite-difference scheme for the phase derivative (default FORWARD).
     mode : {'positive', 'conventional'}
@@ -141,7 +142,7 @@ def if_track(
     """
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
-    a = analytic_signal(x)
+    a = x if isinstance(x, AnalyticSignal) else analytic_signal(x)
     d = phase_diff(a.phase_unwrapped, scheme)
     if mode == "positive":
         freq = positive_if(d, x.sample_rate)

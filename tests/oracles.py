@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's own code paths: transforms by
 direct O(N^2) summation, angle wrapping through the complex exponential,
-quadrature by truncated-kernel convolution, and CSV writers that build the
+quadrature by truncated-kernel convolution, CSV writers that build the
 whole file as a list of lines (the streaming writers must match them byte
-for byte).
+for byte), and a DFT bank built another way: a Hermitian 0/1 mask per band
+with an imaginary-residue guard, sharing only `dft` and `idft` with the
+library (the one-sided bank must match it component by component).
 """
 
 from pathlib import Path
 
 import numpy as np
+
+from tfekit import BandPlan, Decomposition, Signal, dft, idft
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
 
@@ -99,3 +103,37 @@ def save_csv(x, path) -> None:
     lines = [f"# sample_rate={x.sample_rate:.17g}"]
     lines.extend(f"{v:.17g}" for v in x.samples)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
+    """Split a signal into zero-phase spectral band components.
+
+    Each component is the inverse transform of the input spectrum masked
+    to one band's bins and their mirrors; c0 is the DC bin (the sample
+    mean). Imaginary residue of a synthesized component above 1e-10 of
+    the signal scale indicates a broken Hermitian mask and raises.
+    """
+    n = len(x)
+    if plan.signal_length != n:
+        raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
+    spectrum = dft(x.samples)
+    c0 = float(spectrum[0].real)
+    residue_limit = 1e-10 * max(1.0, float(np.abs(x.samples).max()))
+    components = []
+    for i in range(plan.n_bands):
+        lo, hi = plan.band_bins(i)
+        masked = np.zeros(n, dtype=np.complex128)
+        masked[lo : hi + 1] = spectrum[lo : hi + 1]
+        # mirror bins; for even N the Nyquist bin has no distinct mirror
+        mlo = max(n - hi, n // 2 + 1)
+        mhi = n - lo
+        if mlo <= mhi:
+            masked[mlo : mhi + 1] = spectrum[mlo : mhi + 1]
+        y = idft(masked)
+        if np.abs(y.imag).max() > residue_limit:
+            raise RuntimeError(
+                f"band {i}: imaginary residue {np.abs(y.imag).max():.3e} exceeds "
+                f"{residue_limit:.3e}; spectral mask lost Hermitian symmetry"
+            )
+        components.append(y.real)
+    return Decomposition(c0, components, "dft", x.sample_rate)

@@ -10,6 +10,7 @@ from tfekit import (
     dft,
     gen_delta,
     idft,
+    one_sided,
     unwrap_phase,
 )
 
@@ -122,6 +123,24 @@ class TestAnalyticSignal:
     def test_too_short(self):
         with pytest.raises(ValueError):
             analytic_signal(Signal(np.array([1.0, 2.0, 3.0]), 1.0))
+
+
+class TestOneSided:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_bands_add_up_to_the_full_band(self, n):
+        # DC alone, then runs of bins up to Nyquist: one_sided is linear in its bins
+        spectrum = dft(np.random.default_rng(n).normal(size=n))
+        edges = [0, 0, 3, 4, n // 2]
+        parts = [one_sided(spectrum, 0, 0)]
+        parts += [one_sided(spectrum, lo + 1, hi) for lo, hi in zip(edges[1:], edges[2:])]
+        full = one_sided(spectrum, 0, n // 2)
+        assert np.abs(np.sum(parts, axis=0) - full).max() <= 1e-12
+
+    def test_bins_outside_the_half_spectrum_rejected(self):
+        spectrum = dft(np.arange(8.0))
+        for lo, hi in [(-1, 2), (3, 2), (1, 5)]:
+            with pytest.raises(ValueError, match="outside"):
+                one_sided(spectrum, lo, hi)
 
 
 class TestHilbertKernel:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tfekit import load_csv, load_grid_csv, load_track_csv
-from tfekit.cli import FIXTURES, main
+from tfekit.cli import FIXTURES, _load_input, _run_analysis, _settings, build_parser, main
 
 
 @pytest.fixture
@@ -163,6 +163,35 @@ class TestAnalyze:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--time-bins", "--freq-bins"])
+    def test_bad_bin_count_writes_no_tracks(self, workdir, capsys, flag):
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
+                   "--bands", "4", flag, "0", "--out-prefix", "bad"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("*_tracks.csv"))
+
+    @pytest.mark.parametrize("method", [["none"], ["dft", "--bands", "1"]], ids=["none", "dft"])
+    def test_three_samples_refused(self, workdir, capsys, method):
+        (workdir / "short.csv").write_text("# sample_rate=100\n1.0\n-1.0\n0.5\n")
+        rc = main(["analyze", "--input", "short.csv", "--method", *method, "--out-prefix", "s"])
+        assert rc == 1
+        assert "analytic signal needs at least 4 samples" in capsys.readouterr().err
+
+    def test_dft_bank_one_inverse_transform_per_band(self, monkeypatch):
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        args = build_parser().parse_args(["analyze", "--gen", "chirp", "--dur", "0.1",
+                                          "--method", "dft", "--bands", "10"])
+        signal, _, _ = _load_input(args)
+        tracks, _ = _run_analysis(signal, _settings(args, None))
+        assert len(tracks) == 10
+        assert calls == {"fft": 1, "ifft": 10}
 
 
 class TestDecompose:

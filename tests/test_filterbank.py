@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from oracles import dft_direct
 from tfekit import (
+    BandPlan,
     BandSpec,
     Signal,
+    analytic_signal,
     custom_band_plan,
+    dft,
     dft_decompose,
     fmd_decompose,
     gen_chirp,
@@ -196,6 +200,42 @@ class TestDftDecompose:
         d = dft_decompose(x, uniform_band_plan(5, 257, 100.0))
         assert np.abs(d.reconstruct() - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
         assert abs(verify_orthogonality(d).energy_ratio - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("n, plan", [
+        (256, lambda n, fs: uniform_band_plan(7, n, fs)),
+        (255, lambda n, fs: uniform_band_plan(7, n, fs)),
+        (256, lambda n, fs: uniform_band_plan(1, n, fs)),
+        (256, lambda n, fs: uniform_band_plan(n // 2, n, fs)),
+        (250, lambda n, fs: custom_band_plan([3.0, 10.0, 12.5, 25.0], n, fs)),
+    ], ids=["even", "odd", "one-band", "n-over-2-bands", "custom"])
+    def test_matches_hermitian_mask_oracle(self, n, plan):
+        x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
+        plan = plan(n, x.sample_rate)
+        d = dft_decompose(x, plan)
+        ref = oracles.dft_decompose(x, plan)
+        assert d.c0 == ref.c0
+        scale = np.abs(x.samples).max()
+        bands = list(d.bands())
+        assert len(bands) == len(ref.components) == plan.n_bands
+        for comp, band, want in zip(d.components, bands, ref.components):
+            assert np.abs(comp - want).max() <= 1e-12 * scale
+            # the quadrature analytic_signal finds from the component alone
+            quad = analytic_signal(Signal(comp, x.sample_rate)).quadrature
+            assert np.abs(band.quadrature - quad).max() <= 1e-12 * np.abs(quad).max()
+            assert np.array_equal(band.in_phase, comp)
+
+    def test_nyquist_only_band_is_the_unscaled_bin(self):
+        # for even N the Nyquist bin is its own mirror, so one-siding must not double it
+        n, fs = 64, 8.0
+        rng = np.random.default_rng(5)
+        x = Signal(rng.normal(size=n) + 0.5 * (-1.0) ** np.arange(n), fs)
+        d = dft_decompose(x, BandPlan((0, n // 2 - 1, n // 2), n, fs))
+        top = list(d.bands())[1]
+        tone = dft(x.samples)[n // 2].real * (-1.0) ** np.arange(n)
+        scale = np.abs(x.samples).max()
+        assert np.abs(top.in_phase - tone).max() <= 1e-12 * scale
+        assert np.abs(top.quadrature).max() <= 1e-12 * scale
+        assert np.abs(np.diff(top.phase_unwrapped) - np.pi).max() <= 1e-12
 
 
 class TestVerifyOrthogonality:
