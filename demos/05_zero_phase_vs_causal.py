@@ -10,6 +10,7 @@ phase response entirely and keeps every feature in place.
 import numpy as np
 
 from tfekit import (
+    BandSpec,
     causal_filter,
     chirp_true_if,
     design_fir,
@@ -17,7 +18,6 @@ from tfekit import (
     gen_chirp,
     if_track,
     mix,
-    uniform_cutoffs,
     zero_phase_filter,
 )
 
@@ -48,7 +48,7 @@ def ridge_error(decomposition):
     return weighted / total
 
 
-cutoffs = uniform_cutoffs(10, fs)[::-1]
+cutoffs = BandSpec(bands=10).ladder(fs)[::-1]
 zero_phase = fmd_decompose(x, cutoffs, order=128, part="A")
 causal = fmd_decompose(x, cutoffs, order=128, part="A", filtering="causal")
 e_zp = ridge_error(zero_phase)

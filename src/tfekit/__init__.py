@@ -1,12 +1,12 @@
 """tfekit: always-positive instantaneous frequency and zero-phase
 filter-bank decomposition for time-frequency-energy analysis.
 
-The pipeline: build the analytic signal, unwrap its phase, difference it,
-fold negative increments back into [0, pi] rad/sample, and pair the
-resulting per-sample frequency with the squared envelope. Signals can
-first be split into bands, either by zero-phase spectral masking
-(orthogonal components) or by an iterative zero-phase FIR ladder
-(energy-preserving, tail-orthogonal components).
+The pipeline: build the analytic signal, take the increments of its
+four-quadrant phase, fold negative increments back into [0, pi]
+rad/sample, and pair the resulting per-sample frequency with the squared
+envelope. Signals can first be split into bands, either by zero-phase
+spectral masking (orthogonal components) or by an iterative zero-phase
+FIR ladder (energy-preserving, tail-orthogonal components).
 """
 
 from .analytic import (
@@ -15,7 +15,6 @@ from .analytic import (
     dft,
     idft,
     one_sided,
-    unwrap_phase,
 )
 from .filterbank import (
     BandPlan,
@@ -33,7 +32,6 @@ from .fmd import (
     causal_filter,
     design_fir,
     fmd_decompose,
-    uniform_cutoffs,
     verify_linoep,
     zero_phase_filter,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "remove_mean",
     "save_csv",
     "uniform_band_plan",
-    "uniform_cutoffs",
-    "unwrap_phase",
     "verify_linoep",
     "verify_orthogonality",
     "zero_phase_filter",

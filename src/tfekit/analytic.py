@@ -1,4 +1,4 @@
-"""Discrete analytic signal: envelope, quadrature and unwrapped phase.
+"""Discrete analytic signal: envelope, quadrature and phase increments.
 
 The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
 transform, zero the negative-frequency bins, double the positive ones (DC
@@ -16,7 +16,6 @@ from .signals import Signal
 __all__ = [
     "dft",
     "idft",
-    "unwrap_phase",
     "one_sided",
     "AnalyticSignal",
     "analytic_signal",
@@ -37,25 +36,6 @@ def idft(spectrum) -> np.ndarray:
     if spectrum.size == 0:
         raise ValueError("idft of empty spectrum")
     return np.fft.ifft(spectrum) * spectrum.size
-
-
-def unwrap_phase(wrapped) -> np.ndarray:
-    """Unwrap a phase sequence so consecutive differences lie in (-pi, pi].
-
-    output[0] equals input[0] and every sample stays congruent to the
-    input modulo 2*pi.
-    """
-    wrapped = np.asarray(wrapped, dtype=np.float64)
-    if wrapped.size <= 1:
-        return wrapped.copy()
-    d = np.diff(wrapped)
-    # fold each jump into (-pi, pi]; -pi maps to +pi
-    folded = np.pi - np.mod(np.pi - d, 2 * np.pi)
-    out = np.empty_like(wrapped)
-    out[0] = wrapped[0]
-    np.cumsum(folded, out=out[1:])
-    out[1:] += wrapped[0]
-    return out
 
 
 def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
@@ -83,47 +63,51 @@ def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """Per-sample envelope and unwrapped phase of a real signal.
+    """A :func:`one_sided` sequence `z` and its sample rate.
 
-    Attributes
-    ----------
-    in_phase : np.ndarray
-        The original samples.
-    quadrature : np.ndarray
-        The quadrature (Hilbert transform) of the samples.
-    envelope : np.ndarray
-        sqrt(in_phase^2 + quadrature^2), nonnegative.
-    phase_unwrapped : np.ndarray
-        Four-quadrant arctangent of quadrature/in_phase, unwrapped, radians.
-    sample_rate : float
-    degenerate : bool
-        True when the input was identically zero (phase defined as zero).
+    The real part of `z` is the signal, the imaginary part its quadrature
+    (Hilbert transform). The envelope and the phase increments are derived
+    from `z` on demand.
     """
 
-    in_phase: np.ndarray
-    quadrature: np.ndarray
-    envelope: np.ndarray
-    phase_unwrapped: np.ndarray
+    z: np.ndarray
     sample_rate: float
-    degenerate: bool = False
 
-    @classmethod
-    def from_sequence(cls, in_phase, z, sample_rate: float) -> "AnalyticSignal":
-        """Envelope and phase of a :func:`one_sided` sequence `z` whose real part is `in_phase`."""
-        quadrature = z.imag
-        envelope = np.hypot(in_phase, quadrature)
-        # the angle of the synthesized z, not atan2(quadrature, in_phase): where
-        # the signal is exactly zero the two disagree and only the former keeps
-        # the phase advancing through the gap
-        phase = unwrap_phase(np.arctan2(quadrature, z.real))
-        return cls(in_phase, quadrature, envelope, phase, sample_rate, not in_phase.any())
+    @property
+    def in_phase(self) -> np.ndarray:
+        return self.z.real
+
+    @property
+    def quadrature(self) -> np.ndarray:
+        return self.z.imag
+
+    @property
+    def envelope(self) -> np.ndarray:
+        """|z|, nonnegative."""
+        return np.abs(self.z)
+
+    @property
+    def degenerate(self) -> bool:
+        """True when `z` is identically zero (every phase increment is then zero)."""
+        return not self.z.any()
+
+    def increments(self) -> np.ndarray:
+        """The N-1 increments of the four-quadrant phase of `z`, radians in (-pi, pi].
+
+        Differences of `np.angle(z)` folded by +-2pi: no unwrapped phase is
+        built, and the angles, unlike a product z[n+1]*conj(z[n]), neither
+        underflow nor overflow at any finite amplitude.
+        """
+        d = np.diff(np.angle(self.z))
+        d[d > np.pi] -= 2 * np.pi
+        d[d <= -np.pi] += 2 * np.pi
+        return d
 
 
 def analytic_signal(x: Signal) -> AnalyticSignal:
     """Construct the analytic signal of `x`: :func:`one_sided` on bins 0..floor(N/2).
 
-    An all-zero input yields zero envelope and zero phase with the
+    An all-zero input yields zero envelope and zero increments with the
     `degenerate` flag set.
     """
-    z = one_sided(dft(x.samples), 0, len(x) // 2)
-    return AnalyticSignal.from_sequence(x.samples, z, x.sample_rate)
+    return AnalyticSignal(one_sided(dft(x.samples), 0, len(x) // 2), x.sample_rate)

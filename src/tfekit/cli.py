@@ -290,8 +290,6 @@ def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
     bands = [signal] if decomposition is None else decomposition.bands()
     tracks = [if_track(b, scheme, if_mode) for b in bands]
 
-    total = sum(len(t) for t in tracks)
-    negative = sum(int((t.frequency_hz < 0).sum()) for t in tracks)
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],
@@ -300,7 +298,8 @@ def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
         "n_samples": len(signal),
         "sample_rate_hz": signal.sample_rate,
         "n_components": len(tracks),
-        "negative_if_fraction": negative / total,
+        # the tracks share one length, so the mean of their fractions is the fraction of all samples
+        "negative_if_fraction": float(np.mean([t.negative_fraction for t in tracks])),
         **checks,
     }
     return tracks, diagnostics
@@ -376,6 +375,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.time_bins < 1 or args.freq_bins < 1:  # before either side is decomposed
+        raise ValueError("bin counts must be at least 1")
     signal, fixture, params = _load_input(args)
     ridge_fn = FIXTURES[fixture][2] if fixture is not None else None
     ridges = ridge_fn(params) if ridge_fn is not None else None

@@ -228,7 +228,7 @@ class Decomposition:
         """
         if self.analytic is None:
             return (Signal(c, self.sample_rate) for c in self.components)
-        return (AnalyticSignal.from_sequence(z.real, z, self.sample_rate) for z in self.analytic)
+        return (AnalyticSignal(z, self.sample_rate) for z in self.analytic)
 
 
 def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import BandSpec, Decomposition
+from .filterbank import Decomposition
 from .signals import Signal, finite_energy, remove_mean
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "design_fir",
     "zero_phase_filter",
     "causal_filter",
-    "uniform_cutoffs",
     "fmd_decompose",
     "LinoepReport",
     "verify_linoep",
@@ -133,11 +132,6 @@ def causal_filter(x: Signal, h: FirFilter) -> Signal:
             f"{h.taps.size} taps (need > {3 * h.taps.size})"
         )
     return Signal(_causal(x.samples, h.taps), x.sample_rate)
-
-
-def uniform_cutoffs(n_bands: int, sample_rate: float) -> list[float]:
-    """Interior cutoffs of `n_bands` equal-width bands, increasing, in Hz."""
-    return BandSpec(bands=n_bands).ladder(sample_rate)
 
 
 def fmd_decompose(

@@ -1,6 +1,6 @@
 """Instantaneous-frequency estimation.
 
-Two estimators share one pipeline (analytic signal -> unwrapped phase ->
+Two estimators share one pipeline (analytic signal -> phase increments ->
 finite difference -> Hz scaling):
 
 * the conventional estimator keeps the raw phase derivative and can go
@@ -37,29 +37,26 @@ class DiffScheme(Enum):
     CENTRAL = "central"
 
 
-def phase_diff(phase_unwrapped, scheme: DiffScheme = DiffScheme.FORWARD) -> np.ndarray:
-    """Per-sample phase increments in rad/sample, same length as the input.
+def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD) -> np.ndarray:
+    """Per-sample phase derivative in rad/sample from the N-1 phase increments.
 
-    Boundary samples that the scheme cannot compute are filled by
-    duplicating the nearest computed difference.
+    `increments[n]` is the phase advance from sample n to n+1, as
+    :meth:`AnalyticSignal.increments` gives it. Forward differences place
+    it at sample n, backward at n+1, central averages the two increments
+    around each sample. The result has N samples; boundary samples the
+    scheme cannot compute repeat the nearest computed one.
     """
-    phase = np.asarray(phase_unwrapped, dtype=np.float64)
+    d = np.asarray(increments, dtype=np.float64)
     scheme = DiffScheme(scheme)
-    min_len = 3 if scheme is DiffScheme.CENTRAL else 2
-    if phase.size < min_len:
-        raise ValueError(f"{scheme.value} differencing needs >= {min_len} samples, got {phase.size}")
-    out = np.empty_like(phase)
+    min_len = 2 if scheme is DiffScheme.CENTRAL else 1
+    if d.size < min_len:
+        raise ValueError(f"{scheme.value} differencing needs >= {min_len} increments, got {d.size}")
     if scheme is DiffScheme.FORWARD:
-        out[:-1] = phase[1:] - phase[:-1]
-        out[-1] = out[-2]
-    elif scheme is DiffScheme.BACKWARD:
-        out[1:] = phase[1:] - phase[:-1]
-        out[0] = out[1]
-    else:
-        out[1:-1] = (phase[2:] - phase[:-2]) / 2
-        out[0] = out[1]
-        out[-1] = out[-2]
-    return out
+        return np.concatenate([d, d[-1:]])
+    if scheme is DiffScheme.BACKWARD:
+        return np.concatenate([d[:1], d])
+    mid = (d[:-1] + d[1:]) / 2
+    return np.concatenate([mid[:1], mid, mid[-1:]])
 
 
 def conventional_if(diffs, sample_rate: float) -> np.ndarray:
@@ -73,19 +70,16 @@ def conventional_if(diffs, sample_rate: float) -> np.ndarray:
 def positive_if(diffs, sample_rate: float) -> np.ndarray:
     """Always-positive instantaneous frequency in Hz.
 
-    Negative increments get +pi; anything still outside [0, pi] rad/sample
-    (possible for averaged central differences) is folded by the integer
-    multiple of pi that lands it inside. Output is clipped to
-    [0, sample_rate/2] to guard against one-ulp scaling overshoot.
+    `diffs` are phase derivatives in [-pi, pi] rad/sample, as
+    :func:`phase_diff` gives them. Negative ones get +pi, landing every
+    sample in [0, pi]; a Nyquist tone's pi stays pi and reads sample_rate/2
+    (the cap guards against one-ulp scaling overshoot).
     """
     d = np.asarray(diffs, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("phase differences must be finite")
+    if not np.all(np.abs(d) <= np.pi):
+        raise ValueError("phase differences must be finite and within [-pi, pi]")
     omega = np.where(d >= 0, d, d + np.pi)
-    outside = (omega < 0) | (omega > np.pi)
-    if np.any(outside):
-        omega = np.where(outside, omega - np.pi * np.floor(omega / np.pi), omega)
-    return np.clip(omega * (sample_rate / (2 * np.pi)), 0.0, sample_rate / 2)
+    return np.minimum(omega * (sample_rate / (2 * np.pi)), sample_rate / 2)
 
 
 @dataclass(frozen=True)
@@ -143,11 +137,11 @@ def if_track(
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
     a = x if isinstance(x, AnalyticSignal) else analytic_signal(x)
-    d = phase_diff(a.phase_unwrapped, scheme)
+    d = phase_diff(a.increments(), scheme)
     if mode == "positive":
         freq = positive_if(d, x.sample_rate)
     else:
         freq = conventional_if(d, x.sample_rate)
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
-        energy = a.envelope**2
+        energy = a.z.real**2 + a.z.imag**2
     return IFTrack(freq, energy, x.sample_rate)

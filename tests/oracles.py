@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: transforms by
 direct O(N^2) summation, angle wrapping through the complex exponential,
-quadrature by truncated-kernel convolution, CSV writers that build the
-whole file as a list of lines (the streaming writers must match them byte
-for byte), and a DFT bank built another way: a Hermitian 0/1 mask per band
-with an imaginary-residue guard, sharing only `dft` and `idft` with the
-library (the one-sided bank must match it component by component).
+quadrature by truncated-kernel convolution, positive IF in four passes
+(angle, unwrap, difference of the unwrapped phase, fold; the library takes
+the phase increments directly), CSV writers that build the whole file as a
+list of lines (the streaming writers must match them byte for byte), and a
+DFT bank built another way: a Hermitian 0/1 mask per band with an
+imaginary-residue guard, sharing only `dft` and `idft` with the library
+(the one-sided bank must match it component by component).
 """
 
 from pathlib import Path
@@ -39,6 +41,48 @@ def idft_direct(spectrum) -> np.ndarray:
 def wrap_angle(phase) -> np.ndarray:
     """Map angles into (-pi, pi] via the complex exponential."""
     return np.angle(np.exp(1j * np.asarray(phase, dtype=float)))
+
+
+def unwrap_phase(wrapped) -> np.ndarray:
+    """Unwrap a phase sequence so consecutive differences lie in (-pi, pi].
+
+    output[0] equals input[0] and every sample stays congruent to the
+    input modulo 2*pi.
+    """
+    wrapped = np.asarray(wrapped, dtype=np.float64)
+    if wrapped.size <= 1:
+        return wrapped.copy()
+    d = np.diff(wrapped)
+    # fold each jump into (-pi, pi]; -pi maps to +pi
+    folded = np.pi - np.mod(np.pi - d, 2 * np.pi)
+    out = np.empty_like(wrapped)
+    out[0] = wrapped[0]
+    np.cumsum(folded, out=out[1:])
+    out[1:] += wrapped[0]
+    return out
+
+
+def four_pass_if(z, sample_rate: float, scheme: str = "forward") -> np.ndarray:
+    """Positive IF in Hz of an analytic sequence `z`, in four passes.
+
+    The four-quadrant angle, :func:`unwrap_phase`, a finite difference of
+    the unwrapped phase (boundary samples repeat their neighbour), then the
+    +pi fold of negative derivatives and the Hz scaling.
+    """
+    phase = unwrap_phase(np.angle(z))
+    diff = np.empty_like(phase)
+    if scheme == "forward":
+        diff[:-1] = phase[1:] - phase[:-1]
+        diff[-1] = diff[-2]
+    elif scheme == "backward":
+        diff[1:] = phase[1:] - phase[:-1]
+        diff[0] = diff[1]
+    else:
+        diff[1:-1] = (phase[2:] - phase[:-2]) / 2
+        diff[0] = diff[1]
+        diff[-1] = diff[-2]
+    omega = np.where(diff >= 0, diff, diff + np.pi)
+    return np.clip(omega * (sample_rate / (2 * np.pi)), 0.0, sample_rate / 2)
 
 
 def hilbert_kernel(half_length: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import dft_direct, idft_direct
 from tfekit import (
+    BandSpec,
     DiffScheme,
     NoiseSpec,
     Signal,
@@ -29,7 +30,6 @@ from tfekit import (
     if_track,
     mix,
     uniform_band_plan,
-    uniform_cutoffs,
     verify_linoep,
     verify_orthogonality,
     zero_phase_filter,
@@ -193,7 +193,7 @@ def test_criterion_07_fmd_invariants():
     for x, order in fixtures.values():
         for n_bands in (2, 5, 10):
             for part in ("A", "B"):
-                cutoffs = uniform_cutoffs(n_bands, x.sample_rate)
+                cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
                 if part == "A":
                     cutoffs = cutoffs[::-1]
                 d = fmd_decompose(x, cutoffs, order=order, part=part)

@@ -1,17 +1,24 @@
-"""Transforms, analytic-signal construction, phase unwrapping."""
+"""Transforms, analytic-signal construction, phase increments; the unwrapping oracle."""
 
 import numpy as np
 import pytest
 
-from oracles import dft_direct, hilbert_kernel, hilbert_kernel_fir, idft_direct, wrap_angle
+from oracles import (
+    dft_direct,
+    hilbert_kernel,
+    hilbert_kernel_fir,
+    idft_direct,
+    unwrap_phase,
+    wrap_angle,
+)
 from tfekit import (
+    AnalyticSignal,
     Signal,
     analytic_signal,
     dft,
     gen_delta,
     idft,
     one_sided,
-    unwrap_phase,
 )
 
 
@@ -118,11 +125,29 @@ class TestAnalyticSignal:
         a = analytic_signal(Signal(np.zeros(16), 1.0))
         assert a.degenerate
         assert np.abs(a.envelope).max() == 0.0
-        assert np.abs(a.phase_unwrapped).max() == 0.0
+        assert np.abs(a.increments()).max() == 0.0
 
     def test_too_short(self):
         with pytest.raises(ValueError):
             analytic_signal(Signal(np.array([1.0, 2.0, 3.0]), 1.0))
+
+
+class TestIncrements:
+    def test_folded_into_half_open_range(self):
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=500) + 1j * rng.normal(size=500)
+        d = AnalyticSignal(z, 1.0).increments()
+        assert d.size == 499
+        assert np.all((d > -np.pi) & (d <= np.pi))
+        assert np.abs(d - wrap_angle(np.diff(np.angle(z)))).max() <= 1e-12
+        # the unwrapped phase's differences, without the unwrapping
+        assert np.abs(d - np.diff(unwrap_phase(np.angle(z)))).max() <= 1e-12
+
+    def test_half_turns_read_pi(self):
+        z = np.array([1.0, -1.0, 1.0, -1.0]) + 0j
+        assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 3
+        z = np.array([1.0, -1.0 - 1e-30j, 1.0])
+        assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 2
 
 
 class TestOneSided:

@@ -297,6 +297,25 @@ class TestCompare:
         causal = report["sides"]["b"]["ridge_error_hz"]
         assert causal > 3 * zero_phase
 
+    @pytest.mark.parametrize("flag", ["--time-bins", "--freq-bins"])
+    def test_bad_bin_count_refused_before_decomposing(self, workdir, capsys, monkeypatch, flag):
+        import tfekit.cli as cli
+
+        calls = []
+        for name in ("dft_decompose", "fmd_decompose"):
+            def counted(*args, _fn=getattr(cli, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.1",
+                   "--a-method", "dft", "--a-bands", "4",
+                   "--b-method", "fmd-a", "--b-bands", "4", "--b-order", "16",
+                   flag, "0", "--out-prefix", "bad"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not list(workdir.iterdir())
+
     def test_positive_vs_conventional(self, workdir):
         args = ["compare", "--gen", "fm", "--dur", "0.5",
                 "--a-method", "none", "--a-if", "positive",

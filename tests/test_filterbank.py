@@ -235,7 +235,7 @@ class TestDftDecompose:
         scale = np.abs(x.samples).max()
         assert np.abs(top.in_phase - tone).max() <= 1e-12 * scale
         assert np.abs(top.quadrature).max() <= 1e-12 * scale
-        assert np.abs(np.diff(top.phase_unwrapped) - np.pi).max() <= 1e-12
+        assert np.abs(top.increments() - np.pi).max() <= 1e-12
 
 
 class TestVerifyOrthogonality:

@@ -16,7 +16,6 @@ from tfekit import (
     gen_chirp,
     gen_noise,
     mix,
-    uniform_cutoffs,
     verify_linoep,
     zero_phase_filter,
 )
@@ -144,7 +143,7 @@ class TestFmdDecompose:
     @pytest.mark.parametrize("n_bands", [2, 5])
     def test_reconstruction_identity(self, part, n_bands):
         x = gen_noise(NoiseSpec(seed=55, length=4096), 1000.0)
-        cutoffs = uniform_cutoffs(n_bands, x.sample_rate)
+        cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
         if part == "A":
             cutoffs = cutoffs[::-1]
         d = fmd_decompose(x, cutoffs, order=128, part=part)
@@ -155,7 +154,7 @@ class TestFmdDecompose:
     @pytest.mark.parametrize("part", ["A", "B"])
     def test_linoep_structure(self, part):
         x = gen_noise(NoiseSpec(seed=56, length=4096), 1000.0)
-        cutoffs = uniform_cutoffs(5, x.sample_rate)
+        cutoffs = BandSpec(bands=5).ladder(x.sample_rate)
         if part == "A":
             cutoffs = cutoffs[::-1]
         d = fmd_decompose(x, cutoffs, order=128, part=part)
@@ -196,10 +195,10 @@ class TestFmdDecompose:
             freqs = np.fft.rfftfreq(c.size, 1 / 1000.0)
             return float((freqs * power).sum() / power.sum())
 
-        down = fmd_decompose(x, uniform_cutoffs(5, 1000.0)[::-1], order=128, part="A")
+        down = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0)[::-1], order=128, part="A")
         cents = [centroid(c) for c in down.components]
         assert all(a > b for a, b in zip(cents, cents[1:]))
-        up = fmd_decompose(x, uniform_cutoffs(5, 1000.0), order=128, part="B")
+        up = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0), order=128, part="B")
         cents = [centroid(c) for c in up.components]
         assert all(a < b for a, b in zip(cents, cents[1:]))
 
@@ -242,12 +241,9 @@ class TestFmdDecompose:
 
 
 class TestCutoffLadders:
-    def test_uniform(self):
-        assert uniform_cutoffs(4, 8000.0) == [1000.0, 2000.0, 3000.0]
-        assert uniform_cutoffs(1, 8000.0) == []
-
     def test_from_spec(self):
         assert BandSpec(bands=4).ladder(8000.0) == [1000.0, 2000.0, 3000.0]
+        assert BandSpec(bands=1).ladder(8000.0) == []
         got = BandSpec(cutoffs_hz=[5, 10, 20, 25]).ladder(50.0)
         assert got == [5.0, 10.0, 20.0]
         with pytest.raises(ValueError):

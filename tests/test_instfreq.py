@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from oracles import four_pass_if
 from tfekit import (
+    BandPlan,
     DiffScheme,
     Signal,
+    analytic_signal,
     chirp_true_if,
     conventional_if,
+    dft_decompose,
     gen_chirp,
     gen_delta,
+    gen_fm,
     gen_noise,
     if_track,
     mix,
@@ -21,36 +26,41 @@ from tfekit import (
 
 class TestPhaseDiff:
     def test_linear_phase_exact(self):
-        phase = 0.3 * np.arange(50)
+        increments = np.diff(0.3 * np.arange(50))
         for scheme in DiffScheme:
-            assert np.allclose(phase_diff(phase, scheme), 0.3, atol=1e-12)
+            out = phase_diff(increments, scheme)
+            assert out.size == 50
+            assert np.allclose(out, 0.3, atol=1e-12)
 
     def test_quadratic_phase_bias(self):
         # analytic derivative of 0.001*n^2 is 0.002*n; forward picks up half
         # the curvature, central is exact
         n = np.arange(200)
-        phase = 0.001 * n * n
+        increments = np.diff(0.001 * n * n)
         derivative = 0.002 * n
-        central = phase_diff(phase, DiffScheme.CENTRAL)
+        central = phase_diff(increments, DiffScheme.CENTRAL)
         assert np.abs(central[1:-1] - derivative[1:-1]).max() < 1e-12
-        forward = phase_diff(phase, DiffScheme.FORWARD)
+        forward = phase_diff(increments, DiffScheme.FORWARD)
         assert np.abs(forward[:-1] - derivative[:-1] - 0.001).max() < 1e-12
 
     def test_end_duplication(self):
-        assert list(phase_diff([0.0, 0.5], DiffScheme.FORWARD)) == [0.5, 0.5]
-        assert list(phase_diff([0.0, 0.5], DiffScheme.BACKWARD)) == [0.5, 0.5]
-        central = phase_diff([0.0, 0.5, 1.2], DiffScheme.CENTRAL)
+        assert list(phase_diff([0.5], DiffScheme.FORWARD)) == [0.5, 0.5]
+        assert list(phase_diff([0.5], DiffScheme.BACKWARD)) == [0.5, 0.5]
+        assert list(phase_diff([0.5, 0.25], DiffScheme.FORWARD)) == [0.5, 0.25, 0.25]
+        assert list(phase_diff([0.5, 0.25], DiffScheme.BACKWARD)) == [0.5, 0.5, 0.25]
+        central = phase_diff([0.5, 0.7], DiffScheme.CENTRAL)
+        assert central.size == 3
         assert central[0] == central[1]
         assert central[-1] == central[-2]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            phase_diff([1.0], DiffScheme.FORWARD)
+            phase_diff([], DiffScheme.FORWARD)
         with pytest.raises(ValueError):
-            phase_diff([1.0, 2.0], DiffScheme.CENTRAL)
+            phase_diff([1.0], DiffScheme.CENTRAL)
 
     def test_scheme_from_string(self):
-        assert np.allclose(phase_diff([0.0, 1.0], "forward"), [1.0, 1.0])
+        assert np.allclose(phase_diff([1.0], "forward"), [1.0, 1.0])
 
 
 class TestConventionalIf:
@@ -65,7 +75,7 @@ class TestConventionalIf:
     def test_round_trip_tone(self):
         f0, fs = 125.0, 1000.0
         phase = 2 * np.pi * f0 * np.arange(100) / fs
-        out = conventional_if(phase_diff(phase, DiffScheme.FORWARD), fs)
+        out = conventional_if(phase_diff(np.diff(phase), DiffScheme.FORWARD), fs)
         assert np.abs(out - f0).max() < 1e-9
 
 
@@ -84,6 +94,12 @@ class TestPositiveIf:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             positive_if(np.array([np.nan]), 1000.0)
+
+    def test_out_of_range_rejected(self):
+        assert positive_if(np.array([-np.pi, np.pi]), 2 * np.pi).tolist() == [0.0, np.pi]
+        for bad in (np.nextafter(np.pi, 4.0), -4.0, np.inf):
+            with pytest.raises(ValueError, match="within"):
+                positive_if(np.array([0.1, bad]), 1000.0)
 
     def test_two_tone_average(self):
         # equal-amplitude tones: positive IF sits at the mean frequency
@@ -193,3 +209,55 @@ class TestIfTrack:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 IFTrack(np.zeros(4), np.array([1.0, bad, 0.0, 0.0]), 100.0)
+
+
+def _mixture(fs=8000.0):
+    return mix([gen_chirp(1000, 2000, 1.0, fs), gen_fm(780, 200, 10, 1.0, fs)])
+
+
+def _noise_plus_nyquist(n, fs):
+    rng = np.random.default_rng(n)
+    return Signal(rng.normal(size=n) + 0.5 * (-1.0) ** np.arange(n), fs)
+
+
+class TestIncrementPath:
+    @pytest.mark.parametrize("n", [64, 8000])
+    def test_nyquist_only_band_reads_half_the_rate(self, n):
+        # the band's phase advances by exactly pi per sample: the two ends of the fold meet
+        fs = 8.0
+        d = dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, n // 2 - 1, n // 2), n, fs))
+        top = list(d.bands())[1]
+        for scheme in DiffScheme:
+            f = if_track(top, scheme).frequency_hz
+            assert f.size == n
+            assert np.all(f == fs / 2), f"{scheme.value}: {np.sum(f != fs / 2)} samples off Fs/2"
+
+    @pytest.mark.parametrize("n", [64, 8000])
+    def test_bin_one_band_stays_below_quarter_rate(self, n):
+        fs = 8.0
+        d = dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, 1, n // 2), n, fs))
+        low = list(d.bands())[0]
+        for scheme in DiffScheme:
+            f = if_track(low, scheme).frequency_hz
+            assert f.max() <= fs / 4
+            assert np.abs(f - fs / n).max() <= 1e-9 * fs
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e150])
+    def test_scale_free(self, scale):
+        # angles, not products of samples: nothing underflows or overflows
+        x = _mixture()
+        scaled = Signal(scale * x.samples, x.sample_rate)
+        for scheme in DiffScheme:
+            want = if_track(x, scheme).frequency_hz
+            assert np.abs(if_track(scaled, scheme).frequency_hz - want).max() <= 1e-8
+
+    @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
+    def test_matches_four_pass_oracle(self, scheme):
+        x = _mixture()
+        bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
+        bands += dft_decompose(x, BandPlan((0, 800, 1200, 2000, 4000), 8000, 8000.0)).bands()
+        for a in bands:
+            keep = a.envelope > 0.1 * a.envelope.max()
+            got = if_track(a, scheme).frequency_hz
+            want = four_pass_if(a.z, a.sample_rate, scheme.value)
+            assert np.abs(got - want)[keep].max() <= 1e-8
