@@ -241,10 +241,15 @@ class TestFmdDecompose:
 
 
 class TestCutoffLadders:
-    def test_from_spec(self):
+    def test_uniform(self):
         assert BandSpec(bands=4).ladder(8000.0) == [1000.0, 2000.0, 3000.0]
         assert BandSpec(bands=1).ladder(8000.0) == []
-        got = BandSpec(cutoffs_hz=[5, 10, 20, 25]).ladder(50.0)
+
+    def test_from_spec(self):
+        spec = BandSpec.from_settings(plan={"type": "uniform", "bands": 4})
+        assert spec.ladder(8000.0) == [1000.0, 2000.0, 3000.0]
+        spec = BandSpec.from_settings(plan={"type": "custom", "cutoffs_hz": [5, 10, 20, 25]})
+        got = spec.ladder(50.0)
         assert got == [5.0, 10.0, 20.0]
         with pytest.raises(ValueError):
             BandSpec.from_settings(plan={"type": "mystery"})
