@@ -27,8 +27,8 @@ from tfekit import (
 
 fs = 8000.0
 x = mix([gen_chirp(1000, 2000, 1.0, fs), gen_fm(780, 200, 2, 1.0, fs)])
-d = dft_decompose(x, uniform_band_plan(20, len(x), fs))
-tracks = [if_track(band) for band in d.bands()]
+tracks = []  # the bank hands over each band's analytic signal as it makes it
+dft_decompose(x, uniform_band_plan(20, len(x), fs), lambda band: tracks.append(if_track(band)))
 
 print("=== 1. accumulate the grid ===")
 grid = build_tfe(tracks, time_bins=200, freq_bins=125)

@@ -50,7 +50,16 @@ from .signals import (
     mix,
     remove_mean,
 )
-from .tfe import TFEGrid, build_tfe, export_grid_csv, export_track_csv, load_grid_csv, load_track_csv
+from .tfe import (
+    TFEAccumulator,
+    TFEGrid,
+    TrackCsvWriter,
+    build_tfe,
+    export_grid_csv,
+    export_track_csv,
+    load_grid_csv,
+    load_track_csv,
+)
 
 __version__ = "0.1.0"
 
@@ -66,7 +75,9 @@ __all__ = [
     "NoiseSpec",
     "OrthogonalityReport",
     "Signal",
+    "TFEAccumulator",
     "TFEGrid",
+    "TrackCsvWriter",
     "analytic_signal",
     "build_tfe",
     "causal_filter",

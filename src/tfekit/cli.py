@@ -12,6 +12,7 @@ Configuration may come from flags and/or a JSON file (flags win).
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,13 +21,14 @@ import numpy as np
 from . import __version__
 from .filterbank import BandSpec, Decomposition, dft_decompose, verify_orthogonality
 from .fmd import fmd_decompose, verify_linoep
-from .instfreq import DiffScheme, IFTrack, if_track
+from .instfreq import DiffScheme, if_track
 from .io import load_csv, load_wav, save_csv
 from .signals import (
     NoiseSpec,
     Signal,
     chirp_true_if,
     delay_pad,
+    finite_energy,
     fm_true_if,
     gen_chirp,
     gen_delta,
@@ -34,7 +36,7 @@ from .signals import (
     gen_noise,
     mix,
 )
-from .tfe import build_tfe, export_grid_csv, export_track_csv
+from .tfe import TFEAccumulator, TrackCsvWriter, export_grid_csv
 
 DIAGNOSTICS_SCHEMA = "tfekit-diagnostics/1"
 COMPARE_SCHEMA = "tfekit-compare/1"
@@ -238,11 +240,12 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
     return settings
 
 
-def _decompose(signal: Signal, settings: dict) -> tuple[Decomposition | None, dict]:
+def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposition | None, dict]:
     """Decompose as the settings ask and verify the result.
 
     Returns the decomposition (None for method 'none') and the verification
-    diagnostics.
+    diagnostics. The DFT bank hands each band's analytic signal to
+    `consumer`, when given, as it makes the band.
     """
     method = settings["method"]
     spec = BandSpec.from_settings(settings["bands"], settings["cutoffs"], settings["plan"])
@@ -254,7 +257,10 @@ def _decompose(signal: Signal, settings: dict) -> tuple[Decomposition | None, di
     if method == "none":
         return None, checks
     if method == "dft":
-        decomposition = dft_decompose(signal, spec.plan(len(signal), signal.sample_rate))
+        plan = spec.plan(len(signal), signal.sample_rate)
+        # the overflow verify_orthogonality would report, before any band is tracked
+        finite_energy(signal.samples)
+        decomposition = dft_decompose(signal, plan, consumer)
     else:
         cutoffs = spec.ladder(signal.sample_rate)
         part = "B" if method == "fmd-b" else "A"
@@ -279,17 +285,40 @@ def _decompose(signal: Signal, settings: dict) -> tuple[Decomposition | None, di
     return decomposition, checks
 
 
-def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
-    """Decompose and verify, then track the IF of each component.
+def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=None,
+                  ridges=None) -> tuple[dict, float | None]:
+    """Decompose and verify, handing each component's IF track to one sink as it is made.
 
-    Returns the tracks and the diagnostics.
+    The sink deposits the track into `grid`, appends its rows through
+    `write` when one is given, and adds the track to the per-track figures;
+    no list of tracks is kept. A DFT band is tracked as the bank makes it,
+    any other component once the decomposition is verified. Returns the
+    diagnostics and, given true `ridges`, the energy-weighted mean distance
+    (Hz) between track samples and the nearest ridge, summed in track order.
     """
-    decomposition, checks = _decompose(signal, settings)
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
-    bands = [signal] if decomposition is None else decomposition.bands()
-    tracks = [if_track(b, scheme, if_mode) for b in bands]
+    negative_fractions = []
+    weighted = total_energy = 0.0
 
+    def sink(band):
+        nonlocal weighted, total_energy
+        track = if_track(band, scheme, if_mode)
+        grid.add(track)
+        if write is not None:
+            write(track)
+        negative_fractions.append(track.negative_fraction)
+        if ridges is not None:
+            dist = np.min(np.stack([np.abs(track.frequency_hz - r) for r in ridges]), axis=0)
+            weighted += float(np.dot(dist, track.energy))
+            total_energy += float(track.energy.sum())
+
+    decomposition, checks = _decompose(signal, settings, sink)
+    if decomposition is None:
+        sink(signal)
+    elif decomposition.method != "dft":
+        for component in decomposition.components:
+            sink(Signal(component, signal.sample_rate))
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],
@@ -297,25 +326,14 @@ def _run_analysis(signal: Signal, settings: dict) -> tuple[list[IFTrack], dict]:
         "scheme": scheme.value,
         "n_samples": len(signal),
         "sample_rate_hz": signal.sample_rate,
-        "n_components": len(tracks),
+        "n_components": len(negative_fractions),
         # the tracks share one length, so the mean of their fractions is the fraction of all samples
-        "negative_if_fraction": float(np.mean([t.negative_fraction for t in tracks])),
+        "negative_if_fraction": float(np.mean(negative_fractions)),
         **checks,
     }
-    return tracks, diagnostics
-
-
-def _ridge_error(tracks, ridges) -> float:
-    """Energy-weighted mean distance (Hz) between track samples and the nearest true ridge."""
-    total_energy = 0.0
-    weighted = 0.0
-    for tr in tracks:
-        dist = np.min(
-            np.stack([np.abs(tr.frequency_hz - r) for r in ridges]), axis=0
-        )
-        weighted += float(np.dot(dist, tr.energy))
-        total_energy += float(tr.energy.sum())
-    return weighted / total_energy if total_energy > 0 else 0.0
+    if ridges is None:
+        return diagnostics, None
+    return diagnostics, weighted / total_energy if total_energy > 0 else 0.0
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -332,16 +350,24 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     signal, _, _ = _load_input(args)
-    tracks, diagnostics = _run_analysis(signal, _settings(args, args.config))
+    settings = _settings(args, args.config)
+    grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
     prefix = args.out_prefix
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
     diag_path = Path(f"{prefix}_diagnostics.json")
-    grid = build_tfe(tracks, args.time_bins, args.freq_bins)
-    export_track_csv(tracks, track_path)
-    export_grid_csv(grid, grid_path)
-    diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
-    _write_json(diag_path, diagnostics)
+    # the tracks stream into a sibling file, renamed once every check has run
+    partial_path = Path(f"{track_path}.partial")
+    try:
+        with open(partial_path, "w") as fh:
+            diagnostics, _ = _run_analysis(signal, settings, grid, TrackCsvWriter(fh).write)
+        export_grid_csv(grid.grid(), grid_path)
+        diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
+        _write_json(diag_path, diagnostics)
+        os.replace(partial_path, track_path)
+    except BaseException:
+        partial_path.unlink(missing_ok=True)
+        raise
     for path in (track_path, grid_path, diag_path):
         print(f"wrote {path}")
     return 0
@@ -375,21 +401,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.time_bins < 1 or args.freq_bins < 1:  # before either side is decomposed
-        raise ValueError("bin counts must be at least 1")
     signal, fixture, params = _load_input(args)
     ridge_fn = FIXTURES[fixture][2] if fixture is not None else None
     ridges = ridge_fn(params) if ridge_fn is not None else None
     report = {"schema": COMPARE_SCHEMA, "sides": {}}
     for side in ("a", "b"):
+        # checks the bin counts before side a is decomposed
+        grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
         settings = _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
-        tracks, diagnostics = _run_analysis(signal, settings)
-        grid = build_tfe(tracks, args.time_bins, args.freq_bins)
+        diagnostics, ridge_error = _run_analysis(signal, settings, grid, ridges=ridges)
         grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
-        export_grid_csv(grid, grid_path)
+        export_grid_csv(grid.grid(), grid_path)
         entry = {**diagnostics, "grid_csv": str(grid_path)}
         if ridges is not None:
-            entry["ridge_error_hz"] = _ridge_error(tracks, ridges)
+            entry["ridge_error_hz"] = ridge_error
         report["sides"][side] = entry
         print(f"wrote {grid_path}")
     report_path = Path(f"{args.out_prefix}_compare.json")

@@ -186,65 +186,58 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Mean term c0 plus ordered component signals from one method.
+    """Mean term c0 plus the component signals of one method, as rows of one array.
 
-    c0 + sum(components) reconstructs the analyzed signal pointwise.
-    `method` tags the producing algorithm: 'dft', 'fmd-A', 'fmd-B' or
-    'causal-fir'. The DFT bank also keeps each band's one-sided sequence
-    in `analytic`; its components are views of their real parts.
+    `components` is a C-contiguous (M, N) float64 array whose row i is
+    component i; c0 + components.sum(axis=0) reconstructs the analyzed
+    signal pointwise. `method` tags the producing algorithm: 'dft',
+    'fmd-A', 'fmd-B' or 'causal-fir'.
     """
 
     c0: float
-    components: list
+    components: np.ndarray
     method: str
     sample_rate: float
-    analytic: list | None = None
 
     def __post_init__(self):
-        comps = [np.asarray(c, dtype=np.float64) for c in self.components]
-        if not comps:
-            raise ValueError("decomposition needs at least one component")
-        n = comps[0].size
-        for c in comps:
-            if c.size != n:
-                raise ValueError("components must share one length")
-            if not np.all(np.isfinite(c)):
+        comps = np.ascontiguousarray(self.components, dtype=np.float64)
+        if comps.ndim != 2 or comps.shape[0] == 0:
+            raise ValueError(f"components must form an (M, N) array with M >= 1, got {comps.shape}")
+        for row in comps:  # one row at a time: no (M, N) temporary
+            if not np.isfinite(row).all():
                 raise ValueError("components must be finite")
         object.__setattr__(self, "components", comps)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.components.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """c0 + sum of components."""
         return self.c0 + np.sum(self.components, axis=0)
 
-    def bands(self):
-        """Each component as `if_track` takes it, built one at a time.
 
-        A DFT band comes as the `AnalyticSignal` of its kept sequence, any
-        other component as a `Signal`.
-        """
-        if self.analytic is None:
-            return (Signal(c, self.sample_rate) for c in self.components)
-        return (AnalyticSignal(z, self.sample_rate) for z in self.analytic)
-
-
-def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
+def dft_decompose(x: Signal, plan: BandPlan, consumer=None) -> Decomposition:
     """Split a signal into zero-phase spectral band components.
 
     Each band is :func:`one_sided` of the input spectrum on its bins: one
     inverse transform gives the component as the real part and its
     quadrature as the imaginary part. c0 is the DC bin (the sample mean).
+    The spectrum is computed once and the bands are made one at a time;
+    when `consumer` is given, it is called once per band, in order, with
+    the band's :class:`AnalyticSignal`, which is then dropped.
     """
     n = len(x)
     if plan.signal_length != n:
         raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
     spectrum = dft(x.samples)
-    analytic = [one_sided(spectrum, *plan.band_bins(i)) for i in range(plan.n_bands)]
-    return Decomposition(float(spectrum[0].real), [z.real for z in analytic], "dft",
-                         x.sample_rate, analytic)
+    components = np.empty((plan.n_bands, n))
+    for i in range(plan.n_bands):
+        z = one_sided(spectrum, *plan.band_bins(i))
+        components[i] = z.real
+        if consumer is not None:
+            consumer(AnalyticSignal(z, x.sample_rate))
+    return Decomposition(float(spectrum[0].real), components, "dft", x.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -267,7 +260,7 @@ def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
         raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
     x = d.reconstruct()
     energy = finite_energy(x)
-    comps = np.stack(d.components)
+    comps = d.components
     gram = comps @ comps.T
     norms = np.sqrt(np.diag(gram))
     denom = np.outer(norms, norms)

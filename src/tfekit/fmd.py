@@ -193,24 +193,23 @@ def fmd_decompose(
     stage_kind = "highpass" if part == "A" else "lowpass"
 
     current = detrended
-    components = []
-    for cutoff in cutoffs:
+    components = np.empty((len(cutoffs) + 1, len(x)))
+    for component, cutoff in zip(components, cutoffs):
         h = design_fir(stage_kind, cutoff, order, x.sample_rate)
         y = apply_filter(current, h).samples
         r = current.samples - y
         if part == "A":
             denom = float(np.dot(r, r))
             alpha = float(np.dot(y, r)) / denom if denom > alpha_floor else 0.0
-            component = y - alpha * r
+            np.subtract(y, alpha * r, out=component)
             passed_on = (1 + alpha) * r
         else:
             denom = float(np.dot(y, y))
             alpha = float(np.dot(r, y)) / denom if denom > alpha_floor else 0.0
-            component = (1 + alpha) * y
+            np.multiply(1 + alpha, y, out=component)
             passed_on = r - alpha * y
-        components.append(component)
         current = Signal(passed_on, x.sample_rate)
-    components.append(current.samples)
+    components[-1] = current.samples
 
     method = "causal-fir" if filtering == "causal" else f"fmd-{part}"
     return Decomposition(c0, components, method, x.sample_rate)

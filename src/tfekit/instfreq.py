@@ -76,10 +76,17 @@ def positive_if(diffs, sample_rate: float) -> np.ndarray:
     (the cap guards against one-ulp scaling overshoot).
     """
     d = np.asarray(diffs, dtype=np.float64)
-    if not np.all(np.abs(d) <= np.pi):
+    if d.size and not (-np.pi <= d.min() and d.max() <= np.pi):  # a NaN fails both
         raise ValueError("phase differences must be finite and within [-pi, pi]")
-    omega = np.where(d >= 0, d, d + np.pi)
-    return np.minimum(omega * (sample_rate / (2 * np.pi)), sample_rate / 2)
+    # pi where d < 0, else -0.0, which adds to any d (a -0.0 too) without change
+    omega = np.where(d < 0, np.pi, -0.0)
+    omega += d
+    scale = sample_rate / (2 * np.pi)
+    omega *= scale
+    # rounding is monotone and omega <= pi, so only pi * scale can overshoot
+    if np.pi * scale > sample_rate / 2:
+        np.minimum(omega, sample_rate / 2, out=omega)
+    return omega
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ def if_track(
     ----------
     x : Signal or AnalyticSignal
         Input, at least 4 samples, or its analytic signal already built (as
-        `Decomposition.bands` gives a DFT band).
+        `dft_decompose` hands each band to its consumer).
     scheme : DiffScheme
         Finite-difference scheme for the phase derivative (default FORWARD).
     mode : {'positive', 'conventional'}

@@ -14,7 +14,9 @@ from .instfreq import IFTrack
 
 __all__ = [
     "TFEGrid",
+    "TFEAccumulator",
     "build_tfe",
+    "TrackCsvWriter",
     "export_track_csv",
     "load_track_csv",
     "export_grid_csv",
@@ -57,33 +59,81 @@ class TFEGrid:
         return float(self.energy.sum())
 
 
-def build_tfe(tracks: list[IFTrack], time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
-    """Accumulate IF tracks into a time x frequency energy grid.
+class TFEAccumulator:
+    """A time x frequency energy grid filled one IF track at a time.
 
-    Sample n of each track deposits energy[n] into the cell containing
-    (n/Fs, frequency_hz[n]). The frequency axis spans [0, Fs/2]; values at
-    exactly Fs/2 land in the top bin, values at 0 in the lowest, and
-    anything outside (possible for conventional-mode tracks) is clamped
-    into the boundary bins so energy is conserved exactly.
+    Every track must have `n_samples` samples at `sample_rate`. Sample n
+    deposits energy[n] into the cell containing (n/Fs, frequency_hz[n]).
+    The frequency axis spans [0, Fs/2]; values at exactly Fs/2 land in the
+    top bin, values at 0 in the lowest, and anything outside (possible for
+    conventional-mode tracks) is clamped into the boundary bins so energy
+    is conserved exactly. The bin counts are checked here, before any
+    track is made.
+    """
+
+    def __init__(self, n_samples: int, sample_rate: float,
+                 time_bins: int = 400, freq_bins: int = 250):
+        if time_bins < 1 or freq_bins < 1:
+            raise ValueError("bin counts must be at least 1")
+        self.n_samples = n = n_samples
+        self.sample_rate = fs = sample_rate
+        t_total = n / fs
+        self.time_edges = np.linspace(0.0, t_total, time_bins + 1)
+        self.freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
+        self.energy = np.zeros((time_bins, freq_bins))
+        self._t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int),
+                              0, time_bins - 1)
+
+    def add(self, track: IFTrack) -> None:
+        """Deposit one track's energy."""
+        fs = self.sample_rate
+        if track.sample_rate != fs or len(track) != self.n_samples:
+            raise ValueError("all tracks must share sample rate and length")
+        freq_bins = self.energy.shape[1]
+        f_idx = np.clip((track.frequency_hz / ((fs / 2) / freq_bins)).astype(int), 0, freq_bins - 1)
+        np.add.at(self.energy, (self._t_idx, f_idx), track.energy)
+
+    def grid(self) -> TFEGrid:
+        """A copy of the grid of the tracks deposited so far."""
+        return TFEGrid(self.time_edges, self.freq_edges, self.energy.copy())
+
+
+def build_tfe(tracks: list[IFTrack], time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
+    """Accumulate IF tracks, which share one rate and length, into a TFE grid.
+
+    See :class:`TFEAccumulator` for the binning.
     """
     if not tracks:
         raise ValueError("need at least one track")
-    if time_bins < 1 or freq_bins < 1:
-        raise ValueError("bin counts must be at least 1")
-    fs = tracks[0].sample_rate
-    n = len(tracks[0])
+    acc = TFEAccumulator(len(tracks[0]), tracks[0].sample_rate, time_bins, freq_bins)
     for tr in tracks:
-        if tr.sample_rate != fs or len(tr) != n:
-            raise ValueError("all tracks must share sample rate and length")
-    t_total = n / fs
-    time_edges = np.linspace(0.0, t_total, time_bins + 1)
-    freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
-    grid = np.zeros((time_bins, freq_bins))
-    t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int), 0, time_bins - 1)
-    for tr in tracks:
-        f_idx = np.clip((tr.frequency_hz / ((fs / 2) / freq_bins)).astype(int), 0, freq_bins - 1)
-        np.add.at(grid, (t_idx, f_idx), tr.energy)
-    return TFEGrid(time_edges, freq_edges, grid)
+        acc.add(tr)
+    return acc.grid()
+
+
+class TrackCsvWriter:
+    """Appends IF tracks to an open text file as triplet rows: time_s,frequency_hz,energy.
+
+    The header is written when the writer is made; each :meth:`write`
+    appends one track's rows, so memory stays at one track's rows.
+    """
+
+    def __init__(self, fh):
+        # The time column depends only on (length, rate): format it once per
+        # pair into a row template whose %-slots each track fills in one call.
+        # A formatted float contains no '%', so the baked-in times are literal.
+        self._templates = {}
+        self._fh = fh
+        fh.write(TRACK_HEADER + "\n")
+
+    def write(self, track: IFTrack) -> None:
+        key = (len(track), track.sample_rate)
+        template = self._templates.get(key)
+        if template is None:
+            times = (np.arange(len(track)) / track.sample_rate).tolist()
+            template = self._templates[key] = "".join(["%.17g,%%.17g,%%.17g\n" % t for t in times])
+        pairs = np.column_stack((track.frequency_hz, track.energy)).ravel().tolist()
+        self._fh.write(template % tuple(pairs))
 
 
 def export_track_csv(tracks: list[IFTrack], path) -> None:
@@ -91,22 +141,12 @@ def export_track_csv(tracks: list[IFTrack], path) -> None:
 
     One row per sample per track, tracks concatenated in order; an empty
     track list produces a header-only file. The file is written one track
-    at a time, so memory stays at one track's rows.
+    at a time by a :class:`TrackCsvWriter`.
     """
-    # The time column depends only on (length, rate): format it once per
-    # pair into a row template whose %-slots each track fills in one call.
-    # A formatted float contains no '%', so the baked-in times are literal.
-    templates = {}
     with open(path, "w") as fh:
-        fh.write(TRACK_HEADER + "\n")
+        out = TrackCsvWriter(fh)
         for tr in tracks:
-            key = (len(tr), tr.sample_rate)
-            template = templates.get(key)
-            if template is None:
-                times = (np.arange(len(tr)) / tr.sample_rate).tolist()
-                template = templates[key] = "".join(["%.17g,%%.17g,%%.17g\n" % t for t in times])
-            pairs = np.column_stack((tr.frequency_hz, tr.energy)).ravel().tolist()
-            fh.write(template % tuple(pairs))
+            out.write(tr)
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

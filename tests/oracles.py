@@ -5,17 +5,20 @@ direct O(N^2) summation, angle wrapping through the complex exponential,
 quadrature by truncated-kernel convolution, positive IF in four passes
 (angle, unwrap, difference of the unwrapped phase, fold; the library takes
 the phase increments directly), CSV writers that build the whole file as a
-list of lines (the streaming writers must match them byte for byte), and a
+list of lines (the streaming writers must match them byte for byte), a
 DFT bank built another way: a Hermitian 0/1 mask per band with an
 imaginary-residue guard, sharing only `dft` and `idft` with the library
-(the one-sided bank must match it component by component).
+(the one-sided bank must match it component by component), and the
+list-based grid and stacked Gram check that held every track and a second
+copy of the components at once (the streaming CLI must match their bytes).
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from tfekit import BandPlan, Decomposition, Signal, dft, idft
+from tfekit import BandPlan, Decomposition, OrthogonalityReport, Signal, TFEGrid, dft, idft
+from tfekit.signals import finite_energy
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
 
@@ -181,3 +184,44 @@ def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
             )
         components.append(y.real)
     return Decomposition(c0, components, "dft", x.sample_rate)
+
+
+def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
+    """Accumulate a list of IF tracks into a time x frequency energy grid.
+
+    Sample n of each track deposits energy[n] into the cell containing
+    (n/Fs, frequency_hz[n]), frequencies clamped into [0, Fs/2]'s bins.
+    """
+    if not tracks:
+        raise ValueError("need at least one track")
+    if time_bins < 1 or freq_bins < 1:
+        raise ValueError("bin counts must be at least 1")
+    fs = tracks[0].sample_rate
+    n = len(tracks[0])
+    for tr in tracks:
+        if tr.sample_rate != fs or len(tr) != n:
+            raise ValueError("all tracks must share sample rate and length")
+    t_total = n / fs
+    time_edges = np.linspace(0.0, t_total, time_bins + 1)
+    freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
+    grid = np.zeros((time_bins, freq_bins))
+    t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int), 0, time_bins - 1)
+    for tr in tracks:
+        f_idx = np.clip((tr.frequency_hz / ((fs / 2) / freq_bins)).astype(int), 0, freq_bins - 1)
+        np.add.at(grid, (t_idx, f_idx), tr.energy)
+    return TFEGrid(time_edges, freq_edges, grid)
+
+
+def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
+    """Pairwise orthogonality and Parseval balance, on a stacked copy of the components."""
+    x = d.c0 + np.sum(list(d.components), axis=0)
+    energy = finite_energy(x)
+    comps = np.stack(list(d.components))
+    gram = comps @ comps.T
+    norms = np.sqrt(np.diag(gram))
+    denom = np.outer(norms, norms)
+    denom[denom == 0] = 1.0
+    normalized = np.abs(gram) / denom
+    np.fill_diagonal(normalized, 0.0)
+    energy_ratio = float((np.trace(gram) + x.size * d.c0**2) / energy) if energy > 0 else 1.0
+    return OrthogonalityReport(float(normalized.max()), energy_ratio)

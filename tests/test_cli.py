@@ -4,12 +4,29 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
-from tfekit import load_csv, load_grid_csv, load_track_csv
+from tfekit import (
+    AnalyticSignal,
+    BandSpec,
+    Signal,
+    TFEAccumulator,
+    dft,
+    dft_decompose,
+    fmd_decompose,
+    if_track,
+    load_csv,
+    load_grid_csv,
+    load_track_csv,
+    one_sided,
+    uniform_band_plan,
+    verify_linoep,
+)
 from tfekit.cli import FIXTURES, _load_input, _run_analysis, _settings, build_parser, main
 
 
@@ -164,6 +181,35 @@ class TestAnalyze:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_dft_input_leaves_no_tracks_file(self, workdir, capsys):
+        # refused before the first band, with the same error the verifier gives
+        _write_huge_csv(workdir / "big.csv")
+        rc = main(["analyze", "--input", "big.csv", "--method", "dft", "--bands", "4",
+                   "--out-prefix", "big"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: signal energy overflows float64; rescale the input\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
+
+    def test_failed_check_after_streaming_leaves_no_tracks_file(self, workdir, capsys, monkeypatch):
+        import tfekit.cli as cli
+
+        streamed = []
+
+        def failing(decomposition):
+            streamed.extend(workdir.iterdir())
+            raise ValueError("forced failure")
+
+        monkeypatch.setattr(cli, "verify_orthogonality", failing)
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
+                   "--bands", "4", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: forced failure\n"
+        # every track was written to the partial file before the check ran
+        assert [p.name for p in streamed] == ["x_tracks.csv.partial"]
+        assert not list(workdir.iterdir())
+
     @pytest.mark.parametrize("flag", ["--time-bins", "--freq-bins"])
     def test_bad_bin_count_writes_no_tracks(self, workdir, capsys, flag):
         rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
@@ -189,8 +235,10 @@ class TestAnalyze:
         args = build_parser().parse_args(["analyze", "--gen", "chirp", "--dur", "0.1",
                                           "--method", "dft", "--bands", "10"])
         signal, _, _ = _load_input(args)
-        tracks, _ = _run_analysis(signal, _settings(args, None))
-        assert len(tracks) == 10
+        tracks = []
+        grid = TFEAccumulator(len(signal), signal.sample_rate)
+        diagnostics, _ = _run_analysis(signal, _settings(args, None), grid, tracks.append)
+        assert len(tracks) == diagnostics["n_components"] == 10
         assert calls == {"fft": 1, "ifft": 10}
 
 
@@ -325,3 +373,113 @@ class TestCompare:
         report = json.loads((workdir / "ifm_compare.json").read_text())
         assert report["sides"]["a"]["negative_if_fraction"] == 0.0
         assert report["sides"]["b"]["negative_if_fraction"] >= 0.0
+
+
+def _oracle_tracks(x, method, bands):
+    """Every IF track of `method` held in one list, and the checks, on a stacked Gram copy."""
+    fs = x.sample_rate
+    checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
+    if method == "none":
+        return [if_track(x)], checks
+    if method == "dft":
+        plan = uniform_band_plan(bands, len(x), fs)
+        d = dft_decompose(x, plan)
+        spectrum = dft(x.samples)
+        tracks = [if_track(AnalyticSignal(one_sided(spectrum, *plan.band_bins(i)), fs))
+                  for i in range(bands)]
+    else:
+        cutoffs = BandSpec(bands=bands).ladder(fs)[::-1]
+        filtering = "causal" if method == "causal-fir" else "zero-phase"
+        d = fmd_decompose(x, cutoffs, 256, "A", filtering)
+        tracks = [if_track(Signal(c, fs)) for c in list(d.components)]
+    err = np.abs(d.c0 + np.sum(list(d.components), axis=0) - x.samples).max()
+    checks["reconstruction_error"] = float(err / max(np.abs(x.samples).max(), 1e-300))
+    if method == "dft":
+        rep = oracles.verify_orthogonality(d)
+        checks["orthogonality"] = {"max_normalized_cross": rep.max_normalized_cross,
+                                   "energy_ratio": rep.energy_ratio}
+    elif method == "fmd-a":
+        rep = verify_linoep(d)
+        checks["linoep"] = {"max_tail_cross": rep.max_tail_cross, "energy_ratio": rep.energy_ratio}
+    return tracks, checks
+
+
+def _oracle_diagnostics(x, method, tracks, checks):
+    return {
+        "schema": "tfekit-diagnostics/1",
+        "method": method,
+        "if_mode": "positive",
+        "scheme": "forward",
+        "n_samples": len(x),
+        "sample_rate_hz": x.sample_rate,
+        "n_components": len(tracks),
+        "negative_if_fraction": float(np.mean([t.negative_fraction for t in tracks])),
+        **checks,
+    }
+
+
+def _json_bytes(document):
+    return (json.dumps(document, indent=2, allow_nan=False) + "\n").encode()
+
+
+def _mixture():
+    defaults, build, ridges = FIXTURES["chirp-fm-mix"]
+    return build(dict(defaults)), ridges(dict(defaults))
+
+
+class TestStreamingMatchesListOracle:
+    """The CLI streams each track into the grid and the CSV; the bytes are those of the list path."""
+
+    @pytest.mark.parametrize("method", ["none", "dft", "fmd-a", "causal-fir"])
+    def test_analyze_bytes(self, workdir, method):
+        bands = [] if method == "none" else ["--bands", "12"]
+        assert main(["analyze", "--gen", "chirp-fm-mix", "--method", method, *bands,
+                     "--out-prefix", "cli"]) == 0
+        x, _ = _mixture()
+        tracks, checks = _oracle_tracks(x, method, 12)
+        want = workdir / "oracle"
+        want.mkdir()
+        oracles.export_track_csv(tracks, want / "tracks.csv")
+        oracles.export_grid_csv(oracles.build_tfe(tracks), want / "grid.csv")
+        diagnostics = _oracle_diagnostics(x, method, tracks, checks)
+        diagnostics["outputs"] = {"tracks_csv": "cli_tracks.csv", "grid_csv": "cli_grid.csv"}
+        assert (workdir / "cli_tracks.csv").read_bytes() == (want / "tracks.csv").read_bytes()
+        assert (workdir / "cli_grid.csv").read_bytes() == (want / "grid.csv").read_bytes()
+        assert (workdir / "cli_diagnostics.json").read_bytes() == _json_bytes(diagnostics)
+
+    def test_compare_bytes(self, workdir):
+        assert main(["compare", "--gen", "chirp-fm-mix", "--a-method", "dft", "--a-bands", "12",
+                     "--b-method", "causal-fir", "--b-bands", "6", "--out-prefix", "cli"]) == 0
+        x, ridges = _mixture()
+        report = {"schema": "tfekit-compare/1", "sides": {}}
+        for side, method, bands in (("a", "dft", 12), ("b", "causal-fir", 6)):
+            tracks, checks = _oracle_tracks(x, method, bands)
+            oracles.export_grid_csv(oracles.build_tfe(tracks), workdir / f"want_{side}.csv")
+            assert ((workdir / f"cli_{side}_grid.csv").read_bytes()
+                    == (workdir / f"want_{side}.csv").read_bytes())
+            weighted = total = 0.0
+            for tr in tracks:
+                dist = np.min(np.stack([np.abs(tr.frequency_hz - r) for r in ridges]), axis=0)
+                weighted += float(np.dot(dist, tr.energy))
+                total += float(tr.energy.sum())
+            report["sides"][side] = {**_oracle_diagnostics(x, method, tracks, checks),
+                                     "grid_csv": f"cli_{side}_grid.csv",
+                                     "ridge_error_hz": weighted / total}
+        assert (workdir / "cli_compare.json").read_bytes() == _json_bytes(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--method", "dft", "--bands", "64"],
+    ["compare", "--a-method", "dft", "--a-bands", "64", "--b-method", "fmd-a", "--b-bands", "64"],
+], ids=["analyze-dft", "compare-dft-fmd-a"])
+def test_peak_memory_two_component_arrays(workdir, argv):
+    # one (M, N) component array plus one band at a time, not M copies of each band
+    m, n = 64, 16384
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--gen", "chirp-fm-mix", "--dur", str(n / 8000), "--out-prefix", "mem"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 2 * m * n * 8, f"peak {peak / (m * n * 8):.2f} x M*N*8 bytes"

@@ -211,11 +211,11 @@ class TestDftDecompose:
     def test_matches_hermitian_mask_oracle(self, n, plan):
         x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
         plan = plan(n, x.sample_rate)
-        d = dft_decompose(x, plan)
+        bands = []
+        d = dft_decompose(x, plan, bands.append)
         ref = oracles.dft_decompose(x, plan)
         assert d.c0 == ref.c0
         scale = np.abs(x.samples).max()
-        bands = list(d.bands())
         assert len(bands) == len(ref.components) == plan.n_bands
         for comp, band, want in zip(d.components, bands, ref.components):
             assert np.abs(comp - want).max() <= 1e-12 * scale
@@ -229,13 +229,31 @@ class TestDftDecompose:
         n, fs = 64, 8.0
         rng = np.random.default_rng(5)
         x = Signal(rng.normal(size=n) + 0.5 * (-1.0) ** np.arange(n), fs)
-        d = dft_decompose(x, BandPlan((0, n // 2 - 1, n // 2), n, fs))
-        top = list(d.bands())[1]
+        bands = []
+        dft_decompose(x, BandPlan((0, n // 2 - 1, n // 2), n, fs), bands.append)
+        top = bands[1]
         tone = dft(x.samples)[n // 2].real * (-1.0) ** np.arange(n)
         scale = np.abs(x.samples).max()
         assert np.abs(top.in_phase - tone).max() <= 1e-12 * scale
         assert np.abs(top.quadrature).max() <= 1e-12 * scale
         assert np.abs(top.increments() - np.pi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["dft", "fmd-A", "fmd-B", "causal-fir"])
+def test_components_are_one_c_contiguous_array(method):
+    x = gen_noise(NoiseSpec(seed=4, length=1024), 100.0)
+    if method == "dft":
+        d = dft_decompose(x, uniform_band_plan(5, 1024, 100.0))
+    else:
+        ladder = [10.0, 20.0, 30.0, 40.0]
+        part = "B" if method == "fmd-B" else "A"
+        filtering = "causal" if method == "causal-fir" else "zero-phase"
+        d = fmd_decompose(x, ladder if part == "B" else ladder[::-1], 32, part, filtering)
+    assert d.method == method
+    assert isinstance(d.components, np.ndarray)
+    assert d.components.shape == (5, 1024) and d.components.dtype == np.float64
+    assert d.components.flags.c_contiguous
+    assert np.array_equal(d.reconstruct(), d.c0 + np.sum(list(d.components), axis=0))
 
 
 class TestVerifyOrthogonality:
@@ -256,6 +274,12 @@ class TestVerifyOrthogonality:
         assert abs(report.max_normalized_cross - best) <= 1e-12
         energy = sum(sum(v * v for v in c) for c in comps) + len(x) * d.c0**2
         assert abs(report.energy_ratio - energy / x.energy) <= 1e-12
+
+    @pytest.mark.parametrize("n_bands", [1, 7, 64])
+    def test_matches_stacked_gram_oracle(self, n_bands):
+        x = gen_noise(NoiseSpec(seed=n_bands, mean=0.3, length=4096), 100.0)
+        d = dft_decompose(x, uniform_band_plan(n_bands, 4096, 100.0))
+        assert verify_orthogonality(d) == oracles.verify_orthogonality(d)
 
     def test_method_gate(self):
         x = gen_noise(NoiseSpec(seed=3, length=2048), 1000.0)

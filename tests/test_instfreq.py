@@ -101,6 +101,21 @@ class TestPositiveIf:
             with pytest.raises(ValueError, match="within"):
                 positive_if(np.array([0.1, bad]), 1000.0)
 
+    @pytest.mark.parametrize("fs", [2 * np.pi, 7.0, 100.0, 8000.0, 44100.0])
+    def test_matches_pass_by_pass_fold(self, fs):
+        # at 7 Hz pi * scale rounds above Fs/2, so the cap is needed there
+        rng = np.random.default_rng(35)
+        edges = [-0.0, 0.0, np.pi, -np.pi, -5e-324, 5e-324]
+        d = np.concatenate([edges, rng.uniform(-np.pi, np.pi, 1000)])
+        want = np.minimum(np.where(d >= 0, d, d + np.pi) * (fs / (2 * np.pi)), fs / 2)
+        got = positive_if(d, fs)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0]) and "%.17g" % got[0] == "-0"
+        assert got.max() <= fs / 2
+
+    def test_empty_input(self):
+        assert positive_if(np.array([]), 100.0).size == 0
+
     def test_two_tone_average(self):
         # equal-amplitude tones: positive IF sits at the mean frequency
         # away from the beat envelope zeros
@@ -225,8 +240,10 @@ class TestIncrementPath:
     def test_nyquist_only_band_reads_half_the_rate(self, n):
         # the band's phase advances by exactly pi per sample: the two ends of the fold meet
         fs = 8.0
-        d = dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, n // 2 - 1, n // 2), n, fs))
-        top = list(d.bands())[1]
+        bands = []
+        dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, n // 2 - 1, n // 2), n, fs),
+                      bands.append)
+        top = bands[1]
         for scheme in DiffScheme:
             f = if_track(top, scheme).frequency_hz
             assert f.size == n
@@ -235,8 +252,9 @@ class TestIncrementPath:
     @pytest.mark.parametrize("n", [64, 8000])
     def test_bin_one_band_stays_below_quarter_rate(self, n):
         fs = 8.0
-        d = dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, 1, n // 2), n, fs))
-        low = list(d.bands())[0]
+        bands = []
+        dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, 1, n // 2), n, fs), bands.append)
+        low = bands[0]
         for scheme in DiffScheme:
             f = if_track(low, scheme).frequency_hz
             assert f.max() <= fs / 4
@@ -255,7 +273,7 @@ class TestIncrementPath:
     def test_matches_four_pass_oracle(self, scheme):
         x = _mixture()
         bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
-        bands += dft_decompose(x, BandPlan((0, 800, 1200, 2000, 4000), 8000, 8000.0)).bands()
+        dft_decompose(x, BandPlan((0, 800, 1200, 2000, 4000), 8000, 8000.0), bands.append)
         for a in bands:
             keep = a.envelope > 0.1 * a.envelope.max()
             got = if_track(a, scheme).frequency_hz

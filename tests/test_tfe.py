@@ -9,6 +9,7 @@ import pytest
 
 from tfekit import (
     IFTrack,
+    TFEAccumulator,
     TFEGrid,
     build_tfe,
     export_grid_csv,
@@ -72,6 +73,34 @@ class TestBuildTfe:
         assert grid.energy[0, 0] == 2.0  # 0 Hz and the clamped -3 Hz
         assert grid.energy[0, -1] == 2.0  # Nyquist and the clamped 60 Hz
         assert grid.total_energy == 4.0
+
+    def test_matches_list_oracle(self):
+        tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
+                  if_track(gen_chirp(300, 500, 1.0, 2000.0)),
+                  IFTrack(np.linspace(-10.0, 1100.0, 2000), np.full(2000, 0.5), 2000.0)]
+        for bins in ((400, 250), (7, 13), (1, 1)):
+            got = build_tfe(tracks, *bins)
+            want = oracles.build_tfe(tracks, *bins)
+            assert got.energy.tobytes() == want.energy.tobytes()
+            assert np.array_equal(got.time_edges, want.time_edges)
+            assert np.array_equal(got.freq_edges, want.freq_edges)
+
+    def test_accumulator_one_track_at_a_time(self):
+        tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
+                  if_track(gen_chirp(300, 500, 1.0, 2000.0))]
+        acc = TFEAccumulator(2000, 2000.0, 20, 30)
+        acc.add(tracks[0])
+        first = acc.grid()
+        acc.add(tracks[1])
+        assert first.energy.tobytes() == build_tfe(tracks[:1], 20, 30).energy.tobytes()
+        assert acc.grid().energy.tobytes() == build_tfe(tracks, 20, 30).energy.tobytes()
+        with pytest.raises(ValueError, match="share"):
+            acc.add(if_track(gen_chirp(100, 400, 1.0, 1000.0)))
+
+    @pytest.mark.parametrize("bins", [(0, 10), (10, 0)])
+    def test_accumulator_checks_bin_counts_when_built(self, bins):
+        with pytest.raises(ValueError, match="bin counts"):
+            TFEAccumulator(100, 100.0, *bins)
 
     def test_mismatched_tracks_rejected(self):
         a = if_track(gen_chirp(100, 900, 1.0, 2000.0))
