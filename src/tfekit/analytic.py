@@ -3,8 +3,10 @@
 The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
 transform, zero the negative-frequency bins, double the positive ones (DC
 and, for even lengths, the Nyquist bin stay unscaled), then invert. The
-real part equals the input and the imaginary part is its quadrature; kept
-to a run of bins, :func:`one_sided` gives one band of the DFT filter bank.
+real part equals the input and the imaginary part is its quadrature.
+:func:`analytic_signal` keeps the input as the real part and takes the
+quadrature from one real transform pair; kept to a run of bins,
+:func:`one_sided` gives one band of the DFT filter bank.
 """
 
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """A :func:`one_sided` sequence `z` and its sample rate.
+    """An analytic sequence `z` and its sample rate.
 
     The real part of `z` is the signal, the imaginary part its quadrature
     (Hilbert transform). The envelope and the phase increments are derived
@@ -99,15 +101,33 @@ class AnalyticSignal:
         underflow nor overflow at any finite amplitude.
         """
         d = np.diff(np.angle(self.z))
-        d[d > np.pi] -= 2 * np.pi
-        d[d <= -np.pi] += 2 * np.pi
+        np.subtract(d, 2 * np.pi, out=d, where=d > np.pi)
+        np.add(d, 2 * np.pi, out=d, where=d <= -np.pi)
         return d
 
 
 def analytic_signal(x: Signal) -> AnalyticSignal:
-    """Construct the analytic signal of `x`: :func:`one_sided` on bins 0..floor(N/2).
+    """Construct the analytic signal of `x`, at least 4 samples.
 
-    An all-zero input yields zero envelope and zero increments with the
-    `degenerate` flag set.
+    The real part is `x.samples`, bit for bit. The quadrature is
+    irfft(-j * rfft(x)) with the DC bin and, for even N, the Nyquist bin
+    zeroed: the imaginary part of :func:`one_sided` on bins 0..floor(N/2),
+    from one real transform pair instead of two complex ones. An all-zero
+    input yields zero envelope and zero increments with the `degenerate`
+    flag set.
     """
-    return AnalyticSignal(one_sided(dft(x.samples), 0, len(x) // 2), x.sample_rate)
+    samples = x.samples
+    n = samples.size
+    if n < 4:
+        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
+    spectrum = np.fft.rfft(samples)
+    # numpy's irfft drops the imaginary part of these self-conjugate bins
+    # anyway; zeroed here so the quadrature does not rest on that
+    spectrum[0] = 0.0
+    if n % 2 == 0:
+        spectrum[-1] = 0.0
+    spectrum *= -1j
+    z = np.empty(n, dtype=np.complex128)
+    z.real = samples
+    z.imag = np.fft.irfft(spectrum, n)
+    return AnalyticSignal(z, x.sample_rate)

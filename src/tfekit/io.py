@@ -45,8 +45,9 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
     """
     path = Path(path)
     header_rate = None
-    values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    lines = path.read_text().splitlines()
+    kept = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -58,19 +59,28 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad sample_rate value {val!r}") from None
             continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+        kept.append(line)
+    try:
+        # numpy parses each string as float() does, in one call
+        values = np.array(kept, dtype=np.float64)
+    except ValueError:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+        raise
     rate = sample_rate if sample_rate is not None else header_rate
     if rate is None:
         raise ValueError(
             f"{path}: no '# sample_rate=' header and no sample rate given; "
             "pass one explicitly (CLI: --fs)"
         )
-    if not values:
+    if not values.size:
         raise ValueError(f"{path}: no samples found")
-    return Signal(np.asarray(values), rate)
+    return Signal(values, rate)
 
 
 def load_wav(path) -> Signal:

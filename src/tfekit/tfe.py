@@ -81,8 +81,10 @@ class TFEAccumulator:
         self.time_edges = np.linspace(0.0, t_total, time_bins + 1)
         self.freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
         self.energy = np.zeros((time_bins, freq_bins))
-        self._t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int),
-                              0, time_bins - 1)
+        t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int),
+                        0, time_bins - 1)
+        # flat index of each sample's time row; add() adds its frequency bin
+        self._row_offset = t_idx * freq_bins
 
     def add(self, track: IFTrack) -> None:
         """Deposit one track's energy."""
@@ -91,7 +93,10 @@ class TFEAccumulator:
             raise ValueError("all tracks must share sample rate and length")
         freq_bins = self.energy.shape[1]
         f_idx = np.clip((track.frequency_hz / ((fs / 2) / freq_bins)).astype(int), 0, freq_bins - 1)
-        np.add.at(self.energy, (self._t_idx, f_idx), track.energy)
+        # the same sequential sums, in the same order, as a 2-D np.add.at on
+        # (t_idx, f_idx), through a flat view of the C-contiguous grid
+        f_idx += self._row_offset
+        np.add.at(self.energy.reshape(-1), f_idx, track.energy)
 
     def grid(self) -> TFEGrid:
         """A copy of the grid of the tracks deposited so far."""
@@ -168,13 +173,13 @@ def export_grid_csv(grid: TFEGrid, path) -> None:
     frequency edges; each body line is one time edge followed by that time
     bin's energy cells; the final line is the closing time edge alone.
     """
-    fmt = "%.17g".__mod__
+    row = ",".join(["%.17g"] * (grid.energy.shape[1] + 1)) + "\n"
     times = grid.time_edges.tolist()
     with open(path, "w") as fh:
-        fh.write("," + ",".join(map(fmt, grid.freq_edges.tolist())) + "\n")
-        for t, row in zip(times, grid.energy):
-            fh.write(fmt(t) + "," + ",".join(map(fmt, row.tolist())) + "\n")
-        fh.write(fmt(times[-1]) + "\n")
+        fh.write("," + row % tuple(grid.freq_edges.tolist()))
+        for t, cells in zip(times, grid.energy.tolist()):
+            fh.write(row % (t, *cells))
+        fh.write("%.17g\n" % times[-1])
 
 
 def load_grid_csv(path) -> TFEGrid:

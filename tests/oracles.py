@@ -10,14 +10,27 @@ DFT bank built another way: a Hermitian 0/1 mask per band with an
 imaginary-residue guard, sharing only `dft` and `idft` with the library
 (the one-sided bank must match it component by component), and the
 list-based grid and stacked Gram check that held every track and a second
-copy of the components at once (the streaming CLI must match their bytes).
+copy of the components at once (the streaming CLI must match their bytes),
+the analytic signal as two complex transforms (the real-transform
+quadrature must match it to rounding) and the boolean-index phase fold (the
+masked fold must match its bits).
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from tfekit import BandPlan, Decomposition, OrthogonalityReport, Signal, TFEGrid, dft, idft
+from tfekit import (
+    AnalyticSignal,
+    BandPlan,
+    Decomposition,
+    OrthogonalityReport,
+    Signal,
+    TFEGrid,
+    dft,
+    idft,
+    one_sided,
+)
 from tfekit.signals import finite_energy
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
@@ -63,6 +76,22 @@ def unwrap_phase(wrapped) -> np.ndarray:
     np.cumsum(folded, out=out[1:])
     out[1:] += wrapped[0]
     return out
+
+
+def analytic_signal(x: Signal) -> AnalyticSignal:
+    """The analytic signal as :func:`one_sided` on bins 0..floor(N/2) of :func:`dft`.
+
+    Two complex transforms; the real part round-trips the input.
+    """
+    return AnalyticSignal(one_sided(dft(x.samples), 0, len(x) // 2), x.sample_rate)
+
+
+def fold_increments(z) -> np.ndarray:
+    """Phase increments of `z` folded into (-pi, pi] by boolean indexing."""
+    d = np.diff(np.angle(z))
+    d[d > np.pi] -= 2 * np.pi
+    d[d <= -np.pi] += 2 * np.pi
+    return d
 
 
 def four_pass_if(z, sample_rate: float, scheme: str = "forward") -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     dft_direct,
     hilbert_kernel,
@@ -18,8 +19,22 @@ from tfekit import (
     dft,
     gen_delta,
     idft,
+    if_track,
     one_sided,
 )
+
+_RNG = np.random.default_rng(31)
+
+# inputs whose quadrature must match the two-transform oracle
+QUADRATURE_CASES = {
+    "even": _RNG.normal(size=64),
+    "odd": _RNG.normal(size=65),
+    "nyquist-only": np.where(np.arange(1000) % 2 == 0, 1.0, -1.0),
+    "dc-only": np.full(33, -2.5),
+    "all-zero": np.zeros(16),
+    "tiny": 1e-300 * _RNG.normal(size=128),
+    "huge": 1e150 * _RNG.normal(size=127),
+}
 
 
 class TestDft:
@@ -128,8 +143,27 @@ class TestAnalyticSignal:
         assert np.abs(a.increments()).max() == 0.0
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 4 samples"):
             analytic_signal(Signal(np.array([1.0, 2.0, 3.0]), 1.0))
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 17, 4000])
+    def test_real_part_is_the_input_bit_for_bit(self, n):
+        x = Signal(np.random.default_rng(n).normal(size=n), 1.0)
+        assert analytic_signal(x).z.real.tobytes() == x.samples.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
+    def test_quadrature_matches_two_transform_oracle(self, case):
+        x = Signal(QUADRATURE_CASES[case], 100.0)
+        got = analytic_signal(x)
+        want = oracles.analytic_signal(x)
+        scale = np.abs(x.samples).max()
+        assert np.abs(got.quadrature - want.quadrature).max() <= 1e-12 * scale
+        assert got.degenerate == (case == "all-zero")
+
+    def test_nyquist_only_reads_half_the_rate(self):
+        x = Signal(QUADRATURE_CASES["nyquist-only"], 100.0)
+        assert np.abs(analytic_signal(x).quadrature).max() <= 1e-12
+        assert np.all(if_track(x).frequency_hz == 50.0)
 
 
 class TestIncrements:
@@ -148,6 +182,19 @@ class TestIncrements:
         assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 3
         z = np.array([1.0, -1.0 - 1e-30j, 1.0])
         assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 2
+
+    def test_masked_fold_matches_boolean_index_fold(self):
+        # -0.0 and 0.0 angles, +-pi half turns and their differences, then noise
+        edges = np.array([1 + 0j, complex(1, -0.0), complex(-1, 0.0), complex(-1, -0.0),
+                          complex(1, -0.0), 1 + 0j, complex(-1, -0.0), complex(-1, 0.0),
+                          complex(-1, -0.0), 1j, -1j, 1j])
+        rng = np.random.default_rng(15)
+        z = np.concatenate([edges, rng.normal(size=300) + 1j * rng.normal(size=300)])
+        got = AnalyticSignal(z, 1.0).increments()
+        want = oracles.fold_increments(z)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0]) and got[0] == 0.0  # angle -0.0 after 0.0
+        assert got[1] == np.pi and got[3] == np.pi  # -pi folds to +pi
 
 
 class TestOneSided:

@@ -46,6 +46,18 @@ def _reject(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
+def test_runtime_imports_numpy_only():
+    # scipy is a test-only dependency; the CLI must start without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tfekit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestGen:
     def test_chirp_fixture(self, workdir):
         rc = main(["gen", "chirp", "--f0", "1000", "--f1", "2000", "--dur", "1", "--fs", "8000"])

@@ -165,6 +165,16 @@ class TestIfTrack:
         interior = track.frequency_hz[200:3800]
         assert np.median(interior) == pytest.approx(250.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n0, n", [(1999, 4000), (2000, 4000), (7, 4096)])
+    def test_even_length_delta_reads_quarter_rate_exactly(self, n0, n):
+        # the quadrature is exactly zero at even lags and the real part is
+        # the input, so every sample carrying energy reads Fs/4
+        fs = 1000.0
+        track = if_track(gen_delta(n0, n, fs))
+        carrying = track.energy > 0
+        assert carrying.sum() >= n // 2
+        assert np.all(track.frequency_hz[carrying] == fs / 4)
+
     def test_harmonic_sum_constant_if(self):
         # five equal-amplitude harmonics of 100 Hz: IF = 100 * (5+1)/2
         fs = 4000.0

@@ -63,6 +63,31 @@ class TestCsv:
         with pytest.raises(ValueError, match="bad.csv:3"):
             load_csv(path)
 
+    def test_bad_token_names_its_line(self, tmp_path):
+        path = tmp_path / "tok.csv"
+        path.write_text("# sample_rate=100\n\n1.0\n# note\n2.0\n3.0x\n4.0\nbad\n")
+        with pytest.raises(ValueError, match=r"tok\.csv:6: not a number: '3\.0x'"):
+            load_csv(path)
+
+    def test_two_values_on_one_line_rejected(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        path.write_text("# sample_rate=100\n1.0\n1.0 2.0\n3.0\n")
+        with pytest.raises(ValueError, match=r"pair\.csv:3: not a number: '1\.0 2\.0'"):
+            load_csv(path)
+
+    def test_bad_sample_rate_value(self, tmp_path):
+        path = tmp_path / "rate.csv"
+        path.write_text("1.0\n# sample_rate=fast\n2.0\n")
+        with pytest.raises(ValueError, match=r"rate\.csv:2: bad sample_rate value 'fast'"):
+            load_csv(path)
+
+    def test_header_mid_file_blank_lines_and_padding(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text("\n  1.5\n\t-2e-3  \n\n# sample_rate=250\n   \n 0.1\n# comment\n7\n")
+        y = load_csv(path)
+        assert y.sample_rate == 250.0
+        assert y.samples.tolist() == [1.5, -2e-3, 0.1, 7.0]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# sample_rate=100\n")

@@ -19,6 +19,7 @@ from tfekit import (
     if_track,
     load_grid_csv,
     load_track_csv,
+    mix,
 )
 
 
@@ -84,6 +85,23 @@ class TestBuildTfe:
             assert got.energy.tobytes() == want.energy.tobytes()
             assert np.array_equal(got.time_edges, want.time_edges)
             assert np.array_equal(got.freq_edges, want.freq_edges)
+
+    @pytest.mark.parametrize("bins", [(400, 250), (7, 13), (1, 250), (400, 1), (1, 1)])
+    def test_flat_deposit_matches_2d_add_at(self, bins):
+        # a conventional track below 0 Hz, a track past both ends, one at
+        # exactly Fs/2, and N = 2001, which no bin count here divides
+        fs, n = 2000.0, 2001
+        x = mix([gen_chirp(100, 900, n / fs, fs), gen_chirp(950, 50, n / fs, fs)])
+        conventional = if_track(x, mode="conventional")
+        assert conventional.frequency_hz.min() < 0
+        tracks = [conventional, if_track(x),
+                  IFTrack(np.linspace(-10.0, 1100.0, n), np.full(n, 0.5), fs),
+                  IFTrack(np.full(n, fs / 2), np.linspace(0.0, 3.0, n), fs)]
+        acc = TFEAccumulator(n, fs, *bins)
+        assert acc.energy.reshape(-1).base is acc.energy
+        for tr in tracks:
+            acc.add(tr)
+        assert acc.grid().energy.tobytes() == oracles.build_tfe(tracks, *bins).energy.tobytes()
 
     def test_accumulator_one_track_at_a_time(self):
         tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
