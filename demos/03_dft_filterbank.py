@@ -10,7 +10,7 @@ resolves into the true frequencies.
 import numpy as np
 
 from tfekit import (
-    build_tfe,
+    TFEAccumulator,
     chirp_true_if,
     custom_band_plan,
     dft_decompose,
@@ -65,6 +65,9 @@ dist = np.minimum(np.abs(undecomposed.frequency_hz - ridge_a),
 frac = undecomposed.energy[dist <= 60.0].sum() / undecomposed.energy.sum()
 print(f"same measure without decomposition:    {frac:.1%} (sits between the ridges)")
 
-grid = build_tfe(tracks, time_bins=400, freq_bins=250)
+acc = TFEAccumulator(len(x), fs, time_bins=400, freq_bins=250)
+for tr in tracks:
+    acc.add(tr)
+grid = acc.grid()
 print(f"TFE grid: {grid.energy.shape[0]} x {grid.energy.shape[1]} cells, "
       f"total energy {grid.total_energy:.1f}")

@@ -15,8 +15,8 @@ fs = 1000.0
 x = gen_noise(NoiseSpec(seed=42, mean=0.0, variance=1.0, length=8192), fs)
 
 print("=== 1. five bands, highest to lowest (part A) ===")
-cutoffs = BandSpec(bands=5).ladder(fs)[::-1]
-d = fmd_decompose(x, cutoffs, order=128, part="A")
+cutoffs = BandSpec(bands=5).ladder(fs)
+d = fmd_decompose(x, cutoffs, order=128, method="fmd-a")
 report = verify_linoep(d)
 recon = np.abs(d.reconstruct() - x.samples).max() / np.abs(x.samples).max()
 print(f"reconstruction error {recon:.1e}")
@@ -34,7 +34,7 @@ print(f"spectral centroids (Hz): {[f'{centroid(c):.0f}' for c in d.components]}"
 
 print()
 print("=== 2. part B walks the ladder the other way ===")
-d_up = fmd_decompose(x, BandSpec(bands=5).ladder(fs), order=128, part="B")
+d_up = fmd_decompose(x, cutoffs, order=128, method="fmd-b")
 print(f"spectral centroids (Hz): {[f'{centroid(c):.0f}' for c in d_up.components]}")
 print(f"energy ratio {verify_linoep(d_up).energy_ratio:.15f}")
 

@@ -49,9 +49,9 @@ def ridge_error(decomposition):
     return weighted / total
 
 
-cutoffs = BandSpec(bands=10).ladder(fs)[::-1]
-zero_phase = fmd_decompose(x, cutoffs, order=128, part="A")
-causal = fmd_decompose(x, cutoffs, order=128, part="A", filtering="causal")
+cutoffs = BandSpec(bands=10).ladder(fs)
+zero_phase = fmd_decompose(x, cutoffs, order=128, method="fmd-a")
+causal = fmd_decompose(x, cutoffs, order=128, method="causal-fir")
 e_zp = ridge_error(zero_phase)
 e_ca = ridge_error(causal)
 print(f"zero-phase ladder: energy-weighted ridge error {e_zp:6.1f} Hz")

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from tfekit import (
-    build_tfe,
+    TFEAccumulator,
+    TrackCsvWriter,
     dft_decompose,
     export_grid_csv,
-    export_track_csv,
     gen_chirp,
     gen_fm,
     if_track,
@@ -31,25 +31,32 @@ tracks = []  # the bank hands over each band's analytic signal as it makes it
 dft_decompose(x, uniform_band_plan(20, len(x), fs), lambda band: tracks.append(if_track(band)))
 
 print("=== 1. accumulate the grid ===")
-grid = build_tfe(tracks, time_bins=200, freq_bins=125)
+fine = TFEAccumulator(len(x), fs, time_bins=200, freq_bins=125)
+coarse = TFEAccumulator(len(x), fs, time_bins=50, freq_bins=25)
+for tr in tracks:
+    fine.add(tr)
+    coarse.add(tr)
+grid = fine.grid()
 track_energy = sum(t.energy.sum() for t in tracks)
 print(f"{len(tracks)} tracks, grid {grid.energy.shape}, "
       f"total {grid.total_energy:.6f} vs tracks {track_energy:.6f}")
-coarse = build_tfe(tracks, time_bins=50, freq_bins=25)
-print(f"coarser binning, same total: {coarse.total_energy:.6f}")
+print(f"coarser binning, same total: {coarse.grid().total_energy:.6f}")
 
 print()
 print("=== 2. write and read back ===")
-outdir = Path(tempfile.mkdtemp(prefix="tfekit-demo-"))
-track_path = outdir / "tracks.csv"
-grid_path = outdir / "grid.csv"
-export_track_csv(tracks, track_path)
-export_grid_csv(grid, grid_path)
-t, f, e = load_track_csv(track_path)
-print(f"{track_path}: {t.size} rows = {len(tracks)} tracks x {len(tracks[0])} samples")
-back = load_grid_csv(grid_path)
-print(f"{grid_path}: round-trip max cell difference "
-      f"{np.abs(back.energy - grid.energy).max():.1e}")
+with tempfile.TemporaryDirectory(prefix="tfekit-demo-") as outdir:
+    track_path = Path(outdir) / "tracks.csv"
+    grid_path = Path(outdir) / "grid.csv"
+    with open(track_path, "w") as fh:
+        writer = TrackCsvWriter(fh)
+        for tr in tracks:
+            writer.write(tr)
+    export_grid_csv(grid, grid_path)
+    t, f, e = load_track_csv(track_path)
+    print(f"tracks.csv: {t.size} rows = {len(tracks)} tracks x {len(tracks[0])} samples")
+    back = load_grid_csv(grid_path)
+    print(f"grid.csv: round-trip max cell difference "
+          f"{np.abs(back.energy - grid.energy).max():.1e}")
 
 print()
 print("=== 3. where did the energy go? ===")

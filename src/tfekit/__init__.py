@@ -9,13 +9,7 @@ spectral masking (orthogonal components) or by an iterative zero-phase
 FIR ladder (energy-preserving, tail-orthogonal components).
 """
 
-from .analytic import (
-    AnalyticSignal,
-    analytic_signal,
-    dft,
-    idft,
-    one_sided,
-)
+from .analytic import AnalyticSignal, analytic_signal, one_sided
 from .filterbank import (
     BandPlan,
     BandSpec,
@@ -54,9 +48,7 @@ from .tfe import (
     TFEAccumulator,
     TFEGrid,
     TrackCsvWriter,
-    build_tfe,
     export_grid_csv,
-    export_track_csv,
     load_grid_csv,
     load_track_csv,
 )
@@ -79,24 +71,20 @@ __all__ = [
     "TFEGrid",
     "TrackCsvWriter",
     "analytic_signal",
-    "build_tfe",
     "causal_filter",
     "chirp_true_if",
     "conventional_if",
     "custom_band_plan",
     "delay_pad",
     "design_fir",
-    "dft",
     "dft_decompose",
     "export_grid_csv",
-    "export_track_csv",
     "fm_true_if",
     "fmd_decompose",
     "gen_chirp",
     "gen_delta",
     "gen_fm",
     "gen_noise",
-    "idft",
     "if_track",
     "load_csv",
     "load_grid_csv",

@@ -1,4 +1,4 @@
-"""Discrete analytic signal: envelope, quadrature and phase increments.
+"""Discrete analytic signal: quadrature and phase increments.
 
 The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
 transform, zero the negative-frequency bins, double the positive ones (DC
@@ -16,32 +16,14 @@ import numpy as np
 from .signals import Signal
 
 __all__ = [
-    "dft",
-    "idft",
     "one_sided",
     "AnalyticSignal",
     "analytic_signal",
 ]
 
 
-def dft(x) -> np.ndarray:
-    """Forward transform with the 1/N factor: X[k] = (1/N) sum x[n] e^(-j2pikn/N)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("dft of empty sequence")
-    return np.fft.fft(x) / x.size
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse of :func:`dft` (no 1/N factor): x[n] = sum X[k] e^(+j2pikn/N)."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.size == 0:
-        raise ValueError("idft of empty spectrum")
-    return np.fft.ifft(spectrum) * spectrum.size
-
-
 def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
-    """Analytic signal of the bins lo..hi of a :func:`dft` spectrum.
+    """Analytic signal of the bins lo..hi of a spectrum ``np.fft.fft(x, norm="forward")``.
 
     Zeroes every bin outside lo..hi, doubles the bins strictly between DC
     and Nyquist, keeps DC (lo == 0) and the even-length Nyquist bin
@@ -60,7 +42,7 @@ def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
         z[0] = spectrum[0]
     if 2 * hi == n:
         z[hi] = spectrum[hi]
-    return idft(z)
+    return np.fft.ifft(z, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -68,30 +50,12 @@ class AnalyticSignal:
     """An analytic sequence `z` and its sample rate.
 
     The real part of `z` is the signal, the imaginary part its quadrature
-    (Hilbert transform). The envelope and the phase increments are derived
-    from `z` on demand.
+    (Hilbert transform), `abs(z)` its envelope. The phase increments are
+    derived from `z` on demand.
     """
 
     z: np.ndarray
     sample_rate: float
-
-    @property
-    def in_phase(self) -> np.ndarray:
-        return self.z.real
-
-    @property
-    def quadrature(self) -> np.ndarray:
-        return self.z.imag
-
-    @property
-    def envelope(self) -> np.ndarray:
-        """|z|, nonnegative."""
-        return np.abs(self.z)
-
-    @property
-    def degenerate(self) -> bool:
-        """True when `z` is identically zero (every phase increment is then zero)."""
-        return not self.z.any()
 
     def increments(self) -> np.ndarray:
         """The N-1 increments of the four-quadrant phase of `z`, radians in (-pi, pi].
@@ -113,8 +77,7 @@ def analytic_signal(x: Signal) -> AnalyticSignal:
     irfft(-j * rfft(x)) with the DC bin and, for even N, the Nyquist bin
     zeroed: the imaginary part of :func:`one_sided` on bins 0..floor(N/2),
     from one real transform pair instead of two complex ones. An all-zero
-    input yields zero envelope and zero increments with the `degenerate`
-    flag set.
+    input yields an all-zero `z` and zero increments.
     """
     samples = x.samples
     n = samples.size

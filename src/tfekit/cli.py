@@ -221,7 +221,7 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
         "bands": None,
         "cutoffs": None,
         "plan": None,
-        "order": 256,
+        "order": None,
         "scheme": "forward",
         "if": "positive",
     }
@@ -253,6 +253,9 @@ def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposi
         raise ValueError("method 'none' forbids a band plan; pick a decomposition method")
     if method != "none" and spec is None:
         raise ValueError(f"method {method!r} needs a band plan (--bands, --cutoffs or --plan)")
+    if method in ("none", "dft") and settings["order"] is not None:
+        raise ValueError(f"method {method!r} takes no FIR order; --order applies to "
+                         "fmd-a, fmd-b and causal-fir")
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
         return None, checks
@@ -262,12 +265,9 @@ def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposi
         finite_energy(signal.samples)
         decomposition = dft_decompose(signal, plan, consumer)
     else:
-        cutoffs = spec.ladder(signal.sample_rate)
-        part = "B" if method == "fmd-b" else "A"
-        if part == "A":
-            cutoffs = cutoffs[::-1]
-        filtering = "causal" if method == "causal-fir" else "zero-phase"
-        decomposition = fmd_decompose(signal, cutoffs, settings["order"], part, filtering)
+        order = {} if settings["order"] is None else {"order": settings["order"]}
+        decomposition = fmd_decompose(signal, spec.ladder(signal.sample_rate), **order,
+                                      method=method)
     err = np.abs(decomposition.reconstruct() - signal.samples).max()
     checks["reconstruction_error"] = float(err / max(np.abs(signal.samples).max(), 1e-300))
     if method == "dft":

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticSignal, dft, one_sided
+from .analytic import AnalyticSignal, one_sided
 from .signals import Signal, finite_energy
 
 __all__ = [
@@ -60,11 +60,6 @@ class BandPlan:
     def band_bins(self, i: int) -> tuple[int, int]:
         """Inclusive positive-frequency bin range (lo, hi) of band i (0-based)."""
         return self.boundaries[i] + 1, self.boundaries[i + 1]
-
-    def band_edges_hz(self, i: int) -> tuple[float, float]:
-        """Nominal band edges in Hz (boundary bins mapped back to frequency)."""
-        scale = self.sample_rate / self.signal_length
-        return self.boundaries[i] * scale, self.boundaries[i + 1] * scale
 
 
 def uniform_band_plan(n_bands: int, signal_length: int, sample_rate: float) -> BandPlan:
@@ -190,8 +185,8 @@ class Decomposition:
 
     `components` is a C-contiguous (M, N) float64 array whose row i is
     component i; c0 + components.sum(axis=0) reconstructs the analyzed
-    signal pointwise. `method` tags the producing algorithm: 'dft',
-    'fmd-A', 'fmd-B' or 'causal-fir'.
+    signal pointwise. `method` names the producing algorithm as the CLI's
+    --method does: 'dft', 'fmd-a', 'fmd-b' or 'causal-fir'.
     """
 
     c0: float
@@ -230,7 +225,7 @@ def dft_decompose(x: Signal, plan: BandPlan, consumer=None) -> Decomposition:
     n = len(x)
     if plan.signal_length != n:
         raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
-    spectrum = dft(x.samples)
+    spectrum = np.fft.fft(x.samples, norm="forward")
     components = np.empty((plan.n_bands, n))
     for i in range(plan.n_bands):
         z = one_sided(spectrum, *plan.band_bins(i))

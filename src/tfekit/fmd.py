@@ -31,7 +31,6 @@ class FirFilter:
     """Linear-phase FIR filter: odd-length symmetric taps."""
 
     taps: np.ndarray
-    nominal_cutoff_hz: float
     kind: str  # 'lowpass' or 'highpass'
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ def design_fir(kind: str, cutoff_hz: float, order: int, sample_rate: float) -> F
     if kind == "highpass":
         taps = -taps
         taps[half] += 1.0
-    return FirFilter(taps, float(cutoff_hz), kind)
+    return FirFilter(taps, kind)
 
 
 def _reflect_pad(samples: np.ndarray, pad: int) -> np.ndarray:
@@ -135,11 +134,7 @@ def causal_filter(x: Signal, h: FirFilter) -> Signal:
 
 
 def fmd_decompose(
-    x: Signal,
-    cutoffs_hz,
-    order: int = 256,
-    part: str = "A",
-    filtering: str = "zero-phase",
+    x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
 ) -> Decomposition:
     """Iterative filter-mode decomposition into energy-preserving components.
 
@@ -148,15 +143,15 @@ def fmd_decompose(
     x : Signal
         Input; its mean is removed first and returned as c0.
     cutoffs_hz : sequence of float
-        M-1 stage cutoffs: strictly decreasing for part 'A' (successive
-        highpass stages, components ordered high to low frequency),
-        strictly increasing for part 'B' (lowpass stages, low to high).
+        M-1 stage cutoffs, strictly increasing, as :meth:`BandSpec.ladder`
+        gives them.
     order : int
         FIR order for every stage filter.
-    part : {'A', 'B'}
-    filtering : {'zero-phase', 'causal'}
-        'causal' swaps in single-pass filtering as the contrast mode and
-        tags the result 'causal-fir'.
+    method : {'fmd-a', 'fmd-b', 'causal-fir'}
+        'fmd-a' (part A) runs highpass stages down the ladder, so the
+        components go from high to low frequency; 'fmd-b' (part B) runs
+        lowpass stages up it, low to high. 'causal-fir' is part A with
+        single-pass filtering, the contrast mode.
 
     Notes
     -----
@@ -176,21 +171,19 @@ def fmd_decompose(
     stages degenerate gracefully. An input whose energy overflows float64
     raises ValueError before any stage runs.
     """
-    part = part.upper()
-    if part not in ("A", "B"):
-        raise ValueError(f"part must be 'A' or 'B', got {part!r}")
-    if filtering not in ("zero-phase", "causal"):
-        raise ValueError(f"filtering must be 'zero-phase' or 'causal', got {filtering!r}")
+    if method not in ("fmd-a", "fmd-b", "causal-fir"):
+        raise ValueError(f"method must be 'fmd-a', 'fmd-b' or 'causal-fir', got {method!r}")
     cutoffs = [float(c) for c in cutoffs_hz]
-    if part == "A" and any(c2 >= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"part A needs strictly decreasing cutoffs, got {cutoffs}")
-    if part == "B" and any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"part B needs strictly increasing cutoffs, got {cutoffs}")
+    if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
+    part_a = method != "fmd-b"
+    if part_a:
+        cutoffs.reverse()
 
     c0, detrended = remove_mean(x)
     alpha_floor = 1e-14 * finite_energy(detrended.samples)
-    apply_filter = zero_phase_filter if filtering == "zero-phase" else causal_filter
-    stage_kind = "highpass" if part == "A" else "lowpass"
+    apply_filter = causal_filter if method == "causal-fir" else zero_phase_filter
+    stage_kind = "highpass" if part_a else "lowpass"
 
     current = detrended
     components = np.empty((len(cutoffs) + 1, len(x)))
@@ -198,7 +191,7 @@ def fmd_decompose(
         h = design_fir(stage_kind, cutoff, order, x.sample_rate)
         y = apply_filter(current, h).samples
         r = current.samples - y
-        if part == "A":
+        if part_a:
             denom = float(np.dot(r, r))
             alpha = float(np.dot(y, r)) / denom if denom > alpha_floor else 0.0
             np.subtract(y, alpha * r, out=component)
@@ -210,8 +203,6 @@ def fmd_decompose(
             passed_on = r - alpha * y
         current = Signal(passed_on, x.sample_rate)
     components[-1] = current.samples
-
-    method = "causal-fir" if filtering == "causal" else f"fmd-{part}"
     return Decomposition(c0, components, method, x.sample_rate)
 
 
@@ -239,7 +230,7 @@ def verify_linoep(d: Decomposition) -> LinoepReport:
     the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2.
     An energy that overflows float64 raises.
     """
-    if d.method not in ("fmd-A", "fmd-B"):
+    if d.method not in ("fmd-a", "fmd-b"):
         raise ValueError(f"LINOEP verification applies to fmd decompositions, got {d.method!r}")
     comps = d.components
     # in an FMD decomposition no component or tail has more energy than

@@ -15,9 +15,7 @@ from .instfreq import IFTrack
 __all__ = [
     "TFEGrid",
     "TFEAccumulator",
-    "build_tfe",
     "TrackCsvWriter",
-    "export_track_csv",
     "load_track_csv",
     "export_grid_csv",
     "load_grid_csv",
@@ -103,19 +101,6 @@ class TFEAccumulator:
         return TFEGrid(self.time_edges, self.freq_edges, self.energy.copy())
 
 
-def build_tfe(tracks: list[IFTrack], time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
-    """Accumulate IF tracks, which share one rate and length, into a TFE grid.
-
-    See :class:`TFEAccumulator` for the binning.
-    """
-    if not tracks:
-        raise ValueError("need at least one track")
-    acc = TFEAccumulator(len(tracks[0]), tracks[0].sample_rate, time_bins, freq_bins)
-    for tr in tracks:
-        acc.add(tr)
-    return acc.grid()
-
-
 class TrackCsvWriter:
     """Appends IF tracks to an open text file as triplet rows: time_s,frequency_hz,energy.
 
@@ -139,19 +124,6 @@ class TrackCsvWriter:
             template = self._templates[key] = "".join(["%.17g,%%.17g,%%.17g\n" % t for t in times])
         pairs = np.column_stack((track.frequency_hz, track.energy)).ravel().tolist()
         self._fh.write(template % tuple(pairs))
-
-
-def export_track_csv(tracks: list[IFTrack], path) -> None:
-    """Write tracks as triplet rows: time_s,frequency_hz,energy.
-
-    One row per sample per track, tracks concatenated in order; an empty
-    track list produces a header-only file. The file is written one track
-    at a time by a :class:`TrackCsvWriter`.
-    """
-    with open(path, "w") as fh:
-        out = TrackCsvWriter(fh)
-        for tr in tracks:
-            out.write(tr)
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,19 +155,27 @@ def export_grid_csv(grid: TFEGrid, path) -> None:
 
 
 def load_grid_csv(path) -> TFEGrid:
-    """Read a grid CSV written by :func:`export_grid_csv`."""
+    """Read a grid CSV written by :func:`export_grid_csv`.
+
+    A body row whose field count differs from the frequency edges', or a
+    field that is not a number, raises ValueError naming the file.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ValueError(f"{path}: not a grid CSV (too few lines)")
     first = lines[0].split(",")
     if first[0] != "":
         raise ValueError(f"{path}: grid CSV must start with an empty corner field")
-    freq_edges = np.array(first[1:], dtype=np.float64)
-    time_edges = []
-    rows = []
-    for line in lines[1:-1]:
-        fields = line.split(",")
-        time_edges.append(float(fields[0]))
-        rows.append([float(v) for v in fields[1:]])
-    time_edges.append(float(lines[-1]))
-    return TFEGrid(np.array(time_edges), freq_edges, np.array(rows))
+    rows = [line.split(",") for line in lines[1:-1]]
+    width = len(first) - 1  # a time edge, then one cell per frequency bin
+    for i, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(f"{path}: grid row {i} has {len(row)} fields, expected {width}")
+    try:
+        # numpy parses each string as float() does, in one call
+        freq_edges = np.array(first[1:], dtype=np.float64)
+        body = np.array(rows, dtype=np.float64)
+        closing = float(lines[-1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return TFEGrid(np.append(body[:, 0], closing), freq_edges, body[:, 1:])

@@ -7,9 +7,9 @@ quadrature by truncated-kernel convolution, positive IF in four passes
 the phase increments directly), CSV writers that build the whole file as a
 list of lines (the streaming writers must match them byte for byte), a
 DFT bank built another way: a Hermitian 0/1 mask per band with an
-imaginary-residue guard, sharing only `dft` and `idft` with the library
-(the one-sided bank must match it component by component), and the
-list-based grid and stacked Gram check that held every track and a second
+imaginary-residue guard, scaling numpy's transforms by N itself (the
+one-sided bank must match it component by component), and the list-based
+grid and stacked Gram check that held every track and a second
 copy of the components at once (the streaming CLI must match their bytes),
 the analytic signal as two complex transforms (the real-transform
 quadrature must match it to rounding) and the boolean-index phase fold (the
@@ -27,8 +27,6 @@ from tfekit import (
     OrthogonalityReport,
     Signal,
     TFEGrid,
-    dft,
-    idft,
     one_sided,
 )
 from tfekit.signals import finite_energy
@@ -79,11 +77,12 @@ def unwrap_phase(wrapped) -> np.ndarray:
 
 
 def analytic_signal(x: Signal) -> AnalyticSignal:
-    """The analytic signal as :func:`one_sided` on bins 0..floor(N/2) of :func:`dft`.
+    """The analytic signal as :func:`one_sided` on bins 0..floor(N/2) of the spectrum.
 
     Two complex transforms; the real part round-trips the input.
     """
-    return AnalyticSignal(one_sided(dft(x.samples), 0, len(x) // 2), x.sample_rate)
+    spectrum = np.fft.fft(x.samples) / len(x)
+    return AnalyticSignal(one_sided(spectrum, 0, len(x) // 2), x.sample_rate)
 
 
 def fold_increments(z) -> np.ndarray:
@@ -192,7 +191,7 @@ def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
     n = len(x)
     if plan.signal_length != n:
         raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
-    spectrum = dft(x.samples)
+    spectrum = np.fft.fft(x.samples) / n
     c0 = float(spectrum[0].real)
     residue_limit = 1e-10 * max(1.0, float(np.abs(x.samples).max()))
     components = []
@@ -205,7 +204,7 @@ def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
         mhi = n - lo
         if mlo <= mhi:
             masked[mlo : mhi + 1] = spectrum[mlo : mhi + 1]
-        y = idft(masked)
+        y = np.fft.ifft(masked) * n
         if np.abs(y.imag).max() > residue_limit:
             raise RuntimeError(
                 f"band {i}: imaginary residue {np.abs(y.imag).max():.3e} exceeds "

@@ -18,7 +18,6 @@ from tfekit import (
     causal_filter,
     chirp_true_if,
     design_fir,
-    dft,
     dft_decompose,
     fm_true_if,
     fmd_decompose,
@@ -26,7 +25,6 @@ from tfekit import (
     gen_delta,
     gen_fm,
     gen_noise,
-    idft,
     if_track,
     mix,
     uniform_band_plan,
@@ -192,11 +190,9 @@ def test_criterion_07_fmd_invariants():
     worst = {"recon": 0.0, "tail": 0.0, "energy": 0.0}
     for x, order in fixtures.values():
         for n_bands in (2, 5, 10):
-            for part in ("A", "B"):
+            for method in ("fmd-a", "fmd-b"):
                 cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
-                if part == "A":
-                    cutoffs = cutoffs[::-1]
-                d = fmd_decompose(x, cutoffs, order=order, part=part)
+                d = fmd_decompose(x, cutoffs, order=order, method=method)
                 recon = float(np.abs(d.reconstruct() - x.samples).max()
                               / np.abs(x.samples).max())
                 report = verify_linoep(d)
@@ -254,14 +250,18 @@ def test_criterion_11_oracle_equivalence():
     rng = np.random.default_rng(7)
     worst_transform = 0.0
     for n in (7, 8, 64, 257):
+        # one bin per band: c0 and each band's analytic signal against the O(N^2) sums
         x = rng.normal(size=n)
-        scale = float(np.abs(dft_direct(x)).max())
-        err_f = float(np.abs(dft(x) - dft_direct(x)).max()) / scale
-        spectrum = dft(x)
-        err_i = float(np.abs(idft(spectrum) - idft_direct(spectrum)).max()) / float(
-            np.abs(x).max()
-        )
-        worst_transform = max(worst_transform, err_f, err_i)
+        spectrum = dft_direct(x)
+        bands = []
+        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(n // 2, n, 1.0), bands.append)
+        err_f = abs(d.c0 - spectrum[0].real) / float(np.abs(spectrum).max())
+        worst_transform = max(worst_transform, err_f)
+        for k, band in enumerate(bands, start=1):
+            one_bin = np.zeros(n, dtype=complex)
+            one_bin[k] = spectrum[k] if 2 * k == n else 2 * spectrum[k]
+            err_i = float(np.abs(band.z - idft_direct(one_bin)).max()) / float(np.abs(x).max())
+            worst_transform = max(worst_transform, err_i)
 
     x = Signal(rng.normal(size=64), 64.0)
     d = dft_decompose(x, uniform_band_plan(4, 64, 64.0))
@@ -276,7 +276,7 @@ def test_criterion_11_oracle_equivalence():
     orth_dev = max(abs(report.max_normalized_cross - cross),
                    abs(report.energy_ratio - energy))
 
-    f = fmd_decompose(x, [24.0, 16.0], order=16, part="A")
+    f = fmd_decompose(x, [16.0, 24.0], order=16)
     linoep = verify_linoep(f)
     tails = []
     for i in range(f.n_components - 1):

@@ -16,11 +16,11 @@ from tfekit import (
     AnalyticSignal,
     Signal,
     analytic_signal,
-    dft,
+    dft_decompose,
     gen_delta,
-    idft,
     if_track,
     one_sided,
+    uniform_band_plan,
 )
 
 _RNG = np.random.default_rng(31)
@@ -38,42 +38,52 @@ QUADRATURE_CASES = {
 
 
 class TestDft:
+    """The DFT bank's transform pair: the forward transform scaled by 1/N, the inverse unscaled."""
+
     def test_delta_spectrum(self):
-        spectrum = dft([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(spectrum, 0.25)
+        # a flat spectrum of 1/N: c0, the bin-1 cosine and the Nyquist tone all carry 0.25
+        d = dft_decompose(Signal([1.0, 0.0, 0.0, 0.0], 4.0), uniform_band_plan(2, 4, 4.0))
+        assert np.allclose(d.c0, 0.25)
+        assert np.allclose(d.components, [[0.5, 0.0, -0.5, 0.0], [0.25, -0.25, 0.25, -0.25]])
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=257)
         scale = np.abs(x).max()
-        assert np.abs(idft(dft(x)).real - x).max() <= 1e-10 * scale
-        assert np.abs(idft(dft(x)).imag).max() <= 1e-10 * scale
+        z = one_sided(np.fft.fft(x, norm="forward"), 0, 128)
+        assert np.abs(z.real - x).max() <= 1e-10 * scale
+        assert np.abs(z.imag - analytic_signal(Signal(x, 1.0)).z.imag).max() <= 1e-10 * scale
+        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(1, 257, 1.0))
+        assert np.abs(d.reconstruct() - x).max() <= 1e-10 * scale
 
     def test_bin_aligned_cosine(self):
-        x = np.cos(2 * np.pi * np.arange(8) / 8)
-        spectrum = dft(x)
-        oracle = dft_direct(x)
-        assert np.abs(spectrum - oracle).max() < 1e-12
-        assert spectrum[1] == pytest.approx(0.5, abs=1e-12)
-        assert spectrum[7] == pytest.approx(0.5, abs=1e-12)
-        others = np.delete(spectrum, [1, 7])
-        assert np.abs(others).max() < 1e-12
+        # the cosine is 0.5 at bin 1 and at its mirror: band 1 is its analytic signal
+        n = np.arange(8)
+        bands = []
+        d = dft_decompose(Signal(np.cos(2 * np.pi * n / 8), 8.0), uniform_band_plan(4, 8, 8.0),
+                          bands.append)
+        assert abs(d.c0) < 1e-12
+        assert np.abs(bands[0].z - np.exp(2j * np.pi * n / 8)).max() < 1e-12
+        assert max(np.abs(band.z).max() for band in bands[1:]) < 1e-12
 
     @pytest.mark.parametrize("n", [7, 8, 64, 257])
     def test_matches_direct_summation(self, n):
+        # one bin per band, so each band's analytic signal is one term of the O(N^2) sums
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
-        scale = np.abs(dft_direct(x)).max()
-        assert np.abs(dft(x) - dft_direct(x)).max() <= 1e-10 * scale
-        spectrum = dft(x)
-        back = idft(spectrum)
-        assert np.abs(back - idft_direct(spectrum)).max() <= 1e-10 * np.abs(x).max()
+        spectrum = dft_direct(x)
+        bands = []
+        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(n // 2, n, 1.0), bands.append)
+        assert abs(d.c0 - spectrum[0].real) <= 1e-10 * np.abs(spectrum).max()
+        for k, band in enumerate(bands, start=1):
+            one_bin = np.zeros(n, dtype=complex)
+            one_bin[k] = spectrum[k] if 2 * k == n else 2 * spectrum[k]
+            assert np.abs(band.z - idft_direct(one_bin)).max() <= 1e-10 * np.abs(x).max()
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            dft([])
-        with pytest.raises(ValueError):
-            idft([])
+        for spectrum in ([], np.ones(3)):
+            with pytest.raises(ValueError, match="at least 4 samples"):
+                one_sided(spectrum, 0, 0)
 
 
 class TestAnalyticSignal:
@@ -81,8 +91,8 @@ class TestAnalyticSignal:
         n = np.arange(64)
         x = Signal(np.cos(2 * np.pi * n / 16), 1.0)
         a = analytic_signal(x)
-        assert np.abs(a.quadrature - np.sin(2 * np.pi * n / 16)).max() < 1e-10
-        assert np.abs(a.envelope - 1.0).max() < 1e-10
+        assert np.abs(a.z.imag - np.sin(2 * np.pi * n / 16)).max() < 1e-10
+        assert np.abs(np.abs(a.z) - 1.0).max() < 1e-10
 
     def test_delta_envelope_matches_sinc(self):
         n0, n = 1999, 4000
@@ -92,13 +102,13 @@ class TestAnalyticSignal:
             expected = np.abs(np.sin(np.pi * m / 2) / (np.pi * m / 2))
         expected[n0] = 1.0
         interior = slice(int(0.05 * n), int(0.95 * n))
-        assert np.abs(a.envelope - expected)[interior].max() < 1e-3
+        assert np.abs(np.abs(a.z) - expected)[interior].max() < 1e-3
 
     def test_negative_bins_vanish(self):
         rng = np.random.default_rng(9)
         x = Signal(rng.normal(size=64), 1.0)
         a = analytic_signal(x)
-        z = x.samples + 1j * a.quadrature
+        z = x.samples + 1j * a.z.imag
         spectrum = dft_direct(z)
         assert np.abs(spectrum[33:]).max() < 1e-12
 
@@ -115,20 +125,20 @@ class TestAnalyticSignal:
         scale = np.abs(x.samples).max()
         assert np.abs(z.real - x.samples).max() <= 1e-10 * scale
         a = analytic_signal(x)
-        assert np.abs(z.imag - a.quadrature).max() <= 1e-10 * scale
+        assert np.abs(z.imag - a.z.imag).max() <= 1e-10 * scale
 
     def test_envelope_bounds_signal(self):
         rng = np.random.default_rng(12)
         x = Signal(rng.normal(size=333), 1.0)
         a = analytic_signal(x)
-        assert np.all(a.envelope >= np.abs(x.samples) - 1e-10)
+        assert np.all(np.abs(a.z) >= np.abs(x.samples) - 1e-10)
 
     def test_one_sided_parseval(self):
         rng = np.random.default_rng(13)
         x = Signal(rng.normal(size=128), 1.0)
         a = analytic_signal(x)
-        z = x.samples + 1j * a.quadrature
-        spectrum = dft(x.samples)
+        z = x.samples + 1j * a.z.imag
+        spectrum = dft_direct(x.samples)
         n = len(x)
         energy_z = np.sum(np.abs(z) ** 2)
         energy_x = np.sum(x.samples**2)
@@ -138,8 +148,8 @@ class TestAnalyticSignal:
 
     def test_all_zero_degenerate(self):
         a = analytic_signal(Signal(np.zeros(16), 1.0))
-        assert a.degenerate
-        assert np.abs(a.envelope).max() == 0.0
+        assert not a.z.any()
+        assert np.abs(a.z).max() == 0.0
         assert np.abs(a.increments()).max() == 0.0
 
     def test_too_short(self):
@@ -157,12 +167,12 @@ class TestAnalyticSignal:
         got = analytic_signal(x)
         want = oracles.analytic_signal(x)
         scale = np.abs(x.samples).max()
-        assert np.abs(got.quadrature - want.quadrature).max() <= 1e-12 * scale
-        assert got.degenerate == (case == "all-zero")
+        assert np.abs(got.z.imag - want.z.imag).max() <= 1e-12 * scale
+        assert (not got.z.any()) == (case == "all-zero")
 
     def test_nyquist_only_reads_half_the_rate(self):
         x = Signal(QUADRATURE_CASES["nyquist-only"], 100.0)
-        assert np.abs(analytic_signal(x).quadrature).max() <= 1e-12
+        assert np.abs(analytic_signal(x).z.imag).max() <= 1e-12
         assert np.all(if_track(x).frequency_hz == 50.0)
 
 
@@ -201,7 +211,7 @@ class TestOneSided:
     @pytest.mark.parametrize("n", [16, 17])
     def test_bands_add_up_to_the_full_band(self, n):
         # DC alone, then runs of bins up to Nyquist: one_sided is linear in its bins
-        spectrum = dft(np.random.default_rng(n).normal(size=n))
+        spectrum = np.fft.fft(np.random.default_rng(n).normal(size=n), norm="forward")
         edges = [0, 0, 3, 4, n // 2]
         parts = [one_sided(spectrum, 0, 0)]
         parts += [one_sided(spectrum, lo + 1, hi) for lo, hi in zip(edges[1:], edges[2:])]
@@ -209,7 +219,7 @@ class TestOneSided:
         assert np.abs(np.sum(parts, axis=0) - full).max() <= 1e-12
 
     def test_bins_outside_the_half_spectrum_rejected(self):
-        spectrum = dft(np.arange(8.0))
+        spectrum = np.fft.fft(np.arange(8.0), norm="forward")
         for lo, hi in [(-1, 2), (3, 2), (1, 5)]:
             with pytest.raises(ValueError, match="outside"):
                 one_sided(spectrum, lo, hi)
@@ -232,7 +242,7 @@ class TestHilbertKernel:
     def test_matches_spectral_quadrature_on_interior(self, half_length):
         n = np.arange(256)
         x = Signal(np.cos(2 * np.pi * n / 16), 1.0)
-        expected = analytic_signal(x).quadrature
+        expected = analytic_signal(x).z.imag
         out = hilbert_kernel_fir(x, half_length)
         core = slice(half_length, -half_length)
         assert np.abs(out[core] - expected[core]).max() < 2 / half_length

@@ -16,7 +16,6 @@ from tfekit import (
     BandSpec,
     Signal,
     TFEAccumulator,
-    dft,
     dft_decompose,
     fmd_decompose,
     if_track,
@@ -27,7 +26,15 @@ from tfekit import (
     uniform_band_plan,
     verify_linoep,
 )
-from tfekit.cli import FIXTURES, _load_input, _run_analysis, _settings, build_parser, main
+from tfekit.cli import (
+    FIXTURES,
+    _decompose,
+    _load_input,
+    _run_analysis,
+    _settings,
+    build_parser,
+    main,
+)
 
 
 @pytest.fixture
@@ -254,6 +261,50 @@ class TestAnalyze:
         assert calls == {"fft": 1, "ifft": 10}
 
 
+class TestMethodSettings:
+    @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
+    def test_decomposition_carries_the_cli_method_name(self, method):
+        args = build_parser().parse_args(["decompose", "--gen", "chirp", "--dur", "0.1",
+                                          "--method", method, "--bands", "4"])
+        signal, _, _ = _load_input(args)
+        decomposition, _ = _decompose(signal, _settings(args, None))
+        assert decomposition.method == method
+
+    @pytest.mark.parametrize("method", ["none", "dft"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_order_refused_where_it_does_nothing(self, workdir, capsys, method, how):
+        bands = [] if method == "none" else ["--bands", "4"]
+        if how == "flag":
+            given = ["--order", "7"]
+        else:
+            (workdir / "cfg.json").write_text(json.dumps({"order": 256}))
+            given = ["--config", "cfg.json"]
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", method, *bands,
+                   *given, "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: method {method!r} takes no FIR order; "
+            "--order applies to fmd-a, fmd-b and causal-fir\n")
+        assert not list(workdir.glob("x_*"))
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_compare_refuses_order_per_side(self, workdir, capsys, side):
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.1", "--a-method", "dft",
+                   "--a-bands", "4", "--b-method", "none", f"--{side}-order", "64",
+                   "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: method ")
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
+    def test_default_order_is_256(self, workdir, method):
+        for prefix, order in (("default", []), ("explicit", ["--order", "256"])):
+            assert main(["decompose", "--gen", "chirp", "--dur", "0.25", "--method", method,
+                         "--bands", "4", *order, "--out-prefix", prefix]) == 0
+        for i in range(1, 5):
+            default = (workdir / f"default_component_{i:03d}.csv").read_bytes()
+            assert default == (workdir / f"explicit_component_{i:03d}.csv").read_bytes()
+
+
 class TestDecompose:
     def test_components_written_and_reconstruct(self, workdir):
         main(["gen", "chirp", "--dur", "0.5", "--out", "in.csv"])
@@ -396,13 +447,11 @@ def _oracle_tracks(x, method, bands):
     if method == "dft":
         plan = uniform_band_plan(bands, len(x), fs)
         d = dft_decompose(x, plan)
-        spectrum = dft(x.samples)
+        spectrum = np.fft.fft(x.samples, norm="forward")
         tracks = [if_track(AnalyticSignal(one_sided(spectrum, *plan.band_bins(i)), fs))
                   for i in range(bands)]
     else:
-        cutoffs = BandSpec(bands=bands).ladder(fs)[::-1]
-        filtering = "causal" if method == "causal-fir" else "zero-phase"
-        d = fmd_decompose(x, cutoffs, 256, "A", filtering)
+        d = fmd_decompose(x, BandSpec(bands=bands).ladder(fs), 256, method)
         tracks = [if_track(Signal(c, fs)) for c in list(d.components)]
     err = np.abs(d.c0 + np.sum(list(d.components), axis=0) - x.samples).max()
     checks["reconstruction_error"] = float(err / max(np.abs(x.samples).max(), 1e-300))

@@ -128,8 +128,8 @@ class TestFmdDecompose:
         fs, n = 2000.0, 4000
         t = np.arange(n) / fs
         x = Signal(np.cos(2 * np.pi * 100 * t) + np.cos(2 * np.pi * 400 * t), fs)
-        d = fmd_decompose(x, [250.0], order=256, part="A")
-        assert d.method == "fmd-A"
+        d = fmd_decompose(x, [250.0], order=256)
+        assert d.method == "fmd-a"
         assert d.n_components == 2
         # oracle: brick-wall spectral split of the same signal
         ref = dft_decompose(x, custom_band_plan([250.0, 1000.0], n, fs))
@@ -139,25 +139,21 @@ class TestFmdDecompose:
         assert cross_high / np.dot(high_ref, high_ref) < 0.01
         assert cross_low / np.dot(low_ref, low_ref) < 0.01
 
-    @pytest.mark.parametrize("part", ["A", "B"])
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
     @pytest.mark.parametrize("n_bands", [2, 5])
-    def test_reconstruction_identity(self, part, n_bands):
+    def test_reconstruction_identity(self, method, n_bands):
         x = gen_noise(NoiseSpec(seed=55, length=4096), 1000.0)
         cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
-        if part == "A":
-            cutoffs = cutoffs[::-1]
-        d = fmd_decompose(x, cutoffs, order=128, part=part)
+        d = fmd_decompose(x, cutoffs, order=128, method=method)
         assert d.n_components == n_bands
         err = np.abs(d.reconstruct() - x.samples).max()
         assert err <= 1e-9 * np.abs(x.samples).max()
 
-    @pytest.mark.parametrize("part", ["A", "B"])
-    def test_linoep_structure(self, part):
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
+    def test_linoep_structure(self, method):
         x = gen_noise(NoiseSpec(seed=56, length=4096), 1000.0)
         cutoffs = BandSpec(bands=5).ladder(x.sample_rate)
-        if part == "A":
-            cutoffs = cutoffs[::-1]
-        d = fmd_decompose(x, cutoffs, order=128, part=part)
+        d = fmd_decompose(x, cutoffs, order=128, method=method)
         report = verify_linoep(d)
         assert report.max_tail_cross <= 1e-8
         assert abs(report.energy_ratio - 1.0) <= 1e-8
@@ -165,7 +161,7 @@ class TestFmdDecompose:
     def test_stage_outputs_orthogonal_to_remainder(self):
         # the mixing coefficient forces <c_i, x_{i+1}> = 0 at every stage
         x = gen_noise(NoiseSpec(seed=57, length=2048), 1000.0)
-        d = fmd_decompose(x, [400.0, 250.0, 100.0], order=64, part="A")
+        d = fmd_decompose(x, [100.0, 250.0, 400.0], order=64)
         comps = d.components
         for i in range(len(comps) - 1):
             tail = np.sum(comps[i + 1 :], axis=0)
@@ -174,7 +170,7 @@ class TestFmdDecompose:
 
     def test_pairwise_orthogonality_of_last_two(self):
         x = gen_noise(NoiseSpec(seed=58, length=2048), 1000.0)
-        d = fmd_decompose(x, [250.0], order=64, part="A")
+        d = fmd_decompose(x, [250.0], order=64)
         c1, c2 = d.components
         denom = np.linalg.norm(c1) * np.linalg.norm(c2)
         assert abs(np.dot(c1, c2)) / denom < 1e-8
@@ -182,7 +178,7 @@ class TestFmdDecompose:
     def test_constant_input_degenerates_gracefully(self):
         # zero detrended signal: every alpha denominator is zero
         x = Signal(np.full(2048, 4.2), 1000.0)
-        d = fmd_decompose(x, [250.0, 100.0], order=64, part="A")
+        d = fmd_decompose(x, [100.0, 250.0], order=64)
         assert d.c0 == pytest.approx(4.2, abs=1e-12)
         for c in d.components:
             assert np.abs(c).max() < 1e-12
@@ -195,16 +191,16 @@ class TestFmdDecompose:
             freqs = np.fft.rfftfreq(c.size, 1 / 1000.0)
             return float((freqs * power).sum() / power.sum())
 
-        down = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0)[::-1], order=128, part="A")
+        down = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0), order=128, method="fmd-a")
         cents = [centroid(c) for c in down.components]
         assert all(a > b for a, b in zip(cents, cents[1:]))
-        up = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0), order=128, part="B")
+        up = fmd_decompose(x, BandSpec(bands=5).ladder(1000.0), order=128, method="fmd-b")
         cents = [centroid(c) for c in up.components]
         assert all(a < b for a, b in zip(cents, cents[1:]))
 
     def test_causal_mode_tag_and_reconstruction(self):
         x = gen_noise(NoiseSpec(seed=60, length=2048), 1000.0)
-        d = fmd_decompose(x, [250.0], order=64, part="A", filtering="causal")
+        d = fmd_decompose(x, [250.0], order=64, method="causal-fir")
         assert d.method == "causal-fir"
         err = np.abs(d.reconstruct() - x.samples).max()
         assert err <= 1e-9 * np.abs(x.samples).max()
@@ -212,24 +208,31 @@ class TestFmdDecompose:
             verify_linoep(d)
 
     def test_cutoff_direction_validation(self):
+        # every method takes the ladder increasing, as BandSpec.ladder gives it
         x = gen_noise(NoiseSpec(seed=61, length=2048), 1000.0)
-        with pytest.raises(ValueError, match="decreasing"):
-            fmd_decompose(x, [100.0, 250.0], order=64, part="A")
-        with pytest.raises(ValueError, match="increasing"):
-            fmd_decompose(x, [250.0, 100.0], order=64, part="B")
+        for method in ("fmd-a", "fmd-b", "causal-fir"):
+            for cutoffs in ([250.0, 100.0], [100.0, 100.0]):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    fmd_decompose(x, cutoffs, order=64, method=method)
+
+    @pytest.mark.parametrize("method", ["A", "B", "fmd-A", "zero-phase", "causal"])
+    def test_only_cli_method_names(self, method):
+        x = gen_noise(NoiseSpec(seed=61, length=2048), 1000.0)
+        with pytest.raises(ValueError, match="'fmd-a', 'fmd-b' or 'causal-fir'"):
+            fmd_decompose(x, [250.0], order=64, method=method)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("part", ["A", "B"])
-    def test_overflowing_energy_rejected(self, part):
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
+    def test_overflowing_energy_rejected(self, method):
         # refused up front, without numpy warnings, for either ladder direction
         x = Signal(1e200 * np.cos(2 * np.pi * np.arange(512) / 16), 100.0)
         with pytest.raises(ValueError, match="overflows float64"):
-            fmd_decompose(x, [25.0], order=16, part=part)
+            fmd_decompose(x, [25.0], order=16, method=method)
 
     @pytest.mark.filterwarnings("error")
     def test_verify_overflowing_energy_rejected(self):
         big = 1e200 * np.cos(2 * np.pi * np.arange(512) / 16)
-        d = Decomposition(0.0, [big, big / 2], "fmd-A", 100.0)
+        d = Decomposition(0.0, [big, big / 2], "fmd-a", 100.0)
         with pytest.raises(ValueError, match="overflows float64"):
             verify_linoep(d)
 

@@ -285,7 +285,8 @@ class TestIncrementPath:
         bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
         dft_decompose(x, BandPlan((0, 800, 1200, 2000, 4000), 8000, 8000.0), bands.append)
         for a in bands:
-            keep = a.envelope > 0.1 * a.envelope.max()
+            envelope = np.abs(a.z)
+            keep = envelope > 0.1 * envelope.max()
             got = if_track(a, scheme).frequency_hz
             want = four_pass_if(a.z, a.sample_rate, scheme.value)
             assert np.abs(got - want)[keep].max() <= 1e-8

@@ -11,9 +11,8 @@ from tfekit import (
     IFTrack,
     TFEAccumulator,
     TFEGrid,
-    build_tfe,
+    TrackCsvWriter,
     export_grid_csv,
-    export_track_csv,
     gen_chirp,
     gen_delta,
     if_track,
@@ -23,11 +22,26 @@ from tfekit import (
 )
 
 
+def _accumulate(tracks, time_bins=400, freq_bins=250):
+    """The grid of `tracks`, deposited one at a time."""
+    acc = TFEAccumulator(len(tracks[0]), tracks[0].sample_rate, time_bins, freq_bins)
+    for tr in tracks:
+        acc.add(tr)
+    return acc.grid()
+
+
+def _write_tracks(tracks, path):
+    with open(path, "w") as fh:
+        out = TrackCsvWriter(fh)
+        for tr in tracks:
+            out.write(tr)
+
+
 class TestBuildTfe:
     def test_pure_tone_single_row(self):
         fs = 8000.0
         track = if_track(gen_chirp(1000, 1000, 1.0, fs))  # Fs/8
-        grid = build_tfe([track], time_bins=40, freq_bins=50)
+        grid = _accumulate([track], time_bins=40, freq_bins=50)
         marginal = grid.energy.sum(axis=0)
         row = np.searchsorted(grid.freq_edges, 1000.0, "right") - 1
         assert marginal[row] == pytest.approx(grid.total_energy, rel=1e-9)
@@ -35,7 +49,7 @@ class TestBuildTfe:
     def test_delta_concentrated(self):
         fs, n0 = 1000.0, 1999
         track = if_track(gen_delta(n0, 4000, fs))
-        grid = build_tfe([track], time_bins=400, freq_bins=250)
+        grid = _accumulate([track], time_bins=400, freq_bins=250)
         freq_marginal = grid.energy.sum(axis=0)
         quarter_row = np.searchsorted(grid.freq_edges, fs / 4, "right") - 1
         assert freq_marginal.argmax() == quarter_row
@@ -48,7 +62,7 @@ class TestBuildTfe:
     def test_energy_conserved_exactly(self):
         tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
                   if_track(gen_chirp(300, 500, 1.0, 2000.0))]
-        grid = build_tfe(tracks, time_bins=37, freq_bins=101)
+        grid = _accumulate(tracks, time_bins=37, freq_bins=101)
         # oracle: compensated summation over raw track energies
         expected = math.fsum(float(v) for tr in tracks for v in tr.energy)
         assert abs(grid.total_energy - expected) <= 1e-10 * expected
@@ -56,21 +70,21 @@ class TestBuildTfe:
     def test_order_invariance(self):
         a = if_track(gen_chirp(100, 900, 1.0, 2000.0))
         b = if_track(gen_chirp(300, 500, 1.0, 2000.0))
-        g1 = build_tfe([a, b], 20, 20)
-        g2 = build_tfe([b, a], 20, 20)
+        g1 = _accumulate([a, b], 20, 20)
+        g2 = _accumulate([b, a], 20, 20)
         assert np.allclose(g1.energy, g2.energy, rtol=0, atol=1e-12 * g1.total_energy)
 
     def test_refinement_preserves_total(self):
         track = if_track(gen_chirp(100, 900, 1.0, 2000.0))
-        base = build_tfe([track], 40, 25).total_energy
-        assert build_tfe([track], 80, 25).total_energy == pytest.approx(base, rel=1e-12)
-        assert build_tfe([track], 40, 50).total_energy == pytest.approx(base, rel=1e-12)
+        base = _accumulate([track], 40, 25).total_energy
+        assert _accumulate([track], 80, 25).total_energy == pytest.approx(base, rel=1e-12)
+        assert _accumulate([track], 40, 50).total_energy == pytest.approx(base, rel=1e-12)
 
     def test_boundary_frequencies(self):
         # 0 maps to the lowest bin, Fs/2 to the top bin, out-of-range clamps
         fs = 100.0
         track = IFTrack(np.array([0.0, 50.0, -3.0, 60.0]), np.ones(4), fs)
-        grid = build_tfe([track], time_bins=1, freq_bins=10)
+        grid = _accumulate([track], time_bins=1, freq_bins=10)
         assert grid.energy[0, 0] == 2.0  # 0 Hz and the clamped -3 Hz
         assert grid.energy[0, -1] == 2.0  # Nyquist and the clamped 60 Hz
         assert grid.total_energy == 4.0
@@ -80,7 +94,7 @@ class TestBuildTfe:
                   if_track(gen_chirp(300, 500, 1.0, 2000.0)),
                   IFTrack(np.linspace(-10.0, 1100.0, 2000), np.full(2000, 0.5), 2000.0)]
         for bins in ((400, 250), (7, 13), (1, 1)):
-            got = build_tfe(tracks, *bins)
+            got = _accumulate(tracks, *bins)
             want = oracles.build_tfe(tracks, *bins)
             assert got.energy.tobytes() == want.energy.tobytes()
             assert np.array_equal(got.time_edges, want.time_edges)
@@ -110,8 +124,8 @@ class TestBuildTfe:
         acc.add(tracks[0])
         first = acc.grid()
         acc.add(tracks[1])
-        assert first.energy.tobytes() == build_tfe(tracks[:1], 20, 30).energy.tobytes()
-        assert acc.grid().energy.tobytes() == build_tfe(tracks, 20, 30).energy.tobytes()
+        assert first.energy.tobytes() == oracles.build_tfe(tracks[:1], 20, 30).energy.tobytes()
+        assert acc.grid().energy.tobytes() == oracles.build_tfe(tracks, 20, 30).energy.tobytes()
         with pytest.raises(ValueError, match="share"):
             acc.add(if_track(gen_chirp(100, 400, 1.0, 1000.0)))
 
@@ -122,13 +136,13 @@ class TestBuildTfe:
 
     def test_mismatched_tracks_rejected(self):
         a = if_track(gen_chirp(100, 900, 1.0, 2000.0))
-        b = if_track(gen_chirp(100, 400, 1.0, 1000.0))
+        acc = TFEAccumulator(len(a), a.sample_rate)
+        for b in (if_track(gen_chirp(100, 400, 1.0, 1000.0)),
+                  if_track(gen_chirp(100, 400, 0.5, 2000.0))):
+            with pytest.raises(ValueError, match="share"):
+                acc.add(b)
         with pytest.raises(ValueError):
-            build_tfe([a, b])
-        with pytest.raises(ValueError):
-            build_tfe([])
-        with pytest.raises(ValueError):
-            build_tfe([a], time_bins=0)
+            _accumulate([a], time_bins=0)
 
 
 def _track(n, fs, seed=0):
@@ -155,7 +169,7 @@ class TestTrackCsv:
     @pytest.mark.parametrize("case", sorted(GOLDEN_TRACKS))
     def test_bytes_match_oracle(self, tmp_path, case):
         tracks = GOLDEN_TRACKS[case]
-        export_track_csv(tracks, tmp_path / "got.csv")
+        _write_tracks(tracks, tmp_path / "got.csv")
         oracles.export_track_csv(tracks, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -164,7 +178,7 @@ class TestTrackCsv:
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            export_track_csv(tracks, path)
+            _write_tracks(tracks, path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -174,14 +188,14 @@ class TestTrackCsv:
         tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
                   if_track(gen_chirp(300, 500, 0.5, 2000.0))]
         path = tmp_path / "tracks.csv"
-        export_track_csv(tracks, path)
+        _write_tracks(tracks, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,frequency_hz,energy"
         assert len(lines) - 1 == sum(len(t) for t in tracks)
 
     def test_empty_track_list(self, tmp_path):
         path = tmp_path / "empty.csv"
-        export_track_csv([], path)
+        _write_tracks([], path)
         assert path.read_text() == "time_s,frequency_hz,energy\n"
         t, f, e = load_track_csv(path)
         assert t.size == f.size == e.size == 0
@@ -189,7 +203,7 @@ class TestTrackCsv:
     def test_round_trip_values(self, tmp_path):
         track = if_track(gen_chirp(100, 900, 1.0, 2000.0))
         path = tmp_path / "t.csv"
-        export_track_csv([track], path)
+        _write_tracks([track], path)
         t, f, e = load_track_csv(path)
         assert np.array_equal(f, track.frequency_hz)
         assert np.array_equal(e, track.energy)
@@ -205,8 +219,8 @@ class TestTrackCsv:
 _CHIRP_TRACK = if_track(gen_chirp(100, 900, 1.0, 2000.0))
 
 GOLDEN_GRIDS = {
-    "one-time-bin": build_tfe([_CHIRP_TRACK], 1, 13),
-    "seven-time-bins": build_tfe([_CHIRP_TRACK], 7, 13),
+    "one-time-bin": _accumulate([_CHIRP_TRACK], 1, 13),
+    "seven-time-bins": _accumulate([_CHIRP_TRACK], 7, 13),
     "edge-values": TFEGrid([0.0, 0.5, 1.0], [0.0, 25.0, 50.0],
                            [[0.0, 5e-324], [1e300, 2.0]]),
 }
@@ -222,7 +236,7 @@ class TestGridCsv:
 
     def test_round_trip(self, tmp_path):
         track = if_track(gen_chirp(100, 900, 1.0, 2000.0))
-        grid = build_tfe([track], 25, 40)
+        grid = _accumulate([track], 25, 40)
         path = tmp_path / "grid.csv"
         export_grid_csv(grid, path)
         back = load_grid_csv(path)
@@ -232,7 +246,7 @@ class TestGridCsv:
 
     def test_layout(self, tmp_path):
         track = if_track(gen_chirp(100, 900, 1.0, 2000.0))
-        grid = build_tfe([track], 4, 3)
+        grid = _accumulate([track], 4, 3)
         path = tmp_path / "g.csv"
         export_grid_csv(grid, path)
         lines = path.read_text().splitlines()
@@ -246,3 +260,26 @@ class TestGridCsv:
         path.write_text("1,2\n3,4\n5\n")
         with pytest.raises(ValueError, match="corner"):
             load_grid_csv(path)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GRIDS))
+    def test_round_trip_bit_exact(self, tmp_path, case):
+        grid = GOLDEN_GRIDS[case]
+        export_grid_csv(grid, tmp_path / "g.csv")
+        back = load_grid_csv(tmp_path / "g.csv")
+        for got, want in ((back.energy, grid.energy), (back.time_edges, grid.time_edges),
+                          (back.freq_edges, grid.freq_edges)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        (",0,25,50\n0,1,2\n0.5,3\n1\n", "grid row 2 has 2 fields, expected 3"),
+        (",0,25,50\n0,1,2\n0.5,3,4,5\n1\n", "grid row 2 has 4 fields, expected 3"),
+        (",0,25,50\n0,1,x\n0.5,3,4\n1\n", "could not convert string to float: 'x'"),
+        (",0,y,50\n0,1,2\n0.5,3,4\n1\n", "could not convert string to float: 'y'"),
+        (",0,25,50\n0,1,2\n0.5,3,4\n1,5\n", "could not convert string to float: '1,5'"),
+    ], ids=["short-row", "long-row", "bad-cell", "bad-frequency-edge", "bad-closing-edge"])
+    def test_malformed_grid_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_grid_csv(path)
+        assert str(err.value) == f"{path}: {message}"
