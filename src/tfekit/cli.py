@@ -240,12 +240,12 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
     return settings
 
 
-def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposition | None, dict]:
-    """Decompose as the settings ask and verify the result.
+def _resolve_bands(signal: Signal, settings: dict):
+    """Check the settings against the signal and resolve their band plan.
 
-    Returns the decomposition (None for method 'none') and the verification
-    diagnostics. The DFT bank hands each band's analytic signal to
-    `consumer`, when given, as it makes the band.
+    Returns None for method 'none', the bin plan for 'dft' and the FIR
+    cutoff ladder for the other methods; raises ValueError on any setting
+    that does not fit, before anything is computed.
     """
     method = settings["method"]
     spec = BandSpec.from_settings(settings["bands"], settings["cutoffs"], settings["plan"])
@@ -256,18 +256,32 @@ def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposi
     if method in ("none", "dft") and settings["order"] is not None:
         raise ValueError(f"method {method!r} takes no FIR order; --order applies to "
                          "fmd-a, fmd-b and causal-fir")
+    if method == "none":
+        return None
+    if method == "dft":
+        return spec.plan(len(signal), signal.sample_rate)
+    return spec.ladder(signal.sample_rate)
+
+
+def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposition | None, dict]:
+    """Decompose as the settings ask and verify the result.
+
+    Returns the decomposition (None for method 'none') and the verification
+    diagnostics. The DFT bank hands each band's analytic signal to
+    `consumer`, when given, as it makes the band.
+    """
+    method = settings["method"]
+    bands = _resolve_bands(signal, settings)
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
         return None, checks
     if method == "dft":
-        plan = spec.plan(len(signal), signal.sample_rate)
         # the overflow verify_orthogonality would report, before any band is tracked
         finite_energy(signal.samples)
-        decomposition = dft_decompose(signal, plan, consumer)
+        decomposition = dft_decompose(signal, bands, consumer)
     else:
         order = {} if settings["order"] is None else {"order": settings["order"]}
-        decomposition = fmd_decompose(signal, spec.ladder(signal.sample_rate), **order,
-                                      method=method)
+        decomposition = fmd_decompose(signal, bands, **order, method=method)
     err = np.abs(decomposition.reconstruct() - signal.samples).max()
     checks["reconstruction_error"] = float(err / max(np.abs(signal.samples).max(), 1e-300))
     if method == "dft":
@@ -405,10 +419,14 @@ def cmd_compare(args) -> int:
     ridge_fn = FIXTURES[fixture][2] if fixture is not None else None
     ridges = ridge_fn(params) if ridge_fn is not None else None
     report = {"schema": COMPARE_SCHEMA, "sides": {}}
-    for side in ("a", "b"):
+    sides = {side: _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
+             for side in ("a", "b")}
+    for settings in sides.values():
+        # either side's settings error, before side a writes anything
+        _resolve_bands(signal, settings)
+    for side, settings in sides.items():
         # checks the bin counts before side a is decomposed
         grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
-        settings = _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
         diagnostics, ridge_error = _run_analysis(signal, settings, grid, ridges=ridges)
         grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
         export_grid_csv(grid.grid(), grid_path)

@@ -1,16 +1,23 @@
 """FIR filtering and filter-mode decomposition into energy-preserving components.
 
 The decomposition peels off one frequency band per stage with a zero-phase
-(forward-backward) FIR filter and then orthogonalizes the stage output
-against everything that remains. The resulting components are linearly
-independent, generally non-orthogonal pairwise, but each one is exactly
-orthogonal to the sum of all later ones, so their energies add up to the
-energy of the mean-removed input.
+FIR filter and then orthogonalizes the stage output against everything
+that remains. The resulting components are linearly independent, generally
+non-orthogonal pairwise, but each one is exactly orthogonal to the sum of
+all later ones, so their energies add up to the energy of the mean-removed
+input.
+
+Zero-phase filtering applies the taps' power response |H|^2: the
+reflection-padded input is cut into overlapping blocks, each block's real
+FFT is multiplied by the real |H|^2 and transformed back (overlap-save).
+A real response has exactly zero phase, and the result is the
+forward-backward filter's to rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import Decomposition
 from .signals import Signal, finite_energy, remove_mean
@@ -94,42 +101,65 @@ def design_fir(kind: str, cutoff_hz: float, order: int, sample_rate: float) -> F
     return FirFilter(taps, kind)
 
 
-def _reflect_pad(samples: np.ndarray, pad: int) -> np.ndarray:
-    # mirror without repeating the edge sample
-    return np.concatenate([samples[1 : pad + 1][::-1], samples, samples[-2 : -pad - 2 : -1]])
+def _check_length(n: int, taps: np.ndarray, what: str) -> None:
+    if n <= 3 * taps.size:
+        raise ValueError(
+            f"signal of {n} samples too short for {what} with "
+            f"{taps.size} taps (need > {3 * taps.size})"
+        )
 
 
 def _causal(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     # zero initial state, same-length output
+    _check_length(samples.size, taps, "filtering")
     return np.convolve(samples, taps)[: samples.size]
 
 
-def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
-    """Forward-backward filtering: magnitude |H|^2, exactly zero phase.
+def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # Forward-backward filtering of the padded input, trimmed back to N
+    # samples, is the linear convolution with the autocorrelation g of the
+    # taps: 2*order+1 taps centred on lag 0, response |H|^2. Overlap-save
+    # runs it on frames of `block` samples taken every `step`; frame k's
+    # outputs order..block-order-1 are free of circular wrap and are output
+    # samples k*step onwards.
+    _check_length(samples.size, taps, "forward-backward filtering")
+    n, order = samples.size, taps.size - 1
+    # a power of two at least 8 times the kernel's 2*order span, so that
+    # wrap-around costs at most an eighth of each transform
+    block = 4096
+    while block < 16 * order:
+        block *= 2
+    step = block - 2 * order
+    frames = -(-n // step)
+    padded = np.empty((frames - 1) * step + block)
+    # reflection padding: mirror without repeating the edge sample
+    padded[:order] = samples[order:0:-1]
+    padded[order : order + n] = samples
+    padded[order + n : n + 2 * order] = samples[-2 : -order - 2 : -1]
+    padded[n + 2 * order :] = 0.0
+    spectrum = np.fft.rfft(sliding_window_view(padded, block)[::step], axis=1)
+    response = np.fft.rfft(taps, block)
+    spectrum *= response.real**2 + response.imag**2
+    out = np.fft.irfft(spectrum, block, axis=1)[:, order : order + step]
+    return out.reshape(-1)[:n]
 
-    The input is reflection-padded by order samples each side, filtered,
-    reversed, filtered again, reversed and trimmed, so passband features
-    keep their sample positions exactly.
+
+def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
+    """Zero-phase filtering: magnitude |H|^2, exactly zero phase.
+
+    The input is reflection-padded by order samples each side and
+    convolved with the taps' autocorrelation, the impulse response of
+    |H|^2, by overlap-save block FFTs. That is the forward-backward
+    filter's output (filter, reverse, filter, reverse, trim) to rounding;
+    the response is real, so passband features keep their sample
+    positions exactly. The block length is the smallest power of two
+    >= max(4096, 16 * order).
     """
-    if len(x) <= 3 * h.taps.size:
-        raise ValueError(
-            f"signal of {len(x)} samples too short for forward-backward "
-            f"filtering with {h.taps.size} taps (need > {3 * h.taps.size})"
-        )
-    pad = h.taps.size - 1
-    xp = _reflect_pad(x.samples, pad)
-    forward = _causal(xp, h.taps)
-    backward = _causal(forward[::-1], h.taps)[::-1]
-    return Signal(backward[pad : pad + len(x)], x.sample_rate)
+    return Signal(_zero_phase(x.samples, h.taps), x.sample_rate)
 
 
 def causal_filter(x: Signal, h: FirFilter) -> Signal:
     """Single forward pass; a passband tone comes out delayed by order/2 samples."""
-    if len(x) <= 3 * h.taps.size:
-        raise ValueError(
-            f"signal of {len(x)} samples too short for filtering with "
-            f"{h.taps.size} taps (need > {3 * h.taps.size})"
-        )
     return Signal(_causal(x.samples, h.taps), x.sample_rate)
 
 
@@ -182,27 +212,27 @@ def fmd_decompose(
 
     c0, detrended = remove_mean(x)
     alpha_floor = 1e-14 * finite_energy(detrended.samples)
-    apply_filter = causal_filter if method == "causal-fir" else zero_phase_filter
+    apply_filter = _causal if method == "causal-fir" else _zero_phase
     stage_kind = "highpass" if part_a else "lowpass"
 
-    current = detrended
+    current = detrended.samples
     components = np.empty((len(cutoffs) + 1, len(x)))
     for component, cutoff in zip(components, cutoffs):
         h = design_fir(stage_kind, cutoff, order, x.sample_rate)
-        y = apply_filter(current, h).samples
-        r = current.samples - y
+        y = apply_filter(current, h.taps)
+        r = current - y
         if part_a:
             denom = float(np.dot(r, r))
             alpha = float(np.dot(y, r)) / denom if denom > alpha_floor else 0.0
             np.subtract(y, alpha * r, out=component)
-            passed_on = (1 + alpha) * r
+            r *= 1 + alpha
         else:
             denom = float(np.dot(y, y))
             alpha = float(np.dot(r, y)) / denom if denom > alpha_floor else 0.0
             np.multiply(1 + alpha, y, out=component)
-            passed_on = r - alpha * y
-        current = Signal(passed_on, x.sample_rate)
-    components[-1] = current.samples
+            r -= alpha * y
+        current = r
+    components[-1] = current
     return Decomposition(c0, components, method, x.sample_rate)
 
 

@@ -44,29 +44,28 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
         file has no header.
     """
     path = Path(path)
+    lines = list(map(str.strip, path.read_text().splitlines()))
+    kept = [line for line in lines if line and line[0] != "#"]
+    # the comment lines are few: scan for them only up to the last one
+    comments = len(lines) - len(kept) - lines.count("")
     header_rate = None
-    lines = path.read_text().splitlines()
-    kept = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        if not comments:
+            break
+        if line[:1] == "#":
+            comments -= 1
             key, _, val = line.lstrip("# ").partition("=")
             if key.strip() == "sample_rate":
                 try:
                     header_rate = float(val)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad sample_rate value {val!r}") from None
-            continue
-        kept.append(line)
     try:
         # numpy parses each string as float() does, in one call
         values = np.array(kept, dtype=np.float64)
     except ValueError:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
+        for lineno, line in enumerate(lines, start=1):
+            if line and line[0] != "#":
                 try:
                     float(line)
                 except ValueError:

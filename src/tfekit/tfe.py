@@ -127,14 +127,25 @@ class TrackCsvWriter:
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a triplet CSV back as (time_s, frequency_hz, energy) arrays."""
+    """Read a triplet CSV back as (time_s, frequency_hz, energy) arrays.
+
+    A row without exactly three fields, or a field that is not a number,
+    raises ValueError naming the file.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != TRACK_HEADER:
         raise ValueError(f"{path}: missing triplet header {TRACK_HEADER!r}")
     rows = [line.split(",") for line in lines[1:] if line.strip()]
     if not rows:
         return np.array([]), np.array([]), np.array([])
-    data = np.array(rows, dtype=np.float64)
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 3:
+            raise ValueError(f"{path}: track row {i} has {len(row)} fields, expected 3")
+    try:
+        # numpy parses each string as float() does, in one call
+        data = np.array(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return data[:, 0], data[:, 1], data[:, 2]
 
 

@@ -12,8 +12,10 @@ one-sided bank must match it component by component), and the list-based
 grid and stacked Gram check that held every track and a second
 copy of the components at once (the streaming CLI must match their bytes),
 the analytic signal as two complex transforms (the real-transform
-quadrature must match it to rounding) and the boolean-index phase fold (the
-masked fold must match its bits).
+quadrature must match it to rounding), the boolean-index phase fold (the
+masked fold must match its bits) and zero-phase filtering as two
+time-domain convolutions with a reversal between them (the block-FFT
+filter must match it to rounding).
 """
 
 from pathlib import Path
@@ -24,6 +26,7 @@ from tfekit import (
     AnalyticSignal,
     BandPlan,
     Decomposition,
+    FirFilter,
     OrthogonalityReport,
     Signal,
     TFEGrid,
@@ -178,6 +181,16 @@ def save_csv(x, path) -> None:
     lines = [f"# sample_rate={x.sample_rate:.17g}"]
     lines.extend(f"{v:.17g}" for v in x.samples)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
+    """Forward-backward filtering: reflection-pad by order samples each side,
+    filter, reverse, filter again, reverse and trim."""
+    pad = h.taps.size - 1
+    xp = np.pad(x.samples, pad, mode="reflect")
+    forward = np.convolve(xp, h.taps)[: xp.size]
+    backward = np.convolve(forward[::-1], h.taps)[: xp.size][::-1]
+    return Signal(backward[pad : pad + len(x)], x.sample_rate)
 
 
 def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:

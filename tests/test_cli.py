@@ -295,6 +295,18 @@ class TestMethodSettings:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: method ")
 
+    @pytest.mark.parametrize("side_b", [
+        ["--b-method", "none", "--b-order", "64"],
+        ["--b-method", "fmd-a"],
+        ["--b-method", "fmd-b", "--b-cutoffs", "500,300,4000"],
+    ], ids=["order-for-none", "no-band-plan", "bad-cutoffs"])
+    def test_compare_checks_side_b_before_writing(self, workdir, capsys, side_b):
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.1", "--a-method", "dft",
+                   "--a-bands", "4", *side_b, "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("x_*"))
+
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
     def test_default_order_is_256(self, workdir, method):
         for prefix, order in (("default", []), ("explicit", ["--order", "256"])):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tfekit import (
     BandSpec,
     Decomposition,
@@ -16,9 +17,19 @@ from tfekit import (
     gen_chirp,
     gen_noise,
     mix,
+    remove_mean,
     verify_linoep,
     zero_phase_filter,
 )
+
+
+def _block_step(order: int) -> int:
+    # output samples per overlap-save frame: the block is the smallest power
+    # of two >= max(4096, 16 * order), less 2 * order samples of wrap
+    block = 4096
+    while block < 16 * order:
+        block *= 2
+    return block - 2 * order
 
 
 def _response(taps: np.ndarray, freq_hz: float, fs: float) -> complex:
@@ -99,6 +110,25 @@ class TestZeroPhaseFilter:
         h = design_fir("lowpass", 100.0, 64, 1000.0)
         with pytest.raises(ValueError, match="too short"):
             zero_phase_filter(Signal(np.zeros(100), 1000.0), h)
+
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    @pytest.mark.parametrize(
+        "length",
+        ["min", "min+1", "step-1", "step", "step+1", "2step-1", "2step+1"],
+    )
+    def test_matches_forward_backward_oracle(self, order, length):
+        # edges of the frame grid, odd and even N; order 1024 needs a longer block
+        taps = order + 1
+        step = _block_step(order)
+        n = {"min": 3 * taps + 1, "min+1": 3 * taps + 2, "step-1": step - 1, "step": step,
+             "step+1": step + 1, "2step-1": 2 * step - 1, "2step+1": 2 * step + 1}[length]
+        rng = np.random.default_rng(order + n)
+        x = Signal(rng.standard_normal(n) + 0.5, 1000.0)
+        h = design_fir("highpass", 120.0, order, 1000.0)
+        got = zero_phase_filter(x, h).samples
+        want = oracles.zero_phase_filter(x, h).samples
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(x.samples).max()
 
 
 class TestCausalFilter:
@@ -206,6 +236,33 @@ class TestFmdDecompose:
         assert err <= 1e-9 * np.abs(x.samples).max()
         with pytest.raises(ValueError, match="fmd"):
             verify_linoep(d)
+
+    def test_causal_ladder_matches_causal_filter_bits(self):
+        # the array ladder does the arithmetic of one built from causal_filter
+        x = gen_noise(NoiseSpec(seed=63, mean=0.3, length=3000), 1000.0)
+        cutoffs, order = [80.0, 200.0, 330.0], 64
+        c0, current = remove_mean(x)
+        floor = 1e-14 * current.energy
+        want = []
+        for cutoff in reversed(cutoffs):
+            y = causal_filter(current, design_fir("highpass", cutoff, order, 1000.0)).samples
+            r = current.samples - y
+            denom = float(np.dot(r, r))
+            alpha = float(np.dot(y, r)) / denom if denom > floor else 0.0
+            want.append(y - alpha * r)
+            current = Signal((1 + alpha) * r, 1000.0)
+        want.append(current.samples)
+        d = fmd_decompose(x, cutoffs, order=order, method="causal-fir")
+        assert d.c0 == c0
+        assert d.components.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
+    def test_short_input_refused_only_when_a_stage_runs(self, method):
+        x = gen_noise(NoiseSpec(seed=64, mean=1.0, length=100), 1000.0)
+        d = fmd_decompose(x, [], order=256, method=method)
+        assert np.array_equal(d.components, [x.samples - d.c0])
+        with pytest.raises(ValueError, match=r"too short .* \(need > 771\)"):
+            fmd_decompose(x, [250.0], order=256, method=method)
 
     def test_cutoff_direction_validation(self):
         # every method takes the ladder increasing, as BandSpec.ladder gives it

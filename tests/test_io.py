@@ -88,6 +88,13 @@ class TestCsv:
         assert y.sample_rate == 250.0
         assert y.samples.tolist() == [1.5, -2e-3, 0.1, 7.0]
 
+    def test_last_header_wins_wherever_it_is(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("# sample_rate=100\n1.0\n# note=x\n2.0\n  # sample_rate = 300\n")
+        y = load_csv(path)
+        assert y.sample_rate == 300.0
+        assert y.samples.tolist() == [1.0, 2.0]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# sample_rate=100\n")

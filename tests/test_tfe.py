@@ -215,6 +215,18 @@ class TestTrackCsv:
         with pytest.raises(ValueError, match="header"):
             load_track_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,1,2\n0.5,3\n", "track row 2 has 2 fields, expected 3"),
+        ("0,1,2\n0.5,3,4,5\n", "track row 2 has 4 fields, expected 3"),
+        ("0,1,2\n0.5,x,4\n", "could not convert string to float: 'x'"),
+    ], ids=["short-row", "long-row", "bad-field"])
+    def test_malformed_tracks_name_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,frequency_hz,energy\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_track_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 _CHIRP_TRACK = if_track(gen_chirp(100, 900, 1.0, 2000.0))
 
