@@ -9,7 +9,7 @@ spectral masking (orthogonal components) or by an iterative zero-phase
 FIR ladder (energy-preserving, tail-orthogonal components).
 """
 
-from .analytic import AnalyticSignal, analytic_signal, one_sided
+from .analytic import AnalyticSignal, IFWorkspace, analytic_signal, one_sided
 from .filterbank import (
     BandPlan,
     BandSpec,
@@ -63,6 +63,7 @@ __all__ = [
     "DiffScheme",
     "FirFilter",
     "IFTrack",
+    "IFWorkspace",
     "LinoepReport",
     "NoiseSpec",
     "OrthogonalityReport",

@@ -7,6 +7,11 @@ real part equals the input and the imaginary part is its quadrature.
 :func:`analytic_signal` keeps the input as the real part and takes the
 quadrature from one real transform pair; kept to a run of bins,
 :func:`one_sided` gives one band of the DFT filter bank.
+
+An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
+path (spectrum, then energies; ``z``; phase increments, then frequencies;
+a mask), so that tracking many components of one length touches the same
+memory instead of mapping fresh pages for every one.
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,7 @@ from .signals import Signal
 
 __all__ = [
     "one_sided",
+    "IFWorkspace",
     "AnalyticSignal",
     "analytic_signal",
 ]
@@ -42,7 +48,36 @@ def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
         z[0] = spectrum[0]
     if 2 * hi == n:
         z[hi] = spectrum[hi]
-    return np.fft.ifft(z, norm="forward")
+    # in place: the masked spectrum's memory becomes the band's own z
+    return np.fft.ifft(z, norm="forward", out=z)
+
+
+class IFWorkspace:
+    """The reusable arrays of the IF path for signals of `n` samples.
+
+    * `spectrum`: the n//2+1 bins of the real transform; once the
+      quadrature is made, its memory holds the n floats of `energy`;
+    * `z`: the analytic signal;
+    * `frequency`: the inverse transform's output, then the phase
+      increments, folded in place into the frequencies;
+    * `mask`: n booleans for the folds.
+
+    Every result built in a workspace is a view of these arrays and is
+    overwritten when the workspace is used again. The arrays are made
+    empty, so memory is committed only as the first use touches it.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+        self.z = np.empty(n, dtype=np.complex128)
+        self.frequency = np.empty(n)
+        self.mask = np.empty(n, dtype=bool)
+
+    @property
+    def energy(self) -> np.ndarray:
+        """n floats on the spectrum's memory (2*(n//2+1) >= n floats)."""
+        return self.spectrum.view(np.float64)[: self.n]
 
 
 @dataclass(frozen=True)
@@ -57,20 +92,31 @@ class AnalyticSignal:
     z: np.ndarray
     sample_rate: float
 
-    def increments(self) -> np.ndarray:
+    def increments(self, out=None, mask=None) -> np.ndarray:
         """The N-1 increments of the four-quadrant phase of `z`, radians in (-pi, pi].
 
         Differences of `np.angle(z)` folded by +-2pi: no unwrapped phase is
         built, and the angles, unlike a product z[n+1]*conj(z[n]), neither
         underflow nor overflow at any finite amplitude.
+
+        `out`, N floats, receives the N angles and then, differenced in
+        place, the increments in ``out[:-1]``, which is returned; `mask`,
+        at least N-1 booleans, holds the folds' conditions. Either is made
+        when not given.
         """
-        d = np.diff(np.angle(self.z))
-        np.subtract(d, 2 * np.pi, out=d, where=d > np.pi)
-        np.add(d, 2 * np.pi, out=d, where=d <= -np.pi)
+        n = self.z.size
+        out = np.empty(n) if out is None else out
+        mask = np.empty(n - 1, dtype=bool) if mask is None else mask[: n - 1]
+        np.arctan2(self.z.imag, self.z.real, out=out)  # np.angle(z), in place
+        d = out[:-1]
+        # each angle is read before its slot is written, so no copy is made
+        np.subtract(out[1:], d, out=d)
+        np.subtract(d, 2 * np.pi, out=d, where=np.greater(d, np.pi, out=mask))
+        np.add(d, 2 * np.pi, out=d, where=np.less_equal(d, -np.pi, out=mask))
         return d
 
 
-def analytic_signal(x: Signal) -> AnalyticSignal:
+def analytic_signal(x: Signal, workspace: IFWorkspace | None = None) -> AnalyticSignal:
     """Construct the analytic signal of `x`, at least 4 samples.
 
     The real part is `x.samples`, bit for bit. The quadrature is
@@ -78,19 +124,27 @@ def analytic_signal(x: Signal) -> AnalyticSignal:
     zeroed: the imaginary part of :func:`one_sided` on bins 0..floor(N/2),
     from one real transform pair instead of two complex ones. An all-zero
     input yields an all-zero `z` and zero increments.
+
+    The transforms run in the arrays of `workspace`, an
+    :class:`IFWorkspace` of N samples, made fresh when not given: the
+    result's `z` is the workspace's and holds until its next use.
     """
     samples = x.samples
     n = samples.size
     if n < 4:
         raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
-    spectrum = np.fft.rfft(samples)
+    ws = IFWorkspace(n) if workspace is None else workspace
+    if ws.n != n:
+        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    spectrum = np.fft.rfft(samples, out=ws.spectrum)
     # numpy's irfft drops the imaginary part of these self-conjugate bins
     # anyway; zeroed here so the quadrature does not rest on that
     spectrum[0] = 0.0
     if n % 2 == 0:
         spectrum[-1] = 0.0
     spectrum *= -1j
-    z = np.empty(n, dtype=np.complex128)
-    z.real = samples
-    z.imag = np.fft.irfft(spectrum, n)
-    return AnalyticSignal(z, x.sample_rate)
+    # into contiguous memory first: a strided out=z.imag would be buffered
+    quadrature = np.fft.irfft(spectrum, n, out=ws.frequency)
+    ws.z.real = samples
+    ws.z.imag = quadrature
+    return AnalyticSignal(ws.z, x.sample_rate)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analytic import IFWorkspace
 from .filterbank import BandSpec, Decomposition, dft_decompose, verify_orthogonality
 from .fmd import fmd_decompose, verify_linoep
 from .instfreq import DiffScheme, if_track
@@ -305,7 +306,9 @@ def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=No
 
     The sink deposits the track into `grid`, appends its rows through
     `write` when one is given, and adds the track to the per-track figures;
-    no list of tracks is kept. A DFT band is tracked as the bank makes it,
+    no list of tracks is kept. Every track is made in one IFWorkspace,
+    made with the first track, so `write` gets a track that holds only
+    until the next one. A DFT band is tracked as the bank makes it,
     any other component once the decomposition is verified. Returns the
     diagnostics and, given true `ridges`, the energy-weighted mean distance
     (Hz) between track samples and the nearest ridge, summed in track order.
@@ -314,10 +317,15 @@ def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=No
     if_mode = settings["if"]
     negative_fractions = []
     weighted = total_energy = 0.0
+    workspace = None
 
     def sink(band):
-        nonlocal weighted, total_energy
-        track = if_track(band, scheme, if_mode)
+        nonlocal weighted, total_energy, workspace
+        if workspace is None:
+            # made with the first track, so that its memory is not held
+            # while an FMD ladder runs
+            workspace = IFWorkspace(len(signal))
+        track = if_track(band, scheme, if_mode, workspace)
         grid.add(track)
         if write is not None:
             write(track)
@@ -424,16 +432,21 @@ def cmd_compare(args) -> int:
     for settings in sides.values():
         # either side's settings error, before side a writes anything
         _resolve_bands(signal, settings)
+    # each side's grid is held until both sides have run, so a run-time
+    # error in side b leaves no file either
+    grids = {}
     for side, settings in sides.items():
         # checks the bin counts before side a is decomposed
         grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
         diagnostics, ridge_error = _run_analysis(signal, settings, grid, ridges=ridges)
         grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
-        export_grid_csv(grid.grid(), grid_path)
+        grids[grid_path] = grid.grid()
         entry = {**diagnostics, "grid_csv": str(grid_path)}
         if ridges is not None:
             entry["ridge_error_hz"] = ridge_error
         report["sides"][side] = entry
+    for grid_path, tfe_grid in grids.items():
+        export_grid_csv(tfe_grid, grid_path)
         print(f"wrote {grid_path}")
     report_path = Path(f"{args.out_prefix}_compare.json")
     _write_json(report_path, report)

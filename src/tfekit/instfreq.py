@@ -9,6 +9,9 @@ finite difference -> Hz scaling):
   [0, pi] rad/sample by adding the integer multiple of pi that the
   multivalued inverse tangent permits, so every emitted frequency lies
   in [0, sample_rate/2].
+
+Every step writes through an `out=` argument, so :func:`if_track` fills
+the arrays of one :class:`IFWorkspace` and allocates nothing per sample.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import AnalyticSignal, analytic_signal
+from .analytic import AnalyticSignal, IFWorkspace, analytic_signal
 from .signals import Signal
 
 __all__ = [
@@ -37,50 +40,71 @@ class DiffScheme(Enum):
     CENTRAL = "central"
 
 
-def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD) -> np.ndarray:
+def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD, out=None) -> np.ndarray:
     """Per-sample phase derivative in rad/sample from the N-1 phase increments.
 
     `increments[n]` is the phase advance from sample n to n+1, as
     :meth:`AnalyticSignal.increments` gives it. Forward differences place
     it at sample n, backward at n+1, central averages the two increments
     around each sample. The result has N samples; boundary samples the
-    scheme cannot compute repeat the nearest computed one.
+    scheme cannot compute repeat the nearest computed one. It is written
+    to `out`, N floats, when given; the increments may be ``out[:-1]``,
+    where `increments` leaves them, and are then overwritten in place.
     """
     d = np.asarray(increments, dtype=np.float64)
     scheme = DiffScheme(scheme)
     min_len = 2 if scheme is DiffScheme.CENTRAL else 1
     if d.size < min_len:
         raise ValueError(f"{scheme.value} differencing needs >= {min_len} increments, got {d.size}")
+    out = np.empty(d.size + 1) if out is None else out
     if scheme is DiffScheme.FORWARD:
-        return np.concatenate([d, d[-1:]])
-    if scheme is DiffScheme.BACKWARD:
-        return np.concatenate([d[:1], d])
-    mid = (d[:-1] + d[1:]) / 2
-    return np.concatenate([mid[:1], mid, mid[-1:]])
+        out[:-1] = d
+        out[-1] = out[-2]
+    elif scheme is DiffScheme.BACKWARD:
+        out[1:] = d
+        out[0] = out[1]
+    else:
+        # the averages land in out[:-2], then shift right by one: with d at
+        # out[:-1], each step reads its slots before it writes them
+        mid = out[:-2]
+        np.add(d[:-1], d[1:], out=mid)
+        mid /= 2
+        out[1:-1] = mid
+        out[0] = out[1]
+        out[-1] = out[-2]
+    return out
 
 
-def conventional_if(diffs, sample_rate: float) -> np.ndarray:
+def conventional_if(diffs, sample_rate: float, out=None) -> np.ndarray:
     """Raw phase derivative scaled to Hz; may be negative.
 
-    Kept as the contrast baseline: f[n] = diffs[n] * sample_rate / (2*pi).
+    Kept as the contrast baseline: f[n] = diffs[n] * sample_rate / (2*pi),
+    written to `out` when given (`diffs` itself may be it).
     """
-    return np.asarray(diffs, dtype=np.float64) * (sample_rate / (2 * np.pi))
+    return np.multiply(np.asarray(diffs, dtype=np.float64), sample_rate / (2 * np.pi), out=out)
 
 
-def positive_if(diffs, sample_rate: float) -> np.ndarray:
+def positive_if(diffs, sample_rate: float, out=None, mask=None) -> np.ndarray:
     """Always-positive instantaneous frequency in Hz.
 
     `diffs` are phase derivatives in [-pi, pi] rad/sample, as
     :func:`phase_diff` gives them. Negative ones get +pi, landing every
     sample in [0, pi]; a Nyquist tone's pi stays pi and reads sample_rate/2
-    (the cap guards against one-ulp scaling overshoot).
+    (the cap guards against one-ulp scaling overshoot). The result is
+    written to `out` when given (`diffs` itself may be it); `mask`, as many
+    booleans, marks the folded samples. Either is made when not given.
     """
     d = np.asarray(diffs, dtype=np.float64)
     if d.size and not (-np.pi <= d.min() and d.max() <= np.pi):  # a NaN fails both
         raise ValueError("phase differences must be finite and within [-pi, pi]")
-    # pi where d < 0, else -0.0, which adds to any d (a -0.0 too) without change
-    omega = np.where(d < 0, np.pi, -0.0)
-    omega += d
+    folded = np.less(d, 0, out=mask)
+    if out is None:
+        omega = d.copy()
+    else:
+        omega = out
+        omega[...] = d
+    # +pi on the negative samples; the others keep their bits, a -0.0 too
+    np.add(omega, np.pi, out=omega, where=folded)
     scale = sample_rate / (2 * np.pi)
     omega *= scale
     # rounding is monotone and omega <= pi, so only pi * scale can overshoot
@@ -102,9 +126,12 @@ class IFTrack:
         e = np.asarray(self.energy, dtype=np.float64)
         if f.size != e.size:
             raise ValueError(f"frequency/energy length mismatch: {f.size} vs {e.size}")
-        if not np.all(np.isfinite(e)):
+        # min and max, not elementwise tests: no temporary per sample;
+        # a NaN fails every comparison
+        lo, hi = (e.min(), e.max()) if e.size else (0.0, 0.0)
+        if not (-np.inf < lo and hi < np.inf):
             raise ValueError("energy must be finite; an envelope above ~1e154 overflows its square")
-        if np.any(e < 0):
+        if lo < 0:
             raise ValueError("energy must be nonnegative")
         object.__setattr__(self, "frequency_hz", f)
         object.__setattr__(self, "energy", e)
@@ -122,6 +149,7 @@ def if_track(
     x: Signal | AnalyticSignal,
     scheme: DiffScheme = DiffScheme.FORWARD,
     mode: str = "positive",
+    workspace: IFWorkspace | None = None,
 ) -> IFTrack:
     """Estimate the instantaneous-frequency track of a signal.
 
@@ -135,20 +163,34 @@ def if_track(
     mode : {'positive', 'conventional'}
         'positive' applies the fold into [0, Fs/2]; 'conventional' keeps the
         sign-indefinite raw derivative.
+    workspace : IFWorkspace, optional
+        Arrays for x's length to compute in; a fresh one is made when not
+        given. A caller tracking many components of one length passes one
+        workspace to every call, so no call maps new memory.
 
     Returns
     -------
     IFTrack
-        Frequencies in Hz and per-sample energy envelope^2, same length as x.
+        Frequencies in Hz and per-sample energy envelope^2, same length as
+        x. Its arrays are the workspace's: a track made in a shared
+        workspace holds only until the next call with that workspace, so
+        copy what must outlive it.
     """
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
-    a = x if isinstance(x, AnalyticSignal) else analytic_signal(x)
-    d = phase_diff(a.increments(), scheme)
-    if mode == "positive":
-        freq = positive_if(d, x.sample_rate)
-    else:
-        freq = conventional_if(d, x.sample_rate)
+    n = x.z.size if isinstance(x, AnalyticSignal) else len(x)
+    ws = IFWorkspace(n) if workspace is None else workspace
+    if ws.n != n:
+        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    a = x if isinstance(x, AnalyticSignal) else analytic_signal(x, ws)
+    # the energy first, with `frequency` free to hold the squared quadrature
+    energy = ws.energy
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
-        energy = a.z.real**2 + a.z.imag**2
+        np.square(a.z.real, out=energy)
+        energy += np.square(a.z.imag, out=ws.frequency)
+    d = phase_diff(a.increments(ws.frequency, ws.mask), scheme, ws.frequency)
+    if mode == "positive":
+        freq = positive_if(d, x.sample_rate, d, ws.mask)
+    else:
+        freq = conventional_if(d, x.sample_rate, d)
     return IFTrack(freq, energy, x.sample_rate)

@@ -7,6 +7,7 @@ are normalized to [-1, 1).
 """
 
 import wave
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,76 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
     sample_rate : float, optional
         Overrides the file's ``# sample_rate=`` header. Required when the
         file has no header.
+
+    A line is a comment when its first non-blank character is ``#``; the
+    last ``# sample_rate=`` header wins wherever it is. Every other
+    non-blank line holds one number as ``float()`` reads it.
     """
     path = Path(path)
+    parsed = _parse_fast(path)
+    header_rate, values = parsed if parsed is not None else _parse_lines(path)
+    rate = sample_rate if sample_rate is not None else header_rate
+    if rate is None:
+        raise ValueError(
+            f"{path}: no '# sample_rate=' header and no sample rate given; "
+            "pass one explicitly (CLI: --fs)"
+        )
+    if not values.size:
+        raise ValueError(f"{path}: no samples found")
+    return Signal(values, rate)
+
+
+# Bytes that the line scan's str.splitlines or str.strip treat otherwise
+# than numpy's reader or bytes.strip do: line breaks besides "\n" and "\r",
+# and ASCII blanks that bytes.strip keeps
+_LINE_SCAN_BYTES = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _parse_fast(path: Path):
+    """(header rate, samples) through numpy's C reader, or None where it cannot decide.
+
+    It decides plain-ASCII files whose every ``#`` opens a comment line and
+    whose every other line holds one number numpy's reader accepts; for
+    any other file, :func:`_parse_lines` names the bad line or reads what
+    ``float()`` accepts and that reader does not (``1_0``, say).
+    """
+    data = path.read_bytes()
+    if not data.isascii() or any(byte in data for byte in _LINE_SCAN_BYTES):
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header_rate = None
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = data.rfind(b"\n", 0, pos) + 1
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        line = data[start:end].strip().decode()
+        if line[0] != "#":  # a '#' after a number: no float() reads it
+            return None
+        key, _, val = line.lstrip("# ").partition("=")
+        if key.strip() == "sample_rate":
+            try:
+                header_rate = float(val)
+            except ValueError:
+                return None
+        pos = data.find(b"#", end)
+    try:
+        with warnings.catch_warnings():  # an empty body is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 1:  # two numbers on every line
+        return None
+    return header_rate, table[:, 0]
+
+
+def _parse_lines(path: Path):
+    """(header rate, samples) read line by line, raising ValueError on a bad line.
+
+    The line-numbered scan that names a bad header value or sample.
+    """
     lines = list(map(str.strip, path.read_text().splitlines()))
     kept = [line for line in lines if line and line[0] != "#"]
     # the comment lines are few: scan for them only up to the last one
@@ -71,15 +140,7 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
         raise
-    rate = sample_rate if sample_rate is not None else header_rate
-    if rate is None:
-        raise ValueError(
-            f"{path}: no '# sample_rate=' header and no sample rate given; "
-            "pass one explicitly (CLI: --fs)"
-        )
-    if not values.size:
-        raise ValueError(f"{path}: no samples found")
-    return Signal(values, rate)
+    return header_rate, values
 
 
 def load_wav(path) -> Signal:

@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
+# samples whose grid cells TFEAccumulator.add computes at a time
+ADD_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class TFEGrid:
             )
         if np.any(e < 0):
             raise ValueError("grid cells must be nonnegative")
+        if not np.isfinite(e).all():
+            raise ValueError("grid cells must be finite; a cell's energy sum overflows float64")
         object.__setattr__(self, "time_edges", te)
         object.__setattr__(self, "freq_edges", fe)
         object.__setattr__(self, "energy", e)
@@ -66,7 +70,8 @@ class TFEAccumulator:
     top bin, values at 0 in the lowest, and anything outside (possible for
     conventional-mode tracks) is clamped into the boundary bins so energy
     is conserved exactly. The bin counts are checked here, before any
-    track is made.
+    track is made. A cell whose sum overflows float64 is refused when the
+    grid is taken.
     """
 
     def __init__(self, n_samples: int, sample_rate: float,
@@ -83,6 +88,8 @@ class TFEAccumulator:
                         0, time_bins - 1)
         # flat index of each sample's time row; add() adds its frequency bin
         self._row_offset = t_idx * freq_bins
+        # add() computes the cell indices of each block of samples here
+        self._idx = np.empty(min(n, ADD_BLOCK), dtype=np.intp)
 
     def add(self, track: IFTrack) -> None:
         """Deposit one track's energy."""
@@ -90,11 +97,20 @@ class TFEAccumulator:
         if track.sample_rate != fs or len(track) != self.n_samples:
             raise ValueError("all tracks must share sample rate and length")
         freq_bins = self.energy.shape[1]
-        f_idx = np.clip((track.frequency_hz / ((fs / 2) / freq_bins)).astype(int), 0, freq_bins - 1)
-        # the same sequential sums, in the same order, as a 2-D np.add.at on
-        # (t_idx, f_idx), through a flat view of the C-contiguous grid
-        f_idx += self._row_offset
-        np.add.at(self.energy.reshape(-1), f_idx, track.energy)
+        width = (fs / 2) / freq_bins
+        cells = self.energy.reshape(-1)
+        # the same sequential sums, in the same order, as one 2-D np.add.at
+        # on (t_idx, f_idx), through a flat view of the C-contiguous grid
+        with np.errstate(over="ignore"):  # grid() refuses an overflowed cell
+            for start in range(0, self.n_samples, ADD_BLOCK):
+                block = slice(start, start + ADD_BLOCK)
+                f = track.frequency_hz[block]
+                idx = self._idx[: f.size]
+                # the cast truncates toward zero, as astype(int) does
+                np.divide(f, width, out=idx, casting="unsafe")
+                np.clip(idx, 0, freq_bins - 1, out=idx)
+                idx += self._row_offset[block]
+                np.add.at(cells, idx, track.energy[block])
 
     def grid(self) -> TFEGrid:
         """A copy of the grid of the tracks deposited so far."""

@@ -15,7 +15,9 @@ the analytic signal as two complex transforms (the real-transform
 quadrature must match it to rounding), the boolean-index phase fold (the
 masked fold must match its bits) and zero-phase filtering as two
 time-domain convolutions with a reversal between them (the block-FFT
-filter must match it to rounding).
+filter must match it to rounding) and the signal CSV reader that
+splits, strips and converts the file line by line (the C-parsed ingest
+must match its bits, or its error message).
 """
 
 from pathlib import Path
@@ -181,6 +183,48 @@ def save_csv(x, path) -> None:
     lines = [f"# sample_rate={x.sample_rate:.17g}"]
     lines.extend(f"{v:.17g}" for v in x.samples)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_csv(path, sample_rate: float | None = None) -> Signal:
+    """Read a signal CSV line by line: strip each line, take the ones opening
+    with '#' as comments (the last '# sample_rate=' wins), convert the rest
+    in one np.array call and name the first line float() refuses."""
+    path = Path(path)
+    lines = list(map(str.strip, path.read_text().splitlines()))
+    kept = [line for line in lines if line and line[0] != "#"]
+    # the comment lines are few: scan for them only up to the last one
+    comments = len(lines) - len(kept) - lines.count("")
+    header_rate = None
+    for lineno, line in enumerate(lines, start=1):
+        if not comments:
+            break
+        if line[:1] == "#":
+            comments -= 1
+            key, _, val = line.lstrip("# ").partition("=")
+            if key.strip() == "sample_rate":
+                try:
+                    header_rate = float(val)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad sample_rate value {val!r}") from None
+    try:
+        values = np.array(kept, dtype=np.float64)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            if line and line[0] != "#":
+                try:
+                    float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+        raise
+    rate = sample_rate if sample_rate is not None else header_rate
+    if rate is None:
+        raise ValueError(
+            f"{path}: no '# sample_rate=' header and no sample rate given; "
+            "pass one explicitly (CLI: --fs)"
+        )
+    if not values.size:
+        raise ValueError(f"{path}: no samples found")
+    return Signal(values, rate)
 
 
 def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:

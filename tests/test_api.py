@@ -12,6 +12,7 @@ PUBLIC = [
     "DiffScheme",
     "FirFilter",
     "IFTrack",
+    "IFWorkspace",
     "LinoepReport",
     "NoiseSpec",
     "OrthogonalityReport",

@@ -14,6 +14,7 @@ import pytest
 from tfekit import (
     AnalyticSignal,
     BandSpec,
+    IFWorkspace,
     Signal,
     TFEAccumulator,
     dft_decompose,
@@ -211,6 +212,20 @@ class TestAnalyze:
             "error: signal energy overflows float64; rescale the input\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_overflowing_grid_cell_fails_loudly(self, workdir, capsys, command):
+        # each sample's energy is finite; their sum in the one cell is not
+        x = 1e153 * np.cos(2 * np.pi * 10 * np.arange(1000) / 100)
+        (workdir / "big.csv").write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
+        sides = (["--method", "none"] if command == "analyze"
+                 else ["--a-method", "none", "--b-method", "none"])
+        rc = main([command, "--input", "big.csv", *sides, "--time-bins", "1", "--freq-bins", "1",
+                   "--out-prefix", "big"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: grid cells must be finite; a cell's energy sum overflows float64\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
+
     def test_failed_check_after_streaming_leaves_no_tracks_file(self, workdir, capsys, monkeypatch):
         import tfekit.cli as cli
 
@@ -260,6 +275,22 @@ class TestAnalyze:
         assert len(tracks) == diagnostics["n_components"] == 10
         assert calls == {"fft": 1, "ifft": 10}
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--method", "fmd-a", "--bands", "4"],
+        ["compare", "--a-method", "dft", "--a-bands", "10", "--b-method", "fmd-a", "--b-bands", "4"],
+    ], ids=["analyze", "compare"])
+    def test_one_workspace_per_side(self, workdir, monkeypatch, command):
+        made = []
+        init = IFWorkspace.__init__
+
+        def counted(self, n):
+            made.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(IFWorkspace, "__init__", counted)
+        assert main([*command, "--gen", "chirp", "--dur", "0.1", "--out-prefix", "x"]) == 0
+        assert made == [800] * (1 if command[0] == "analyze" else 2)
+
 
 class TestMethodSettings:
     @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
@@ -305,6 +336,16 @@ class TestMethodSettings:
                    "--a-bands", "4", *side_b, "--out-prefix", "x"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("x_*"))
+
+    def test_compare_side_b_failing_at_run_time_leaves_no_file(self, workdir, capsys):
+        # side b's settings are sound; its ladder needs more samples than the chirp has
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.05", "--a-method", "dft",
+                   "--a-bands", "4", "--b-method", "fmd-a", "--b-bands", "2", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: signal of 400 samples too short for forward-backward filtering with "
+            "257 taps (need > 771)\n")
         assert not list(workdir.glob("x_*"))
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])

@@ -1,5 +1,7 @@
 """Phase differencing and the two IF estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from oracles import four_pass_if
 from tfekit import (
     BandPlan,
     DiffScheme,
+    IFWorkspace,
     Signal,
     analytic_signal,
     chirp_true_if,
@@ -21,6 +24,7 @@ from tfekit import (
     NoiseSpec,
     phase_diff,
     positive_if,
+    uniform_band_plan,
 )
 
 
@@ -290,3 +294,53 @@ class TestIncrementPath:
             got = if_track(a, scheme).frequency_hz
             want = four_pass_if(a.z, a.sample_rate, scheme.value)
             assert np.abs(got - want)[keep].max() <= 1e-8
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize("mode", ["positive", "conventional"])
+    @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
+    def test_reused_workspace_tracks_match_fresh_ones(self, n, mode, scheme):
+        ws = IFWorkspace(n)
+        # stale contents, as a previous length-n track leaves them, must not leak
+        for array in (ws.spectrum, ws.z, ws.frequency):
+            array.fill(np.nan)
+        ws.mask.fill(True)
+        x = _noise_plus_nyquist(n, 100.0)
+        bands = []
+        dft_decompose(x, uniform_band_plan(3, n, 100.0), bands.append)
+        for signal in (x, *bands, Signal(1e-300 * x.samples, 100.0), gen_delta(n // 2, n, 100.0)):
+            want = if_track(signal, scheme, mode)
+            got = if_track(signal, scheme, mode, ws)
+            assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
+            assert got.energy.tobytes() == want.energy.tobytes()
+
+    def test_track_holds_until_the_next_call(self):
+        ws = IFWorkspace(64)
+        first = if_track(gen_chirp(5, 5, 0.64, 100.0), workspace=ws)
+        assert np.shares_memory(first.frequency_hz, ws.frequency)
+        assert np.shares_memory(first.energy, ws.spectrum)
+        kept = first.frequency_hz.copy()
+        if_track(gen_chirp(20, 20, 0.64, 100.0), workspace=ws)
+        assert not np.array_equal(first.frequency_hz, kept)
+
+    @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
+    def test_reused_workspace_allocates_no_sample_array(self, scheme):
+        n = 1 << 16
+        ws = IFWorkspace(n)
+        x = _noise_plus_nyquist(n, 100.0)
+        band = []
+        dft_decompose(x, uniform_band_plan(2, n, 100.0), band.append)
+        if_track(x, scheme, workspace=ws)
+        tracemalloc.start()
+        try:
+            for signal, mode in ((x, "positive"), (x, "conventional"), (band[0], "positive")):
+                if_track(signal, scheme, mode, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n  # bytes: less than one mask, let alone one float array
+
+    def test_length_mismatch_refused(self):
+        with pytest.raises(ValueError, match="workspace is for 64 samples, signal has 65"):
+            if_track(gen_delta(3, 65, 100.0), workspace=IFWorkspace(64))

@@ -6,6 +6,8 @@ import wave
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfekit import Signal, gen_chirp, load_csv, load_wav, save_csv
 from tfekit.io import SAVE_BLOCK
@@ -100,6 +102,63 @@ class TestCsv:
         path.write_text("# sample_rate=100\n")
         with pytest.raises(ValueError, match="no samples"):
             load_csv(path)
+
+
+# Lines numpy's C reader and float() may treat differently, or that no
+# reader accepts: special values, underscores, a second field, a trailing
+# comment, other line breaks and blanks, non-ASCII digits.
+ODD_TOKENS = [
+    "nan", "-nan", "NaN", "inf", "-Infinity", "+inf", "1e400", "-1e400", "1e-400", "5e-324",
+    "1_0", "1__0", "_1", "1_", "1.5_5e1_0", "1.0 2.0", "1.0\t2.0", "1.0 # note", "1.0#", "1,2",
+    "0x10", "+.5", "5.", ".", "-", "1d5", "nan(1)", "\u0661\u0662", "1.0\f2.0", "\x0b3",
+    "4\x1f", "\x1c", "7\x00", "\u00e9", "\u20071", "1\u20282", "\x85",
+]
+COMMENTS = ["#", "# note", "# note=x", "#sample_rate", "## sample_rate=7", "# sample_rate = 300",
+            "#\tsample_rate=9", "# sample_rate=fast", "# sample_rate=", "# sample_rate=-5",
+            "# sample_rate=nan", "# sample_rate=1_000", "# a # b"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TOKENS = st.one_of(
+    FINITE.map("{:.17g}".format),
+    FINITE.map(repr),
+    FINITE.map("{:.3e}".format),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(1e-3, 1e6).map(lambda v: f"# sample_rate={v!r}"),
+    st.sampled_from(ODD_TOKENS + COMMENTS + [""]),
+)
+PAD = st.text(alphabet=" \t", max_size=2)
+LINES = st.lists(st.tuples(PAD, TOKENS, PAD).map("".join), max_size=12)
+
+
+def _outcome(load, path, rate):
+    try:
+        x = load(path, sample_rate=rate)
+    except ValueError as exc:
+        return "error", str(exc)
+    return x.samples.tobytes(), x.sample_rate
+
+
+class TestCsvIngestMatchesLineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=LINES, newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final=st.booleans(), rate=st.sampled_from([None, 250.0]))
+    def test_same_bits_or_same_message(self, tmp_path_factory, lines, newline, final, rate):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes((newline.join(lines) + (newline if final else "")).encode())
+        assert _outcome(load_csv, path, rate) == _outcome(oracles.load_csv, path, rate)
+
+    # three the C reader refuses and the line scan reads; three it reads itself
+    @pytest.mark.parametrize("text", [
+        "# sample_rate=100\n1_0\n2\n",
+        "# sample_rate=100\n1.0\f2.0\n",
+        "# sample_rate=100\n\u0661\n",
+        "1.0\n# sample_rate=100\n  # note\n\n2.0\r\n3.0",
+        "# sample_rate=100\n# sample_rate=200\n",
+        "",
+    ])
+    def test_fixed_cases(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path, None) == _outcome(oracles.load_csv, path, None)
 
 
 def _write_wav(path, ints, rate, channels=1, width=2):

@@ -20,6 +20,7 @@ from tfekit import (
     load_track_csv,
     mix,
 )
+from tfekit.tfe import ADD_BLOCK
 
 
 def _accumulate(tracks, time_bins=400, freq_bins=250):
@@ -128,6 +129,24 @@ class TestBuildTfe:
         assert acc.grid().energy.tobytes() == oracles.build_tfe(tracks, 20, 30).energy.tobytes()
         with pytest.raises(ValueError, match="share"):
             acc.add(if_track(gen_chirp(100, 400, 1.0, 1000.0)))
+
+    def test_blocked_deposit_matches_2d_add_at(self):
+        # block edges fall inside time rows, and the last block is short
+        fs, n = 1000.0, 2 * ADD_BLOCK + 3
+        rng = np.random.default_rng(4)
+        tracks = [IFTrack(rng.uniform(-50.0, 550.0, n), rng.exponential(1.0, n), fs),
+                  IFTrack(np.full(n, fs / 2), np.linspace(0.0, 2.0, n), fs)]
+        for bins in ((400, 250), (3, 7)):
+            got = _accumulate(tracks, *bins)
+            assert got.energy.tobytes() == oracles.build_tfe(tracks, *bins).energy.tobytes()
+
+    def test_overflowing_cell_refused_when_the_grid_is_taken(self):
+        # each sample's energy is finite, their sum in the one cell is not;
+        # the sum warns nothing (warnings are errors here)
+        acc = TFEAccumulator(4, 100.0, 1, 1)
+        acc.add(IFTrack(np.full(4, 10.0), np.full(4, 1e308), 100.0))
+        with pytest.raises(ValueError, match="grid cells must be finite"):
+            acc.grid()
 
     @pytest.mark.parametrize("bins", [(0, 10), (10, 0)])
     def test_accumulator_checks_bin_counts_when_built(self, bins):
