@@ -92,23 +92,25 @@ class AnalyticSignal:
     z: np.ndarray
     sample_rate: float
 
-    def increments(self, out=None, mask=None) -> np.ndarray:
+    def increments(self) -> np.ndarray:
         """The N-1 increments of the four-quadrant phase of `z`, radians in (-pi, pi].
 
         Differences of `np.angle(z)` folded by +-2pi: no unwrapped phase is
         built, and the angles, unlike a product z[n+1]*conj(z[n]), neither
         underflow nor overflow at any finite amplitude.
-
-        `out`, N floats, receives the N angles and then, differenced in
-        place, the increments in ``out[:-1]``, which is returned; `mask`,
-        at least N-1 booleans, holds the folds' conditions. Either is made
-        when not given.
         """
         n = self.z.size
-        out = np.empty(n) if out is None else out
-        mask = np.empty(n - 1, dtype=bool) if mask is None else mask[: n - 1]
+        return self._increments_into(np.empty(n), np.empty(n, dtype=bool))
+
+    def _increments_into(self, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """:meth:`increments` written into `out`, N floats, and returned as ``out[:-1]``.
+
+        `out` receives the N angles, differenced in place; `mask`, N
+        booleans, holds the folds' conditions.
+        """
         np.arctan2(self.z.imag, self.z.real, out=out)  # np.angle(z), in place
         d = out[:-1]
+        mask = mask[: d.size]
         # each angle is read before its slot is written, so no copy is made
         np.subtract(out[1:], d, out=d)
         np.subtract(d, 2 * np.pi, out=d, where=np.greater(d, np.pi, out=mask))

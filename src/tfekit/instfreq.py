@@ -10,8 +10,9 @@ finite difference -> Hz scaling):
   multivalued inverse tangent permits, so every emitted frequency lies
   in [0, sample_rate/2].
 
-Every step writes through an `out=` argument, so :func:`if_track` fills
-the arrays of one :class:`IFWorkspace` and allocates nothing per sample.
+Each public step returns a fresh array; :func:`if_track` runs the same
+steps in place, through private `_..._into` forms, in the arrays of one
+:class:`IFWorkspace`, and allocates nothing per sample.
 """
 
 from dataclasses import dataclass
@@ -40,23 +41,29 @@ class DiffScheme(Enum):
     CENTRAL = "central"
 
 
-def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD, out=None) -> np.ndarray:
+def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD) -> np.ndarray:
     """Per-sample phase derivative in rad/sample from the N-1 phase increments.
 
     `increments[n]` is the phase advance from sample n to n+1, as
     :meth:`AnalyticSignal.increments` gives it. Forward differences place
     it at sample n, backward at n+1, central averages the two increments
     around each sample. The result has N samples; boundary samples the
-    scheme cannot compute repeat the nearest computed one. It is written
-    to `out`, N floats, when given; the increments may be ``out[:-1]``,
-    where `increments` leaves them, and are then overwritten in place.
+    scheme cannot compute repeat the nearest computed one.
     """
     d = np.asarray(increments, dtype=np.float64)
+    return _phase_diff_into(d, scheme, np.empty(d.size + 1))
+
+
+def _phase_diff_into(d: np.ndarray, scheme, out: np.ndarray) -> np.ndarray:
+    """:func:`phase_diff` of the increments `d` written into `out`, N floats.
+
+    `d` may be ``out[:-1]``, where :meth:`AnalyticSignal._increments_into`
+    leaves the increments; they are then overwritten in place.
+    """
     scheme = DiffScheme(scheme)
     min_len = 2 if scheme is DiffScheme.CENTRAL else 1
     if d.size < min_len:
         raise ValueError(f"{scheme.value} differencing needs >= {min_len} increments, got {d.size}")
-    out = np.empty(d.size + 1) if out is None else out
     if scheme is DiffScheme.FORWARD:
         out[:-1] = d
         out[-1] = out[-2]
@@ -75,36 +82,41 @@ def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD, out=None) ->
     return out
 
 
-def conventional_if(diffs, sample_rate: float, out=None) -> np.ndarray:
+def conventional_if(diffs, sample_rate: float) -> np.ndarray:
     """Raw phase derivative scaled to Hz; may be negative.
 
-    Kept as the contrast baseline: f[n] = diffs[n] * sample_rate / (2*pi),
-    written to `out` when given (`diffs` itself may be it).
+    Kept as the contrast baseline: f[n] = diffs[n] * sample_rate / (2*pi).
     """
-    return np.multiply(np.asarray(diffs, dtype=np.float64), sample_rate / (2 * np.pi), out=out)
+    return _conventional_if_into(np.array(diffs, dtype=np.float64), sample_rate)
 
 
-def positive_if(diffs, sample_rate: float, out=None, mask=None) -> np.ndarray:
+def _conventional_if_into(omega: np.ndarray, sample_rate: float) -> np.ndarray:
+    """:func:`conventional_if` in place: the derivatives `omega` become Hz."""
+    omega *= sample_rate / (2 * np.pi)
+    return omega
+
+
+def positive_if(diffs, sample_rate: float) -> np.ndarray:
     """Always-positive instantaneous frequency in Hz.
 
     `diffs` are phase derivatives in [-pi, pi] rad/sample, as
     :func:`phase_diff` gives them. Negative ones get +pi, landing every
     sample in [0, pi]; a Nyquist tone's pi stays pi and reads sample_rate/2
-    (the cap guards against one-ulp scaling overshoot). The result is
-    written to `out` when given (`diffs` itself may be it); `mask`, as many
-    booleans, marks the folded samples. Either is made when not given.
+    (the cap guards against one-ulp scaling overshoot).
     """
-    d = np.asarray(diffs, dtype=np.float64)
-    if d.size and not (-np.pi <= d.min() and d.max() <= np.pi):  # a NaN fails both
+    omega = np.array(diffs, dtype=np.float64)
+    return _positive_if_into(omega, sample_rate, np.empty(omega.shape, dtype=bool))
+
+
+def _positive_if_into(omega: np.ndarray, sample_rate: float, mask: np.ndarray) -> np.ndarray:
+    """:func:`positive_if` in place: the derivatives `omega` become Hz.
+
+    `mask`, as many booleans, marks the folded samples.
+    """
+    if omega.size and not (-np.pi <= omega.min() and omega.max() <= np.pi):  # a NaN fails both
         raise ValueError("phase differences must be finite and within [-pi, pi]")
-    folded = np.less(d, 0, out=mask)
-    if out is None:
-        omega = d.copy()
-    else:
-        omega = out
-        omega[...] = d
     # +pi on the negative samples; the others keep their bits, a -0.0 too
-    np.add(omega, np.pi, out=omega, where=folded)
+    np.add(omega, np.pi, out=omega, where=np.less(omega, 0, out=mask))
     scale = sample_rate / (2 * np.pi)
     omega *= scale
     # rounding is monotone and omega <= pi, so only pi * scale can overshoot
@@ -188,9 +200,9 @@ def if_track(
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
         np.square(a.z.real, out=energy)
         energy += np.square(a.z.imag, out=ws.frequency)
-    d = phase_diff(a.increments(ws.frequency, ws.mask), scheme, ws.frequency)
+    d = _phase_diff_into(a._increments_into(ws.frequency, ws.mask), scheme, ws.frequency)
     if mode == "positive":
-        freq = positive_if(d, x.sample_rate, d, ws.mask)
+        freq = _positive_if_into(d, x.sample_rate, ws.mask)
     else:
-        freq = conventional_if(d, x.sample_rate, d)
+        freq = _conventional_if_into(d, x.sample_rate)
     return IFTrack(freq, energy, x.sample_rate)

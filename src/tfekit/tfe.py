@@ -22,7 +22,9 @@ __all__ = [
 ]
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
-# samples whose grid cells TFEAccumulator.add computes at a time
+# samples whose grid cells TFEAccumulator.add computes at a time: one
+# index array as long as the tracks raises the peak RSS of a 512k-sample
+# compare by 3.5 MB
 ADD_BLOCK = 65536
 
 
