@@ -339,8 +339,9 @@ def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=No
     if decomposition is None:
         sink(signal)
     elif decomposition.method != "dft":
+        # Decomposition checked its rows: track each in place, not a copy
         for component in decomposition.components:
-            sink(Signal(component, signal.sample_rate))
+            sink(Signal._view(component, signal.sample_rate))
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],

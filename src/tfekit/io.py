@@ -12,25 +12,27 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvtext import BLOCK, RowText
 from .signals import Signal
 
 __all__ = ["save_csv", "load_csv", "load_wav"]
 
 # samples formatted per write by save_csv
-SAVE_BLOCK = 8192
+SAVE_BLOCK = BLOCK
 
 
 def save_csv(x: Signal, path) -> None:
     """Write a signal to CSV with its sample-rate header.
 
-    Samples are formatted and written a block at a time, so memory stays
-    bounded whatever the signal's length.
+    Samples are formatted as ``'%.17g'`` and written a block at a time, so
+    memory stays bounded whatever the signal's length.
     """
+    rows = RowText(1, len(x))
+    samples = x.samples.reshape(-1, 1)
     with open(path, "w") as fh:
         fh.write(f"# sample_rate={x.sample_rate:.17g}\n")
-        for start in range(0, len(x), SAVE_BLOCK):
-            block = x.samples[start : start + SAVE_BLOCK].tolist()
-            fh.write(("%.17g\n" * len(block)) % tuple(block))
+        for start in range(0, len(x), rows.rows):
+            fh.write(rows.text(samples[start : start + rows.rows]))
 
 
 def load_csv(path, sample_rate: float | None = None) -> Signal:

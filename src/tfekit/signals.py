@@ -45,6 +45,21 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
+    @classmethod
+    def _view(cls, samples: np.ndarray, sample_rate: float) -> "Signal":
+        """A Signal on a read-only view of `samples`, without the copy and checks.
+
+        For arrays already known to pass them: one-dimensional, finite
+        float64, at least 2 samples, at a valid rate (a row of a
+        Decomposition's components, say).
+        """
+        view = samples.view()
+        view.flags.writeable = False
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "samples", view)
+        object.__setattr__(signal, "sample_rate", float(sample_rate))
+        return signal
+
     def __len__(self) -> int:
         return self.samples.size
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvtext import RowText
 from .instfreq import IFTrack
 
 __all__ = [
@@ -123,25 +124,25 @@ class TrackCsvWriter:
     """Appends IF tracks to an open text file as triplet rows: time_s,frequency_hz,energy.
 
     The header is written when the writer is made; each :meth:`write`
-    appends one track's rows, so memory stays at one track's rows.
+    appends one track's rows a block at a time, so memory stays at one
+    block's rows. Every number is ``'%.17g'`` text.
     """
 
     def __init__(self, fh):
-        # The time column depends only on (length, rate): format it once per
-        # pair into a row template whose %-slots each track fills in one call.
-        # A formatted float contains no '%', so the baked-in times are literal.
-        self._templates = {}
+        self._rows = RowText(3)
         self._fh = fh
         fh.write(TRACK_HEADER + "\n")
 
     def write(self, track: IFTrack) -> None:
-        key = (len(track), track.sample_rate)
-        template = self._templates.get(key)
-        if template is None:
-            times = (np.arange(len(track)) / track.sample_rate).tolist()
-            template = self._templates[key] = "".join(["%.17g,%%.17g,%%.17g\n" % t for t in times])
-        pairs = np.column_stack((track.frequency_hz, track.energy)).ravel().tolist()
-        self._fh.write(template % tuple(pairs))
+        rows = self._rows
+        for start in range(0, len(track), rows.rows):
+            block = rows.block[: len(track) - start]
+            stop = start + len(block)
+            # t[n] = n / Fs, as the whole track's time column has it
+            np.divide(np.arange(start, stop), track.sample_rate, out=block[:, 0])
+            block[:, 1] = track.frequency_hz[start:stop]
+            block[:, 2] = track.energy[start:stop]
+            self._fh.write(rows.text(block))
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,13 +175,17 @@ def export_grid_csv(grid: TFEGrid, path) -> None:
     frequency edges; each body line is one time edge followed by that time
     bin's energy cells; the final line is the closing time edge alone.
     """
-    row = ",".join(["%.17g"] * (grid.energy.shape[1] + 1)) + "\n"
-    times = grid.time_edges.tolist()
+    energy, edges = grid.energy, grid.time_edges
+    rows = RowText(energy.shape[1] + 1, len(energy))
     with open(path, "w") as fh:
-        fh.write("," + row % tuple(grid.freq_edges.tolist()))
-        for t, cells in zip(times, grid.energy.tolist()):
-            fh.write(row % (t, *cells))
-        fh.write("%.17g\n" % times[-1])
+        fh.write("," + rows.text(grid.freq_edges[None, :]))
+        for start in range(0, len(energy), rows.rows):
+            block = rows.block[: len(energy) - start]
+            stop = start + len(block)
+            block[:, 0] = edges[start:stop]
+            block[:, 1:] = energy[start:stop]
+            fh.write(rows.text(block))
+        fh.write(RowText(1, 1).text(edges[-1:, None]))
 
 
 def load_grid_csv(path) -> TFEGrid:

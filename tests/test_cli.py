@@ -291,6 +291,37 @@ class TestAnalyze:
         assert main([*command, "--gen", "chirp", "--dur", "0.1", "--out-prefix", "x"]) == 0
         assert made == [800] * (1 if command[0] == "analyze" else 2)
 
+    def test_fmd_components_tracked_without_a_copy(self, monkeypatch):
+        # once verified, tracking the FMD components adds the IF workspace
+        # to the peak and less than one more N-sample float array: no
+        # component is copied to be tracked
+        n = 1 << 16
+        args = build_parser().parse_args(["analyze", "--gen", "chirp", "--dur", str(n / 8000),
+                                          "--method", "fmd-a", "--bands", "4"])
+        signal, _, _ = _load_input(args)
+        verified = []
+
+        def verify(decomposition):
+            report = verify_linoep(decomposition)
+            tracemalloc.reset_peak()
+            verified.append(tracemalloc.get_traced_memory()[0])
+            return report
+
+        monkeypatch.setattr("tfekit.cli.verify_linoep", verify)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workspace = IFWorkspace(n)
+            workspace_bytes = tracemalloc.get_traced_memory()[0] - before
+            del workspace
+            diagnostics, _ = _run_analysis(signal, _settings(args, None),
+                                           TFEAccumulator(n, signal.sample_rate))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diagnostics["n_components"] == 4
+        assert peak - verified[0] < workspace_bytes + n * 8
+
 
 class TestMethodSettings:
     @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])

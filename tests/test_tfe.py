@@ -20,6 +20,7 @@ from tfekit import (
     load_track_csv,
     mix,
 )
+from tfekit._csvtext import RowText
 from tfekit.tfe import ADD_BLOCK
 
 
@@ -169,6 +170,10 @@ def _track(n, fs, seed=0):
     return IFTrack(rng.uniform(0, fs / 2, n), rng.exponential(1e-3, n), fs)
 
 
+# rows per formatted block of a tracks CSV and of a 13-bin grid CSV
+_TRACK_ROWS = RowText(3).rows
+_GRID_ROWS = RowText(13 + 1).rows
+
 # edge values in both columns: zero, the smallest denormal, a huge value,
 # exactly Nyquist and integral floats
 _EDGES = np.array([0.0, 5e-324, 1e300, 50.0, 1.0, 2.0, 3e5, 0.1])
@@ -181,6 +186,13 @@ GOLDEN_TRACKS = {
                                 _track(64, 100.0, 3), _track(37, 44100.0, 4),
                                 _track(64, 8000.0, 5)],
     "edge-values": [IFTrack(_EDGES, _EDGES[::-1], 100.0)],
+    # zero energy, IF exactly 0 and Fs/2, the smallest normal and subnormal energies
+    "zero-energy-and-if-edges": [IFTrack([0.0, 50.0, 0.0, 50.0, 12.5, 0.0, 50.0],
+                                         [0.0, 0.0, 2.2250738585072014e-308, 5e-324, 0.0, 2.5, 0.0],
+                                         100.0)],
+    # one row short of a formatted block, one block, two blocks and a row
+    "block-edges": [_track(_TRACK_ROWS - 1, 1000.0, 6), _track(_TRACK_ROWS, 1000.0, 7),
+                    _track(2 * _TRACK_ROWS + 1, 1000.0, 8)],
 }
 
 
@@ -254,6 +266,12 @@ GOLDEN_GRIDS = {
     "seven-time-bins": _accumulate([_CHIRP_TRACK], 7, 13),
     "edge-values": TFEGrid([0.0, 0.5, 1.0], [0.0, 25.0, 50.0],
                            [[0.0, 5e-324], [1e300, 2.0]]),
+    # a chirp fills few cells of a fine grid: most cells are zero
+    "zero-cells": _accumulate([_CHIRP_TRACK], 40, 60),
+    # time bins one row short of a formatted block, one block, two blocks and a row
+    "block-minus-one": _accumulate([_CHIRP_TRACK], _GRID_ROWS - 1, 13),
+    "one-block": _accumulate([_CHIRP_TRACK], _GRID_ROWS, 13),
+    "two-blocks-and-one": _accumulate([_CHIRP_TRACK], 2 * _GRID_ROWS + 1, 13),
 }
 
 
