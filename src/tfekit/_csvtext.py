@@ -17,17 +17,21 @@ cells at a time in four steps:
 3. Layout. A cell is a record of four uint64 words: the sign and the
    ``0.000`` prefix, right-aligned in the first; then the digits with the
    ``.`` spliced in (bytes below the dot from the digits, bytes above it
-   from the digits shifted up one byte), the ``e±XX`` exponent and the
-   separator. A shape code per cell (sign, notation and exponent, digit
-   count) picks the record's byte mask from a table, and one boolean
-   compress of the records, read cell by cell, gives the text.
-4. Fallback. A cell the fast path cannot settle exactly goes to Python's
-   ``'%.17g'``: D's fraction within 1e-6 of a rounding tie, a subnormal or
-   a magnitude outside the table's range, an infinity or a NaN. Zeros stay
-   on the fast path.
+   from the digits shifted up one byte) and the ``e±XX`` exponent. A shape
+   code per cell (sign, notation and exponent, digit count) names the
+   record's bytes.
+4. Join. The separator goes into each record's last byte, the shape codes
+   pick the records' byte masks from a table, and one boolean compress of
+   the records, read cell by cell, gives the text. A cell the fast path
+   cannot settle exactly goes to Python's ``'%.17g'``: D's fraction within
+   1e-6 of a rounding tie, a subnormal or a magnitude outside the table's
+   range, an infinity or a NaN. Zeros stay on the fast path.
 
-Each step writes into arrays the formatter keeps: fresh block-sized
-temporaries would be mapped and faulted in anew on every call.
+:meth:`RowText.records` runs steps 1-3 and :func:`join` step 4, so a
+caller may join records made at different times, such as a column that
+every block of a file shares. Each step writes into arrays the caller
+keeps: fresh block-sized temporaries would be mapped and faulted in anew
+on every call.
 """
 
 import codecs
@@ -35,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-# cells formatted per call; the workspace holds about 170 bytes a cell
+# cells formatted per call; the workspace holds about 135 bytes a cell
 BLOCK = 4096
 
 # |x| in [_LO, _HI) takes the fast path, as do zeros: there 10**(16 - k)
@@ -149,7 +153,8 @@ class RowText:
     :meth:`text` takes up to :attr:`rows` rows at a time: as many as fit in
     BLOCK cells (at least one), or `rows` when that is fewer. :attr:`block`
     is a buffer of that many rows that callers may fill and pass in. Cells
-    are joined by ',' and each row ends with '\\n'.
+    are joined by ',' and each row ends with '\\n'. :meth:`text` is
+    :meth:`records` then :func:`join`.
     """
 
     def __init__(self, n_cols: int, rows: int | None = None):
@@ -158,17 +163,14 @@ class RowText:
         self.block = np.empty((self.rows, n_cols))
         self._n_cols = n_cols
         self._cells = n = self.rows * n_cols
-        # The digit words (step 2 on) reuse the floats of step 1, and the
-        # records (the end of step 3) reuse the integers of step 2.
+        # The digit words (step 2 on) reuse the floats of step 1, the
+        # records (the end of step 3) reuse the integers of step 2, and the
+        # byte masks of step 4 reuse the digit words.
         self._float = np.empty((8, n))
         self._uint = self._float.view(np.uint64)
         self._int = np.empty((7, n), dtype=np.int64)
         self._flag = np.empty((5, n), dtype=bool)
         self._count = np.empty((2, n), dtype=np.int8)
-        self._mask = np.empty((n, 4), dtype=np.uint64)
-        # the last byte of each record, its separator
-        self._sep = np.full(n, ord(","), dtype=np.uint8)
-        self._sep[n_cols - 1 :: n_cols] = ord("\n")
 
     def text(self, block: np.ndarray) -> str:
         """The text of `block`, an (r, n_cols) float64 array with r <= :attr:`rows`."""
@@ -176,9 +178,30 @@ class RowText:
             raise ValueError(f"block of shape {block.shape} does not fit {self.rows} rows "
                              f"of {self._n_cols} cells")
         x = block.reshape(-1)
-        n = x.size
-        if n == 0:
+        if x.size == 0:
             return ""
+        records, code = self.records(x)
+        return join(records.reshape(*block.shape, 4), code, self.mask(x.size), x.take)
+
+    def mask(self, cells: int) -> np.ndarray:
+        """A (cells, 4) uint64 buffer for :func:`join`'s byte masks.
+
+        It holds up to 2 * rows * n_cols cells, in workspace that
+        :meth:`records` leaves free when it returns.
+        """
+        return self._uint.reshape(-1)[: 4 * cells].reshape(cells, 4)
+
+    def records(self, x: np.ndarray, out: np.ndarray | None = None):
+        """Steps 1-3 for `x`, a 1-D float64 array of at most rows * n_cols cells.
+
+        Returns the cells' records, (x.size, 4) uint64 in the workspace or
+        `out` when given (any uint64 array of shape (..., 4) with x.size
+        records, which may be strided), and their shape codes, _SLOW for a
+        fallback cell. The codes live in the workspace: the next call
+        overwrites them. A record's last byte, its separator, is left for
+        :func:`join`.
+        """
+        n = x.size
         t = _tables()
         # (take buffers `out` unless its mode is "clip" or "wrap")
         a, s, au, al, p, e, v, b = (f[:n] for f in self._float)
@@ -316,25 +339,40 @@ class RowText:
         t["exponent"].take(low4, out=word, mode="clip")
         spliced[2] |= word
         t["prefix"].take(code, out=word, mode="clip")
-        start = 3 * self._cells  # the memory of d, q, rem and the spare row
-        records = self._int.reshape(-1)[start : start + 4 * n].view(np.uint64).reshape(n, 4)
-        records[:, 0] = word
-        records[:, 1:] = spliced.T
-        records.view(np.uint8)[:, 31] = self._sep[:n]
-        mask = self._mask[:n]
-        t["mask"].take(code, axis=0, out=mask, mode="clip")
-        text = codecs.ascii_decode(records.view(np.uint8)[mask.view(bool)])[0]
-        if not slow.any():
-            return text
+        if out is None:
+            start = 3 * self._cells  # the memory of d, q, rem and the spare row
+            out = self._int.reshape(-1)[start : start + 4 * n].view(np.uint64).reshape(n, 4)
+        cells = out.shape[:-1]
+        out[..., 0] = word.reshape(cells)
+        out[..., 1:] = spliced.T.reshape(*cells, 3)
+        return out, code
 
-        # step 4: Python's text for the fallback cells, ahead of their separators
-        ends = np.cumsum(t["length"][code])
-        pieces, at = [], 0
-        cells = np.flatnonzero(slow)
-        for i, value in zip(cells.tolist(), x[cells].tolist()):
-            start = int(ends[i]) - 1
-            pieces.append(text[at:start])
-            pieces.append("%.17g" % value)
-            at = start
-        pieces.append(text[at:])
-        return "".join(pieces)
+
+def join(records: np.ndarray, codes: np.ndarray, mask: np.ndarray, value) -> str:
+    """Step 4: the text of `records`, (rows, n_cols, 4) uint64 from :meth:`RowText.records`.
+
+    `codes` holds the records' shape codes in row order, and `mask` is an
+    (rows * n_cols, 4) uint64 buffer for their byte masks. Cells are
+    joined by ',' and each row ends with '\\n'; `value(cells)` gives the
+    float64 values of the fallback cells, by their index in row order.
+    """
+    t = _tables()
+    separators = records.view(np.uint8)[..., 31]
+    separators[:, :-1] = ord(",")
+    separators[:, -1] = ord("\n")
+    t["mask"].take(codes, axis=0, out=mask, mode="clip")
+    text = codecs.ascii_decode(records.reshape(-1, 4).view(np.uint8)[mask.view(bool)])[0]
+    cells = np.flatnonzero(codes == _SLOW)
+    if not cells.size:
+        return text
+
+    # Python's text for the fallback cells, ahead of their separators
+    ends = np.cumsum(t["length"][codes])
+    pieces, at = [], 0
+    for i, v in zip(cells.tolist(), value(cells).tolist()):
+        start = int(ends[i]) - 1
+        pieces.append(text[at:start])
+        pieces.append("%.17g" % v)
+        at = start
+    pieces.append(text[at:])
+    return "".join(pieces)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvtext import RowText
+from ._csvtext import RowText, join
 from .instfreq import IFTrack
 
 __all__ = [
@@ -124,25 +124,61 @@ class TrackCsvWriter:
     """Appends IF tracks to an open text file as triplet rows: time_s,frequency_hz,energy.
 
     The header is written when the writer is made; each :meth:`write`
-    appends one track's rows a block at a time, so memory stays at one
-    block's rows. Every number is ``'%.17g'`` text.
+    appends one track's rows a block of 2048 rows at a time. Every number
+    is ``'%.17g'`` text. The tracks of a run share their time column, so
+    its cells' records are made once, on the first track of a length and
+    sample rate, and kept (34 bytes a sample); each track then formats
+    only its frequency and energy cells. Memory stays at one block's rows
+    (0.8 MB of workspace) plus that cached column: 0.27 MB for tracks of
+    8,000 samples, 17.4 MB for 512,000.
     """
 
     def __init__(self, fh):
-        self._rows = RowText(3)
+        self._data = data = RowText(2)  # the frequency and energy of a block's rows
+        self._records = np.empty((data.rows, 3, 4), dtype=np.uint64)
+        self._codes = np.empty((data.rows, 3), dtype=np.intp)
+        # (length, sample rate, records, shape codes) of the cached time column
+        self._time = None
         self._fh = fh
         fh.write(TRACK_HEADER + "\n")
 
-    def write(self, track: IFTrack) -> None:
-        rows = self._rows
-        for start in range(0, len(track), rows.rows):
-            block = rows.block[: len(track) - start]
-            stop = start + len(block)
+    def _time_column(self, n: int, fs: float) -> tuple[np.ndarray, np.ndarray]:
+        """The records and shape codes of the time column of tracks of n samples at fs."""
+        if self._time is not None and self._time[:2] == (n, fs):
+            return self._time[2:]
+        self._time = None  # freed before the new column is made
+        records = np.empty((n, 4), dtype=np.uint64)
+        codes = np.empty(n, dtype=np.int16)
+        times = self._data.block.reshape(-1)
+        for start in range(0, n, times.size):
+            t = times[: n - start]
+            stop = start + t.size
             # t[n] = n / Fs, as the whole track's time column has it
-            np.divide(np.arange(start, stop), track.sample_rate, out=block[:, 0])
-            block[:, 1] = track.frequency_hz[start:stop]
-            block[:, 2] = track.energy[start:stop]
-            self._fh.write(rows.text(block))
+            np.divide(np.arange(start, stop), fs, out=t)
+            codes[start:stop] = self._data.records(t, out=records[start:stop])[1]
+        self._time = (n, fs, records, codes)
+        return records, codes
+
+    def write(self, track: IFTrack) -> None:
+        n, fs = len(track), track.sample_rate
+        time_records, time_codes = self._time_column(n, fs)
+        data = self._data
+        for start in range(0, n, data.rows):
+            block = data.block[: n - start]
+            rows = len(block)
+            stop = start + rows
+            block[:, 0] = track.frequency_hz[start:stop]
+            block[:, 1] = track.energy[start:stop]
+            records, codes = self._records[:rows], self._codes[:rows]
+            codes[:, 1:] = data.records(block.reshape(-1), out=records[:, 1:])[1].reshape(rows, 2)
+            records[:, 0] = time_records[start:stop]
+            codes[:, 0] = time_codes[start:stop]
+
+            def value(cells):
+                row, column = np.divmod(cells, 3)
+                return np.where(column == 0, (start + row) / fs, block[row, column - 1])
+
+            self._fh.write(join(records, codes.reshape(-1), data.mask(3 * rows), value))
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

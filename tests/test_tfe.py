@@ -170,8 +170,9 @@ def _track(n, fs, seed=0):
     return IFTrack(rng.uniform(0, fs / 2, n), rng.exponential(1e-3, n), fs)
 
 
-# rows per formatted block of a tracks CSV and of a 13-bin grid CSV
-_TRACK_ROWS = RowText(3).rows
+# rows per formatted block of a tracks CSV (its frequency and energy cells
+# fill one RowText(2)) and of a 13-bin grid CSV
+_TRACK_ROWS = RowText(2).rows
 _GRID_ROWS = RowText(13 + 1).rows
 
 # edge values in both columns: zero, the smallest denormal, a huge value,
@@ -190,9 +191,24 @@ GOLDEN_TRACKS = {
     "zero-energy-and-if-edges": [IFTrack([0.0, 50.0, 0.0, 50.0, 12.5, 0.0, 50.0],
                                          [0.0, 0.0, 2.2250738585072014e-308, 5e-324, 0.0, 2.5, 0.0],
                                          100.0)],
-    # one row short of a formatted block, one block, two blocks and a row
+    # one row short of a formatted block, one block, one block and a row,
+    # two blocks and a row
     "block-edges": [_track(_TRACK_ROWS - 1, 1000.0, 6), _track(_TRACK_ROWS, 1000.0, 7),
-                    _track(2 * _TRACK_ROWS + 1, 1000.0, 8)],
+                    _track(_TRACK_ROWS + 1, 1000.0, 9), _track(2 * _TRACK_ROWS + 1, 1000.0, 8)],
+    # every time after the first is below 1e-270: Python formats the
+    # cached column's cells, in every block
+    "fallback-times": [_track(_TRACK_ROWS + 3, 1e300, 10), _track(_TRACK_ROWS + 3, 1e300, 11)],
+    # two lengths across blocks and two rates, interleaved through one
+    # writer: each switch rebuilds the cached time column
+    "interleaved-time-columns": [_track(_TRACK_ROWS + 1, 1000.0, 12),
+                                 _track(2 * _TRACK_ROWS + 1, 1000.0, 13),
+                                 _track(_TRACK_ROWS + 1, 8000.0, 14),
+                                 _track(_TRACK_ROWS + 1, 1000.0, 15),
+                                 _track(2 * _TRACK_ROWS + 1, 8000.0, 16),
+                                 _track(2 * _TRACK_ROWS + 1, 8000.0, 17)],
+    "empty-track": [_track(5, 100.0, 18), IFTrack([], [], 100.0), _track(5, 100.0, 19),
+                    IFTrack([], [], 100.0)],
+    "negative-zero-frequency": [IFTrack([-0.0, 0.0, -0.0, 25.0], [1.0, -0.0, 0.0, 2.0], 100.0)],
 }
 
 
@@ -214,6 +230,24 @@ class TestTrackCsv:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
+
+    def test_time_column_formatted_once(self, tmp_path, monkeypatch):
+        # m tracks of n samples send n + 2*m*n cells through the record
+        # steps: the shared time column once, then frequency and energy
+        cells = []
+        records = RowText.records
+
+        def counting(self, x, out=None):
+            cells.append(x.size)
+            return records(self, x, out)
+
+        monkeypatch.setattr(RowText, "records", counting)
+        m, n = 3, 2 * _TRACK_ROWS + 5
+        tracks = [_track(n, 1000.0, seed) for seed in range(m)]
+        _write_tracks(tracks, tmp_path / "got.csv")
+        assert sum(cells) == n + 2 * m * n
+        oracles.export_track_csv(tracks, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_row_count(self, tmp_path):
         tracks = [if_track(gen_chirp(100, 900, 1.0, 2000.0)),
