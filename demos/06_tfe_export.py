@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from tfekit import (
+    BandSpec,
     TFEAccumulator,
     TrackCsvWriter,
     dft_decompose,
@@ -22,13 +23,12 @@ from tfekit import (
     load_grid_csv,
     load_track_csv,
     mix,
-    uniform_band_plan,
 )
 
 fs = 8000.0
 x = mix([gen_chirp(1000, 2000, 1.0, fs), gen_fm(780, 200, 2, 1.0, fs)])
 tracks = []  # the bank hands over each band's analytic signal as it makes it
-dft_decompose(x, uniform_band_plan(20, len(x), fs), lambda band: tracks.append(if_track(band)))
+dft_decompose(x, BandSpec(bands=20).plan(len(x), fs), lambda band: tracks.append(if_track(band)))
 
 print("=== 1. accumulate the grid ===")
 fine = TFEAccumulator(len(x), fs, time_bins=200, freq_bins=125)

@@ -11,13 +11,10 @@ FIR ladder (energy-preserving, tail-orthogonal components).
 
 from .analytic import AnalyticSignal, IFWorkspace, analytic_signal, one_sided
 from .filterbank import (
-    BandPlan,
     BandSpec,
     Decomposition,
     OrthogonalityReport,
-    custom_band_plan,
     dft_decompose,
-    uniform_band_plan,
     verify_orthogonality,
 )
 from .fmd import (
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSignal",
-    "BandPlan",
     "BandSpec",
     "Decomposition",
     "DiffScheme",
@@ -75,7 +71,6 @@ __all__ = [
     "causal_filter",
     "chirp_true_if",
     "conventional_if",
-    "custom_band_plan",
     "delay_pad",
     "design_fir",
     "dft_decompose",
@@ -97,7 +92,6 @@ __all__ = [
     "positive_if",
     "remove_mean",
     "save_csv",
-    "uniform_band_plan",
     "verify_linoep",
     "verify_orthogonality",
     "zero_phase_filter",

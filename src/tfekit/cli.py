@@ -107,9 +107,37 @@ FIXTURES = {
 }
 
 
+# fixture parameter -> (flag, type, help); a flag applies only to the
+# fixtures whose defaults name its parameter, and never with --input
+FIXTURE_FLAGS = {
+    "f0": ("--f0", float, "chirp start frequency, Hz"),
+    "f1": ("--f1", float, "chirp end frequency, Hz"),
+    "fc": ("--fc", float, "FM carrier frequency, Hz"),
+    "dev": ("--dev", float, "FM frequency deviation, Hz"),
+    "fm": ("--fm", float, "FM modulating frequency, Hz"),
+    "dur": ("--dur", float, "duration, s"),
+    "amp": ("--amp", float, "amplitude"),
+    "n0": ("--n0", int, "impulse sample index"),
+    "length": ("--len", int, "length in samples"),
+    "seed": ("--seed", int, "noise seed"),
+    "mean": ("--mean", float, "noise mean"),
+    "var": ("--var", float, "noise variance"),
+    "delay": ("--delay", float, "delay of the second copy, s"),
+    "total_dur": ("--total-dur", float, "padded frame length, s"),
+}
+
+
+def _refuse_fixture_flags(args, allowed, target: str) -> None:
+    """Raise on the first fixture flag given whose parameter is not in `allowed`."""
+    for key, (flag, _, _) in FIXTURE_FLAGS.items():
+        if key not in allowed and getattr(args, key) is not None:
+            raise ValueError(f"{flag} does not apply to {target}")
+
+
 def _build_fixture(name: str, args) -> tuple[Signal, dict]:
     """Build a named fixture from its defaults overridden by the flags given."""
     defaults, build, _ = FIXTURES[name]
+    _refuse_fixture_flags(args, defaults, f"fixture {name!r}")
     params = dict(defaults)
     for key in params:
         value = getattr(args, key, None)
@@ -120,20 +148,8 @@ def _build_fixture(name: str, args) -> tuple[Signal, dict]:
 
 def _add_fixture_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("fixture parameters")
-    g.add_argument("--f0", type=float, help="chirp start frequency, Hz")
-    g.add_argument("--f1", type=float, help="chirp end frequency, Hz")
-    g.add_argument("--fc", type=float, help="FM carrier frequency, Hz")
-    g.add_argument("--dev", type=float, help="FM frequency deviation, Hz")
-    g.add_argument("--fm", type=float, help="FM modulating frequency, Hz")
-    g.add_argument("--dur", type=float, help="duration, s")
-    g.add_argument("--amp", type=float, help="amplitude")
-    g.add_argument("--n0", type=int, help="impulse sample index")
-    g.add_argument("--len", dest="length", type=int, help="length in samples")
-    g.add_argument("--seed", type=int, help="noise seed")
-    g.add_argument("--mean", type=float, help="noise mean")
-    g.add_argument("--var", type=float, help="noise variance")
-    g.add_argument("--delay", type=float, help="delay of the second copy, s")
-    g.add_argument("--total-dur", dest="total_dur", type=float, help="padded frame length, s")
+    for key, (flag, kind, helptext) in FIXTURE_FLAGS.items():
+        g.add_argument(flag, dest=key, type=kind, help=helptext)
 
 
 def _add_analysis_flags(
@@ -188,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--config", help="JSON config file; flags win on conflict")
             _add_analysis_flags(p, if_flags=name == "analyze")
-        p.add_argument("--time-bins", type=int, default=400)
-        p.add_argument("--freq-bins", type=int, default=250)
+        if name != "decompose":
+            p.add_argument("--time-bins", type=int, default=400)
+            p.add_argument("--freq-bins", type=int, default=250)
     return parser
 
 
@@ -198,6 +215,7 @@ def _load_input(args) -> tuple[Signal, str | None, dict | None]:
     if args.input and args.fixture:
         raise ValueError("give either --input or --gen, not both")
     if args.input:
+        _refuse_fixture_flags(args, (), "--input")
         path = Path(args.input)
         if path.suffix.lower() == ".wav":
             signal = load_wav(path)
@@ -244,7 +262,7 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
 def _resolve_bands(signal: Signal, settings: dict):
     """Check the settings against the signal and resolve their band plan.
 
-    Returns None for method 'none', the bin plan for 'dft' and the FIR
+    Returns None for method 'none', the bin boundaries for 'dft' and the FIR
     cutoff ladder for the other methods; raises ValueError on any setting
     that does not fit, before anything is computed.
     """

@@ -17,64 +17,12 @@ from .analytic import AnalyticSignal, one_sided
 from .signals import Signal, finite_energy
 
 __all__ = [
-    "BandPlan",
-    "uniform_band_plan",
-    "custom_band_plan",
     "BandSpec",
     "Decomposition",
     "dft_decompose",
     "OrthogonalityReport",
     "verify_orthogonality",
 ]
-
-
-@dataclass(frozen=True)
-class BandPlan:
-    """Ordered bin boundaries K_0=0 < K_1 < ... < K_M defining M bands.
-
-    Band i (1-based) covers bins K_{i-1}+1 .. K_i plus their mirrors.
-    K_M is floor(N/2).
-    """
-
-    boundaries: tuple
-    signal_length: int
-    sample_rate: float
-
-    def __post_init__(self):
-        bounds = tuple(int(b) for b in self.boundaries)
-        if len(bounds) < 2 or bounds[0] != 0:
-            raise ValueError("boundaries must start at 0 and define at least one band")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
-        top = self.signal_length // 2
-        if bounds[-1] != top:
-            raise ValueError(
-                f"last boundary must be {top} for length {self.signal_length}, got {bounds[-1]}"
-            )
-        object.__setattr__(self, "boundaries", bounds)
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.boundaries) - 1
-
-    def band_bins(self, i: int) -> tuple[int, int]:
-        """Inclusive positive-frequency bin range (lo, hi) of band i (0-based)."""
-        return self.boundaries[i] + 1, self.boundaries[i + 1]
-
-
-def uniform_band_plan(n_bands: int, signal_length: int, sample_rate: float) -> BandPlan:
-    """Split the spectrum into `n_bands` bands of (near-)equal bin count.
-
-    Band sizes differ by at most one bin. n_bands may not exceed the
-    number of available non-DC bins, floor(N/2).
-    """
-    top = signal_length // 2
-    if not 1 <= n_bands <= top:
-        raise ValueError(
-            f"n_bands must be in [1, {top}] for length {signal_length}, got {n_bands}"
-        )
-    bounds = [(i * top) // n_bands for i in range(n_bands + 1)]
-    return BandPlan(tuple(bounds), signal_length, sample_rate)
 
 
 def _check_cutoffs(cutoffs_hz, sample_rate: float) -> list[float]:
@@ -92,26 +40,6 @@ def _check_cutoffs(cutoffs_hz, sample_rate: float) -> list[float]:
     if abs(cutoffs[-1] - nyq) > 1e-12 * max(1.0, nyq):
         raise ValueError(f"last cutoff must equal Nyquist ({nyq} Hz), got {cutoffs[-1]}")
     return cutoffs
-
-
-def custom_band_plan(cutoffs_hz, signal_length: int, sample_rate: float) -> BandPlan:
-    """Band plan from explicit cutoff frequencies, the last at Nyquist.
-
-    Cutoffs map to bins by round-half-up, K_i = floor(c*N/Fs + 0.5); a
-    cutoff landing between bins therefore belongs to the lower band.
-    Cutoffs that collapse a band to zero bins are rejected.
-    """
-    top = signal_length // 2
-    bounds = [0]
-    for c in _check_cutoffs(cutoffs_hz, sample_rate):
-        k = min(int(np.floor(c * signal_length / sample_rate + 0.5)), top)
-        if k <= bounds[-1]:
-            raise ValueError(
-                f"cutoff {c} Hz collapses a band to zero bins "
-                f"(bin {k} after {bounds[-1]}); merge or widen the bands"
-            )
-        bounds.append(k)
-    return BandPlan(tuple(bounds), signal_length, sample_rate)
 
 
 @dataclass(frozen=True)
@@ -166,11 +94,33 @@ class BandSpec:
             raise ValueError("custom band plan needs 'cutoffs_hz'")
         return cls(cutoffs_hz=doc["cutoffs_hz"])
 
-    def plan(self, signal_length: int, sample_rate: float) -> BandPlan:
-        """DFT bin boundaries for a signal of this length and rate."""
+    def plan(self, signal_length: int, sample_rate: float) -> tuple[int, ...]:
+        """DFT bin boundaries (0, K_1, ..., floor(N/2)) for a signal of this length and rate.
+
+        Band i (0-based) covers bins K_i+1 .. K_{i+1} plus their mirrors.
+        Uniform bands differ by at most one bin and may not outnumber the
+        floor(N/2) non-DC bins. Custom cutoffs map to bins by round-half-up,
+        K_i = floor(c*N/Fs + 0.5), so a cutoff landing between bins belongs
+        to the lower band; cutoffs that collapse a band to zero bins are
+        rejected.
+        """
+        top = signal_length // 2
         if self.bands is not None:
-            return uniform_band_plan(self.bands, signal_length, sample_rate)
-        return custom_band_plan(self.cutoffs_hz, signal_length, sample_rate)
+            if self.bands > top:
+                raise ValueError(
+                    f"n_bands must be in [1, {top}] for length {signal_length}, got {self.bands}"
+                )
+            return tuple((i * top) // self.bands for i in range(self.bands + 1))
+        bounds = [0]
+        for c in _check_cutoffs(self.cutoffs_hz, sample_rate):
+            k = min(int(np.floor(c * signal_length / sample_rate + 0.5)), top)
+            if k <= bounds[-1]:
+                raise ValueError(
+                    f"cutoff {c} Hz collapses a band to zero bins "
+                    f"(bin {k} after {bounds[-1]}); merge or widen the bands"
+                )
+            bounds.append(k)
+        return tuple(bounds)
 
     def ladder(self, sample_rate: float) -> list[float]:
         """Interior FIR cutoffs in Hz, increasing: M bands need M-1."""
@@ -192,7 +142,6 @@ class Decomposition:
     c0: float
     components: np.ndarray
     method: str
-    sample_rate: float
 
     def __post_init__(self):
         comps = np.ascontiguousarray(self.components, dtype=np.float64)
@@ -212,27 +161,34 @@ class Decomposition:
         return self.c0 + np.sum(self.components, axis=0)
 
 
-def dft_decompose(x: Signal, plan: BandPlan, consumer=None) -> Decomposition:
+def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
     """Split a signal into zero-phase spectral band components.
 
-    Each band is :func:`one_sided` of the input spectrum on its bins: one
-    inverse transform gives the component as the real part and its
-    quadrature as the imaginary part. c0 is the DC bin (the sample mean).
-    The spectrum is computed once and the bands are made one at a time;
-    when `consumer` is given, it is called once per band, in order, with
-    the band's :class:`AnalyticSignal`, which is then dropped.
+    `boundaries` are the bin boundaries K_0 = 0 < K_1 < ... < K_M = floor(N/2)
+    of M bands, as :meth:`BandSpec.plan` gives them: band i (0-based) covers
+    bins K_i+1 .. K_{i+1}. Each band is :func:`one_sided` of the input
+    spectrum on its bins: one inverse transform gives the component as the
+    real part and its quadrature as the imaginary part. c0 is the DC bin
+    (the sample mean). The spectrum is computed once and the bands are made
+    one at a time; when `consumer` is given, it is called once per band, in
+    order, with the band's :class:`AnalyticSignal`, which is then dropped.
     """
     n = len(x)
-    if plan.signal_length != n:
-        raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
+    bounds = tuple(int(b) for b in boundaries)
+    if len(bounds) < 2 or bounds[0] != 0:
+        raise ValueError("boundaries must start at 0 and define at least one band")
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
+    if bounds[-1] != n // 2:
+        raise ValueError(f"last boundary must be {n // 2} for length {n}, got {bounds[-1]}")
     spectrum = np.fft.fft(x.samples, norm="forward")
-    components = np.empty((plan.n_bands, n))
-    for i in range(plan.n_bands):
-        z = one_sided(spectrum, *plan.band_bins(i))
+    components = np.empty((len(bounds) - 1, n))
+    for i in range(len(bounds) - 1):
+        z = one_sided(spectrum, bounds[i] + 1, bounds[i + 1])
         components[i] = z.real
         if consumer is not None:
             consumer(AnalyticSignal(z, x.sample_rate))
-    return Decomposition(float(spectrum[0].real), components, "dft", x.sample_rate)
+    return Decomposition(float(spectrum[0].real), components, "dft")
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,7 @@ def fmd_decompose(
             r -= alpha * y
         current = r
     components[-1] = current
-    return Decomposition(c0, components, method, x.sample_rate)
+    return Decomposition(c0, components, method)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvtext import BLOCK, RowText
+from ._csvtext import RowText
 from .signals import Signal
 
 __all__ = ["save_csv", "load_csv", "load_wav"]
-
-# samples formatted per write by save_csv
-SAVE_BLOCK = BLOCK
 
 
 def save_csv(x: Signal, path) -> None:

@@ -63,21 +63,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Span of the sample grid in seconds (n_samples / sample_rate)."""
-        return self.samples.size / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        """Sample instants in seconds, t[n] = n / sample_rate."""
-        return np.arange(self.samples.size) / self.sample_rate
-
-    @property
-    def energy(self) -> float:
-        """Sum of squared samples."""
-        return float(np.dot(self.samples, self.samples))
-
 
 def finite_energy(samples: np.ndarray) -> float:
     """Sum of squared samples, refusing a sum that overflows float64.
@@ -250,7 +235,7 @@ def delay_pad(x: Signal, delay: float, total_duration: float) -> Signal:
     if back < 0:
         raise ValueError(
             f"total_duration {total_duration} s too short for delay {delay} s "
-            f"plus signal of {x.duration} s"
+            f"plus signal of {len(x) / x.sample_rate} s"
         )
     return Signal(np.concatenate([np.zeros(front), x.samples, np.zeros(back)]), x.sample_rate)
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from tfekit import (
     AnalyticSignal,
-    BandPlan,
     Decomposition,
     FirFilter,
     OrthogonalityReport,
@@ -237,7 +236,7 @@ def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
     return Signal(backward[pad : pad + len(x)], x.sample_rate)
 
 
-def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
+def dft_decompose(x: Signal, boundaries) -> Decomposition:
     """Split a signal into zero-phase spectral band components.
 
     Each component is the inverse transform of the input spectrum masked
@@ -246,14 +245,14 @@ def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
     the signal scale indicates a broken Hermitian mask and raises.
     """
     n = len(x)
-    if plan.signal_length != n:
-        raise ValueError(f"plan built for length {plan.signal_length}, signal has {n}")
+    if boundaries[-1] != n // 2:
+        raise ValueError(f"boundaries end at {boundaries[-1]}, length {n} needs {n // 2}")
     spectrum = np.fft.fft(x.samples) / n
     c0 = float(spectrum[0].real)
     residue_limit = 1e-10 * max(1.0, float(np.abs(x.samples).max()))
     components = []
-    for i in range(plan.n_bands):
-        lo, hi = plan.band_bins(i)
+    for i in range(len(boundaries) - 1):
+        lo, hi = boundaries[i] + 1, boundaries[i + 1]
         masked = np.zeros(n, dtype=np.complex128)
         masked[lo : hi + 1] = spectrum[lo : hi + 1]
         # mirror bins; for even N the Nyquist bin has no distinct mirror
@@ -268,7 +267,7 @@ def dft_decompose(x: Signal, plan: BandPlan) -> Decomposition:
                 f"{residue_limit:.3e}; spectral mask lost Hermitian symmetry"
             )
         components.append(y.real)
-    return Decomposition(c0, components, "dft", x.sample_rate)
+    return Decomposition(c0, components, "dft")
 
 
 def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:

@@ -27,7 +27,6 @@ from tfekit import (
     gen_noise,
     if_track,
     mix,
-    uniform_band_plan,
     verify_linoep,
     verify_orthogonality,
     zero_phase_filter,
@@ -139,7 +138,7 @@ def test_criterion_04_two_tone_average_and_band_split():
     rel = np.abs(track.frequency_hz[mask] - average[mask]) / average[mask]
     max_rel = float(rel.max())
 
-    plan = uniform_band_plan(100, len(x), fs)
+    plan = BandSpec(bands=100).plan(len(x), fs)
     decomposition = dft_decompose(x, plan)
     in_band = 0.0
     total = 0.0
@@ -170,7 +169,7 @@ def test_criterion_06_dft_decomposition_invariants():
     x = _example1_mixture()
     worst = {"recon": 0.0, "cross": 0.0, "energy": 0.0}
     for n_bands in (2, 10, 100):
-        d = dft_decompose(x, uniform_band_plan(n_bands, len(x), x.sample_rate))
+        d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate))
         recon = float(np.abs(d.reconstruct() - x.samples).max() / np.abs(x.samples).max())
         report = verify_orthogonality(d)
         worst["recon"] = max(worst["recon"], recon)
@@ -254,7 +253,7 @@ def test_criterion_11_oracle_equivalence():
         x = rng.normal(size=n)
         spectrum = dft_direct(x)
         bands = []
-        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(n // 2, n, 1.0), bands.append)
+        d = dft_decompose(Signal(x, 1.0), BandSpec(bands=n // 2).plan(n, 1.0), bands.append)
         err_f = abs(d.c0 - spectrum[0].real) / float(np.abs(spectrum).max())
         worst_transform = max(worst_transform, err_f)
         for k, band in enumerate(bands, start=1):
@@ -264,7 +263,7 @@ def test_criterion_11_oracle_equivalence():
             worst_transform = max(worst_transform, err_i)
 
     x = Signal(rng.normal(size=64), 64.0)
-    d = dft_decompose(x, uniform_band_plan(4, 64, 64.0))
+    d = dft_decompose(x, BandSpec(bands=4).plan(64, 64.0))
     report = verify_orthogonality(d)
     cross = 0.0
     for i in range(4):
@@ -272,7 +271,7 @@ def test_criterion_11_oracle_equivalence():
             ci, cj = d.components[i], d.components[j]
             denom = np.sqrt(np.dot(ci, ci) * np.dot(cj, cj))
             cross = max(cross, abs(float(np.dot(ci, cj))) / denom)
-    energy = (sum(float(np.dot(c, c)) for c in d.components) + 64 * d.c0**2) / x.energy
+    energy = (sum(float(np.dot(c, c)) for c in d.components) + 64 * d.c0**2) / np.dot(x.samples, x.samples)
     orth_dev = max(abs(report.max_normalized_cross - cross),
                    abs(report.energy_ratio - energy))
 

@@ -14,13 +14,13 @@ from oracles import (
 )
 from tfekit import (
     AnalyticSignal,
+    BandSpec,
     Signal,
     analytic_signal,
     dft_decompose,
     gen_delta,
     if_track,
     one_sided,
-    uniform_band_plan,
 )
 
 _RNG = np.random.default_rng(31)
@@ -42,7 +42,7 @@ class TestDft:
 
     def test_delta_spectrum(self):
         # a flat spectrum of 1/N: c0, the bin-1 cosine and the Nyquist tone all carry 0.25
-        d = dft_decompose(Signal([1.0, 0.0, 0.0, 0.0], 4.0), uniform_band_plan(2, 4, 4.0))
+        d = dft_decompose(Signal([1.0, 0.0, 0.0, 0.0], 4.0), BandSpec(bands=2).plan(4, 4.0))
         assert np.allclose(d.c0, 0.25)
         assert np.allclose(d.components, [[0.5, 0.0, -0.5, 0.0], [0.25, -0.25, 0.25, -0.25]])
 
@@ -53,14 +53,14 @@ class TestDft:
         z = one_sided(np.fft.fft(x, norm="forward"), 0, 128)
         assert np.abs(z.real - x).max() <= 1e-10 * scale
         assert np.abs(z.imag - analytic_signal(Signal(x, 1.0)).z.imag).max() <= 1e-10 * scale
-        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(1, 257, 1.0))
+        d = dft_decompose(Signal(x, 1.0), BandSpec(bands=1).plan(257, 1.0))
         assert np.abs(d.reconstruct() - x).max() <= 1e-10 * scale
 
     def test_bin_aligned_cosine(self):
         # the cosine is 0.5 at bin 1 and at its mirror: band 1 is its analytic signal
         n = np.arange(8)
         bands = []
-        d = dft_decompose(Signal(np.cos(2 * np.pi * n / 8), 8.0), uniform_band_plan(4, 8, 8.0),
+        d = dft_decompose(Signal(np.cos(2 * np.pi * n / 8), 8.0), BandSpec(bands=4).plan(8, 8.0),
                           bands.append)
         assert abs(d.c0) < 1e-12
         assert np.abs(bands[0].z - np.exp(2j * np.pi * n / 8)).max() < 1e-12
@@ -73,7 +73,7 @@ class TestDft:
         x = rng.normal(size=n)
         spectrum = dft_direct(x)
         bands = []
-        d = dft_decompose(Signal(x, 1.0), uniform_band_plan(n // 2, n, 1.0), bands.append)
+        d = dft_decompose(Signal(x, 1.0), BandSpec(bands=n // 2).plan(n, 1.0), bands.append)
         assert abs(d.c0 - spectrum[0].real) <= 1e-10 * np.abs(spectrum).max()
         for k, band in enumerate(bands, start=1):
             one_bin = np.zeros(n, dtype=complex)

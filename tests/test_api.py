@@ -6,7 +6,6 @@ import tfekit
 
 PUBLIC = [
     "AnalyticSignal",
-    "BandPlan",
     "BandSpec",
     "Decomposition",
     "DiffScheme",
@@ -24,7 +23,6 @@ PUBLIC = [
     "causal_filter",
     "chirp_true_if",
     "conventional_if",
-    "custom_band_plan",
     "delay_pad",
     "design_fir",
     "dft_decompose",
@@ -46,7 +44,6 @@ PUBLIC = [
     "positive_if",
     "remove_mean",
     "save_csv",
-    "uniform_band_plan",
     "verify_linoep",
     "verify_orthogonality",
     "zero_phase_filter",
@@ -58,6 +55,10 @@ REMOVED = [
     ("analytic", "idft"),
     ("tfe", "build_tfe"),
     ("tfe", "export_track_csv"),
+    ("filterbank", "BandPlan"),
+    ("filterbank", "uniform_band_plan"),
+    ("filterbank", "custom_band_plan"),
+    ("io", "SAVE_BLOCK"),
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -65,7 +66,10 @@ REMOVED_ATTRIBUTES = [
     (tfekit.AnalyticSignal, "quadrature"),
     (tfekit.AnalyticSignal, "envelope"),
     (tfekit.AnalyticSignal, "degenerate"),
-    (tfekit.BandPlan, "band_edges_hz"),
+    (tfekit.Signal, "times"),
+    (tfekit.Signal, "duration"),
+    (tfekit.Signal, "energy"),
+    (tfekit.Decomposition, "sample_rate"),
 ]
 
 

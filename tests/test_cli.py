@@ -24,10 +24,10 @@ from tfekit import (
     load_grid_csv,
     load_track_csv,
     one_sided,
-    uniform_band_plan,
     verify_linoep,
 )
 from tfekit.cli import (
+    FIXTURE_FLAGS,
     FIXTURES,
     _decompose,
     _load_input,
@@ -437,6 +437,15 @@ class TestDecompose:
             "error: signal energy overflows float64; rescale the input\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
 
+    @pytest.mark.parametrize("flag", ["--time-bins", "--freq-bins"])
+    def test_no_bin_flags(self, workdir, flag):
+        # decompose builds no grid, so it takes no grid size
+        with pytest.raises(SystemExit) as err:
+            main(["decompose", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
+                  "--bands", "4", flag, "10"])
+        assert err.value.code == 2
+        assert not list(workdir.iterdir())
+
 
 # fixture -> (length, sample rate) at its defaults, and whether it has true ridges
 FIXTURE_SHAPES = {
@@ -466,6 +475,35 @@ def test_every_fixture(workdir, name):
 
 def test_fixture_shapes_cover_every_fixture():
     assert set(FIXTURES) == set(FIXTURE_SHAPES)
+
+
+def test_fixture_flags_cover_every_parameter():
+    # every fixture parameter but the rate has its flag, and every flag a fixture
+    params = {key for defaults, _, _ in FIXTURES.values() for key in defaults}
+    assert params - {"fs"} == set(FIXTURE_FLAGS)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "chirp", "--seed", "7"], "--seed"),
+    (["gen", "chirp", "--var", "3"], "--var"),
+    (["gen", "noise", "--dur", "1"], "--dur"),
+    (["gen", "delta", "--fs", "100", "--len", "64", "--n0", "3", "--total-dur", "2"], "--total-dur"),
+    (["gen", "chirp-fm-mix", "--amp", "2"], "--amp"),
+    (["analyze", "--gen", "fm", "--f0", "100", "--method", "none"], "--f0"),
+    (["analyze", "--input", "in.csv", "--n0", "3"], "--n0"),
+    (["analyze", "--input", "in.csv", "--fs", "50", "--f0", "9"], "--f0"),
+    (["decompose", "--input", "in.csv", "--len", "64", "--method", "dft", "--bands", "2"], "--len"),
+    (["compare", "--input", "in.csv", "--dur", "1", "--a-method", "none", "--b-method", "none"],
+     "--dur"),
+], ids=["gen-seed", "gen-var", "gen-dur", "gen-total-dur", "gen-amp", "analyze-gen", "analyze-n0",
+        "analyze-f0", "decompose-len", "compare-dur"])
+def test_unused_fixture_flag_refused(workdir, capsys, argv, flag):
+    main(["gen", "noise", "--len", "256", "--fs", "100", "--out", "in.csv"])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["in.csv"]
 
 
 class TestCompare:
@@ -529,10 +567,10 @@ def _oracle_tracks(x, method, bands):
     if method == "none":
         return [if_track(x)], checks
     if method == "dft":
-        plan = uniform_band_plan(bands, len(x), fs)
+        plan = BandSpec(bands=bands).plan(len(x), fs)
         d = dft_decompose(x, plan)
         spectrum = np.fft.fft(x.samples, norm="forward")
-        tracks = [if_track(AnalyticSignal(one_sided(spectrum, *plan.band_bins(i)), fs))
+        tracks = [if_track(AnalyticSignal(one_sided(spectrum, plan[i] + 1, plan[i + 1]), fs))
                   for i in range(bands)]
     else:
         d = fmd_decompose(x, BandSpec(bands=bands).ladder(fs), 256, method)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import four_pass_if
 from tfekit import (
-    BandPlan,
+    BandSpec,
     DiffScheme,
     IFWorkspace,
     Signal,
@@ -24,7 +24,6 @@ from tfekit import (
     NoiseSpec,
     phase_diff,
     positive_if,
-    uniform_band_plan,
 )
 
 
@@ -255,8 +254,7 @@ class TestIncrementPath:
         # the band's phase advances by exactly pi per sample: the two ends of the fold meet
         fs = 8.0
         bands = []
-        dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, n // 2 - 1, n // 2), n, fs),
-                      bands.append)
+        dft_decompose(_noise_plus_nyquist(n, fs), (0, n // 2 - 1, n // 2), bands.append)
         top = bands[1]
         for scheme in DiffScheme:
             f = if_track(top, scheme).frequency_hz
@@ -267,7 +265,7 @@ class TestIncrementPath:
     def test_bin_one_band_stays_below_quarter_rate(self, n):
         fs = 8.0
         bands = []
-        dft_decompose(_noise_plus_nyquist(n, fs), BandPlan((0, 1, n // 2), n, fs), bands.append)
+        dft_decompose(_noise_plus_nyquist(n, fs), (0, 1, n // 2), bands.append)
         low = bands[0]
         for scheme in DiffScheme:
             f = if_track(low, scheme).frequency_hz
@@ -287,7 +285,7 @@ class TestIncrementPath:
     def test_matches_four_pass_oracle(self, scheme):
         x = _mixture()
         bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
-        dft_decompose(x, BandPlan((0, 800, 1200, 2000, 4000), 8000, 8000.0), bands.append)
+        dft_decompose(x, (0, 800, 1200, 2000, 4000), bands.append)
         for a in bands:
             envelope = np.abs(a.z)
             keep = envelope > 0.1 * envelope.max()
@@ -308,7 +306,7 @@ class TestWorkspace:
         ws.mask.fill(True)
         x = _noise_plus_nyquist(n, 100.0)
         bands = []
-        dft_decompose(x, uniform_band_plan(3, n, 100.0), bands.append)
+        dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
         for signal in (x, *bands, Signal(1e-300 * x.samples, 100.0), gen_delta(n // 2, n, 100.0)):
             want = if_track(signal, scheme, mode)
             got = if_track(signal, scheme, mode, ws)
@@ -330,7 +328,7 @@ class TestWorkspace:
         ws = IFWorkspace(n)
         x = _noise_plus_nyquist(n, 100.0)
         band = []
-        dft_decompose(x, uniform_band_plan(2, n, 100.0), band.append)
+        dft_decompose(x, BandSpec(bands=2).plan(n, 100.0), band.append)
         if_track(x, scheme, workspace=ws)
         tracemalloc.start()
         try:

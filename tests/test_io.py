@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfekit import Signal, gen_chirp, load_csv, load_wav, save_csv
-from tfekit.io import SAVE_BLOCK
+from tfekit._csvtext import BLOCK
 
 GOLDEN_SIGNALS = {
     "odd-length": Signal(np.random.default_rng(1).normal(size=101), 12345.678),
     "even-length": Signal(np.random.default_rng(2).normal(size=100), 8000.0),
-    "block-boundaries": Signal(np.random.default_rng(3).normal(size=2 * SAVE_BLOCK + 1), 100.0),
-    "block-minus-one": Signal(np.random.default_rng(4).normal(size=SAVE_BLOCK - 1), 100.0),
-    "one-block": Signal(np.random.default_rng(5).normal(size=SAVE_BLOCK), 100.0),
+    "block-boundaries": Signal(np.random.default_rng(3).normal(size=2 * BLOCK + 1), 100.0),
+    "block-minus-one": Signal(np.random.default_rng(4).normal(size=BLOCK - 1), 100.0),
+    "one-block": Signal(np.random.default_rng(5).normal(size=BLOCK), 100.0),
     "edge-values": Signal([0.0, 5e-324, 1e300, -1e300, 50.0, 1.0, -0.0, 0.1], 100.0),
     "negative-subnormal-and-extremes": Signal(
         [-1.5, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308, 1e-300, -1e-300,
