@@ -9,7 +9,7 @@ spectral masking (orthogonal components) or by an iterative zero-phase
 FIR ladder (energy-preserving, tail-orthogonal components).
 """
 
-from .analytic import AnalyticSignal, IFWorkspace, analytic_signal, one_sided
+from .analytic import AnalyticSignal, IFWorkspace, analytic_signal
 from .filterbank import (
     BandSpec,
     Decomposition,
@@ -87,7 +87,6 @@ __all__ = [
     "load_track_csv",
     "load_wav",
     "mix",
-    "one_sided",
     "phase_diff",
     "positive_if",
     "remove_mean",

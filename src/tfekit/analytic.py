@@ -4,9 +4,10 @@ The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
 transform, zero the negative-frequency bins, double the positive ones (DC
 and, for even lengths, the Nyquist bin stay unscaled), then invert. The
 real part equals the input and the imaginary part is its quadrature.
-:func:`analytic_signal` keeps the input as the real part and takes the
-quadrature from one real transform pair; kept to a run of bins,
-:func:`one_sided` gives one band of the DFT filter bank.
+Here the real part is kept as it is and the quadrature comes from the
+nonnegative bins by one real inverse transform, whose Hermitian synthesis
+does the doubling. :func:`analytic_signal` gives it for a whole signal,
+and the DFT filter bank for each of its bands.
 
 An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
 path (spectrum, then energies; ``z``; phase increments, then frequencies;
@@ -21,35 +22,10 @@ import numpy as np
 from .signals import Signal
 
 __all__ = [
-    "one_sided",
     "IFWorkspace",
     "AnalyticSignal",
     "analytic_signal",
 ]
-
-
-def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
-    """Analytic signal of the bins lo..hi of a spectrum ``np.fft.fft(x, norm="forward")``.
-
-    Zeroes every bin outside lo..hi, doubles the bins strictly between DC
-    and Nyquist, keeps DC (lo == 0) and the even-length Nyquist bin
-    (2*hi == N) unscaled, and inverts. The real part of the result is the
-    zero-phase component of those bins, the imaginary part its quadrature.
-    """
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    n = spectrum.size
-    if n < 4:
-        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
-    if not 0 <= lo <= hi <= n // 2:
-        raise ValueError(f"bins {lo}..{hi} outside 0..{n // 2} for length {n}")
-    z = np.zeros(n, dtype=np.complex128)
-    z[lo : hi + 1] = 2 * spectrum[lo : hi + 1]
-    if lo == 0:
-        z[0] = spectrum[0]
-    if 2 * hi == n:
-        z[hi] = spectrum[hi]
-    # in place: the masked spectrum's memory becomes the band's own z
-    return np.fft.ifft(z, norm="forward", out=z)
 
 
 class IFWorkspace:
@@ -118,13 +94,33 @@ class AnalyticSignal:
         return d
 
 
+def _check_analytic_length(n: int) -> None:
+    if n < 4:
+        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
+
+
+def _quadrature(bins: np.ndarray, n: int, out: np.ndarray, norm: str = "backward") -> np.ndarray:
+    """Quadrature of the real n-sample signal whose real transform is `bins`, into `out`.
+
+    irfft(-j * bins) with the DC bin and, for even n, the Nyquist bin
+    zeroed; irfft's Hermitian synthesis does the one-sided doubling.
+    `bins`, made with `norm`, is overwritten.
+    """
+    _check_analytic_length(n)
+    # numpy's irfft drops the imaginary part of these self-conjugate bins
+    # anyway; zeroed here so the quadrature does not rest on that
+    bins[0] = 0.0
+    if n % 2 == 0:
+        bins[-1] = 0.0
+    bins *= -1j
+    return np.fft.irfft(bins, n, norm=norm, out=out)
+
+
 def analytic_signal(x: Signal, workspace: IFWorkspace | None = None) -> AnalyticSignal:
     """Construct the analytic signal of `x`, at least 4 samples.
 
-    The real part is `x.samples`, bit for bit. The quadrature is
-    irfft(-j * rfft(x)) with the DC bin and, for even N, the Nyquist bin
-    zeroed: the imaginary part of :func:`one_sided` on bins 0..floor(N/2),
-    from one real transform pair instead of two complex ones. An all-zero
+    The real part is `x.samples`, bit for bit; the quadrature comes from
+    one real transform pair, rfft then :func:`_quadrature`. An all-zero
     input yields an all-zero `z` and zero increments.
 
     The transforms run in the arrays of `workspace`, an
@@ -133,20 +129,11 @@ def analytic_signal(x: Signal, workspace: IFWorkspace | None = None) -> Analytic
     """
     samples = x.samples
     n = samples.size
-    if n < 4:
-        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
     ws = IFWorkspace(n) if workspace is None else workspace
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
-    spectrum = np.fft.rfft(samples, out=ws.spectrum)
-    # numpy's irfft drops the imaginary part of these self-conjugate bins
-    # anyway; zeroed here so the quadrature does not rest on that
-    spectrum[0] = 0.0
-    if n % 2 == 0:
-        spectrum[-1] = 0.0
-    spectrum *= -1j
     # into contiguous memory first: a strided out=z.imag would be buffered
-    quadrature = np.fft.irfft(spectrum, n, out=ws.frequency)
+    quadrature = _quadrature(np.fft.rfft(samples, out=ws.spectrum), n, ws.frequency)
     ws.z.real = samples
     ws.z.imag = quadrature
     return AnalyticSignal(ws.z, x.sample_rate)

@@ -282,15 +282,15 @@ def _resolve_bands(signal: Signal, settings: dict):
     return spec.ladder(signal.sample_rate)
 
 
-def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposition | None, dict]:
-    """Decompose as the settings ask and verify the result.
+def _decompose(signal: Signal, settings: dict, bands,
+               consumer=None) -> tuple[Decomposition | None, dict]:
+    """Decompose on `bands`, as :func:`_resolve_bands` gives them, and verify the result.
 
     Returns the decomposition (None for method 'none') and the verification
     diagnostics. The DFT bank hands each band's analytic signal to
     `consumer`, when given, as it makes the band.
     """
     method = settings["method"]
-    bands = _resolve_bands(signal, settings)
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
         return None, checks
@@ -318,18 +318,19 @@ def _decompose(signal: Signal, settings: dict, consumer=None) -> tuple[Decomposi
     return decomposition, checks
 
 
-def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=None,
+def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, write=None,
                   ridges=None) -> tuple[dict, float | None]:
     """Decompose and verify, handing each component's IF track to one sink as it is made.
 
-    The sink deposits the track into `grid`, appends its rows through
-    `write` when one is given, and adds the track to the per-track figures;
-    no list of tracks is kept. Every track is made in one IFWorkspace,
-    made with the first track, so `write` gets a track that holds only
-    until the next one. A DFT band is tracked as the bank makes it,
-    any other component once the decomposition is verified. Returns the
-    diagnostics and, given true `ridges`, the energy-weighted mean distance
-    (Hz) between track samples and the nearest ridge, summed in track order.
+    `bands` is as for :func:`_decompose`. The sink deposits the track into
+    `grid`, appends its rows through `write` when one is given, and adds the
+    track to the per-track figures; no list of tracks is kept. Every track
+    is made in one IFWorkspace, made with the first track, so `write` gets
+    a track that holds only until the next one. A DFT band is tracked as
+    the bank makes it, any other component once the decomposition is
+    verified. Returns the diagnostics and, given true `ridges`, the
+    energy-weighted mean distance (Hz) between track samples and the
+    nearest ridge, summed in track order.
     """
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
@@ -353,7 +354,7 @@ def _run_analysis(signal: Signal, settings: dict, grid: TFEAccumulator, write=No
             weighted += float(np.dot(dist, track.energy))
             total_energy += float(track.energy.sum())
 
-    decomposition, checks = _decompose(signal, settings, sink)
+    decomposition, checks = _decompose(signal, settings, bands, sink)
     if decomposition is None:
         sink(signal)
     elif decomposition.method != "dft":
@@ -393,6 +394,7 @@ def cmd_analyze(args) -> int:
     signal, _, _ = _load_input(args)
     settings = _settings(args, args.config)
     grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
+    bands = _resolve_bands(signal, settings)
     prefix = args.out_prefix
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
@@ -401,7 +403,7 @@ def cmd_analyze(args) -> int:
     partial_path = Path(f"{track_path}.partial")
     try:
         with open(partial_path, "w") as fh:
-            diagnostics, _ = _run_analysis(signal, settings, grid, TrackCsvWriter(fh).write)
+            diagnostics, _ = _run_analysis(signal, settings, bands, grid, TrackCsvWriter(fh).write)
         export_grid_csv(grid.grid(), grid_path)
         diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
         _write_json(diag_path, diagnostics)
@@ -419,12 +421,12 @@ def cmd_decompose(args) -> int:
     settings = _settings(args, args.config)
     if settings["method"] in ("none", None):
         raise ValueError("decompose needs --method dft|fmd-a|fmd-b|causal-fir")
-    decomposition, checks = _decompose(signal, settings)
+    decomposition, checks = _decompose(signal, settings, _resolve_bands(signal, settings))
     prefix = args.out_prefix
     written = []
     for i, comp in enumerate(decomposition.components, start=1):
         path = Path(f"{prefix}_component_{i:03d}.csv")
-        save_csv(Signal(comp, signal.sample_rate), path)
+        save_csv(Signal._view(comp, signal.sample_rate), path)
         written.append(path)
     diag_path = Path(f"{prefix}_diagnostics.json")
     _write_json(diag_path, {
@@ -448,16 +450,15 @@ def cmd_compare(args) -> int:
     report = {"schema": COMPARE_SCHEMA, "sides": {}}
     sides = {side: _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
              for side in ("a", "b")}
-    for settings in sides.values():
-        # either side's settings error, before side a writes anything
-        _resolve_bands(signal, settings)
+    # either side's settings error, before side a writes anything
+    plans = {side: _resolve_bands(signal, settings) for side, settings in sides.items()}
     # each side's grid is held until both sides have run, so a run-time
     # error in side b leaves no file either
     grids = {}
     for side, settings in sides.items():
         # checks the bin counts before side a is decomposed
         grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
-        diagnostics, ridge_error = _run_analysis(signal, settings, grid, ridges=ridges)
+        diagnostics, ridge_error = _run_analysis(signal, settings, plans[side], grid, ridges=ridges)
         grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
         grids[grid_path] = grid.grid()
         entry = {**diagnostics, "grid_csv": str(grid_path)}

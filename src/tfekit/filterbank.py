@@ -1,10 +1,10 @@
 """Zero-phase spectral filter bank.
 
 A band plan partitions the nonnegative DFT bins 1..K_M into M contiguous
-runs; bin 0 (the mean) is routed to the separate c0 term. One inverse
-transform of the spectrum made one-sided on a band's bins gives the band
-component as the real part, exactly zero-phase, and its quadrature as the
-imaginary part; components are mutually orthogonal with disjoint support.
+runs; bin 0 (the mean) is routed to the separate c0 term. A real inverse
+transform of a band's bins gives its component, exactly zero-phase, and,
+when the band is tracked, the analytic signal's quadrature step gives its
+quadrature; components are mutually orthogonal with disjoint support.
 """
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticSignal, one_sided
+from .analytic import AnalyticSignal, _check_analytic_length, _quadrature
 from .signals import Signal, finite_energy
 
 __all__ = [
@@ -166,14 +166,15 @@ def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
 
     `boundaries` are the bin boundaries K_0 = 0 < K_1 < ... < K_M = floor(N/2)
     of M bands, as :meth:`BandSpec.plan` gives them: band i (0-based) covers
-    bins K_i+1 .. K_{i+1}. Each band is :func:`one_sided` of the input
-    spectrum on its bins: one inverse transform gives the component as the
-    real part and its quadrature as the imaginary part. c0 is the DC bin
-    (the sample mean). The spectrum is computed once and the bands are made
-    one at a time; when `consumer` is given, it is called once per band, in
-    order, with the band's :class:`AnalyticSignal`, which is then dropped.
+    bins K_i+1 .. K_{i+1}. Each component is the real inverse transform of
+    its bins of the input spectrum; c0 is the DC bin (the sample mean). The
+    spectrum is computed once and the bands are made one at a time; when
+    `consumer` is given, it is called once per band, in order, with the
+    band's own :class:`AnalyticSignal`, whose quadrature comes from the same
+    bins. Signals under 4 samples are refused, consumer or not.
     """
     n = len(x)
+    _check_analytic_length(n)
     bounds = tuple(int(b) for b in boundaries)
     if len(bounds) < 2 or bounds[0] != 0:
         raise ValueError("boundaries must start at 0 and define at least one band")
@@ -183,11 +184,17 @@ def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
         raise ValueError(f"last boundary must be {n // 2} for length {n}, got {bounds[-1]}")
     spectrum = np.fft.fft(x.samples, norm="forward")
     components = np.empty((len(bounds) - 1, n))
-    for i in range(len(bounds) - 1):
-        z = one_sided(spectrum, bounds[i] + 1, bounds[i + 1])
-        components[i] = z.real
+    bins = np.zeros(n // 2 + 1, dtype=np.complex128)
+    quadrature = np.empty(n)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        band = slice(lo + 1, hi + 1)
+        bins[band] = spectrum[band]
+        np.fft.irfft(bins, n, norm="forward", out=components[i])
         if consumer is not None:
+            z = components[i].astype(np.complex128)
+            z.imag = _quadrature(bins, n, quadrature, norm="forward")
             consumer(AnalyticSignal(z, x.sample_rate))
+        bins[band] = 0.0
     return Decomposition(float(spectrum[0].real), components, "dft")
 
 

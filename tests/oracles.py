@@ -8,10 +8,12 @@ the phase increments directly), CSV writers that build the whole file as a
 list of lines (the streaming writers must match them byte for byte), a
 DFT bank built another way: a Hermitian 0/1 mask per band with an
 imaginary-residue guard, scaling numpy's transforms by N itself (the
-one-sided bank must match it component by component), and the list-based
-grid and stacked Gram check that held every track and a second
+real-transform bank must match it component by component), and the
+list-based grid and stacked Gram check that held every track and a second
 copy of the components at once (the streaming CLI must match their bytes),
-the analytic signal as two complex transforms (the real-transform
+Marple's one-sided spectrum, one complex synthesis per band with its own
+bin doubling (each band of the bank must match it to rounding), the
+analytic signal as two complex transforms built on it (the real-transform
 quadrature must match it to rounding), the boolean-index phase fold (the
 masked fold must match its bits) and zero-phase filtering as two
 time-domain convolutions with a reversal between them (the block-FFT
@@ -31,7 +33,6 @@ from tfekit import (
     OrthogonalityReport,
     Signal,
     TFEGrid,
-    one_sided,
 )
 from tfekit.signals import finite_energy
 
@@ -78,6 +79,30 @@ def unwrap_phase(wrapped) -> np.ndarray:
     np.cumsum(folded, out=out[1:])
     out[1:] += wrapped[0]
     return out
+
+
+def one_sided(spectrum, lo: int, hi: int) -> np.ndarray:
+    """Analytic signal of the bins lo..hi of a spectrum ``np.fft.fft(x, norm="forward")``.
+
+    Zeroes every bin outside lo..hi, doubles the bins strictly between DC
+    and Nyquist, keeps DC (lo == 0) and the even-length Nyquist bin
+    (2*hi == N) unscaled, and inverts. The real part of the result is the
+    zero-phase component of those bins, the imaginary part its quadrature.
+    """
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    n = spectrum.size
+    if n < 4:
+        raise ValueError(f"analytic signal needs at least 4 samples, got {n}")
+    if not 0 <= lo <= hi <= n // 2:
+        raise ValueError(f"bins {lo}..{hi} outside 0..{n // 2} for length {n}")
+    z = np.zeros(n, dtype=np.complex128)
+    z[lo : hi + 1] = 2 * spectrum[lo : hi + 1]
+    if lo == 0:
+        z[0] = spectrum[0]
+    if 2 * hi == n:
+        z[hi] = spectrum[hi]
+    # in place: the masked spectrum's memory becomes the band's own z
+    return np.fft.ifft(z, norm="forward", out=z)
 
 
 def analytic_signal(x: Signal) -> AnalyticSignal:

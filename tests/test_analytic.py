@@ -9,6 +9,7 @@ from oracles import (
     hilbert_kernel,
     hilbert_kernel_fir,
     idft_direct,
+    one_sided,
     unwrap_phase,
     wrap_angle,
 )
@@ -20,7 +21,6 @@ from tfekit import (
     dft_decompose,
     gen_delta,
     if_track,
-    one_sided,
 )
 
 _RNG = np.random.default_rng(31)
@@ -81,9 +81,13 @@ class TestDft:
             assert np.abs(band.z - idft_direct(one_bin)).max() <= 1e-10 * np.abs(x).max()
 
     def test_empty_rejected(self):
-        for spectrum in ([], np.ones(3)):
-            with pytest.raises(ValueError, match="at least 4 samples"):
-                one_sided(spectrum, 0, 0)
+        # the analytic signal's length rule, whether or not the bands are tracked
+        for n in (2, 3):
+            for consumer in (None, [].append):
+                with pytest.raises(ValueError, match=f"at least 4 samples, got {n}"):
+                    dft_decompose(Signal(np.ones(n), 1.0), (0, 1), consumer)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            Signal([], 1.0)
 
 
 class TestAnalyticSignal:
@@ -170,6 +174,14 @@ class TestAnalyticSignal:
         assert np.abs(got.z.imag - want.z.imag).max() <= 1e-12 * scale
         assert (not got.z.any()) == (case == "all-zero")
 
+    @pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
+    def test_matches_scipy_hilbert(self, case):
+        # an oracle written apart from this package and its tests
+        scipy_signal = pytest.importorskip("scipy.signal")
+        x = Signal(QUADRATURE_CASES[case], 100.0)
+        want = scipy_signal.hilbert(x.samples)
+        assert np.abs(analytic_signal(x).z - want).max() <= 1e-12 * np.abs(x.samples).max()
+
     def test_nyquist_only_reads_half_the_rate(self):
         x = Signal(QUADRATURE_CASES["nyquist-only"], 100.0)
         assert np.abs(analytic_signal(x).z.imag).max() <= 1e-12
@@ -208,21 +220,24 @@ class TestIncrements:
 
 
 class TestOneSided:
+    """The bank's bands are runs of bins of the signal's one-sided spectrum."""
+
     @pytest.mark.parametrize("n", [16, 17])
     def test_bands_add_up_to_the_full_band(self, n):
-        # DC alone, then runs of bins up to Nyquist: one_sided is linear in its bins
-        spectrum = np.fft.fft(np.random.default_rng(n).normal(size=n), norm="forward")
-        edges = [0, 0, 3, 4, n // 2]
-        parts = [one_sided(spectrum, 0, 0)]
-        parts += [one_sided(spectrum, lo + 1, hi) for lo, hi in zip(edges[1:], edges[2:])]
-        full = one_sided(spectrum, 0, n // 2)
-        assert np.abs(np.sum(parts, axis=0) - full).max() <= 1e-12
+        # c0, then runs of bins up to Nyquist: the analytic signal is linear in its bins
+        x = Signal(np.random.default_rng(n).normal(size=n), 1.0)
+        bands = []
+        d = dft_decompose(x, (0, 3, 4, n // 2), bands.append)
+        parts = [band.z for band in bands]
+        full = analytic_signal(x).z
+        assert np.abs(d.c0 + np.sum(parts, axis=0) - full).max() <= 1e-12
 
     def test_bins_outside_the_half_spectrum_rejected(self):
-        spectrum = np.fft.fft(np.arange(8.0), norm="forward")
-        for lo, hi in [(-1, 2), (3, 2), (1, 5)]:
-            with pytest.raises(ValueError, match="outside"):
-                one_sided(spectrum, lo, hi)
+        x = Signal(np.arange(8.0), 1.0)
+        for bounds, message in [((-1, 2, 4), "start at 0"), ((0, 3, 2, 4), "strictly increasing"),
+                                ((0, 1, 5), "last boundary must be 4")]:
+            with pytest.raises(ValueError, match=message):
+                dft_decompose(x, bounds)
 
 
 class TestHilbertKernel:

@@ -39,7 +39,6 @@ PUBLIC = [
     "load_track_csv",
     "load_wav",
     "mix",
-    "one_sided",
     "phase_diff",
     "positive_if",
     "remove_mean",
@@ -53,6 +52,7 @@ PUBLIC = [
 REMOVED = [
     ("analytic", "dft"),
     ("analytic", "idft"),
+    ("analytic", "one_sided"),
     ("tfe", "build_tfe"),
     ("tfe", "export_track_csv"),
     ("filterbank", "BandPlan"),

@@ -12,7 +12,6 @@ import oracles
 import pytest
 
 from tfekit import (
-    AnalyticSignal,
     BandSpec,
     IFWorkspace,
     Signal,
@@ -23,7 +22,6 @@ from tfekit import (
     load_csv,
     load_grid_csv,
     load_track_csv,
-    one_sided,
     verify_linoep,
 )
 from tfekit.cli import (
@@ -31,6 +29,7 @@ from tfekit.cli import (
     FIXTURES,
     _decompose,
     _load_input,
+    _resolve_bands,
     _run_analysis,
     _settings,
     build_parser,
@@ -252,15 +251,22 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(workdir.glob("*_tracks.csv"))
 
-    @pytest.mark.parametrize("method", [["none"], ["dft", "--bands", "1"]], ids=["none", "dft"])
-    def test_three_samples_refused(self, workdir, capsys, method):
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--method", "none"],
+        ["analyze", "--method", "dft", "--bands", "1"],
+        ["decompose", "--method", "dft", "--bands", "1"],
+    ], ids=["none", "dft", "decompose-dft"])
+    def test_three_samples_refused(self, workdir, capsys, command):
         (workdir / "short.csv").write_text("# sample_rate=100\n1.0\n-1.0\n0.5\n")
-        rc = main(["analyze", "--input", "short.csv", "--method", *method, "--out-prefix", "s"])
+        rc = main([*command, "--input", "short.csv", "--out-prefix", "s"])
         assert rc == 1
         assert "analytic signal needs at least 4 samples" in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == ["short.csv"]
 
-    def test_dft_bank_one_inverse_transform_per_band(self, monkeypatch):
-        calls = {"fft": 0, "ifft": 0}
+    def test_dft_bank_one_real_inverse_pair_per_band(self, monkeypatch):
+        # one forward transform for the whole bank; per band, the component's
+        # real inverse and its quadrature's, and no third transform
+        calls = {"fft": 0, "rfft": 0, "ifft": 0, "irfft": 0}
         for name in calls:
             def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
                 calls[_name] += 1
@@ -271,9 +277,11 @@ class TestAnalyze:
         signal, _, _ = _load_input(args)
         tracks = []
         grid = TFEAccumulator(len(signal), signal.sample_rate)
-        diagnostics, _ = _run_analysis(signal, _settings(args, None), grid, tracks.append)
+        settings = _settings(args, None)
+        diagnostics, _ = _run_analysis(signal, settings, _resolve_bands(signal, settings), grid,
+                                       tracks.append)
         assert len(tracks) == diagnostics["n_components"] == 10
-        assert calls == {"fft": 1, "ifft": 10}
+        assert calls == {"fft": 1, "rfft": 0, "ifft": 0, "irfft": 20}
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--method", "fmd-a", "--bands", "4"],
@@ -314,7 +322,8 @@ class TestAnalyze:
             workspace = IFWorkspace(n)
             workspace_bytes = tracemalloc.get_traced_memory()[0] - before
             del workspace
-            diagnostics, _ = _run_analysis(signal, _settings(args, None),
+            settings = _settings(args, None)
+            diagnostics, _ = _run_analysis(signal, settings, _resolve_bands(signal, settings),
                                            TFEAccumulator(n, signal.sample_rate))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -329,7 +338,8 @@ class TestMethodSettings:
         args = build_parser().parse_args(["decompose", "--gen", "chirp", "--dur", "0.1",
                                           "--method", method, "--bands", "4"])
         signal, _, _ = _load_input(args)
-        decomposition, _ = _decompose(signal, _settings(args, None))
+        settings = _settings(args, None)
+        decomposition, _ = _decompose(signal, settings, _resolve_bands(signal, settings))
         assert decomposition.method == method
 
     @pytest.mark.parametrize("method", ["none", "dft"])
@@ -530,6 +540,24 @@ class TestCompare:
         causal = report["sides"]["b"]["ridge_error_hz"]
         assert causal > 3 * zero_phase
 
+    def test_each_side_resolves_its_plan_once(self, workdir, monkeypatch):
+        # each --plan file is read once, by the check made before either side runs
+        specs = []
+        from_settings = BandSpec.from_settings.__func__
+
+        def counted(cls, *args, **kwargs):
+            specs.append(from_settings(cls, *args, **kwargs))
+            return specs[-1]
+
+        monkeypatch.setattr(BandSpec, "from_settings", classmethod(counted))
+        (workdir / "a.json").write_text(json.dumps({"type": "uniform", "bands": 4}))
+        (workdir / "b.json").write_text(json.dumps({"type": "custom", "cutoffs_hz": [2000, 4000]}))
+        assert main(["compare", "--gen", "chirp", "--dur", "0.1",
+                     "--a-method", "dft", "--a-plan", "a.json",
+                     "--b-method", "fmd-a", "--b-plan", "b.json", "--b-order", "16",
+                     "--out-prefix", "x"]) == 0
+        assert specs == [BandSpec(bands=4), BandSpec(cutoffs_hz=(2000.0, 4000.0))]
+
     @pytest.mark.parametrize("flag", ["--time-bins", "--freq-bins"])
     def test_bad_bin_count_refused_before_decomposing(self, workdir, capsys, monkeypatch, flag):
         import tfekit.cli as cli
@@ -567,11 +595,9 @@ def _oracle_tracks(x, method, bands):
     if method == "none":
         return [if_track(x)], checks
     if method == "dft":
-        plan = BandSpec(bands=bands).plan(len(x), fs)
-        d = dft_decompose(x, plan)
-        spectrum = np.fft.fft(x.samples, norm="forward")
-        tracks = [if_track(AnalyticSignal(one_sided(spectrum, plan[i] + 1, plan[i + 1]), fs))
-                  for i in range(bands)]
+        kept = []
+        d = dft_decompose(x, BandSpec(bands=bands).plan(len(x), fs), kept.append)
+        tracks = [if_track(band) for band in kept]
     else:
         d = fmd_decompose(x, BandSpec(bands=bands).ladder(fs), 256, method)
         tracks = [if_track(Signal(c, fs)) for c in list(d.components)]

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -135,6 +135,16 @@ class TestPlanSpec:
         assert str(dft_err.value) == str(fmd_err.value)
 
 
+@st.composite
+def _signal_and_boundaries(draw):
+    """Noise of 4 to 600 samples and the boundaries of 1 to N//2 bands of any widths."""
+    n = draw(st.integers(4, 600))
+    m = draw(st.integers(1, n // 2))
+    cuts = sorted(draw(st.permutations(range(1, n // 2)))[: m - 1])
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    return Signal(x, 1.0), (0, *cuts, n // 2)
+
+
 class TestDftDecompose:
     def test_two_tone_split(self):
         # expected bands constructed directly from the known spectrum
@@ -235,6 +245,33 @@ class TestDftDecompose:
         assert np.abs(top.z.real - tone).max() <= 1e-12 * scale
         assert np.abs(top.z.imag).max() <= 1e-12 * scale
         assert np.abs(top.increments() - np.pi).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signal_and_boundaries())
+    @example((Signal(np.arange(4.0), 1.0), (0, 1, 2)))
+    @example((Signal(np.cos(np.arange(64.0)), 1.0), (0, 31, 32)))
+    def test_bands_match_one_sided_oracle(self, case):
+        # Marple's complex synthesis, with its own doubling, DC and Nyquist rules
+        x, bounds = case
+        bands = []
+        d = dft_decompose(x, bounds, bands.append)
+        spectrum = np.fft.fft(x.samples, norm="forward")
+        assert len(bands) == len(bounds) - 1
+        for lo, hi, comp, band in zip(bounds, bounds[1:], d.components, bands):
+            want = oracles.one_sided(spectrum, lo + 1, hi)
+            assert np.abs(band.z - want).max() <= 1e-10 * np.abs(x.samples).max()
+            assert np.array_equal(band.z.real, comp)
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 255])
+    def test_bands_match_scipy_hilbert(self, n):
+        # each band's analytic signal is that of its component
+        scipy_signal = pytest.importorskip("scipy.signal")
+        x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
+        bands = []
+        d = dft_decompose(x, BandSpec(bands=n // 4 + 1).plan(n, 50.0), bands.append)
+        scale = np.abs(x.samples).max()
+        for comp, band in zip(d.components, bands):
+            assert np.abs(band.z - scipy_signal.hilbert(comp)).max() <= 1e-10 * scale
 
 
 @st.composite
