@@ -4,15 +4,15 @@ The analytic signal is built spectrally (Marple, IEEE TSP 47(9), 1999):
 transform, zero the negative-frequency bins, double the positive ones (DC
 and, for even lengths, the Nyquist bin stay unscaled), then invert. The
 real part equals the input and the imaginary part is its quadrature.
-Here the real part is kept as it is and the quadrature comes from the
-nonnegative bins by one real inverse transform, whose Hermitian synthesis
-does the doubling. :func:`analytic_signal` gives it for a whole signal,
-and the DFT filter bank for each of its bands.
+Here the parts are two real arrays: the input as it is, and the quadrature
+from the nonnegative bins by one real inverse transform, whose Hermitian
+synthesis does the doubling. :func:`analytic_signal` gives them for a
+whole signal, and the DFT filter bank for each of its bands.
 
 An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
-path (spectrum, then energies; ``z``; phase increments, then frequencies;
-a mask), so that tracking many components of one length touches the same
-memory instead of mapping fresh pages for every one.
+path (spectrum, then energies; the quadrature; phase increments, then
+frequencies; a mask), so that tracking many components of one length
+touches the same memory instead of mapping fresh pages for every one.
 """
 
 from dataclasses import dataclass
@@ -33,20 +33,20 @@ class IFWorkspace:
 
     * `spectrum`: the n//2+1 bins of the real transform; once the
       quadrature is made, its memory holds the n floats of `energy`;
-    * `z`: the analytic signal;
-    * `frequency`: the inverse transform's output, then the phase
-      increments, folded in place into the frequencies;
+    * `quadrature`: the analytic signal's imaginary part;
+    * `frequency`: the squared quadrature, then the phase increments,
+      folded in place into the frequencies;
     * `mask`: n booleans for the folds.
 
-    Every result built in a workspace is a view of these arrays and is
-    overwritten when the workspace is used again. The arrays are made
-    empty, so memory is committed only as the first use touches it.
+    Every result built in a workspace holds views of these arrays, which
+    the next use of the workspace overwrites. The arrays are made empty,
+    so memory is committed only as the first use touches it.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
-        self.z = np.empty(n, dtype=np.complex128)
+        self.quadrature = np.empty(n)
         self.frequency = np.empty(n)
         self.mask = np.empty(n, dtype=bool)
 
@@ -58,24 +58,29 @@ class IFWorkspace:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """An analytic sequence `z` and its sample rate.
+    """An analytic sequence as its two parts, `real` and `imag`, and its sample rate.
 
-    The real part of `z` is the signal, the imaginary part its quadrature
-    (Hilbert transform), `abs(z)` its envelope. The phase increments are
-    derived from `z` on demand.
+    `real` is the signal, `imag` its quadrature (Hilbert transform): two
+    1-D float64 arrays of one shape; ``np.hypot(real, imag)`` is the
+    envelope. The phase increments are derived from the parts on demand.
     """
 
-    z: np.ndarray
+    real: np.ndarray
+    imag: np.ndarray
     sample_rate: float
 
-    def increments(self) -> np.ndarray:
-        """The N-1 increments of the four-quadrant phase of `z`, radians in (-pi, pi].
+    def __post_init__(self):
+        if self.real.ndim != 1 or self.real.shape != self.imag.shape:
+            raise ValueError(f"parts must be 1-D of one shape, got {self.real.shape}, {self.imag.shape}")
 
-        Differences of `np.angle(z)` folded by +-2pi: no unwrapped phase is
-        built, and the angles, unlike a product z[n+1]*conj(z[n]), neither
-        underflow nor overflow at any finite amplitude.
+    def increments(self) -> np.ndarray:
+        """The N-1 increments of the four-quadrant phase, radians in (-pi, pi].
+
+        Differences of ``arctan2(imag, real)`` folded by +-2pi: no unwrapped
+        phase is built, and the angles, unlike a product z[n+1]*conj(z[n]),
+        neither underflow nor overflow at any finite amplitude.
         """
-        n = self.z.size
+        n = self.real.size
         return self._increments_into(np.empty(n), np.empty(n, dtype=bool))
 
     def _increments_into(self, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -84,7 +89,7 @@ class AnalyticSignal:
         `out` receives the N angles, differenced in place; `mask`, N
         booleans, holds the folds' conditions.
         """
-        np.arctan2(self.z.imag, self.z.real, out=out)  # np.angle(z), in place
+        np.arctan2(self.imag, self.real, out=out)
         d = out[:-1]
         mask = mask[: d.size]
         # each angle is read before its slot is written, so no copy is made
@@ -119,21 +124,17 @@ def _quadrature(bins: np.ndarray, n: int, out: np.ndarray, norm: str = "backward
 def analytic_signal(x: Signal, workspace: IFWorkspace | None = None) -> AnalyticSignal:
     """Construct the analytic signal of `x`, at least 4 samples.
 
-    The real part is `x.samples`, bit for bit; the quadrature comes from
-    one real transform pair, rfft then :func:`_quadrature`. An all-zero
-    input yields an all-zero `z` and zero increments.
+    The real part is `x.samples` itself, read-only; the quadrature comes
+    from one real transform pair, rfft then :func:`_quadrature`. An
+    all-zero input yields an all-zero quadrature and zero increments.
 
     The transforms run in the arrays of `workspace`, an
     :class:`IFWorkspace` of N samples, made fresh when not given: the
-    result's `z` is the workspace's and holds until its next use.
+    result's `imag` is the workspace's and holds until its next use.
     """
-    samples = x.samples
-    n = samples.size
+    n = len(x)
     ws = IFWorkspace(n) if workspace is None else workspace
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
-    # into contiguous memory first: a strided out=z.imag would be buffered
-    quadrature = _quadrature(np.fft.rfft(samples, out=ws.spectrum), n, ws.frequency)
-    ws.z.real = samples
-    ws.z.imag = quadrature
-    return AnalyticSignal(ws.z, x.sample_rate)
+    quadrature = _quadrature(np.fft.rfft(x.samples, out=ws.spectrum), n, ws.quadrature)
+    return AnalyticSignal(x.samples, quadrature, x.sample_rate)

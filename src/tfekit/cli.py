@@ -485,7 +485,7 @@ def main(argv=None) -> int:
             "compare": cmd_compare,
         }[args.command]
         return handler(args)
-    except (ValueError, OSError, IndexError, RuntimeError) as exc:
+    except (ValueError, OSError, IndexError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -170,8 +170,8 @@ def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
     its bins of the input spectrum; c0 is the DC bin (the sample mean). The
     spectrum is computed once and the bands are made one at a time; when
     `consumer` is given, it is called once per band, in order, with the
-    band's own :class:`AnalyticSignal`, whose quadrature comes from the same
-    bins. Signals under 4 samples are refused, consumer or not.
+    band's :class:`AnalyticSignal`: a read-only view of its row and fresh
+    quadrature floats. Signals under 4 samples are refused, consumer or not.
     """
     n = len(x)
     _check_analytic_length(n)
@@ -185,15 +185,14 @@ def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
     spectrum = np.fft.fft(x.samples, norm="forward")
     components = np.empty((len(bounds) - 1, n))
     bins = np.zeros(n // 2 + 1, dtype=np.complex128)
-    quadrature = np.empty(n)
     for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         band = slice(lo + 1, hi + 1)
         bins[band] = spectrum[band]
         np.fft.irfft(bins, n, norm="forward", out=components[i])
         if consumer is not None:
-            z = components[i].astype(np.complex128)
-            z.imag = _quadrature(bins, n, quadrature, norm="forward")
-            consumer(AnalyticSignal(z, x.sample_rate))
+            real = components[i].view()
+            real.flags.writeable = False  # the row that reconstruct and the checks read
+            consumer(AnalyticSignal(real, _quadrature(bins, n, np.empty(n), "forward"), x.sample_rate))
         bins[band] = 0.0
     return Decomposition(float(spectrum[0].real), components, "dft")
 

@@ -168,8 +168,8 @@ def if_track(
     Parameters
     ----------
     x : Signal or AnalyticSignal
-        Input, at least 4 samples, or its analytic signal already built (as
-        `dft_decompose` hands each band to its consumer).
+        Input, at least 4 samples, or its analytic signal, whose two real
+        parts are read in place (as `dft_decompose` hands each band over).
     scheme : DiffScheme
         Finite-difference scheme for the phase derivative (default FORWARD).
     mode : {'positive', 'conventional'}
@@ -190,7 +190,7 @@ def if_track(
     """
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
-    n = x.z.size if isinstance(x, AnalyticSignal) else len(x)
+    n = x.real.size if isinstance(x, AnalyticSignal) else len(x)
     ws = IFWorkspace(n) if workspace is None else workspace
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
@@ -198,8 +198,8 @@ def if_track(
     # the energy first, with `frequency` free to hold the squared quadrature
     energy = ws.energy
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
-        np.square(a.z.real, out=energy)
-        energy += np.square(a.z.imag, out=ws.frequency)
+        np.square(a.real, out=energy)
+        energy += np.square(a.imag, out=ws.frequency)
     d = _phase_diff_into(a._increments_into(ws.frequency, ws.mask), scheme, ws.frequency)
     if mode == "positive":
         freq = _positive_if_into(d, x.sample_rate, ws.mask)

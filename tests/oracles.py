@@ -111,7 +111,8 @@ def analytic_signal(x: Signal) -> AnalyticSignal:
     Two complex transforms; the real part round-trips the input.
     """
     spectrum = np.fft.fft(x.samples) / len(x)
-    return AnalyticSignal(one_sided(spectrum, 0, len(x) // 2), x.sample_rate)
+    z = one_sided(spectrum, 0, len(x) // 2)
+    return AnalyticSignal(z.real, z.imag, x.sample_rate)
 
 
 def fold_increments(z) -> np.ndarray:

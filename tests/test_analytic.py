@@ -52,7 +52,7 @@ class TestDft:
         scale = np.abs(x).max()
         z = one_sided(np.fft.fft(x, norm="forward"), 0, 128)
         assert np.abs(z.real - x).max() <= 1e-10 * scale
-        assert np.abs(z.imag - analytic_signal(Signal(x, 1.0)).z.imag).max() <= 1e-10 * scale
+        assert np.abs(z.imag - analytic_signal(Signal(x, 1.0)).imag).max() <= 1e-10 * scale
         d = dft_decompose(Signal(x, 1.0), BandSpec(bands=1).plan(257, 1.0))
         assert np.abs(d.reconstruct() - x).max() <= 1e-10 * scale
 
@@ -63,8 +63,8 @@ class TestDft:
         d = dft_decompose(Signal(np.cos(2 * np.pi * n / 8), 8.0), BandSpec(bands=4).plan(8, 8.0),
                           bands.append)
         assert abs(d.c0) < 1e-12
-        assert np.abs(bands[0].z - np.exp(2j * np.pi * n / 8)).max() < 1e-12
-        assert max(np.abs(band.z).max() for band in bands[1:]) < 1e-12
+        assert np.abs(bands[0].real + 1j * bands[0].imag - np.exp(2j * np.pi * n / 8)).max() < 1e-12
+        assert max(np.abs(band.real + 1j * band.imag).max() for band in bands[1:]) < 1e-12
 
     @pytest.mark.parametrize("n", [7, 8, 64, 257])
     def test_matches_direct_summation(self, n):
@@ -78,7 +78,8 @@ class TestDft:
         for k, band in enumerate(bands, start=1):
             one_bin = np.zeros(n, dtype=complex)
             one_bin[k] = spectrum[k] if 2 * k == n else 2 * spectrum[k]
-            assert np.abs(band.z - idft_direct(one_bin)).max() <= 1e-10 * np.abs(x).max()
+            z = band.real + 1j * band.imag
+            assert np.abs(z - idft_direct(one_bin)).max() <= 1e-10 * np.abs(x).max()
 
     def test_empty_rejected(self):
         # the analytic signal's length rule, whether or not the bands are tracked
@@ -95,8 +96,8 @@ class TestAnalyticSignal:
         n = np.arange(64)
         x = Signal(np.cos(2 * np.pi * n / 16), 1.0)
         a = analytic_signal(x)
-        assert np.abs(a.z.imag - np.sin(2 * np.pi * n / 16)).max() < 1e-10
-        assert np.abs(np.abs(a.z) - 1.0).max() < 1e-10
+        assert np.abs(a.imag - np.sin(2 * np.pi * n / 16)).max() < 1e-10
+        assert np.abs(np.abs(a.real + 1j * a.imag) - 1.0).max() < 1e-10
 
     def test_delta_envelope_matches_sinc(self):
         n0, n = 1999, 4000
@@ -106,13 +107,13 @@ class TestAnalyticSignal:
             expected = np.abs(np.sin(np.pi * m / 2) / (np.pi * m / 2))
         expected[n0] = 1.0
         interior = slice(int(0.05 * n), int(0.95 * n))
-        assert np.abs(np.abs(a.z) - expected)[interior].max() < 1e-3
+        assert np.abs(np.abs(a.real + 1j * a.imag) - expected)[interior].max() < 1e-3
 
     def test_negative_bins_vanish(self):
         rng = np.random.default_rng(9)
         x = Signal(rng.normal(size=64), 1.0)
         a = analytic_signal(x)
-        z = x.samples + 1j * a.z.imag
+        z = x.samples + 1j * a.imag
         spectrum = dft_direct(z)
         assert np.abs(spectrum[33:]).max() < 1e-12
 
@@ -129,19 +130,19 @@ class TestAnalyticSignal:
         scale = np.abs(x.samples).max()
         assert np.abs(z.real - x.samples).max() <= 1e-10 * scale
         a = analytic_signal(x)
-        assert np.abs(z.imag - a.z.imag).max() <= 1e-10 * scale
+        assert np.abs(z.imag - a.imag).max() <= 1e-10 * scale
 
     def test_envelope_bounds_signal(self):
         rng = np.random.default_rng(12)
         x = Signal(rng.normal(size=333), 1.0)
         a = analytic_signal(x)
-        assert np.all(np.abs(a.z) >= np.abs(x.samples) - 1e-10)
+        assert np.all(np.abs(a.real + 1j * a.imag) >= np.abs(x.samples) - 1e-10)
 
     def test_one_sided_parseval(self):
         rng = np.random.default_rng(13)
         x = Signal(rng.normal(size=128), 1.0)
         a = analytic_signal(x)
-        z = x.samples + 1j * a.z.imag
+        z = x.samples + 1j * a.imag
         spectrum = dft_direct(x.samples)
         n = len(x)
         energy_z = np.sum(np.abs(z) ** 2)
@@ -152,9 +153,16 @@ class TestAnalyticSignal:
 
     def test_all_zero_degenerate(self):
         a = analytic_signal(Signal(np.zeros(16), 1.0))
-        assert not a.z.any()
-        assert np.abs(a.z).max() == 0.0
+        assert not (a.real.any() or a.imag.any())
+        assert np.abs(a.real + 1j * a.imag).max() == 0.0
         assert np.abs(a.increments()).max() == 0.0
+
+    def test_parts_of_mismatched_shape_refused(self):
+        # arctan2 would broadcast a length-1 quadrature silently
+        for real, imag in [(np.ones(8), np.ones(1)), (np.ones(8), np.ones(7)),
+                           (np.ones((2, 4)), np.ones((2, 4)))]:
+            with pytest.raises(ValueError, match="1-D of one shape"):
+                AnalyticSignal(real, imag, 1.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 4 samples"):
@@ -163,7 +171,7 @@ class TestAnalyticSignal:
     @pytest.mark.parametrize("n", [4, 5, 16, 17, 4000])
     def test_real_part_is_the_input_bit_for_bit(self, n):
         x = Signal(np.random.default_rng(n).normal(size=n), 1.0)
-        assert analytic_signal(x).z.real.tobytes() == x.samples.tobytes()
+        assert analytic_signal(x).real.tobytes() == x.samples.tobytes()
 
     @pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
     def test_quadrature_matches_two_transform_oracle(self, case):
@@ -171,8 +179,8 @@ class TestAnalyticSignal:
         got = analytic_signal(x)
         want = oracles.analytic_signal(x)
         scale = np.abs(x.samples).max()
-        assert np.abs(got.z.imag - want.z.imag).max() <= 1e-12 * scale
-        assert (not got.z.any()) == (case == "all-zero")
+        assert np.abs(got.imag - want.imag).max() <= 1e-12 * scale
+        assert (not (got.real.any() or got.imag.any())) == (case == "all-zero")
 
     @pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
     def test_matches_scipy_hilbert(self, case):
@@ -180,11 +188,12 @@ class TestAnalyticSignal:
         scipy_signal = pytest.importorskip("scipy.signal")
         x = Signal(QUADRATURE_CASES[case], 100.0)
         want = scipy_signal.hilbert(x.samples)
-        assert np.abs(analytic_signal(x).z - want).max() <= 1e-12 * np.abs(x.samples).max()
+        a = analytic_signal(x)
+        assert np.abs(a.real + 1j * a.imag - want).max() <= 1e-12 * np.abs(x.samples).max()
 
     def test_nyquist_only_reads_half_the_rate(self):
         x = Signal(QUADRATURE_CASES["nyquist-only"], 100.0)
-        assert np.abs(analytic_signal(x).z.imag).max() <= 1e-12
+        assert np.abs(analytic_signal(x).imag).max() <= 1e-12
         assert np.all(if_track(x).frequency_hz == 50.0)
 
 
@@ -192,7 +201,7 @@ class TestIncrements:
     def test_folded_into_half_open_range(self):
         rng = np.random.default_rng(14)
         z = rng.normal(size=500) + 1j * rng.normal(size=500)
-        d = AnalyticSignal(z, 1.0).increments()
+        d = AnalyticSignal(z.real, z.imag, 1.0).increments()
         assert d.size == 499
         assert np.all((d > -np.pi) & (d <= np.pi))
         assert np.abs(d - wrap_angle(np.diff(np.angle(z)))).max() <= 1e-12
@@ -201,9 +210,9 @@ class TestIncrements:
 
     def test_half_turns_read_pi(self):
         z = np.array([1.0, -1.0, 1.0, -1.0]) + 0j
-        assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 3
+        assert AnalyticSignal(z.real, z.imag, 1.0).increments().tolist() == [np.pi] * 3
         z = np.array([1.0, -1.0 - 1e-30j, 1.0])
-        assert AnalyticSignal(z, 1.0).increments().tolist() == [np.pi] * 2
+        assert AnalyticSignal(z.real, z.imag, 1.0).increments().tolist() == [np.pi] * 2
 
     def test_masked_fold_matches_boolean_index_fold(self):
         # -0.0 and 0.0 angles, +-pi half turns and their differences, then noise
@@ -212,7 +221,7 @@ class TestIncrements:
                           complex(-1, -0.0), 1j, -1j, 1j])
         rng = np.random.default_rng(15)
         z = np.concatenate([edges, rng.normal(size=300) + 1j * rng.normal(size=300)])
-        got = AnalyticSignal(z, 1.0).increments()
+        got = AnalyticSignal(z.real, z.imag, 1.0).increments()
         want = oracles.fold_increments(z)
         assert got.tobytes() == want.tobytes()
         assert np.signbit(got[0]) and got[0] == 0.0  # angle -0.0 after 0.0
@@ -228,8 +237,9 @@ class TestOneSided:
         x = Signal(np.random.default_rng(n).normal(size=n), 1.0)
         bands = []
         d = dft_decompose(x, (0, 3, 4, n // 2), bands.append)
-        parts = [band.z for band in bands]
-        full = analytic_signal(x).z
+        parts = [band.real + 1j * band.imag for band in bands]
+        a = analytic_signal(x)
+        full = a.real + 1j * a.imag
         assert np.abs(d.c0 + np.sum(parts, axis=0) - full).max() <= 1e-12
 
     def test_bins_outside_the_half_spectrum_rejected(self):
@@ -257,7 +267,7 @@ class TestHilbertKernel:
     def test_matches_spectral_quadrature_on_interior(self, half_length):
         n = np.arange(256)
         x = Signal(np.cos(2 * np.pi * n / 16), 1.0)
-        expected = analytic_signal(x).z.imag
+        expected = analytic_signal(x).imag
         out = hilbert_kernel_fir(x, half_length)
         core = slice(half_length, -half_length)
         assert np.abs(out[core] - expected[core]).max() < 2 / half_length

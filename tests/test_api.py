@@ -1,5 +1,6 @@
 """The public names of the package."""
 
+import numpy as np
 import pytest
 
 import tfekit
@@ -66,6 +67,8 @@ REMOVED_ATTRIBUTES = [
     (tfekit.AnalyticSignal, "quadrature"),
     (tfekit.AnalyticSignal, "envelope"),
     (tfekit.AnalyticSignal, "degenerate"),
+    # a dataclass field is no class attribute: an instance shows it
+    (tfekit.AnalyticSignal(np.zeros(4), np.zeros(4), 1.0), "z"),
     (tfekit.Signal, "times"),
     (tfekit.Signal, "duration"),
     (tfekit.Signal, "energy"),

@@ -49,18 +49,22 @@ def _write_huge_csv(path):
     path.write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
 
 
+def _child_env():
+    """The environment of a fresh Python process that imports this checkout's tfekit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _reject(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
 def test_runtime_imports_numpy_only():
     # scipy is a test-only dependency; the CLI must start without it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, tfekit.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -189,13 +193,10 @@ class TestAnalyze:
     def test_overflowing_input_one_error_line(self, workdir, method):
         # a fresh process, so numpy warnings would reach stderr as users see them
         _write_huge_csv(workdir / "big.csv")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "tfekit.cli", "analyze", "--input", "big.csv",
              "--method", *method, "--out-prefix", "big"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -575,6 +576,25 @@ class TestCompare:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
+        assert not list(workdir.iterdir())
+
+    def test_out_of_memory_is_one_error_line(self, workdir):
+        # a 32000-band bank of 64000 samples needs 15 GiB; the address-space
+        # limit is set in the child process, never in the test process
+        pytest.importorskip("resource")
+        child = ("import resource, sys\n"
+                 "from tfekit.cli import main\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "compare", "--gen", "noise", "--len", "64000",
+             "--fs", "100", "--a-method", "dft", "--a-bands", "32000", "--b-method", "none",
+             "--out-prefix", "oom"],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not list(workdir.iterdir())
 
     def test_positive_vs_conventional(self, workdir):

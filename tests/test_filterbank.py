@@ -1,6 +1,7 @@
 """Band plans and the zero-phase spectral decomposition."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,9 +229,9 @@ class TestDftDecompose:
         for comp, band, want in zip(d.components, bands, ref.components):
             assert np.abs(comp - want).max() <= 1e-12 * scale
             # the quadrature analytic_signal finds from the component alone
-            quad = analytic_signal(Signal(comp, x.sample_rate)).z.imag
-            assert np.abs(band.z.imag - quad).max() <= 1e-12 * np.abs(quad).max()
-            assert np.array_equal(band.z.real, comp)
+            quad = analytic_signal(Signal(comp, x.sample_rate)).imag
+            assert np.abs(band.imag - quad).max() <= 1e-12 * np.abs(quad).max()
+            assert np.array_equal(band.real, comp)
 
     def test_nyquist_only_band_is_the_unscaled_bin(self):
         # for even N the Nyquist bin is its own mirror, so one-siding must not double it
@@ -242,8 +243,8 @@ class TestDftDecompose:
         top = bands[1]
         tone = dft_direct(x.samples)[n // 2].real * (-1.0) ** np.arange(n)
         scale = np.abs(x.samples).max()
-        assert np.abs(top.z.real - tone).max() <= 1e-12 * scale
-        assert np.abs(top.z.imag).max() <= 1e-12 * scale
+        assert np.abs(top.real - tone).max() <= 1e-12 * scale
+        assert np.abs(top.imag).max() <= 1e-12 * scale
         assert np.abs(top.increments() - np.pi).max() <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -259,8 +260,9 @@ class TestDftDecompose:
         assert len(bands) == len(bounds) - 1
         for lo, hi, comp, band in zip(bounds, bounds[1:], d.components, bands):
             want = oracles.one_sided(spectrum, lo + 1, hi)
-            assert np.abs(band.z - want).max() <= 1e-10 * np.abs(x.samples).max()
-            assert np.array_equal(band.z.real, comp)
+            z = band.real + 1j * band.imag
+            assert np.abs(z - want).max() <= 1e-10 * np.abs(x.samples).max()
+            assert np.array_equal(band.real, comp)
 
     @pytest.mark.parametrize("n", [4, 5, 64, 255])
     def test_bands_match_scipy_hilbert(self, n):
@@ -271,7 +273,43 @@ class TestDftDecompose:
         d = dft_decompose(x, BandSpec(bands=n // 4 + 1).plan(n, 50.0), bands.append)
         scale = np.abs(x.samples).max()
         for comp, band in zip(d.components, bands):
-            assert np.abs(band.z - scipy_signal.hilbert(comp)).max() <= 1e-10 * scale
+            z = band.real + 1j * band.imag
+            assert np.abs(z - scipy_signal.hilbert(comp)).max() <= 1e-10 * scale
+
+
+class TestTrackedBands:
+    """What the bank hands its consumer: a view of the component's row and the band's own quadrature."""
+
+    def test_real_is_a_read_only_view_of_the_row(self):
+        x = gen_noise(NoiseSpec(seed=4, mean=0.5, length=256), 50.0)
+        bands = []
+        d = dft_decompose(x, BandSpec(bands=4).plan(256, 50.0), bands.append)
+        for row, band in zip(d.components, bands):
+            assert np.shares_memory(band.real, row)
+            assert not band.real.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                band.real[0] = 0.0
+            # kept bands stay whole: no later band reuses this quadrature's memory
+            assert not np.shares_memory(band.imag, d.components)
+            assert not any(np.shares_memory(band.imag, a.imag) for a in bands if a is not band)
+
+    def test_one_float_array_per_kept_band(self):
+        # beyond the spectrum, the (M, N) components and the bins, each band
+        # costs its N-float quadrature; half an array more covers the Python objects
+        n, m = 16384, 8
+        x = gen_noise(NoiseSpec(seed=6, length=n), 100.0)
+        plan = BandSpec(bands=m).plan(n, 100.0)
+        dft_decompose(x, plan, [].append)  # numpy.fft imports lazily on first use
+        bands = []
+        tracemalloc.start()
+        try:
+            dft_decompose(x, plan, bands.append)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = 16 * n + 8 * m * n + 16 * (n // 2 + 1)
+        assert len(bands) == m
+        assert peak - own <= (m + 0.5) * 8 * n, f"{(peak - own) / (8 * n):.2f} N-float arrays"
 
 
 @st.composite

@@ -125,9 +125,13 @@ class TestZeroPhaseFilter:
         x = Signal(rng.standard_normal(n) + 0.5, 1000.0)
         h = design_fir("highpass", 120.0, order, 1000.0)
         got = zero_phase_filter(x, h).samples
-        want = oracles.zero_phase_filter(x, h).samples
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(x.samples).max()
+        # the second oracle is written apart from this package and its tests
+        from scipy.signal import filtfilt
+
+        for want in (oracles.zero_phase_filter(x, h).samples,
+                     filtfilt(h.taps, [1.0], x.samples, padtype="even", padlen=order)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(x.samples).max()
 
 
 class TestCausalFilter:

@@ -287,10 +287,10 @@ class TestIncrementPath:
         bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
         dft_decompose(x, (0, 800, 1200, 2000, 4000), bands.append)
         for a in bands:
-            envelope = np.abs(a.z)
+            envelope = np.abs(a.real + 1j * a.imag)
             keep = envelope > 0.1 * envelope.max()
             got = if_track(a, scheme).frequency_hz
-            want = four_pass_if(a.z, a.sample_rate, scheme.value)
+            want = four_pass_if(a.real + 1j * a.imag, a.sample_rate, scheme.value)
             assert np.abs(got - want)[keep].max() <= 1e-8
 
 
@@ -301,7 +301,7 @@ class TestWorkspace:
     def test_reused_workspace_tracks_match_fresh_ones(self, n, mode, scheme):
         ws = IFWorkspace(n)
         # stale contents, as a previous length-n track leaves them, must not leak
-        for array in (ws.spectrum, ws.z, ws.frequency):
+        for array in (ws.spectrum, ws.quadrature, ws.frequency):
             array.fill(np.nan)
         ws.mask.fill(True)
         x = _noise_plus_nyquist(n, 100.0)
