@@ -19,16 +19,18 @@ cells at a time in four steps:
    ``.`` spliced in (bytes below the dot from the digits, bytes above it
    from the digits shifted up one byte) and the ``e±XX`` exponent. A shape
    code per cell (sign, notation and exponent, digit count) names the
-   record's bytes.
+   record's bytes. A cell the fast path cannot settle exactly is a
+   fallback cell: D's fraction within 1e-6 of a rounding tie, a subnormal
+   or a magnitude outside the table's range, an infinity or a NaN. Zeros
+   stay on the fast path. A fallback cell's record starts with Python's
+   ``'%.17g'`` text, at most 24 bytes, and its shape code is ``_SLOW``
+   plus the text's length.
 4. Join. The separator goes into each record's last byte, the shape codes
    pick the records' byte masks from a table, and one boolean compress of
-   the records, read cell by cell, gives the text. A cell the fast path
-   cannot settle exactly goes to Python's ``'%.17g'``: D's fraction within
-   1e-6 of a rounding tie, a subnormal or a magnitude outside the table's
-   range, an infinity or a NaN. Zeros stay on the fast path.
+   the records, read cell by cell, gives the text.
 
-:meth:`RowText.records` runs steps 1-3 and :func:`join` step 4, so a
-caller may join records made at different times, such as a column that
+:meth:`RowText.records` runs steps 1-3 and :meth:`RowText.join` step 4, so
+a caller may join records made at different times, such as a column that
 every block of a file shares. Each step writes into arrays the caller
 keeps: fresh block-sized temporaries would be mapped and faulted in anew
 on every call.
@@ -51,13 +53,13 @@ _P_MAX = 16 + 271
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _TIE_BAND = 1e-6
 
-# A cell's shape code is (sign * _KINDS + kind) * 18 + digit count, where
-# kind is k + 4 for fixed notation (k in -4..16), then exponent notation
-# with two and with three exponent digits. The last code is a fallback
-# cell, which keeps only its separator.
+# A fast cell's shape code is (sign * _KINDS + kind) * 18 + digit count,
+# where kind is k + 4 for fixed notation (k in -4..16), then exponent
+# notation with two and with three exponent digits. A fallback cell's code
+# is _SLOW + the length of its text, at most _LONGEST bytes.
 _KINDS = 23
-_CODES = 2 * _KINDS * 18 + 1
-_SLOW = _CODES - 1
+_SLOW = 2 * _KINDS * 18
+_LONGEST = len("-2.2250738585072009e-308")
 _K_MIN = -300  # the exponent word table covers k in -300..300
 
 
@@ -104,7 +106,7 @@ def _tables():
     t["significant"] = [np.where(last > 0, last + 4 * g, 0).astype(np.int8) for g in range(4)]
     t["significant"].append(np.where(values[:10] > 0, 17, 0).astype(np.int8))
 
-    code = np.arange(_CODES - 1)
+    code = np.arange(_SLOW)
     nd = code % 18
     kind = code // 18 % _KINDS
     sign = code // (18 * _KINDS)
@@ -123,24 +125,22 @@ def _tables():
     tail = np.where(fixed, 0, np.where(kind == 21, 4, 5))
 
     def digit_words(fill):
-        # (codes, 24) bytes -> the three digit words of each code, one row
-        # per word; the fallback code's words are all zero
-        words = np.append(fill.astype(np.uint8).view("<u8"), np.zeros((1, 3), np.uint64), axis=0)
-        return words.T.copy()
+        # (codes, 24) bytes -> the three digit words of each code, one row per word
+        return fill.astype(np.uint8).view("<u8").T.copy()
 
     byte = np.arange(24)
     t["low"] = digit_words(np.where((byte < at[:, None]) & (byte < 18), 0xFF, 0))
     t["high"] = digit_words(np.where((byte > at[:, None]) & (byte < 18), 0xFF, 0))
     t["dot"] = digit_words(np.where(byte == at[:, None], ord("."), 0))
-    t["prefix"] = np.append(_words(heads, 8), np.uint64(0))
+    t["prefix"] = _words(heads, 8)
     column = np.arange(32)
     mask = (((column >= 8 - head[:, None]) & (column < 8))
             | ((column >= 8) & (column < 8 + digits[:, None]))
             | ((column >= 31 - tail[:, None]) & (column < 31))
             | (column == 31))
-    slow = column[None] == 31  # the fallback cell's separator alone
+    # a fallback cell's text from the record's first byte, then its separator
+    slow = (column < np.arange(_LONGEST + 1)[:, None]) | (column == 31)
     t["mask"] = np.append(mask, slow, axis=0).view(np.uint64)
-    t["length"] = np.append(head + digits + tail + 1, 1)
 
     # e±XX or e±XXX, ending at byte 6 of the last record word
     t["exponent"] = _words([b"e%+03d" % e for e in range(_K_MIN, -_K_MIN + 1)], 7)
@@ -154,7 +154,7 @@ class RowText:
     BLOCK cells (at least one), or `rows` when that is fewer. :attr:`block`
     is a buffer of that many rows that callers may fill and pass in. Cells
     are joined by ',' and each row ends with '\\n'. :meth:`text` is
-    :meth:`records` then :func:`join`.
+    :meth:`records` then :meth:`join`.
     """
 
     def __init__(self, n_cols: int, rows: int | None = None):
@@ -177,29 +177,18 @@ class RowText:
         if block.ndim != 2 or block.shape[1] != self._n_cols or len(block) > self.rows:
             raise ValueError(f"block of shape {block.shape} does not fit {self.rows} rows "
                              f"of {self._n_cols} cells")
-        x = block.reshape(-1)
-        if x.size == 0:
-            return ""
-        records, code = self.records(x)
-        return join(records.reshape(*block.shape, 4), code, self.mask(x.size), x.take)
-
-    def mask(self, cells: int) -> np.ndarray:
-        """A (cells, 4) uint64 buffer for :func:`join`'s byte masks.
-
-        It holds up to 2 * rows * n_cols cells, in workspace that
-        :meth:`records` leaves free when it returns.
-        """
-        return self._uint.reshape(-1)[: 4 * cells].reshape(cells, 4)
+        records, code = self.records(block.reshape(-1))
+        return self.join(records.reshape(*block.shape, 4), code)
 
     def records(self, x: np.ndarray, out: np.ndarray | None = None):
         """Steps 1-3 for `x`, a 1-D float64 array of at most rows * n_cols cells.
 
         Returns the cells' records, (x.size, 4) uint64 in the workspace or
         `out` when given (any uint64 array of shape (..., 4) with x.size
-        records, which may be strided), and their shape codes, _SLOW for a
-        fallback cell. The codes live in the workspace: the next call
-        overwrites them. A record's last byte, its separator, is left for
-        :func:`join`.
+        records, which may be strided), and their shape codes. A fallback
+        cell's record starts with Python's text for it. The codes live in
+        the workspace: the next call overwrites them. A record's last byte,
+        its separator, is left for :meth:`join`.
         """
         n = x.size
         t = _tables()
@@ -319,7 +308,6 @@ class RowText:
         code += low4
         code *= 18
         code += nd
-        np.copyto(code, _SLOW, where=slow)
 
         np.left_shift(digits, np.uint64(8), out=shifted)
         for w in (1, 2):
@@ -345,34 +333,29 @@ class RowText:
         cells = out.shape[:-1]
         out[..., 0] = word.reshape(cells)
         out[..., 1:] = spliced.T.reshape(*cells, 3)
+
+        # Python's text for the fallback cells from their records' first
+        # byte, padded with blanks (which '%.17g' never writes) to _LONGEST
+        fallback = np.flatnonzero(slow)
+        if fallback.size:
+            padded = f"%-{_LONGEST}.17g"
+            text = "".join([padded % v for v in x[fallback].tolist()]).encode()
+            text = np.frombuffer(text, np.uint8).reshape(-1, _LONGEST)
+            code[fallback] = _SLOW + np.count_nonzero(text != ord(" "), axis=1)
+            out.view(np.uint8)[(*np.unravel_index(fallback, cells), slice(_LONGEST))] = text
         return out, code
 
+    def join(self, records: np.ndarray, codes: np.ndarray) -> str:
+        """Step 4: the text of `records`, (rows, n_cols, 4) uint64 from :meth:`records`.
 
-def join(records: np.ndarray, codes: np.ndarray, mask: np.ndarray, value) -> str:
-    """Step 4: the text of `records`, (rows, n_cols, 4) uint64 from :meth:`RowText.records`.
-
-    `codes` holds the records' shape codes in row order, and `mask` is an
-    (rows * n_cols, 4) uint64 buffer for their byte masks. Cells are
-    joined by ',' and each row ends with '\\n'; `value(cells)` gives the
-    float64 values of the fallback cells, by their index in row order.
-    """
-    t = _tables()
-    separators = records.view(np.uint8)[..., 31]
-    separators[:, :-1] = ord(",")
-    separators[:, -1] = ord("\n")
-    t["mask"].take(codes, axis=0, out=mask, mode="clip")
-    text = codecs.ascii_decode(records.reshape(-1, 4).view(np.uint8)[mask.view(bool)])[0]
-    cells = np.flatnonzero(codes == _SLOW)
-    if not cells.size:
-        return text
-
-    # Python's text for the fallback cells, ahead of their separators
-    ends = np.cumsum(t["length"][codes])
-    pieces, at = [], 0
-    for i, v in zip(cells.tolist(), value(cells).tolist()):
-        start = int(ends[i]) - 1
-        pieces.append(text[at:start])
-        pieces.append("%.17g" % v)
-        at = start
-    pieces.append(text[at:])
-    return "".join(pieces)
+        `codes` holds their shape codes in row order. Cells are joined by
+        ',' and each row ends with '\\n'. The byte masks go into workspace
+        that :meth:`records` leaves free, room for 2 * rows * n_cols cells
+        in rows of any width.
+        """
+        separators = records.view(np.uint8)[..., 31]
+        separators[:, :-1] = ord(",")
+        separators[:, -1] = ord("\n")
+        mask = self._uint.reshape(-1)[: 4 * codes.size].reshape(-1, 4)
+        _tables()["mask"].take(codes, axis=0, out=mask, mode="clip")
+        return codecs.ascii_decode(records.reshape(-1, 4).view(np.uint8)[mask.view(bool)])[0]

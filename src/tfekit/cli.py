@@ -152,21 +152,24 @@ def _add_fixture_flags(parser: argparse.ArgumentParser) -> None:
         g.add_argument(flag, dest=key, type=kind, help=helptext)
 
 
+# the settings that take one of a few words, lower-cased, as flags and in config files alike
+CHOICES = {"method": ("none", "dft", "fmd-a", "fmd-b", "causal-fir"),
+           "scheme": ("forward", "backward", "central"), "if": ("positive", "conventional")}
+
+
 def _add_analysis_flags(
     parser: argparse.ArgumentParser, prefix: str = "", if_flags: bool = True
 ) -> None:
     g = parser.add_argument_group(f"analysis settings{' (' + prefix.rstrip('-') + ')' if prefix else ''}")
-    g.add_argument(f"--{prefix}method", type=str.lower,
-                   choices=["none", "dft", "fmd-a", "fmd-b", "causal-fir"])
+    g.add_argument(f"--{prefix}method", type=str.lower, choices=CHOICES["method"])
     g.add_argument(f"--{prefix}bands", type=int, help="uniform band count")
     g.add_argument(f"--{prefix}cutoffs", help="comma-separated band cutoffs in Hz, last at Nyquist")
     g.add_argument(f"--{prefix}plan", help="band plan JSON file")
     g.add_argument(f"--{prefix}order", type=int,
                    help="FIR order for fmd/causal methods (default 256)")
     if if_flags:
-        g.add_argument(f"--{prefix}scheme", type=str.lower,
-                       choices=["forward", "backward", "central"])
-        g.add_argument(f"--{prefix}if", type=str.lower, choices=["positive", "conventional"])
+        g.add_argument(f"--{prefix}scheme", type=str.lower, choices=CHOICES["scheme"])
+        g.add_argument(f"--{prefix}if", type=str.lower, choices=CHOICES["if"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,24 +236,29 @@ def _load_input(args) -> tuple[Signal, str | None, dict | None]:
 def _settings(args, config_path: str | None, prefix: str = "") -> dict:
     """Merge a JSON config file with command-line flags (flags win).
 
-    Each setting's flag has the argparse dest `prefix + key`.
+    Each setting's flag has the argparse dest `prefix + key`. The file's
+    choices and integers are checked as the flags' are; its errors name it.
     """
-    settings = {
-        "method": "none",
-        "bands": None,
-        "cutoffs": None,
-        "plan": None,
-        "order": None,
-        "scheme": "forward",
-        "if": "positive",
-    }
+    settings = {"method": "none", "bands": None, "cutoffs": None, "plan": None, "order": None,
+                "scheme": "forward", "if": "positive"}
     if config_path:
-        loaded = json.loads(Path(config_path).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
+        try:
+            loaded = json.loads(Path(config_path).read_text())
+            if not isinstance(loaded, dict):
+                raise ValueError("config must be a JSON object")
+            unknown = set(loaded) - set(settings)
+            if unknown:
+                raise ValueError(f"unknown config keys {sorted(unknown)}")
+            for key, value in loaded.items():
+                if key in CHOICES:
+                    loaded[key] = value.lower() if isinstance(value, str) else value
+                    if loaded[key] not in CHOICES[key]:
+                        raise ValueError(f"{key} must be one of {', '.join(CHOICES[key])}; "
+                                         f"got {value!r}")
+                elif key in ("bands", "order") and value is not None and type(value) is not int:
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
+        except ValueError as exc:  # malformed JSON included
+            raise ValueError(f"{config_path}: {exc}") from None
         settings.update(loaded)
     for key in settings:
         value = getattr(args, prefix + key, None)
@@ -419,7 +427,7 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     signal, _, _ = _load_input(args)
     settings = _settings(args, args.config)
-    if settings["method"] in ("none", None):
+    if settings["method"] == "none":
         raise ValueError("decompose needs --method dft|fmd-a|fmd-b|causal-fir")
     decomposition, checks = _decompose(signal, settings, _resolve_bands(signal, settings))
     prefix = args.out_prefix

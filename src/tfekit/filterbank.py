@@ -8,6 +8,7 @@ quadrature; components are mutually orthogonal with disjoint support.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,9 +59,14 @@ class BandSpec:
     def __post_init__(self):
         if (self.bands is None) == (self.cutoffs_hz is None):
             raise ValueError("a band spec needs exactly one of bands or cutoffs_hz")
-        if self.bands is not None and self.bands < 1:
-            raise ValueError(f"need at least one band, got {self.bands}")
+        bands = self.bands
+        if bands is not None and (isinstance(bands, bool) or not isinstance(bands, numbers.Integral)
+                                  or bands < 1):
+            raise ValueError(f"bands must be a positive integer, got {bands!r}")
         if self.cutoffs_hz is not None:
+            if not isinstance(self.cutoffs_hz, (list, tuple, np.ndarray)) or any(
+                    isinstance(c, bool) or not isinstance(c, numbers.Real) for c in self.cutoffs_hz):
+                raise ValueError(f"cutoffs must be a list of numbers, got {self.cutoffs_hz!r}")
             object.__setattr__(self, "cutoffs_hz", tuple(float(c) for c in self.cutoffs_hz))
 
     @classmethod
@@ -76,20 +82,23 @@ class BandSpec:
         if len(given) > 1:
             raise ValueError(f"give only one of --bands/--cutoffs/--plan, got {given}")
         if bands is not None:
-            return cls(bands=int(bands))
+            return cls(bands=bands)
         if cutoffs:
             if isinstance(cutoffs, str):
-                cutoffs = [c for c in cutoffs.split(",") if c.strip()]
+                cutoffs = [float(c) for c in cutoffs.split(",") if c.strip()]
             return cls(cutoffs_hz=cutoffs)
         if not plan:
             return None
-        doc = json.loads(Path(plan).read_text()) if isinstance(plan, str) else plan
+        try:
+            doc = json.loads(Path(plan).read_text()) if isinstance(plan, str) else plan
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{plan}: {exc}") from None
         if not isinstance(doc, dict) or doc.get("type") not in ("uniform", "custom"):
             raise ValueError("band plan document must be an object with type 'uniform' or 'custom'")
         if doc["type"] == "uniform":
             if "bands" not in doc:
                 raise ValueError("uniform band plan needs a 'bands' count")
-            return cls(bands=int(doc["bands"]))
+            return cls(bands=doc["bands"])
         if "cutoffs_hz" not in doc:
             raise ValueError("custom band plan needs 'cutoffs_hz'")
         return cls(cutoffs_hz=doc["cutoffs_hz"])

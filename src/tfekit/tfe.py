@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvtext import RowText, join
+from ._csvtext import RowText
 from .instfreq import IFTrack
 
 __all__ = [
@@ -126,11 +126,12 @@ class TrackCsvWriter:
     The header is written when the writer is made; each :meth:`write`
     appends one track's rows a block of 2048 rows at a time. Every number
     is ``'%.17g'`` text. The tracks of a run share their time column, so
-    its cells' records are made once, on the first track of a length and
-    sample rate, and kept (34 bytes a sample); each track then formats
-    only its frequency and energy cells. Memory stays at one block's rows
-    (0.8 MB of workspace) plus that cached column: 0.27 MB for tracks of
-    8,000 samples, 17.4 MB for 512,000.
+    its cells' records, Python's text for any fallback cell among them,
+    are made once, on the first track of a length and sample rate, and
+    kept (34 bytes a sample); each track then formats only its frequency
+    and energy cells. Memory stays at one block's rows (0.8 MB of
+    workspace) plus that cached column: 0.27 MB for tracks of 8,000
+    samples, 17.4 MB for 512,000.
     """
 
     def __init__(self, fh):
@@ -173,12 +174,7 @@ class TrackCsvWriter:
             codes[:, 1:] = data.records(block.reshape(-1), out=records[:, 1:])[1].reshape(rows, 2)
             records[:, 0] = time_records[start:stop]
             codes[:, 0] = time_codes[start:stop]
-
-            def value(cells):
-                row, column = np.divmod(cells, 3)
-                return np.where(column == 0, (start + row) / fs, block[row, column - 1])
-
-            self._fh.write(join(records, codes.reshape(-1), data.mask(3 * rows), value))
+            self._fh.write(data.join(records, codes.reshape(-1)))
 
 
 def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,7 +217,7 @@ def export_grid_csv(grid: TFEGrid, path) -> None:
             block[:, 0] = edges[start:stop]
             block[:, 1:] = energy[start:stop]
             fh.write(rows.text(block))
-        fh.write(RowText(1, 1).text(edges[-1:, None]))
+        fh.write("%.17g\n" % edges[-1])
 
 
 def load_grid_csv(path) -> TFEGrid:

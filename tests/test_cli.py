@@ -400,6 +400,69 @@ class TestMethodSettings:
             assert default == (workdir / f"explicit_component_{i:03d}.csv").read_bytes()
 
 
+class TestConfigFiles:
+    """A config file or band-plan document is checked as the flags are, before anything runs."""
+
+    @pytest.mark.parametrize("config, plan, message", [
+        ({"method": "dft", "bands": 4.7}, None, "cfg.json: bands must be an integer, got 4.7"),
+        ({"method": "dft", "bands": True}, None, "cfg.json: bands must be an integer, got True"),
+        ({"method": "dft", "plan": "plan.json"}, {"type": "uniform", "bands": 2.9},
+         "bands must be a positive integer, got 2.9"),
+        ({"method": "dft", "cutoffs": [1000, True, 4000]}, None,
+         "cutoffs must be a list of numbers, got [1000, True, 4000]"),
+        ({"method": "fmd-a", "bands": 2, "order": 16.0}, None,
+         "cfg.json: order must be an integer, got 16.0"),
+    ], ids=["fractional-bands", "bool-bands", "fractional-plan-bands", "bool-cutoff",
+            "float-order"])
+    def test_numbers_refused_where_the_flags_refuse_them(self, workdir, capsys, config, plan,
+                                                         message):
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        if plan is not None:
+            (workdir / "plan.json").write_text(json.dumps(plan))
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--config", "cfg.json",
+                   "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(workdir.glob("x_*"))
+
+    @pytest.mark.parametrize("flag", ["--config", "--plan"])
+    def test_malformed_json_names_the_file(self, workdir, capsys, flag):
+        (workdir / "bad.json").write_text('{method: "dft"}')
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
+                   flag, "bad.json", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad.json: Expecting property name")
+
+    def test_choices_lower_cased_as_the_flags_are(self, workdir):
+        config = {"method": "DFT", "bands": 4, "scheme": "Central", "if": "POSITIVE"}
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        assert main(["analyze", "--gen", "chirp", "--dur", "0.1", "--config", "cfg.json",
+                     "--out-prefix", "x"]) == 0
+        diag = json.loads((workdir / "x_diagnostics.json").read_text())
+        assert (diag["method"], diag["scheme"], diag["if_mode"]) == ("dft", "central", "positive")
+
+    @pytest.mark.parametrize("key, value, choices", [
+        ("method", "fft", "none, dft, fmd-a, fmd-b, causal-fir"),
+        ("scheme", "upwind", "forward, backward, central"),
+        ("if", "sideways", "positive, conventional"),
+        ("if", 1, "positive, conventional"),
+    ], ids=["method", "scheme", "if", "if-not-a-string"])
+    def test_compare_checks_config_b_before_side_a_runs(self, workdir, capsys, monkeypatch,
+                                                        key, value, choices):
+        import tfekit.cli as cli
+
+        tracked = []
+        monkeypatch.setattr(cli, "if_track", lambda *args: tracked.append(args) or if_track(*args))
+        (workdir / "b.json").write_text(json.dumps({"method": "none", key: value}))
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.1", "--a-method", "dft",
+                   "--a-bands", "4", "--config-b", "b.json", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: b.json: {key} must be one of {choices}; got {value!r}\n")
+        assert not tracked
+        assert not list(workdir.glob("x_*"))
+
+
 class TestDecompose:
     def test_components_written_and_reconstruct(self, workdir):
         main(["gen", "chirp", "--dur", "0.5", "--out", "in.csv"])

@@ -123,6 +123,15 @@ class TestPlanSpec:
         with pytest.raises(ValueError):
             BandSpec(bands=4, cutoffs_hz=(25.0,))
 
+    @pytest.mark.parametrize("spec", [
+        dict(bands=4.7), dict(bands=True), dict(bands="4"),
+        dict(cutoffs_hz=[5, True, 25]), dict(cutoffs_hz=["5", "25"]), dict(cutoffs_hz=25.0),
+    ])
+    def test_only_numbers_taken(self, spec):
+        # as the --bands and --cutoffs flags take them: no bool, no string, no cast
+        with pytest.raises(ValueError, match="must be"):
+            BandSpec(**spec)
+
     @pytest.mark.parametrize("cutoffs, message", [
         ((5, 10, 20, 30), "above Nyquist"),
         ((5, 10), "must equal Nyquist"),
