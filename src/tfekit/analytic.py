@@ -11,8 +11,9 @@ whole signal, and the DFT filter bank for each of its bands.
 
 An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
 path (spectrum, then energies; the quadrature; phase increments, then
-frequencies; a mask), so that tracking many components of one length
-touches the same memory instead of mapping fresh pages for every one.
+frequencies) and the block scratch of its branch-free folds, so that
+tracking many components of one length touches the same memory instead of
+mapping fresh pages for every one.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,40 @@ __all__ = [
     "analytic_signal",
 ]
 
+# samples per block of the branch-free folds: their scratch holds this
+# many floats and twice as many flags, never N of either
+_BLOCK = 16384
+
+
+def _fold_scratch(n: int) -> np.ndarray:
+    """Scratch for :func:`_subtract_steps` on up to n samples: 2 x min(n, _BLOCK) floats."""
+    return np.empty((2, min(max(n, 1), _BLOCK)))
+
+
+def _subtract_steps(values: np.ndarray, step: float, scratch: np.ndarray,
+                    above: float = np.inf, at_or_below: float = -np.inf) -> None:
+    """values -= step * k in place, where k = (values > above) - (values <= at_or_below).
+
+    Branch-free and block by block in `scratch`, from :func:`_fold_scratch`:
+    both conditions as int8 flags, their difference cast to floats. Where k
+    is 0 the step subtracted is +0.0, which keeps every bit, -0.0 included;
+    where it is -1, subtracting -step is exactly adding step.
+    """
+    floats = scratch[0]
+    size = floats.size
+    flags = scratch[1].view(np.int8)  # 8 flags a float: room for two blocks
+    k, low = flags[:size], flags[size : 2 * size]
+    for start in range(0, values.size, size):
+        block = values[start : start + size]
+        m = block.size
+        np.greater(block, above, out=k[:m].view(bool))
+        np.less_equal(block, at_or_below, out=low[:m].view(bool))
+        np.subtract(k[:m], low[:m], out=k[:m])
+        shift = floats[:m]
+        np.copyto(shift, k[:m])
+        shift *= step
+        block -= shift
+
 
 class IFWorkspace:
     """The reusable arrays of the IF path for signals of `n` samples.
@@ -36,7 +71,7 @@ class IFWorkspace:
     * `quadrature`: the analytic signal's imaginary part;
     * `frequency`: the squared quadrature, then the phase increments,
       folded in place into the frequencies;
-    * `mask`: n booleans for the folds.
+    * `scratch`: the folds' block scratch, 2 x min(n, 16384) floats.
 
     Every result built in a workspace holds views of these arrays, which
     the next use of the workspace overwrites. The arrays are made empty,
@@ -48,7 +83,7 @@ class IFWorkspace:
         self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
         self.quadrature = np.empty(n)
         self.frequency = np.empty(n)
-        self.mask = np.empty(n, dtype=bool)
+        self.scratch = _fold_scratch(n)
 
     @property
     def energy(self) -> np.ndarray:
@@ -81,21 +116,19 @@ class AnalyticSignal:
         neither underflow nor overflow at any finite amplitude.
         """
         n = self.real.size
-        return self._increments_into(np.empty(n), np.empty(n, dtype=bool))
+        return self._increments_into(np.empty(n), _fold_scratch(n))
 
-    def _increments_into(self, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def _increments_into(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """:meth:`increments` written into `out`, N floats, and returned as ``out[:-1]``.
 
-        `out` receives the N angles, differenced in place; `mask`, N
-        booleans, holds the folds' conditions.
+        `out` receives the N angles, differenced in place; `scratch`, from
+        :func:`_fold_scratch`, serves the +-2pi folds.
         """
         np.arctan2(self.imag, self.real, out=out)
         d = out[:-1]
-        mask = mask[: d.size]
         # each angle is read before its slot is written, so no copy is made
         np.subtract(out[1:], d, out=d)
-        np.subtract(d, 2 * np.pi, out=d, where=np.greater(d, np.pi, out=mask))
-        np.add(d, 2 * np.pi, out=d, where=np.less_equal(d, -np.pi, out=mask))
+        _subtract_steps(d, 2 * np.pi, scratch, above=np.pi, at_or_below=-np.pi)
         return d
 
 

@@ -11,6 +11,7 @@ Configuration may come from flags and/or a JSON file (flags win).
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import IFWorkspace
-from .filterbank import BandSpec, Decomposition, dft_decompose, verify_orthogonality
-from .fmd import fmd_decompose, verify_linoep
+from .filterbank import BandSpec, _BandCheck, _DFTBank
+from .fmd import _check_order, fmd_decompose, verify_linoep
 from .instfreq import DiffScheme, if_track
 from .io import load_csv, load_wav, save_csv
 from .signals import (
@@ -257,6 +258,9 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
                                          f"got {value!r}")
                 elif key in ("bands", "order") and value is not None and type(value) is not int:
                     raise ValueError(f"{key} must be an integer, got {value!r}")
+            for key in ("bands", "cutoffs"):  # as the band plan checks them, here naming the file
+                if loaded.get(key) is not None:
+                    BandSpec.from_settings(**{key: loaded[key]})
         except ValueError as exc:  # malformed JSON included
             raise ValueError(f"{config_path}: {exc}") from None
         settings.update(loaded)
@@ -287,43 +291,61 @@ def _resolve_bands(signal: Signal, settings: dict):
         return None
     if method == "dft":
         return spec.plan(len(signal), signal.sample_rate)
+    if settings["order"] is not None:
+        _check_order(settings["order"])
     return spec.ladder(signal.sample_rate)
 
 
-def _decompose(signal: Signal, settings: dict, bands,
-               consumer=None) -> tuple[Decomposition | None, dict]:
-    """Decompose on `bands`, as :func:`_resolve_bands` gives them, and verify the result.
+def _relative_error(reconstruction: np.ndarray, signal: Signal) -> float:
+    err = np.abs(reconstruction - signal.samples).max()
+    return float(err / max(np.abs(signal.samples).max(), 1e-300))
 
-    Returns the decomposition (None for method 'none') and the verification
-    diagnostics. The DFT bank hands each band's analytic signal to
-    `consumer`, when given, as it makes the band.
+
+def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float | None, dict]:
+    """Decompose on `bands`, as :func:`_resolve_bands` gives them; verify and hand on each component.
+
+    `consumer(component, band)` gets each component's samples, in order,
+    and a function that makes the Signal or AnalyticSignal to track it
+    (call it at most once, before the consumer returns). Method 'none' has
+    one component, the signal itself. A DFT band is handed on as the bank
+    makes it, in one reused array, and checked as it is made, so no (M, N)
+    array is held; any other component once its decomposition is verified.
+    Returns c0 (None for method 'none') and the verification diagnostics.
     """
     method = settings["method"]
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
+        consumer(signal.samples, lambda: signal)
         return None, checks
     if method == "dft":
-        # the overflow verify_orthogonality would report, before any band is tracked
+        # the overflow the check would report, before any band is handed on
         finite_energy(signal.samples)
-        decomposition = dft_decompose(signal, bands, consumer)
-    else:
-        order = {} if settings["order"] is None else {"order": settings["order"]}
-        decomposition = fmd_decompose(signal, bands, **order, method=method)
-    err = np.abs(decomposition.reconstruct() - signal.samples).max()
-    checks["reconstruction_error"] = float(err / max(np.abs(signal.samples).max(), 1e-300))
-    if method == "dft":
-        rep = verify_orthogonality(decomposition)
+        bank = _DFTBank(signal, bands)
+        check = _BandCheck(len(signal))
+        for lo, hi, component, analytic in bank.bands(itertools.repeat(np.empty(len(signal)))):
+            check.add(component, lo, hi)
+            consumer(component, analytic)
+        reconstruction, rep = check.finish(bank.c0)
+        checks["reconstruction_error"] = _relative_error(reconstruction, signal)
         checks["orthogonality"] = {
             "max_normalized_cross": rep.max_normalized_cross,
+            "cross_figure": "leakage bound",
             "energy_ratio": rep.energy_ratio,
         }
-    elif method in ("fmd-a", "fmd-b"):
+        return bank.c0, checks
+    order = {} if settings["order"] is None else {"order": settings["order"]}
+    decomposition = fmd_decompose(signal, bands, **order, method=method)
+    checks["reconstruction_error"] = _relative_error(decomposition.reconstruct(), signal)
+    if method in ("fmd-a", "fmd-b"):
         rep = verify_linoep(decomposition)
         checks["linoep"] = {
             "max_tail_cross": rep.max_tail_cross,
             "energy_ratio": rep.energy_ratio,
         }
-    return decomposition, checks
+    for component in decomposition.components:
+        # Decomposition checked its rows: each is handed on in place, not copied
+        consumer(component, lambda: Signal._view(component, signal.sample_rate))
+    return decomposition.c0, checks
 
 
 def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, write=None,
@@ -334,11 +356,10 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     `grid`, appends its rows through `write` when one is given, and adds the
     track to the per-track figures; no list of tracks is kept. Every track
     is made in one IFWorkspace, made with the first track, so `write` gets
-    a track that holds only until the next one. A DFT band is tracked as
-    the bank makes it, any other component once the decomposition is
-    verified. Returns the diagnostics and, given true `ridges`, the
-    energy-weighted mean distance (Hz) between track samples and the
-    nearest ridge, summed in track order.
+    a track that holds only until the next one. Each component is tracked
+    as :func:`_decompose` hands it on. Returns the diagnostics and, given
+    true `ridges`, the energy-weighted mean distance (Hz) between track
+    samples and the nearest ridge, summed in track order.
     """
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
@@ -346,13 +367,13 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     weighted = total_energy = 0.0
     workspace = None
 
-    def sink(band):
+    def sink(component, band):
         nonlocal weighted, total_energy, workspace
         if workspace is None:
             # made with the first track, so that its memory is not held
             # while an FMD ladder runs
             workspace = IFWorkspace(len(signal))
-        track = if_track(band, scheme, if_mode, workspace)
+        track = if_track(band(), scheme, if_mode, workspace)
         grid.add(track)
         if write is not None:
             write(track)
@@ -362,13 +383,7 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
             weighted += float(np.dot(dist, track.energy))
             total_energy += float(track.energy.sum())
 
-    decomposition, checks = _decompose(signal, settings, bands, sink)
-    if decomposition is None:
-        sink(signal)
-    elif decomposition.method != "dft":
-        # Decomposition checked its rows: track each in place, not a copy
-        for component in decomposition.components:
-            sink(Signal._view(component, signal.sample_rate))
+    _, checks = _decompose(signal, settings, bands, sink)
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],
@@ -429,24 +444,33 @@ def cmd_decompose(args) -> int:
     settings = _settings(args, args.config)
     if settings["method"] == "none":
         raise ValueError("decompose needs --method dft|fmd-a|fmd-b|causal-fir")
-    decomposition, checks = _decompose(signal, settings, _resolve_bands(signal, settings))
+    bands = _resolve_bands(signal, settings)
     prefix = args.out_prefix
     written = []
-    for i, comp in enumerate(decomposition.components, start=1):
-        path = Path(f"{prefix}_component_{i:03d}.csv")
-        save_csv(Signal._view(comp, signal.sample_rate), path)
+
+    def write(component, _):
+        path = Path(f"{prefix}_component_{len(written) + 1:03d}.csv")
         written.append(path)
+        save_csv(Signal._view(component, signal.sample_rate), path)
+
     diag_path = Path(f"{prefix}_diagnostics.json")
-    _write_json(diag_path, {
-        "schema": DIAGNOSTICS_SCHEMA,
-        "method": settings["method"],
-        "n_samples": len(signal),
-        "sample_rate_hz": signal.sample_rate,
-        "n_components": decomposition.n_components,
-        **checks,
-        "c0": decomposition.c0,
-        "outputs": {"components": [str(p) for p in written]},
-    })
+    try:
+        # each component is written as it is handed on; a later error removes them all
+        c0, checks = _decompose(signal, settings, bands, write)
+        _write_json(diag_path, {
+            "schema": DIAGNOSTICS_SCHEMA,
+            "method": settings["method"],
+            "n_samples": len(signal),
+            "sample_rate_hz": signal.sample_rate,
+            "n_components": len(written),
+            **checks,
+            "c0": c0,
+            "outputs": {"components": [str(p) for p in written]},
+        })
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     print(f"wrote {len(written)} components and {diag_path}")
     return 0
 

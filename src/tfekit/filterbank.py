@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticSignal, _check_analytic_length, _quadrature
-from .signals import Signal, finite_energy
+from .signals import Signal
 
 __all__ = [
     "BandSpec",
@@ -89,10 +89,15 @@ class BandSpec:
             return cls(cutoffs_hz=cutoffs)
         if not plan:
             return None
+        if not isinstance(plan, str):
+            return cls._from_document(plan)
         try:
-            doc = json.loads(Path(plan).read_text()) if isinstance(plan, str) else plan
-        except json.JSONDecodeError as exc:
+            return cls._from_document(json.loads(Path(plan).read_text()))
+        except ValueError as exc:  # malformed JSON included
             raise ValueError(f"{plan}: {exc}") from None
+
+    @classmethod
+    def _from_document(cls, doc) -> "BandSpec":
         if not isinstance(doc, dict) or doc.get("type") not in ("uniform", "custom"):
             raise ValueError("band plan document must be an object with type 'uniform' or 'custom'")
         if doc["type"] == "uniform":
@@ -145,12 +150,15 @@ class Decomposition:
     `components` is a C-contiguous (M, N) float64 array whose row i is
     component i; c0 + components.sum(axis=0) reconstructs the analyzed
     signal pointwise. `method` names the producing algorithm as the CLI's
-    --method does: 'dft', 'fmd-a', 'fmd-b' or 'causal-fir'.
+    --method does: 'dft', 'fmd-a', 'fmd-b' or 'causal-fir'. `boundaries`
+    are a DFT decomposition's bin boundaries, as :func:`dft_decompose`
+    takes them; :func:`verify_orthogonality` needs them.
     """
 
     c0: float
     components: np.ndarray
     method: str
+    boundaries: tuple | None = None
 
     def __post_init__(self):
         comps = np.ascontiguousarray(self.components, dtype=np.float64)
@@ -160,6 +168,12 @@ class Decomposition:
             if not np.isfinite(row).all():
                 raise ValueError("components must be finite")
         object.__setattr__(self, "components", comps)
+        if self.boundaries is not None:
+            bounds = _check_boundaries(self.boundaries, comps.shape[1])
+            if len(bounds) != comps.shape[0] + 1:
+                raise ValueError(f"{comps.shape[0]} components need {comps.shape[0] + 1} "
+                                 f"boundaries, got {len(bounds)}")
+            object.__setattr__(self, "boundaries", bounds)
 
     @property
     def n_components(self) -> int:
@@ -168,6 +182,59 @@ class Decomposition:
     def reconstruct(self) -> np.ndarray:
         """c0 + sum of components."""
         return self.c0 + np.sum(self.components, axis=0)
+
+
+def _check_boundaries(boundaries, n: int) -> tuple[int, ...]:
+    """Bin boundaries 0 = K_0 < K_1 < ... < K_M = floor(n/2) as a tuple of ints."""
+    bounds = tuple(int(b) for b in boundaries)
+    if len(bounds) < 2 or bounds[0] != 0:
+        raise ValueError("boundaries must start at 0 and define at least one band")
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
+    if bounds[-1] != n // 2:
+        raise ValueError(f"last boundary must be {n // 2} for length {n}, got {bounds[-1]}")
+    return bounds
+
+
+class _DFTBank:
+    """The zero-phase DFT bank of one signal: one forward transform, then its bands one at a time.
+
+    `c0` is the DC bin (the sample mean) and `boundaries` the checked bin
+    boundaries; :meth:`bands` is the bank's one synthesis loop.
+    """
+
+    def __init__(self, x: Signal, boundaries):
+        self.n = n = len(x)
+        _check_analytic_length(n)
+        self.boundaries = _check_boundaries(boundaries, n)
+        self.sample_rate = x.sample_rate
+        self._spectrum = np.fft.fft(x.samples, norm="forward")
+        self.c0 = float(self._spectrum[0].real)
+
+    def bands(self, rows):
+        """Make each band's component, in order, in the next array of `rows`.
+
+        Yields (lo, hi, component, analytic) per band, which covers bins
+        lo+1 .. hi. The component is the real inverse transform of those
+        bins; `analytic()` makes the band's :class:`AnalyticSignal`, a
+        read-only view of the component and fresh quadrature floats. Call
+        it at most once, before the next band is made.
+        """
+        n = self.n
+        bins = np.zeros(n // 2 + 1, dtype=np.complex128)
+
+        def analytic(component):
+            real = component.view()
+            real.flags.writeable = False
+            quadrature = _quadrature(bins, n, np.empty(n), "forward")
+            return AnalyticSignal(real, quadrature, self.sample_rate)
+
+        for lo, hi, row in zip(self.boundaries[:-1], self.boundaries[1:], rows):
+            band = slice(lo + 1, hi + 1)
+            bins[band] = self._spectrum[band]
+            component = np.fft.irfft(bins, n, norm="forward", out=row)
+            yield lo, hi, component, lambda: analytic(component)
+            bins[band] = 0.0
 
 
 def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
@@ -182,56 +249,131 @@ def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
     band's :class:`AnalyticSignal`: a read-only view of its row and fresh
     quadrature floats. Signals under 4 samples are refused, consumer or not.
     """
-    n = len(x)
-    _check_analytic_length(n)
-    bounds = tuple(int(b) for b in boundaries)
-    if len(bounds) < 2 or bounds[0] != 0:
-        raise ValueError("boundaries must start at 0 and define at least one band")
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
-    if bounds[-1] != n // 2:
-        raise ValueError(f"last boundary must be {n // 2} for length {n}, got {bounds[-1]}")
-    spectrum = np.fft.fft(x.samples, norm="forward")
-    components = np.empty((len(bounds) - 1, n))
-    bins = np.zeros(n // 2 + 1, dtype=np.complex128)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        band = slice(lo + 1, hi + 1)
-        bins[band] = spectrum[band]
-        np.fft.irfft(bins, n, norm="forward", out=components[i])
+    bank = _DFTBank(x, boundaries)
+    components = np.empty((len(bank.boundaries) - 1, bank.n))
+    for _, _, _, analytic in bank.bands(components):
         if consumer is not None:
-            real = components[i].view()
-            real.flags.writeable = False  # the row that reconstruct and the checks read
-            consumer(AnalyticSignal(real, _quadrature(bins, n, np.empty(n), "forward"), x.sample_rate))
-        bins[band] = 0.0
-    return Decomposition(float(spectrum[0].real), components, "dft")
+            consumer(analytic())
+    return Decomposition(bank.c0, components, "dft", bank.boundaries)
 
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Pairwise orthogonality and energy-preservation summary."""
+    """Orthogonality and energy-preservation summary.
+
+    `max_normalized_cross` bounds max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||)
+    from above (:class:`_BandCheck` says how); `energy_ratio` is
+    (sum ||y_i||^2 + N*c0^2) / ||x||^2.
+    """
 
     max_normalized_cross: float
     energy_ratio: float
 
 
+_OVERFLOW = "signal energy overflows float64; rescale the input"
+
+
+class _BandCheck:
+    """The checks of a DFT bank's components, added one band at a time in O(N) memory.
+
+    Keeps the running sum of the components, each one's energy and its
+    leakage, and no component. A component of band (lo, hi) should hold
+    only bins lo+1 .. hi. One real transform gives both figures, with
+    Parseval's weights (1 for DC and the even-N Nyquist bin, 2 elsewhere):
+    the energy from all the bins, and the leakage eps = sqrt(out-of-band
+    power / total power), summing the out-of-band bins directly. By Cauchy-Schwarz, |<y_i, y_l>| <= (eps_i + eps_l)
+    ||y_i|| ||y_l|| for bands on disjoint bins, so the two largest
+    leakages bound every pairwise figure. Each leakage adds the measuring
+    transform's own rounding, :func:`_fft_rounding`, since that transform
+    may hide at most that much out-of-band power.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._total = np.zeros(n)
+        # the measuring transform's bins, then their squares; scratch for finish()
+        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+        self._rounding = _fft_rounding(n)
+        self._energies = []
+        self._leakages = []
+
+    def add(self, component: np.ndarray, lo: int, hi: int) -> None:
+        """Check band (lo, hi)'s component: finite, its energy, its leakage; add it to the sum."""
+        n = self.n
+        # re, im pairs; with "forward" scaling Parseval's weighted sum of
+        # |Y_k|^2 is the energy / n, so no square overflows a finite energy
+        power = np.fft.rfft(component, norm="forward", out=self._spectrum).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.square(power, out=power)
+        top = n // 2 if n % 2 == 0 else n // 2 + 1  # the bins of weight 2 end before it
+
+        def bins(a, b):  # sum of |Y_k|^2 over bins a .. b-1
+            return float(np.add.reduce(power[2 * a : 2 * b])) if b > a else 0.0
+
+        nyquist = bins(top, n // 2 + 1)  # the even-N Nyquist bin, of weight 1; 0 for odd N
+        outside = bins(0, 1) + 2 * (bins(1, lo + 1) + bins(hi + 1, top))
+        inside = 2 * bins(lo + 1, min(hi + 1, top))
+        if hi < n // 2:
+            outside += nyquist
+        else:
+            inside += nyquist
+        energy = n * (outside + inside)
+        if not np.isfinite(energy):
+            if not np.isfinite(component).all():
+                raise ValueError("components must be finite")
+            raise ValueError(_OVERFLOW)
+        self._total += component
+        self._energies.append(energy)
+        # a zero-energy band contributes nothing
+        leakage = np.sqrt(outside / (outside + inside)) + self._rounding if energy > 0 else 0.0
+        self._leakages.append(float(leakage))
+
+    def finish(self, c0: float) -> tuple[np.ndarray, OrthogonalityReport]:
+        """The reconstruction c0 + sum of the components, in the sum's memory, and the report.
+
+        An energy that overflows float64 raises; the ratio is 1 when the
+        reconstruction has zero energy.
+        """
+        x = np.add(c0, self._total, out=self._total)
+        squares = self._spectrum.view(np.float64)[: self.n]
+        with np.errstate(over="ignore"):
+            energy = float(np.add.reduce(np.square(x, out=squares)))  # pairwise, no BLAS
+        if not np.isfinite(energy):
+            raise ValueError(_OVERFLOW)
+        two = sorted(self._leakages)[-2:]
+        cross = two[0] + two[1] if len(two) == 2 else 0.0
+        parts = np.add.reduce(self._energies) + self.n * c0**2
+        ratio = float(parts / energy) if energy > 0 else 1.0
+        return x, OrthogonalityReport(cross, ratio)
+
+
+def _fft_rounding(n: int) -> float:
+    """A bound on the relative l2 error of numpy's n-point real transform.
+
+    pocketfft's error grows as u * log2(n) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm. 24.2, about 7u per radix-2
+    stage); a length with a large prime factor goes through Bluestein's
+    algorithm, two transforms of at least 2n - 1 points. 16u per stage of
+    a 2n-point transform covers both with room to spare.
+    """
+    u = np.finfo(np.float64).eps / 2
+    return float(16 * u * np.ceil(np.log2(2 * n)))
+
+
 def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
     """Check mutual orthogonality and Parseval energy balance of a DFT decomposition.
 
-    Reports max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||) and
+    Reports a bound on the max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||),
+    from each component's out-of-band leakage (:class:`_BandCheck`), and
     (sum ||y_i||^2 + N*c0^2) / ||x||^2, where x is the reconstruction; the
-    ratio is 1 when x has zero energy. An energy that overflows float64
-    raises.
+    ratio is 1 when x has zero energy. It needs the decomposition's bin
+    boundaries. An energy that overflows float64 raises.
     """
     if d.method != "dft":
         raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
-    x = d.reconstruct()
-    energy = finite_energy(x)
-    comps = d.components
-    gram = comps @ comps.T
-    norms = np.sqrt(np.diag(gram))
-    denom = np.outer(norms, norms)
-    denom[denom == 0] = 1.0  # zero-energy bands contribute nothing
-    normalized = np.abs(gram) / denom
-    np.fill_diagonal(normalized, 0.0)
-    energy_ratio = float((np.trace(gram) + x.size * d.c0**2) / energy) if energy > 0 else 1.0
-    return OrthogonalityReport(float(normalized.max()), energy_ratio)
+    if d.boundaries is None:
+        raise ValueError("orthogonality verification needs the decomposition's bin boundaries")
+    check = _BandCheck(d.components.shape[1])
+    for component, lo, hi in zip(d.components, d.boundaries, d.boundaries[1:]):
+        check.add(component, lo, hi)
+    return check.finish(d.c0)[1]

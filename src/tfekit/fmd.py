@@ -60,6 +60,12 @@ class FirFilter:
         return self.taps.size - 1
 
 
+def _check_order(order: int) -> None:
+    """The FIR order rule: even and at least 16."""
+    if order % 2 != 0 or order < 16:
+        raise ValueError(f"order must be even and >= 16, got {order}")
+
+
 def design_fir(kind: str, cutoff_hz: float, order: int, sample_rate: float) -> FirFilter:
     """Windowed-sinc linear-phase FIR design.
 
@@ -85,8 +91,7 @@ def design_fir(kind: str, cutoff_hz: float, order: int, sample_rate: float) -> F
         raise ValueError(
             f"cutoff must lie strictly inside (0, {sample_rate / 2}) Hz, got {cutoff_hz}"
         )
-    if order % 2 != 0 or order < 16:
-        raise ValueError(f"order must be even and >= 16, got {order}")
+    _check_order(order)
     half = order // 2
     m = np.arange(1, half + 1)
     fc = cutoff_hz / sample_rate

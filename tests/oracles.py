@@ -9,8 +9,9 @@ list of lines (the streaming writers must match them byte for byte), a
 DFT bank built another way: a Hermitian 0/1 mask per band with an
 imaginary-residue guard, scaling numpy's transforms by N itself (the
 real-transform bank must match it component by component), and the
-list-based grid and stacked Gram check that held every track and a second
-copy of the components at once (the streaming CLI must match their bytes),
+list-based grid that held every track at once (the streaming CLI must
+match its bytes), the stacked Gram check of every pair of components (the
+leakage bound must cover it),
 Marple's one-sided spectrum, one complex synthesis per band with its own
 bin doubling (each band of the bank must match it to rounding), the
 analytic signal as two complex transforms built on it (the real-transform
@@ -293,7 +294,7 @@ def dft_decompose(x: Signal, boundaries) -> Decomposition:
                 f"{residue_limit:.3e}; spectral mask lost Hermitian symmetry"
             )
         components.append(y.real)
-    return Decomposition(c0, components, "dft")
+    return Decomposition(c0, components, "dft", tuple(boundaries))
 
 
 def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:

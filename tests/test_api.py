@@ -73,6 +73,8 @@ REMOVED_ATTRIBUTES = [
     (tfekit.Signal, "duration"),
     (tfekit.Signal, "energy"),
     (tfekit.Decomposition, "sample_rate"),
+    # an instance attribute: a workspace shows it
+    (tfekit.IFWorkspace(4), "mask"),
 ]
 
 

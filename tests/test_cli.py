@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -23,6 +24,7 @@ from tfekit import (
     load_grid_csv,
     load_track_csv,
     verify_linoep,
+    verify_orthogonality,
 )
 from tfekit.cli import (
     FIXTURE_FLAGS,
@@ -231,11 +233,11 @@ class TestAnalyze:
 
         streamed = []
 
-        def failing(decomposition):
+        def failing(check, c0):
             streamed.extend(workdir.iterdir())
             raise ValueError("forced failure")
 
-        monkeypatch.setattr(cli, "verify_orthogonality", failing)
+        monkeypatch.setattr(cli._BandCheck, "finish", failing)
         rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
                    "--bands", "4", "--out-prefix", "x"])
         assert rc == 1
@@ -266,7 +268,8 @@ class TestAnalyze:
 
     def test_dft_bank_one_real_inverse_pair_per_band(self, monkeypatch):
         # one forward transform for the whole bank; per band, the component's
-        # real inverse and its quadrature's, and no third transform
+        # real inverse and its quadrature's, and the real transform that
+        # measures its leakage
         calls = {"fft": 0, "rfft": 0, "ifft": 0, "irfft": 0}
         for name in calls:
             def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
@@ -282,7 +285,7 @@ class TestAnalyze:
         diagnostics, _ = _run_analysis(signal, settings, _resolve_bands(signal, settings), grid,
                                        tracks.append)
         assert len(tracks) == diagnostics["n_components"] == 10
-        assert calls == {"fft": 1, "rfft": 0, "ifft": 0, "irfft": 20}
+        assert calls == {"fft": 1, "rfft": 10, "ifft": 0, "irfft": 20}
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--method", "fmd-a", "--bands", "4"],
@@ -335,13 +338,28 @@ class TestAnalyze:
 
 class TestMethodSettings:
     @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
-    def test_decomposition_carries_the_cli_method_name(self, method):
+    def test_decomposition_carries_the_cli_method_name(self, monkeypatch, method):
+        # the FIR ladder's Decomposition names its method as --method does;
+        # the DFT bank makes none and reports the orthogonality checks
+        import tfekit.cli as cli
+
+        made = []
+        monkeypatch.setattr(cli, "fmd_decompose",
+                            lambda *args, **kwargs: made.append(fmd_decompose(*args, **kwargs))
+                            or made[-1])
         args = build_parser().parse_args(["decompose", "--gen", "chirp", "--dur", "0.1",
                                           "--method", method, "--bands", "4"])
         signal, _, _ = _load_input(args)
         settings = _settings(args, None)
-        decomposition, _ = _decompose(signal, settings, _resolve_bands(signal, settings))
-        assert decomposition.method == method
+        handed = []
+        _, checks = _decompose(signal, settings, _resolve_bands(signal, settings),
+                               lambda component, band: handed.append(component.copy()))
+        assert len(handed) == 4
+        if method == "dft":
+            assert made == [] and checks["orthogonality"] is not None
+        else:
+            assert [d.method for d in made] == [method]
+            assert (checks["linoep"] is None) == (method == "causal-fir")
 
     @pytest.mark.parametrize("method", ["none", "dft"])
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -380,6 +398,20 @@ class TestMethodSettings:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(workdir.glob("x_*"))
 
+    def test_compare_checks_the_fir_order_before_either_side_runs(self, workdir, capsys,
+                                                                  monkeypatch):
+        import tfekit.cli as cli
+
+        tracked = []
+        monkeypatch.setattr(cli, "if_track", lambda *args: tracked.append(args) or if_track(*args))
+        rc = main(["compare", "--gen", "chirp", "--dur", "1", "--a-method", "dft",
+                   "--a-bands", "50", "--b-method", "fmd-a", "--b-bands", "2", "--b-order", "7",
+                   "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: order must be even and >= 16, got 7\n"
+        assert not tracked
+        assert not list(workdir.glob("x_*"))
+
     def test_compare_side_b_failing_at_run_time_leaves_no_file(self, workdir, capsys):
         # side b's settings are sound; its ladder needs more samples than the chirp has
         rc = main(["compare", "--gen", "chirp", "--dur", "0.05", "--a-method", "dft",
@@ -407,9 +439,9 @@ class TestConfigFiles:
         ({"method": "dft", "bands": 4.7}, None, "cfg.json: bands must be an integer, got 4.7"),
         ({"method": "dft", "bands": True}, None, "cfg.json: bands must be an integer, got True"),
         ({"method": "dft", "plan": "plan.json"}, {"type": "uniform", "bands": 2.9},
-         "bands must be a positive integer, got 2.9"),
+         "plan.json: bands must be a positive integer, got 2.9"),
         ({"method": "dft", "cutoffs": [1000, True, 4000]}, None,
-         "cutoffs must be a list of numbers, got [1000, True, 4000]"),
+         "cfg.json: cutoffs must be a list of numbers, got [1000, True, 4000]"),
         ({"method": "fmd-a", "bands": 2, "order": 16.0}, None,
          "cfg.json: order must be an integer, got 16.0"),
     ], ids=["fractional-bands", "bool-bands", "fractional-plan-bands", "bool-cutoff",
@@ -423,6 +455,24 @@ class TestConfigFiles:
                    "--out-prefix", "x"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(workdir.glob("x_*"))
+
+    def test_band_plan_file_errors_name_the_file(self, workdir, capsys):
+        (workdir / "p.json").write_text(json.dumps({"type": "custom", "cutoffs_hz": [1000, True]}))
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "fmd-a",
+                   "--plan", "p.json", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: p.json: cutoffs must be a list of numbers, got [1000, True]\n")
+        assert not list(workdir.glob("x_*"))
+
+    def test_config_band_count_errors_name_the_file(self, workdir, capsys):
+        (workdir / "cfg.json").write_text(json.dumps({"method": "dft", "bands": 0}))
+        rc = main(["decompose", "--gen", "chirp", "--dur", "0.1", "--config", "cfg.json",
+                   "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: cfg.json: bands must be a positive integer, got 0\n")
         assert not list(workdir.glob("x_*"))
 
     @pytest.mark.parametrize("flag", ["--config", "--plan"])
@@ -627,7 +677,7 @@ class TestCompare:
         import tfekit.cli as cli
 
         calls = []
-        for name in ("dft_decompose", "fmd_decompose"):
+        for name in ("_DFTBank", "fmd_decompose"):
             def counted(*args, _fn=getattr(cli, name), **kwargs):
                 calls.append(_fn)
                 return _fn(*args, **kwargs)
@@ -642,8 +692,9 @@ class TestCompare:
         assert not list(workdir.iterdir())
 
     def test_out_of_memory_is_one_error_line(self, workdir):
-        # a 32000-band bank of 64000 samples needs 15 GiB; the address-space
-        # limit is set in the child process, never in the test process
+        # a billion-sample signal needs 8 GB for its samples alone; the
+        # address-space limit is set in the child process, never in the
+        # test process, so the allocation fails before any page is touched
         pytest.importorskip("resource")
         child = ("import resource, sys\n"
                  "from tfekit.cli import main\n"
@@ -651,7 +702,7 @@ class TestCompare:
                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))\n"
                  "sys.exit(main(sys.argv[1:]))\n")
         proc = subprocess.run(
-            [sys.executable, "-c", child, "compare", "--gen", "noise", "--len", "64000",
+            [sys.executable, "-c", child, "compare", "--gen", "noise", "--len", "1000000000",
              "--fs", "100", "--a-method", "dft", "--a-bands", "32000", "--b-method", "none",
              "--out-prefix", "oom"],
             capture_output=True, text=True, env=_child_env(), timeout=60)
@@ -672,7 +723,7 @@ class TestCompare:
 
 
 def _oracle_tracks(x, method, bands):
-    """Every IF track of `method` held in one list, and the checks, on a stacked Gram copy."""
+    """Every IF track of `method` held in one list, and the checks, on the stacked components."""
     fs = x.sample_rate
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
@@ -687,8 +738,10 @@ def _oracle_tracks(x, method, bands):
     err = np.abs(d.c0 + np.sum(list(d.components), axis=0) - x.samples).max()
     checks["reconstruction_error"] = float(err / max(np.abs(x.samples).max(), 1e-300))
     if method == "dft":
-        rep = oracles.verify_orthogonality(d)
+        rep = verify_orthogonality(d)
+        assert rep.max_normalized_cross >= oracles.verify_orthogonality(d).max_normalized_cross
         checks["orthogonality"] = {"max_normalized_cross": rep.max_normalized_cross,
+                                   "cross_figure": "leakage bound",
                                    "energy_ratio": rep.energy_ratio}
     elif method == "fmd-a":
         rep = verify_linoep(d)
@@ -765,7 +818,8 @@ class TestStreamingMatchesListOracle:
     ["compare", "--a-method", "dft", "--a-bands", "64", "--b-method", "fmd-a", "--b-bands", "64"],
 ], ids=["analyze-dft", "compare-dft-fmd-a"])
 def test_peak_memory_two_component_arrays(workdir, argv):
-    # one (M, N) component array plus one band at a time, not M copies of each band
+    # at most the FIR ladder's (M, N) component array plus one band at a time, not M
+    # copies of each band; the DFT bank holds no (M, N) array at all
     m, n = 64, 16384
     tracemalloc.start()
     try:
@@ -775,3 +829,58 @@ def test_peak_memory_two_component_arrays(workdir, argv):
         tracemalloc.stop()
     assert rc == 0
     assert peak <= 2 * m * n * 8, f"peak {peak / (m * n * 8):.2f} x M*N*8 bytes"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--method", "dft", "--bands", "{m}"],
+    ["compare", "--a-method", "dft", "--a-bands", "{m}", "--b-method", "none"],
+    ["decompose", "--method", "dft", "--bands", "{m}"],
+], ids=["analyze", "compare", "decompose"])
+def test_half_as_many_bands_as_samples(workdir, argv):
+    # aim 3's edge, M = N/2: every band one bin wide, every check passing
+    n = 256
+    argv = [a.format(m=n // 2) for a in argv]
+    assert main([*argv, "--gen", "noise", "--len", str(n), "--out-prefix", "edge"]) == 0
+    if argv[0] == "compare":
+        diag = json.loads((workdir / "edge_compare.json").read_text())["sides"]["a"]
+    else:
+        diag = json.loads((workdir / "edge_diagnostics.json").read_text())
+    assert diag["n_components"] == n // 2
+    assert diag["reconstruction_error"] <= 1e-9
+    assert diag["orthogonality"]["max_normalized_cross"] <= 1e-10
+    assert abs(diag["orthogonality"]["energy_ratio"] - 1) <= 1e-10
+    if argv[0] == "decompose":
+        parts = [load_csv(p).samples for p in diag["outputs"]["components"]]
+        args = build_parser().parse_args(["decompose", "--gen", "noise", "--len", str(n)])
+        x = _load_input(args)[0]
+        assert np.abs(diag["c0"] + np.sum(parts, axis=0) - x.samples).max() <= 1e-9
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--method", "dft", "--bands", "{m}", "--freq-bins", "8"],
+    ["compare", "--a-method", "dft", "--a-bands", "{m}", "--b-method", "none"],
+    ["decompose", "--method", "dft", "--bands", "{m}"],
+], ids=["analyze", "compare", "decompose"])
+def test_dft_peak_memory_does_not_grow_with_bands(workdir, monkeypatch, command):
+    # the bank is checked band by band: 64 times the bands add less than one
+    # N-float array and 1 kB a band (paths, per-band figures) to the peak,
+    # where one (M, N) component array would add 504 N-float arrays
+    import tfekit.cli as cli
+
+    # the tracks and component files would grow with M; their writers are stubbed out
+    monkeypatch.setattr(cli, "TrackCsvWriter", lambda fh: SimpleNamespace(write=len))
+    monkeypatch.setattr(cli, "save_csv", lambda signal, path: None)
+    n = 16384
+    peaks = []
+    for m in (8, 8, 512):  # the first run imports and caches what later runs reuse
+        argv = [a.format(m=m) for a in command]
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--gen", "noise", "--len", str(n), "--out-prefix", f"m{m}"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        peaks.append(peak)
+    growth = peaks[2] - peaks[1]
+    assert growth < 8 * n + 1024 * 504, f"{growth / (8 * n):.2f} N-float arrays"

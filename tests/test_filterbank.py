@@ -12,6 +12,7 @@ import oracles
 from oracles import dft_direct
 from tfekit import (
     BandSpec,
+    Decomposition,
     Signal,
     analytic_signal,
     dft_decompose,
@@ -385,15 +386,61 @@ class TestVerifyOrthogonality:
                 nj = np.sqrt(sum(v * v for v in comps[j]))
                 val = abs(sum(a * b for a, b in zip(comps[i], comps[j]))) / (ni * nj)
                 best = max(best, val)
-        assert abs(report.max_normalized_cross - best) <= 1e-12
+        # a bound, from the leakages: at or above the pairwise figure
+        assert best <= report.max_normalized_cross <= best + 1e-12
         energy = sum(sum(v * v for v in c) for c in comps) + len(x) * d.c0**2
         assert abs(report.energy_ratio - energy / np.dot(x.samples, x.samples)) <= 1e-12
 
     @pytest.mark.parametrize("n_bands", [1, 7, 64])
     def test_matches_stacked_gram_oracle(self, n_bands):
+        # the leakage bound is at or above the Gram figure; the energy
+        # ratios differ only in how the squares are summed
         x = gen_noise(NoiseSpec(seed=n_bands, mean=0.3, length=4096), 100.0)
         d = dft_decompose(x, BandSpec(bands=n_bands).plan(4096, 100.0))
-        assert verify_orthogonality(d) == oracles.verify_orthogonality(d)
+        report, gram = verify_orthogonality(d), oracles.verify_orthogonality(d)
+        assert gram.max_normalized_cross <= report.max_normalized_cross <= 1e-10
+        assert abs(report.energy_ratio - gram.energy_ratio) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signal_and_boundaries())
+    @example((Signal(np.arange(4.0), 1.0), (0, 1, 2)))
+    @example((Signal(np.cos(np.pi * np.arange(64.0)), 1.0), (0, 31, 32)))
+    @example((Signal(np.zeros(9), 1.0), (0, 1, 2, 3, 4)))
+    def test_leakage_bound_covers_the_gram_figure(self, case):
+        # N from 4 to 600 and up to N/2 bands of any widths
+        x, bounds = case
+        d = dft_decompose(x, bounds)
+        bound = verify_orthogonality(d).max_normalized_cross
+        assert oracles.verify_orthogonality(d).max_normalized_cross <= bound <= 1e-10
+
+    def test_leakage_of_a_mixed_band_is_seen(self):
+        # a component that is not confined to its band reads as leakage
+        n = 64
+        x = gen_noise(NoiseSpec(seed=3, length=n), 8.0)
+        d = dft_decompose(x, (0, 8, 32))
+        mixed = Decomposition(d.c0, d.components[::-1], "dft", d.boundaries)
+        assert verify_orthogonality(mixed).max_normalized_cross > 1.0
+        assert verify_orthogonality(d).max_normalized_cross <= 1e-10
+
+    def test_leakage_weighs_dc_and_nyquist_once(self):
+        # band 0 (bins 1..31) given a constant and some of band 1, the even-N
+        # Nyquist bin: its leakage is the share of power those two carry
+        n = 64
+        x = gen_noise(NoiseSpec(seed=5, length=n), 8.0)
+        d = dft_decompose(x, (0, n // 2 - 1, n // 2))
+        low, nyquist = d.components
+        mixed = low + 0.3 * nyquist + 0.2
+        outside = np.dot(0.3 * nyquist, 0.3 * nyquist) + n * 0.2**2
+        want = np.sqrt(outside / (np.dot(low, low) + outside))
+        report = verify_orthogonality(Decomposition(d.c0, [mixed, nyquist], "dft", d.boundaries))
+        assert abs(report.max_normalized_cross - want) <= 1e-12
+
+    def test_needs_the_boundaries(self):
+        d = oracles.dft_decompose(gen_noise(NoiseSpec(seed=3, length=64), 8.0), (0, 8, 32))
+        with pytest.raises(ValueError, match="bin boundaries"):
+            verify_orthogonality(Decomposition(d.c0, d.components, "dft"))
+        with pytest.raises(ValueError, match="2 components need 3 boundaries, got 4"):
+            Decomposition(d.c0, d.components, "dft", (0, 8, 16, 32))
 
     def test_method_gate(self):
         x = gen_noise(NoiseSpec(seed=3, length=2048), 1000.0)

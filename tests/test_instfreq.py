@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import four_pass_if
+from oracles import fold_increments, four_pass_if
 from tfekit import (
+    AnalyticSignal,
     BandSpec,
     DiffScheme,
     IFWorkspace,
@@ -303,7 +304,7 @@ class TestWorkspace:
         # stale contents, as a previous length-n track leaves them, must not leak
         for array in (ws.spectrum, ws.quadrature, ws.frequency):
             array.fill(np.nan)
-        ws.mask.fill(True)
+        ws.scratch.fill(np.nan)
         x = _noise_plus_nyquist(n, 100.0)
         bands = []
         dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
@@ -342,3 +343,25 @@ class TestWorkspace:
     def test_length_mismatch_refused(self):
         with pytest.raises(ValueError, match="workspace is for 64 samples, signal has 65"):
             if_track(gen_delta(3, 65, 100.0), workspace=IFWorkspace(64))
+
+
+@pytest.mark.parametrize("mode", ["positive", "conventional"])
+@pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
+def test_branch_free_folds_match_masked_folds_across_blocks(scheme, mode):
+    # -0.0 increments, increments of exactly +-pi and a Nyquist tone, placed
+    # on and across the edges of the folds' 4096-sample blocks
+    n, fs = 3 * 4096 + 5, 7.0
+    rng = np.random.default_rng(19)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    edges = np.array([1 + 0j, complex(1, -0.0), complex(-1, 0.0), complex(-1, -0.0),
+                      complex(1, -0.0), 1 + 0j, complex(-1, -0.0), 1j, -1j, 1j])
+    for start in (0, 4090, 8188, n - edges.size):
+        z[start : start + edges.size] = edges
+    z[5000:5400] = np.where(np.arange(400) % 2 == 0, 1.0, -1.0)  # a Nyquist tone
+    d = phase_diff(fold_increments(z), scheme)
+    if mode == "positive":
+        want = np.minimum(np.where(d >= 0, d, d + np.pi) * (fs / (2 * np.pi)), fs / 2)
+    else:
+        want = d * (fs / (2 * np.pi))
+    got = if_track(AnalyticSignal(z.real.copy(), z.imag.copy(), fs), scheme, mode).frequency_hz
+    assert got.tobytes() == want.tobytes()
