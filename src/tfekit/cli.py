@@ -28,6 +28,7 @@ from .io import load_csv, load_wav, save_csv
 from .signals import (
     NoiseSpec,
     Signal,
+    _dot,
     chirp_true_if,
     delay_pad,
     finite_energy,
@@ -380,7 +381,7 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
         negative_fractions.append(track.negative_fraction)
         if ridges is not None:
             dist = np.min(np.stack([np.abs(track.frequency_hz - r) for r in ridges]), axis=0)
-            weighted += float(np.dot(dist, track.energy))
+            weighted += _dot(dist, track.energy)
             total_energy += float(track.energy.sum())
 
     _, checks = _decompose(signal, settings, bands, sink)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import AnalyticSignal, _check_analytic_length, _quadrature
-from .signals import Signal
+from .signals import Signal, _dot, finite_energy
 
 __all__ = [
     "BandSpec",
@@ -27,10 +27,13 @@ __all__ = [
 
 
 def _check_cutoffs(cutoffs_hz, sample_rate: float) -> list[float]:
-    """Cutoffs in Hz as floats: positive, strictly increasing, the last at Nyquist."""
+    """Cutoffs in Hz as floats: finite, positive, strictly increasing, the last at Nyquist."""
     cutoffs = [float(c) for c in cutoffs_hz]
     if not cutoffs:
         raise ValueError("need at least one cutoff")
+    for c in cutoffs:
+        if not np.isfinite(c):
+            raise ValueError(f"cutoffs must be finite, got {c}")
     if cutoffs[0] <= 0:
         raise ValueError(f"cutoffs must be positive, got {cutoffs[0]}")
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
@@ -270,62 +273,49 @@ class OrthogonalityReport:
     energy_ratio: float
 
 
-_OVERFLOW = "signal energy overflows float64; rescale the input"
-
-
 class _BandCheck:
     """The checks of a DFT bank's components, added one band at a time in O(N) memory.
 
     Keeps the running sum of the components, each one's energy and its
     leakage, and no component. A component of band (lo, hi) should hold
-    only bins lo+1 .. hi. One real transform gives both figures, with
-    Parseval's weights (1 for DC and the even-N Nyquist bin, 2 elsewhere):
-    the energy from all the bins, and the leakage eps = sqrt(out-of-band
-    power / total power), summing the out-of-band bins directly. By Cauchy-Schwarz, |<y_i, y_l>| <= (eps_i + eps_l)
-    ||y_i|| ||y_l|| for bands on disjoint bins, so the two largest
-    leakages bound every pairwise figure. Each leakage adds the measuring
-    transform's own rounding, :func:`_fft_rounding`, since that transform
-    may hide at most that much out-of-band power.
+    only bins lo+1 .. hi. Its leakage is eps = sqrt(out-of-band power /
+    total power): one real transform gives the out-of-band bins, summed
+    with Parseval's weights (1 for DC and the even-N Nyquist bin, 2
+    elsewhere), and the total is the component's energy. By
+    Cauchy-Schwarz, |<y_i, y_l>| <= (eps_i + eps_l) ||y_i|| ||y_l|| for
+    bands on disjoint bins, so the two largest leakages bound every
+    pairwise figure. Each leakage adds the measuring transform's own
+    rounding, :func:`_fft_rounding`, since that transform may hide at most
+    that much out-of-band power.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._total = np.zeros(n)
-        # the measuring transform's bins, then their squares; scratch for finish()
-        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128)  # the measuring transform's bins
         self._rounding = _fft_rounding(n)
         self._energies = []
         self._leakages = []
 
     def add(self, component: np.ndarray, lo: int, hi: int) -> None:
-        """Check band (lo, hi)'s component: finite, its energy, its leakage; add it to the sum."""
+        """Check band (lo, hi)'s component: its energy, its leakage; add it to the sum."""
         n = self.n
+        energy = finite_energy(component)
         # re, im pairs; with "forward" scaling Parseval's weighted sum of
         # |Y_k|^2 is the energy / n, so no square overflows a finite energy
         power = np.fft.rfft(component, norm="forward", out=self._spectrum).view(np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.square(power, out=power)
         top = n // 2 if n % 2 == 0 else n // 2 + 1  # the bins of weight 2 end before it
 
         def bins(a, b):  # sum of |Y_k|^2 over bins a .. b-1
-            return float(np.add.reduce(power[2 * a : 2 * b])) if b > a else 0.0
+            return _dot(power[2 * a : 2 * b], power[2 * a : 2 * b])
 
-        nyquist = bins(top, n // 2 + 1)  # the even-N Nyquist bin, of weight 1; 0 for odd N
         outside = bins(0, 1) + 2 * (bins(1, lo + 1) + bins(hi + 1, top))
-        inside = 2 * bins(lo + 1, min(hi + 1, top))
         if hi < n // 2:
-            outside += nyquist
-        else:
-            inside += nyquist
-        energy = n * (outside + inside)
-        if not np.isfinite(energy):
-            if not np.isfinite(component).all():
-                raise ValueError("components must be finite")
-            raise ValueError(_OVERFLOW)
+            outside += bins(top, n // 2 + 1)  # the even-N Nyquist bin, of weight 1
         self._total += component
         self._energies.append(energy)
         # a zero-energy band contributes nothing
-        leakage = np.sqrt(outside / (outside + inside)) + self._rounding if energy > 0 else 0.0
+        leakage = np.sqrt(n * outside / energy) + self._rounding if energy > 0 else 0.0
         self._leakages.append(float(leakage))
 
     def finish(self, c0: float) -> tuple[np.ndarray, OrthogonalityReport]:
@@ -335,11 +325,7 @@ class _BandCheck:
         reconstruction has zero energy.
         """
         x = np.add(c0, self._total, out=self._total)
-        squares = self._spectrum.view(np.float64)[: self.n]
-        with np.errstate(over="ignore"):
-            energy = float(np.add.reduce(np.square(x, out=squares)))  # pairwise, no BLAS
-        if not np.isfinite(energy):
-            raise ValueError(_OVERFLOW)
+        energy = finite_energy(x)
         two = sorted(self._leakages)[-2:]
         cross = two[0] + two[1] if len(two) == 2 else 0.0
         parts = np.add.reduce(self._energies) + self.n * c0**2

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import Decomposition
-from .signals import Signal, finite_energy, remove_mean
+from .signals import Signal, _dot, finite_energy, remove_mean
 
 __all__ = [
     "FirFilter",
@@ -227,13 +227,13 @@ def fmd_decompose(
         y = apply_filter(current, h.taps)
         r = current - y
         if part_a:
-            denom = float(np.dot(r, r))
-            alpha = float(np.dot(y, r)) / denom if denom > alpha_floor else 0.0
+            denom = _dot(r, r)
+            alpha = _dot(y, r) / denom if denom > alpha_floor else 0.0
             np.subtract(y, alpha * r, out=component)
             r *= 1 + alpha
         else:
-            denom = float(np.dot(y, y))
-            alpha = float(np.dot(r, y)) / denom if denom > alpha_floor else 0.0
+            denom = _dot(y, y)
+            alpha = _dot(r, y) / denom if denom > alpha_floor else 0.0
             np.multiply(1 + alpha, y, out=component)
             r -= alpha * y
         current = r
@@ -262,22 +262,23 @@ def verify_linoep(d: Decomposition) -> LinoepReport:
     """Check the energy-preserving structure of an FMD decomposition.
 
     Reports, for each i, the normalized inner product of component i with
-    the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2.
-    An energy that overflows float64 raises.
+    the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2,
+    where x - c0 is the sum of all the components. An energy that
+    overflows float64 raises.
     """
     if d.method not in ("fmd-a", "fmd-b"):
         raise ValueError(f"LINOEP verification applies to fmd decompositions, got {d.method!r}")
     comps = d.components
-    # in an FMD decomposition no component or tail has more energy than
-    # this, so once it is finite none of the products below overflow
-    detrended_energy = finite_energy(d.reconstruct() - d.c0)
-    tail = np.zeros_like(comps[0])
+    energies = [finite_energy(c) for c in comps]
+    tail, tail_energy = comps[-1].copy(), energies[-1]
     crosses = np.zeros(len(comps) - 1)
-    for i in range(len(comps) - 1, 0, -1):
+    for i in range(len(comps) - 2, -1, -1):
+        # the product of the norms, not the root of the energies' product,
+        # which overflows or underflows far sooner
+        denom = np.sqrt(energies[i]) * np.sqrt(tail_energy)
+        crosses[i] = abs(_dot(comps[i], tail)) / denom if denom > 0 else 0.0
         tail += comps[i]
-        ci = comps[i - 1]
-        denom = np.linalg.norm(ci) * np.linalg.norm(tail)
-        crosses[i - 1] = abs(float(np.dot(ci, tail))) / denom if denom > 0 else 0.0
-    component_energy = float(sum(np.dot(c, c) for c in comps))
-    ratio = component_energy / detrended_energy if detrended_energy > 0 else 1.0
+        tail_energy = finite_energy(tail)
+    # the tail is now x - c0
+    ratio = sum(energies) / tail_energy if tail_energy > 0 else 1.0
     return LinoepReport(crosses, ratio)

@@ -37,6 +37,7 @@ from tfekit.cli import (
     build_parser,
     main,
 )
+from tfekit.signals import _dot
 
 
 @pytest.fixture
@@ -69,6 +70,39 @@ def test_runtime_imports_numpy_only():
         capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # numpy's BLAS dot threads only above ~10k samples, where its sum depends
+    # on the thread count; 2 s at 8 kHz, 16k samples, is past that
+    argv = ["compare", "--gen", "chirp-fm-mix", "--dur", "2", "--a-method", "dft",
+            "--a-bands", "10", "--b-method", "fmd-a", "--b-bands", "10", "--b-order", "64",
+            "--out-prefix", "det"]
+    base = {k: v for k, v in _child_env().items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = []
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for threads in ("1", "2"):
+            run = tmp_path / f"{var}-{threads}"
+            run.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "tfekit.cli", *argv], cwd=run,
+                                  capture_output=True, text=True,
+                                  env={**base, var: threads}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in run.iterdir()})
+    assert sorted(outputs[0]) == ["det_a_grid.csv", "det_b_grid.csv", "det_compare.json"]
+    for other in outputs[1:]:
+        assert other == outputs[0]
+    # and the one reduction gives the same bits wherever its operands sit in memory
+    x, y = np.random.default_rng(5).normal(size=(2, 20_000))
+    n = x.size
+    buffer = np.empty(2 * n + 8)
+    bits = set()
+    for offset in range(8):
+        a, b = buffer[offset : offset + n], buffer[offset + n : offset + 2 * n]
+        a[:], b[:] = x, y
+        bits.add(_dot(a, b).hex())
+    assert len(bits) == 1
 
 
 class TestGen:
@@ -172,6 +206,24 @@ class TestAnalyze:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and "Nyquist" in errors[0]
+
+    @pytest.mark.parametrize("method", [["dft"], ["fmd-a", "--order", "16"]], ids=["dft", "fmd-a"])
+    def test_nan_cutoff_refused(self, workdir, capsys, method):
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.2", "--method", *method,
+                   "--cutoffs", "1000,nan", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cutoffs must be finite, got nan\n"
+        assert not list(workdir.iterdir())
+
+    @pytest.mark.parametrize("method", ["dft", "fmd-a"])
+    def test_nan_in_plan_file_refused(self, workdir, capsys, method):
+        # json.loads takes NaN, so a plan document can hold one
+        (workdir / "plan.json").write_text('{"type": "custom", "cutoffs_hz": [NaN, 4000]}')
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.2", "--method", method,
+                   "--plan", "plan.json", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cutoffs must be finite, got nan\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["plan.json"]
 
     def test_all_zero_input_strict_json(self, workdir):
         (workdir / "zero.csv").write_text("# sample_rate=100\n" + "0.0\n" * 512)
@@ -805,7 +857,7 @@ class TestStreamingMatchesListOracle:
             weighted = total = 0.0
             for tr in tracks:
                 dist = np.min(np.stack([np.abs(tr.frequency_hz - r) for r in ridges]), axis=0)
-                weighted += float(np.dot(dist, tr.energy))
+                weighted += _dot(dist, tr.energy)
                 total += float(tr.energy.sum())
             report["sides"][side] = {**_oracle_diagnostics(x, method, tracks, checks),
                                      "grid_csv": f"cli_{side}_grid.csv",

@@ -145,6 +145,17 @@ class TestPlanSpec:
             spec.ladder(50.0)
         assert str(dft_err.value) == str(fmd_err.value)
 
+    @pytest.mark.parametrize("cutoffs, shown", [
+        ((np.nan, 4000), "nan"), ((1000, np.nan), "nan"), ((1000, np.inf), "inf"),
+        ((-np.inf, 4000), "-inf"),
+    ], ids=["nan-first", "nan-last", "inf-last", "minus-inf-first"])
+    def test_non_finite_cutoffs_refused(self, cutoffs, shown):
+        # a NaN compares false with everything, so no other check would catch it
+        spec = BandSpec(cutoffs_hz=cutoffs)
+        for plan in (lambda: spec.plan(8000, 8000.0), lambda: spec.ladder(8000.0)):
+            with pytest.raises(ValueError, match=f"^cutoffs must be finite, got {shown}$"):
+                plan()
+
 
 @st.composite
 def _signal_and_boundaries(draw):

@@ -20,6 +20,7 @@ from tfekit import (
     verify_linoep,
     zero_phase_filter,
 )
+from tfekit.signals import _dot
 
 
 def _block_step(order: int) -> int:
@@ -245,13 +246,13 @@ class TestFmdDecompose:
         x = gen_noise(NoiseSpec(seed=63, mean=0.3, length=3000), 1000.0)
         cutoffs, order = [80.0, 200.0, 330.0], 64
         c0, current = remove_mean(x)
-        floor = 1e-14 * float(np.dot(current.samples, current.samples))
+        floor = 1e-14 * _dot(current.samples, current.samples)
         want = []
         for cutoff in reversed(cutoffs):
             y = causal_filter(current, design_fir("highpass", cutoff, order, 1000.0)).samples
             r = current.samples - y
-            denom = float(np.dot(r, r))
-            alpha = float(np.dot(y, r)) / denom if denom > floor else 0.0
+            denom = _dot(r, r)
+            alpha = _dot(y, r) / denom if denom > floor else 0.0
             want.append(y - alpha * r)
             current = Signal((1 + alpha) * r, 1000.0)
         want.append(current.samples)

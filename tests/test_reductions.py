@@ -1,0 +1,112 @@
+"""Energies and inner products: one numpy-only reduction, on every path to an output.
+
+signals._dot is the one inner product and signals.finite_energy the one
+energy. The source must reach no BLAS routine, whose sums depend on the
+library's build and thread count, and the verifiers built on the two must
+be scale-free.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tfekit import (
+    BandSpec,
+    NoiseSpec,
+    Signal,
+    dft_decompose,
+    fmd_decompose,
+    gen_noise,
+    verify_linoep,
+    verify_orthogonality,
+)
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "tfekit"
+# each of these reaches BLAS, as a numpy function or an array method
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _dotted(node) -> str:
+    """'np.linalg.norm' for the expression np.linalg.norm; '' for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else node.attr
+    return ""
+
+
+def blas_uses(source: str) -> list[str]:
+    """Each BLAS-bound call, `@` operator or optimized einsum in `source`, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if name.rsplit(".", 1)[-1] in BLAS_NAMES or ".linalg." in f".{name}.":
+                found.append(f"{line}: {name}()")
+            if name.endswith("einsum") and any(k.arg == "optimize" for k in node.keywords):
+                found.append(f"{line}: {name}(optimize=...)")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{line}: @")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if "linalg" in node.module or any(a.name in BLAS_NAMES for a in node.names):
+                found.append(f"{line}: from {node.module} import ...")
+    return found
+
+
+def test_blas_check_finds_each_form():
+    # a check that cannot fail shows nothing: each form below must be caught
+    source = ("import numpy as np\n"
+              "from numpy.linalg import norm\n"
+              "from numpy import vdot\n"
+              "a = np.dot(x, y)\n"
+              "b = x.dot(y)\n"
+              "c = np.linalg.norm(x)\n"
+              "d = x @ y\n"
+              "d @= y\n"
+              "e = np.einsum('i,i->', x, y, optimize=True)\n"
+              "f = np.matmul(x, y) + np.inner(x, y) + np.tensordot(x, y, 1)\n"
+              "g = np.einsum('i,i->', x, y)\n")
+    assert sorted(blas_uses(source)) == sorted([
+        "2: from numpy.linalg import ...", "3: from numpy import ...", "4: np.dot()",
+        "5: x.dot()", "6: np.linalg.norm()", "7: @", "8: @", "9: np.einsum(optimize=...)",
+        "10: np.matmul()", "10: np.inner()", "10: np.tensordot()"])
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_blas_in_the_package(path):
+    assert blas_uses(path.read_text()) == []
+
+
+def _scaled(x: Signal, k: int) -> Signal:
+    return Signal(np.ldexp(x.samples, k), x.sample_rate)
+
+
+@pytest.mark.parametrize("k", [-400, 400])
+class TestVerifiersScaleFree:
+    """x and x * 2^k give bit-identical figures: every energy stays a normal float.
+
+    A norm product taken as sqrt(e_i * e_l) would overflow or underflow
+    here, at 2^(4k), and report 0 for every pair.
+    """
+
+    x = gen_noise(NoiseSpec(seed=19, mean=0.5, length=4096), 1000.0)
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
+    def test_linoep(self, k, method):
+        cutoffs = BandSpec(bands=6).ladder(1000.0)
+        want = verify_linoep(fmd_decompose(self.x, cutoffs, order=64, method=method))
+        got = verify_linoep(fmd_decompose(_scaled(self.x, k), cutoffs, order=64, method=method))
+        assert want.max_tail_cross > 0
+        assert got.tail_cross.tobytes() == want.tail_cross.tobytes()
+        assert got.energy_ratio == want.energy_ratio
+
+    def test_orthogonality(self, k):
+        plan = BandSpec(bands=6).plan(len(self.x), 1000.0)
+        want = verify_orthogonality(dft_decompose(self.x, plan))
+        got = verify_orthogonality(dft_decompose(_scaled(self.x, k), plan))
+        assert want.max_normalized_cross > 0
+        assert got == want
