@@ -10,10 +10,10 @@ synthesis does the doubling. :func:`analytic_signal` gives them for a
 whole signal, and the DFT filter bank for each of its bands.
 
 An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
-path (spectrum, then energies; the quadrature; phase increments, then
-frequencies) and the block scratch of its branch-free folds, so that
-tracking many components of one length touches the same memory instead of
-mapping fresh pages for every one.
+path (spectrum, then energies; the quadrature, then the folds' booleans;
+phase increments, then frequencies), so that tracking many components of
+one length touches the same memory instead of mapping fresh pages for
+every one.
 """
 
 from dataclasses import dataclass
@@ -28,50 +28,15 @@ __all__ = [
     "analytic_signal",
 ]
 
-# samples per block of the branch-free folds: their scratch holds this
-# many floats and twice as many flags, never N of either
-_BLOCK = 16384
-
-
-def _fold_scratch(n: int) -> np.ndarray:
-    """Scratch for :func:`_subtract_steps` on up to n samples: 2 x min(n, _BLOCK) floats."""
-    return np.empty((2, min(max(n, 1), _BLOCK)))
-
-
-def _subtract_steps(values: np.ndarray, step: float, scratch: np.ndarray,
-                    above: float = np.inf, at_or_below: float = -np.inf) -> None:
-    """values -= step * k in place, where k = (values > above) - (values <= at_or_below).
-
-    Branch-free and block by block in `scratch`, from :func:`_fold_scratch`:
-    both conditions as int8 flags, their difference cast to floats. Where k
-    is 0 the step subtracted is +0.0, which keeps every bit, -0.0 included;
-    where it is -1, subtracting -step is exactly adding step.
-    """
-    floats = scratch[0]
-    size = floats.size
-    flags = scratch[1].view(np.int8)  # 8 flags a float: room for two blocks
-    k, low = flags[:size], flags[size : 2 * size]
-    for start in range(0, values.size, size):
-        block = values[start : start + size]
-        m = block.size
-        np.greater(block, above, out=k[:m].view(bool))
-        np.less_equal(block, at_or_below, out=low[:m].view(bool))
-        np.subtract(k[:m], low[:m], out=k[:m])
-        shift = floats[:m]
-        np.copyto(shift, k[:m])
-        shift *= step
-        block -= shift
-
-
 class IFWorkspace:
     """The reusable arrays of the IF path for signals of `n` samples.
 
     * `spectrum`: the n//2+1 bins of the real transform; once the
       quadrature is made, its memory holds the n floats of `energy`;
-    * `quadrature`: the analytic signal's imaginary part;
+    * `quadrature`: the analytic signal's imaginary part; once the phase
+      angles are taken, its 8n bytes hold the folds' n booleans;
     * `frequency`: the squared quadrature, then the phase increments,
-      folded in place into the frequencies;
-    * `scratch`: the folds' block scratch, 2 x min(n, 16384) floats.
+      folded in place into the frequencies.
 
     Every result built in a workspace holds views of these arrays, which
     the next use of the workspace overwrites. The arrays are made empty,
@@ -83,7 +48,6 @@ class IFWorkspace:
         self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
         self.quadrature = np.empty(n)
         self.frequency = np.empty(n)
-        self.scratch = _fold_scratch(n)
 
     @property
     def energy(self) -> np.ndarray:
@@ -116,19 +80,22 @@ class AnalyticSignal:
         neither underflow nor overflow at any finite amplitude.
         """
         n = self.real.size
-        return self._increments_into(np.empty(n), _fold_scratch(n))
+        return self._increments_into(np.empty(n), np.empty(n, dtype=bool))
 
-    def _increments_into(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def _increments_into(self, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """:meth:`increments` written into `out`, N floats, and returned as ``out[:-1]``.
 
-        `out` receives the N angles, differenced in place; `scratch`, from
-        :func:`_fold_scratch`, serves the +-2pi folds.
+        `out` receives the N angles, differenced in place; `mask`, at least
+        N-1 booleans, holds the folds' conditions. It is written only after
+        the angles are taken, so it may share memory with `imag`.
         """
         np.arctan2(self.imag, self.real, out=out)
         d = out[:-1]
+        mask = mask[: d.size]
         # each angle is read before its slot is written, so no copy is made
         np.subtract(out[1:], d, out=d)
-        _subtract_steps(d, 2 * np.pi, scratch, above=np.pi, at_or_below=-np.pi)
+        np.subtract(d, 2 * np.pi, out=d, where=np.greater(d, np.pi, out=mask))
+        np.add(d, 2 * np.pi, out=d, where=np.less_equal(d, -np.pi, out=mask))
         return d
 
 

@@ -240,6 +240,9 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
 
     Each setting's flag has the argparse dest `prefix + key`. The file's
     choices and integers are checked as the flags' are; its errors name it.
+    The entry "band_file" names the file that holds the band setting, for
+    errors found once the signal is known: a band plan file, or the config
+    file when the setting came from it; None when it came from a flag.
     """
     settings = {"method": "none", "bands": None, "cutoffs": None, "plan": None, "order": None,
                 "scheme": "forward", "if": "positive"}
@@ -259,16 +262,27 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
                                          f"got {value!r}")
                 elif key in ("bands", "order") and value is not None and type(value) is not int:
                     raise ValueError(f"{key} must be an integer, got {value!r}")
-            for key in ("bands", "cutoffs"):  # as the band plan checks them, here naming the file
-                if loaded.get(key) is not None:
+            # as the band plan checks them, here naming the file; a plan
+            # file's path is read later, and its errors name that file
+            for key in ("bands", "cutoffs", "plan"):
+                if loaded.get(key) is not None and not isinstance(loaded[key], str):
                     BandSpec.from_settings(**{key: loaded[key]})
         except ValueError as exc:  # malformed JSON included
             raise ValueError(f"{config_path}: {exc}") from None
         settings.update(loaded)
+    flagged = set()
     for key in settings:
         value = getattr(args, prefix + key, None)
         if value is not None:
             settings[key] = value
+            flagged.add(key)
+    plan = settings["plan"]
+    if isinstance(plan, str) and plan:
+        settings["band_file"] = plan
+    elif not flagged & {"bands", "cutoffs", "plan"}:
+        settings["band_file"] = config_path
+    else:
+        settings["band_file"] = None
     return settings
 
 
@@ -290,11 +304,16 @@ def _resolve_bands(signal: Signal, settings: dict):
                          "fmd-a, fmd-b and causal-fir")
     if method == "none":
         return None
-    if method == "dft":
-        return spec.plan(len(signal), signal.sample_rate)
-    if settings["order"] is not None:
+    if method != "dft" and settings["order"] is not None:
         _check_order(settings["order"])
-    return spec.ladder(signal.sample_rate)
+    try:
+        if method == "dft":
+            return spec.plan(len(signal), signal.sample_rate)
+        return spec.ladder(signal.sample_rate)
+    except ValueError as exc:
+        if settings["band_file"] is None:
+            raise
+        raise ValueError(f"{settings['band_file']}: {exc}") from None
 
 
 def _relative_error(reconstruction: np.ndarray, signal: Signal) -> float:

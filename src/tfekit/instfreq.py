@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import AnalyticSignal, IFWorkspace, _fold_scratch, _subtract_steps, analytic_signal
+from .analytic import AnalyticSignal, IFWorkspace, analytic_signal
 from .signals import Signal
 
 __all__ = [
@@ -105,22 +105,18 @@ def positive_if(diffs, sample_rate: float) -> np.ndarray:
     (the cap guards against one-ulp scaling overshoot).
     """
     omega = np.array(diffs, dtype=np.float64)
-    return _positive_if_into(omega, sample_rate, _fold_scratch(omega.size))
+    return _positive_if_into(omega, sample_rate, np.empty(omega.shape, dtype=bool))
 
 
-# the largest negative float: a value is at or below it exactly when it is negative
-_NEGATIVE = -np.finfo(np.float64).smallest_subnormal
-
-
-def _positive_if_into(omega: np.ndarray, sample_rate: float, scratch: np.ndarray) -> np.ndarray:
+def _positive_if_into(omega: np.ndarray, sample_rate: float, mask: np.ndarray) -> np.ndarray:
     """:func:`positive_if` in place: the derivatives `omega` become Hz.
 
-    `scratch`, from :func:`analytic._fold_scratch`, serves the fold.
+    `mask`, as many booleans, marks the folded samples.
     """
     if omega.size and not (-np.pi <= omega.min() and omega.max() <= np.pi):  # a NaN fails both
         raise ValueError("phase differences must be finite and within [-pi, pi]")
-    # +pi on the negative samples (k = -1); the others keep their bits, a -0.0 too
-    _subtract_steps(omega.reshape(-1), np.pi, scratch, at_or_below=_NEGATIVE)
+    # +pi on the negative samples; the others keep their bits, a -0.0 too
+    np.add(omega, np.pi, out=omega, where=np.less(omega, 0, out=mask))
     scale = sample_rate / (2 * np.pi)
     omega *= scale
     # rounding is monotone and omega <= pi, so only pi * scale can overshoot
@@ -204,9 +200,12 @@ def if_track(
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
         np.square(a.real, out=energy)
         energy += np.square(a.imag, out=ws.frequency)
-    d = _phase_diff_into(a._increments_into(ws.frequency, ws.scratch), scheme, ws.frequency)
+    # the folds' booleans on the quadrature's memory: the angles have read
+    # it by the time they are written, also where it is `a.imag` itself
+    mask = ws.quadrature.view(bool)[:n]
+    d = _phase_diff_into(a._increments_into(ws.frequency, mask), scheme, ws.frequency)
     if mode == "positive":
-        freq = _positive_if_into(d, x.sample_rate, ws.scratch)
+        freq = _positive_if_into(d, x.sample_rate, mask)
     else:
         freq = _conventional_if_into(d, x.sample_rate)
     return IFTrack(freq, energy, x.sample_rate)

@@ -109,8 +109,10 @@ class NoiseSpec:
 
 
 def _time_grid(duration: float, sample_rate: float) -> np.ndarray:
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < sample_rate < np.inf:  # a NaN fails too
+        raise ValueError(f"sample_rate must be a positive number, got {sample_rate}")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be a positive number, got {duration}")
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("duration too short for this sample rate")
@@ -144,12 +146,12 @@ def gen_chirp(
         evaluated on the exact quadratic phase polynomial, so the true
         instantaneous frequency is exactly f0 + (f1 - f0)*t/duration.
     """
+    t = _time_grid(duration, sample_rate)
     nyq = sample_rate / 2
     if not (0 <= f0 <= nyq and 0 <= f1 <= nyq):
         raise ValueError(
             f"chirp endpoints [{f0}, {f1}] Hz would alias: must lie in [0, {nyq}] Hz"
         )
-    t = _time_grid(duration, sample_rate)
     phase = 2 * np.pi * (f0 * t + (f1 - f0) / (2 * duration) * t * t)
     return Signal(amplitude * np.cos(phase), sample_rate)
 
@@ -175,16 +177,19 @@ def gen_fm(
     Raises
     ------
     ValueError
-        If fm <= 0 (invalid modulation rate) or if fc + deviation exceeds
-        the Nyquist frequency.
+        If fm is not a positive number (invalid modulation rate), fc or
+        deviation is not finite, or fc + deviation exceeds the Nyquist
+        frequency.
     """
-    if fm <= 0:
-        raise ValueError(f"invalid modulation rate fm={fm}: must be positive")
+    t = _time_grid(duration, sample_rate)
+    if not 0 < fm < np.inf:  # a NaN fails too
+        raise ValueError(f"invalid modulation rate fm={fm}: must be a positive number")
+    if not (np.isfinite(fc) and np.isfinite(deviation)):
+        raise ValueError(f"fc and deviation must be numbers, got {fc} and {deviation}")
     if fc + deviation > sample_rate / 2:
         raise ValueError(
             f"peak frequency {fc + deviation} Hz exceeds Nyquist {sample_rate / 2} Hz"
         )
-    t = _time_grid(duration, sample_rate)
     phase = 2 * np.pi * fc * t + (deviation / fm) * np.sin(2 * np.pi * fm * t)
     return Signal(np.cos(phase), sample_rate)
 
@@ -235,8 +240,10 @@ def mix(signals: list[Signal]) -> Signal:
 
 def delay_pad(x: Signal, delay: float, total_duration: float) -> Signal:
     """Zero-pad so the waveform starts at `delay` seconds in a longer frame."""
-    if delay < 0:
-        raise ValueError(f"delay must be nonnegative, got {delay}")
+    if not 0 <= delay < np.inf:  # a NaN fails too
+        raise ValueError(f"delay must be a nonnegative number, got {delay}")
+    if not np.isfinite(total_duration):
+        raise ValueError(f"total_duration must be a number, got {total_duration}")
     front = int(round(delay * x.sample_rate))
     total = int(round(total_duration * x.sample_rate))
     back = total - front - len(x)

@@ -1,5 +1,7 @@
 """The public names of the package."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,7 @@ REMOVED_ATTRIBUTES = [
     (tfekit.Decomposition, "sample_rate"),
     # an instance attribute: a workspace shows it
     (tfekit.IFWorkspace(4), "mask"),
+    (tfekit.IFWorkspace(4), "scratch"),
 ]
 
 
@@ -94,6 +97,21 @@ def test_removed_functions_are_gone(module, name):
                          ids=[name for _, name in REMOVED_ATTRIBUTES])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("n", [4097, 1 << 16])
+def test_workspace_holds_three_arrays_only(n):
+    # spectrum (n//2+1 complex) and quadrature and frequency (n floats each),
+    # plus the objects themselves: no scratch, no mask
+    tfekit.IFWorkspace(n)
+    tracemalloc.start()
+    try:
+        workspace = tfekit.IFWorkspace(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (n // 2 + 1) + 16 * n + 2048
+    assert set(vars(workspace)) == {"n", "spectrum", "quadrature", "frequency"}
 
 
 def test_fir_filter_keeps_no_cutoff():

@@ -222,7 +222,7 @@ class TestAnalyze:
         rc = main(["analyze", "--gen", "chirp", "--dur", "0.2", "--method", method,
                    "--plan", "plan.json", "--out-prefix", "x"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: cutoffs must be finite, got nan\n"
+        assert capsys.readouterr().err == "error: plan.json: cutoffs must be finite, got nan\n"
         assert sorted(p.name for p in workdir.iterdir()) == ["plan.json"]
 
     def test_all_zero_input_strict_json(self, workdir):
@@ -527,6 +527,43 @@ class TestConfigFiles:
             "error: cfg.json: bands must be a positive integer, got 0\n")
         assert not list(workdir.glob("x_*"))
 
+    @pytest.mark.parametrize("argv, files, message", [
+        (["--method", "dft", "--plan", "q.json"],
+         {"q.json": {"type": "custom", "cutoffs_hz": [1000, 3000]}},
+         "q.json: last cutoff must equal Nyquist (4000.0 Hz), got 3000.0"),
+        (["--config", "cfg.json"], {"cfg.json": {"method": "dft", "cutoffs": [1000, 3000]}},
+         "cfg.json: last cutoff must equal Nyquist (4000.0 Hz), got 3000.0"),
+        (["--config", "cfg.json"], {"cfg.json": {"method": "dft", "bands": 4000}},
+         "cfg.json: n_bands must be in [1, 400] for length 800, got 4000"),
+        (["--config", "cfg.json"], {"cfg.json": {"method": "dft", "plan": 5}},
+         "cfg.json: band plan document must be an object with type 'uniform' or 'custom'"),
+        (["--config", "cfg.json"], {"cfg.json": {"method": "fmd-a", "plan": "q.json"},
+                                    "q.json": {"type": "custom", "cutoffs_hz": [1000, 3000]}},
+         "q.json: last cutoff must equal Nyquist (4000.0 Hz), got 3000.0"),
+        (["--method", "dft", "--cutoffs", "1000,3000"], {},
+         "last cutoff must equal Nyquist (4000.0 Hz), got 3000.0"),
+        (["--config", "cfg.json", "--bands", "4000"], {"cfg.json": {"method": "dft", "bands": 4}},
+         "n_bands must be in [1, 400] for length 800, got 4000"),
+    ], ids=["plan-file-cutoffs", "config-cutoffs", "config-bands", "config-plan-number",
+            "config-names-plan-file", "flag-cutoffs", "flag-over-config-bands"])
+    def test_band_value_errors_name_the_file(self, workdir, capsys, argv, files, message):
+        # checked once the signal's length and rate are known; a flag's error names no file
+        for name, document in files.items():
+            (workdir / name).write_text(json.dumps(document))
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", *argv, "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
+
+    def test_compare_band_value_error_names_the_side_config(self, workdir, capsys):
+        (workdir / "b.json").write_text(json.dumps({"method": "dft", "bands": 4000}))
+        rc = main(["compare", "--gen", "chirp", "--dur", "0.1", "--a-method", "none",
+                   "--config-b", "b.json", "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: b.json: n_bands must be in [1, 400] for length 800, got 4000\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["b.json"]
+
     @pytest.mark.parametrize("flag", ["--config", "--plan"])
     def test_malformed_json_names_the_file(self, workdir, capsys, flag):
         (workdir / "bad.json").write_text('{method: "dft"}')
@@ -680,6 +717,25 @@ def test_unused_fixture_flag_refused(workdir, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert sorted(p.name for p in workdir.iterdir()) == ["in.csv"]
+
+
+# every float flag of the fixtures, with the first fixture that takes it, and the rate with each
+FLOAT_FLAGS = [(next(name for name, (defaults, _, _) in FIXTURES.items() if key in defaults), flag)
+               for key, (flag, kind, _) in FIXTURE_FLAGS.items() if kind is float]
+FLOAT_FLAGS += [(name, "--fs") for name in FIXTURES]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("fixture, flag", FLOAT_FLAGS, ids=[f"{n}{f}" for n, f in FLOAT_FLAGS])
+@pytest.mark.parametrize("command", ["gen", "analyze"])
+def test_non_finite_float_flag_refused(workdir, capsys, command, fixture, flag, value):
+    # flag=value: argparse would read a bare -inf as an option
+    argv = {"gen": ["gen", fixture, f"{flag}={value}", "--out", "f.csv"],
+            "analyze": ["analyze", "--gen", fixture, f"{flag}={value}", "--method", "none",
+                        "--out-prefix", "x"]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(workdir.iterdir())
 
 
 class TestCompare:

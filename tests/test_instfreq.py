@@ -304,7 +304,6 @@ class TestWorkspace:
         # stale contents, as a previous length-n track leaves them, must not leak
         for array in (ws.spectrum, ws.quadrature, ws.frequency):
             array.fill(np.nan)
-        ws.scratch.fill(np.nan)
         x = _noise_plus_nyquist(n, 100.0)
         bands = []
         dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
@@ -313,6 +312,23 @@ class TestWorkspace:
             got = if_track(signal, scheme, mode, ws)
             assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
             assert got.energy.tobytes() == want.energy.tobytes()
+
+    @pytest.mark.parametrize("mode", ["positive", "conventional"])
+    @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
+    def test_masks_overwrite_the_tracked_quadrature(self, scheme, mode):
+        # the folds' booleans go on the workspace's quadrature, here the
+        # imaginary part being tracked: it must be read in full first
+        n = 4097
+        ws = IFWorkspace(n)
+        x = _noise_plus_nyquist(n, 100.0)
+        for signal in (x, Signal(1e-300 * x.samples, 100.0), gen_delta(n // 2, n, 100.0)):
+            a = analytic_signal(signal, ws)
+            assert a.imag is ws.quadrature
+            # the same parts on memory of their own, which no mask touches
+            want = if_track(AnalyticSignal(a.real, a.imag.copy(), a.sample_rate), scheme, mode)
+            for got in (if_track(signal, scheme, mode), if_track(a, scheme, mode, ws)):
+                assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
+                assert got.energy.tobytes() == want.energy.tobytes()
 
     def test_track_holds_until_the_next_call(self):
         ws = IFWorkspace(64)
@@ -348,8 +364,8 @@ class TestWorkspace:
 @pytest.mark.parametrize("mode", ["positive", "conventional"])
 @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
 def test_branch_free_folds_match_masked_folds_across_blocks(scheme, mode):
-    # -0.0 increments, increments of exactly +-pi and a Nyquist tone, placed
-    # on and across the edges of the folds' 4096-sample blocks
+    # the folds against np.where: -0.0 increments and increments of exactly
+    # +-pi at the start, the end and two places between, and a Nyquist tone
     n, fs = 3 * 4096 + 5, 7.0
     rng = np.random.default_rng(19)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
