@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analytic import IFWorkspace
 from .filterbank import BandSpec, _BandCheck, _DFTBank
-from .fmd import _check_order, fmd_decompose, verify_linoep
+from .fmd import _check_order, fmd_decompose
 from .instfreq import DiffScheme, if_track
 from .io import load_csv, load_wav, save_csv
 from .signals import (
@@ -327,10 +327,11 @@ def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float |
     `consumer(component, band)` gets each component's samples, in order,
     and a function that makes the Signal or AnalyticSignal to track it
     (call it at most once, before the consumer returns). Method 'none' has
-    one component, the signal itself. A DFT band is handed on as the bank
-    makes it, in one reused array, and checked as it is made, so no (M, N)
-    array is held; any other component once its decomposition is verified.
-    Returns c0 (None for method 'none') and the verification diagnostics.
+    one component, the signal itself. A DFT band or FIR ladder component is
+    handed on as it is made, in one reused array, after the running check
+    has taken it in, so no (M, N) array is held; the checks are finished
+    once the last component is in. Returns c0 (None for method 'none') and
+    the verification diagnostics.
     """
     method = settings["method"]
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
@@ -354,18 +355,18 @@ def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float |
         }
         return bank.c0, checks
     order = {} if settings["order"] is None else {"order": settings["order"]}
-    decomposition = fmd_decompose(signal, bands, **order, method=method)
-    checks["reconstruction_error"] = _relative_error(decomposition.reconstruct(), signal)
+    # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
+    c0, reconstruction, rep = fmd_decompose(
+        signal, bands, **order, method=method,
+        consumer=lambda band: consumer(band.samples, lambda: band))
+    checks["reconstruction_error"] = _relative_error(reconstruction, signal)
     if method in ("fmd-a", "fmd-b"):
-        rep = verify_linoep(decomposition)
         checks["linoep"] = {
             "max_tail_cross": rep.max_tail_cross,
+            "cross_figure": "defect bound",
             "energy_ratio": rep.energy_ratio,
         }
-    for component in decomposition.components:
-        # Decomposition checked its rows: each is handed on in place, not copied
-        consumer(component, lambda: Signal._view(component, signal.sample_rate))
-    return decomposition.c0, checks
+    return c0, checks
 
 
 def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, write=None,
@@ -375,24 +376,20 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     `bands` is as for :func:`_decompose`. The sink deposits the track into
     `grid`, appends its rows through `write` when one is given, and adds the
     track to the per-track figures; no list of tracks is kept. Every track
-    is made in one IFWorkspace, made with the first track, so `write` gets
-    a track that holds only until the next one. Each component is tracked
-    as :func:`_decompose` hands it on. Returns the diagnostics and, given
-    true `ridges`, the energy-weighted mean distance (Hz) between track
-    samples and the nearest ridge, summed in track order.
+    is made in one IFWorkspace, so `write` gets a track that holds only
+    until the next one. Each component is tracked as :func:`_decompose`
+    hands it on. Returns the diagnostics and, given true `ridges`, the
+    energy-weighted mean distance (Hz) between track samples and the
+    nearest ridge, summed in track order.
     """
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
     negative_fractions = []
     weighted = total_energy = 0.0
-    workspace = None
+    workspace = IFWorkspace(len(signal))
 
     def sink(component, band):
-        nonlocal weighted, total_energy, workspace
-        if workspace is None:
-            # made with the first track, so that its memory is not held
-            # while an FMD ladder runs
-            workspace = IFWorkspace(len(signal))
+        nonlocal weighted, total_energy
         track = if_track(band(), scheme, if_mode, workspace)
         grid.add(track)
         if write is not None:

@@ -80,18 +80,19 @@ class BandSpec:
         a comma-separated string of them; `plan` a JSON document, given
         as a dict or as the path of a file holding it.
         """
+        # None and "" (an empty flag) are unset; any other value, 0 and [] too, is checked
         given = [k for k, v in (("bands", bands), ("cutoffs", cutoffs), ("plan", plan))
-                 if v not in (None, "")]
+                 if v is not None and not (isinstance(v, str) and v == "")]
         if len(given) > 1:
             raise ValueError(f"give only one of --bands/--cutoffs/--plan, got {given}")
-        if bands is not None:
+        if not given:
+            return None
+        if given == ["bands"]:
             return cls(bands=bands)
-        if cutoffs:
+        if given == ["cutoffs"]:
             if isinstance(cutoffs, str):
                 cutoffs = [float(c) for c in cutoffs.split(",") if c.strip()]
             return cls(cutoffs_hz=cutoffs)
-        if not plan:
-            return None
         if not isinstance(plan, str):
             return cls._from_document(plan)
         try:

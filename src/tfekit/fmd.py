@@ -14,6 +14,7 @@ A real response has exactly zero phase, and the result is the
 forward-backward filter's to rounding.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,9 +169,48 @@ def causal_filter(x: Signal, h: FirFilter) -> Signal:
     return Signal(_causal(x.samples, h.taps), x.sample_rate)
 
 
-def fmd_decompose(
-    x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
-) -> Decomposition:
+def _ladder(current, cutoffs, order, method, sample_rate, rows, defects):
+    """Run the FIR ladder on zero-mean samples, making each component in the next array of `rows`.
+
+    `cutoffs` are in stage order. Yields (component, remainder, defect) per
+    stage: c_i, the remainder x_{i+1} it passes on and, when `defects` is
+    set, its rounding defect d_i = c_i + x_{i+1} - x_i, computed in the
+    filter output's memory (else None). The last component, the final
+    remainder, comes as (component, None, None). Each array holds only
+    until the next stage runs.
+    """
+    alpha_floor = 1e-14 * finite_energy(current)
+    apply_filter = _causal if method == "causal-fir" else _zero_phase
+    part_a = method != "fmd-b"
+    stage_kind = "highpass" if part_a else "lowpass"
+    rows = iter(rows)
+    for cutoff, component in zip(cutoffs, rows):
+        y = apply_filter(current, design_fir(stage_kind, cutoff, order, sample_rate).taps)
+        r = current - y
+        # each scaled term is made in `component` or `y`, not in a temporary
+        if part_a:
+            denom = _dot(r, r)
+            alpha = _dot(y, r) / denom if denom > alpha_floor else 0.0
+            np.subtract(y, np.multiply(alpha, r, out=component), out=component)
+            r *= 1 + alpha
+        else:
+            denom = _dot(y, y)
+            alpha = _dot(r, y) / denom if denom > alpha_floor else 0.0
+            np.multiply(1 + alpha, y, out=component)
+            r -= np.multiply(alpha, y, out=y)
+        if defects:
+            np.add(component, r, out=y)
+            y -= current
+        current = r
+        yield component, current, y if defects else None
+        del y  # freed before the next stage filters
+    component = next(rows)
+    component[:] = current
+    yield component, None, None
+
+
+def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a",
+                  consumer=None):
     """Iterative filter-mode decomposition into energy-preserving components.
 
     Parameters
@@ -187,6 +227,16 @@ def fmd_decompose(
         components go from high to low frequency; 'fmd-b' (part B) runs
         lowpass stages up it, low to high. 'causal-fir' is part A with
         single-pass filtering, the contrast mode.
+    consumer : callable, optional
+        Without one, the components are collected into the returned
+        :class:`Decomposition`. With one, each component is made in one
+        reused N-float array, checked by :class:`_TailCheck` as it is made
+        and passed to ``consumer(component)`` as a Signal on a read-only
+        view of that array, valid until the consumer returns. Nothing is
+        collected: the call returns ``(c0, reconstruction, report)``, the
+        reconstruction c0 + sum of the components and a
+        :class:`LinoepReport` of the check's bounds; the report is None
+        for 'causal-fir', which :func:`verify_linoep` refuses too.
 
     Notes
     -----
@@ -199,11 +249,12 @@ def fmd_decompose(
     * part B: alpha = <r,y>/<y,y>, component c_i = (1+alpha)*y, pass on
       r - alpha*y.
 
-    Either way c_i + x_{i+1} = x_i exactly, so reconstruction is an
-    algebraic identity, and c_i is orthogonal to the sum of all later
-    components. When the orthogonalization denominator falls below
-    1e-14 times the input energy, alpha is set to 0 and the remaining
-    stages degenerate gracefully. An input whose energy overflows float64
+    Either way c_i + x_{i+1} = x_i in exact arithmetic, so reconstruction
+    is an algebraic identity up to each stage's rounding defect, and c_i is
+    orthogonal to the sum of all later components. When the
+    orthogonalization denominator falls below 1e-14 times the input
+    energy, alpha is set to 0 and the remaining stages degenerate
+    gracefully. An input whose energy overflows float64
     raises ValueError before any stage runs.
     """
     if method not in ("fmd-a", "fmd-b", "causal-fir"):
@@ -211,43 +262,34 @@ def fmd_decompose(
     cutoffs = [float(c) for c in cutoffs_hz]
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    part_a = method != "fmd-b"
-    if part_a:
+    if method != "fmd-b":
         cutoffs.reverse()
 
+    n = len(x)
     c0, detrended = remove_mean(x)
-    alpha_floor = 1e-14 * finite_energy(detrended.samples)
-    apply_filter = _causal if method == "causal-fir" else _zero_phase
-    stage_kind = "highpass" if part_a else "lowpass"
-
-    current = detrended.samples
-    components = np.empty((len(cutoffs) + 1, len(x)))
-    for component, cutoff in zip(components, cutoffs):
-        h = design_fir(stage_kind, cutoff, order, x.sample_rate)
-        y = apply_filter(current, h.taps)
-        r = current - y
-        if part_a:
-            denom = _dot(r, r)
-            alpha = _dot(y, r) / denom if denom > alpha_floor else 0.0
-            np.subtract(y, alpha * r, out=component)
-            r *= 1 + alpha
-        else:
-            denom = _dot(y, y)
-            alpha = _dot(r, y) / denom if denom > alpha_floor else 0.0
-            np.multiply(1 + alpha, y, out=component)
-            r -= alpha * y
-        current = r
-    components[-1] = current
-    return Decomposition(c0, components, method)
+    rows = np.empty((len(cutoffs) + 1, n)) if consumer is None else itertools.repeat(np.empty(n))
+    linoep = consumer is not None and method != "causal-fir"
+    stages = _ladder(detrended.samples, cutoffs, order, method, x.sample_rate, rows, linoep)
+    del detrended  # the ladder alone holds the zero-mean input, and drops it after one stage
+    if consumer is None:
+        for _ in stages:
+            pass
+        return Decomposition(c0, rows, method)
+    check = _TailCheck(n)
+    for component, remainder, defect in stages:
+        check.add(component, remainder, defect)
+        consumer(Signal._view(component, x.sample_rate))
+    reconstruction, report = check.finish(c0)
+    return c0, reconstruction, report if linoep else None
 
 
 @dataclass(frozen=True)
 class LinoepReport:
     """Tail-orthogonality and energy-identity summary of an FMD decomposition.
 
-    tail_cross[i] is |<c_i, sum_{l>i} c_l>| normalized by the norms;
-    pairwise orthogonality between arbitrary components is not expected
-    and not reported.
+    tail_cross[i] is |<c_i, sum_{l>i} c_l>| normalized by the norms, or,
+    from :class:`_TailCheck`, a bound on it; pairwise orthogonality between
+    arbitrary components is not expected and not reported.
     """
 
     tail_cross: np.ndarray
@@ -258,13 +300,100 @@ class LinoepReport:
         return float(self.tail_cross.max()) if self.tail_cross.size else 0.0
 
 
+class _TailCheck:
+    """The checks of an FIR ladder's components, added one stage at a time in O(N) memory.
+
+    Keeps the running sum of the components, each one's energy and three
+    scalars per stage, and no component. Stage i's rounding defect
+    d_i = c_i + x_{i+1} - x_i telescopes: the last component is the last
+    remainder, so the tail T_i = sum_{l>i} c_l equals x_{i+1} + sum_{l>i} d_l
+    exactly. With D_i = sum_{l>i} ||d_l||, Cauchy-Schwarz and the triangle
+    inequality bound :func:`verify_linoep`'s figure as
+
+        |<c_i, T_i>| / (||c_i|| ||T_i||)
+            <= (|<c_i, x_{i+1}>| + ||c_i|| D_i) / (||c_i|| (||x_{i+1}|| - D_i))
+
+    when ||x_{i+1}|| > D_i. The figure is at most 1, and the bound reads 1
+    where D_i reaches ||x_{i+1}||; it reads 0 for a zero component or a
+    tail that is exactly zero, as :func:`verify_linoep` does.
+
+    The bound also covers the rounding of what it is made from (u = 2^-53,
+    gamma_k = k*u / (1 - k*u), no underflow):
+
+    * an energy or inner product is an einsum sum of n products, in error
+      by at most gamma_n times the sum of their magnitudes in any order of
+      summation (Higham, Accuracy and Stability of Numerical Algorithms,
+      2nd ed., eq. 3.5). So a norm lies within a factor 1 -+ gamma of the
+      root of its computed energy, and |<c_i, x_{i+1}>| exceeds the
+      computed value by at most gamma ||c_i|| ||x_{i+1}||;
+    * the defect is computed as fl(fl(c_i + x_{i+1}) - x_i), off from the
+      exact d_i by at most u (|c_i| + |x_{i+1}|) + u |d_i'| / (1 - u) in
+      each sample, d_i' being the computed value, so ||d_i|| is at most
+      (1 + 2u) ||d_i'|| + u (||c_i|| + ||x_{i+1}||).
+
+    Taking the lower norms where they divide and the upper ones in D_i,
+    the figure is at most
+    (|<c_i, x_{i+1}>|' / ||c_i||_lo + gamma ||x_{i+1}||_lo + D_i) / (||x_{i+1}||_lo - D_i).
+    gamma is gamma_k with k = n + M + 8, which also covers the M-term
+    sums D_i and the few roundings of the scalar arithmetic.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._total = np.zeros(n)
+        self._energies = []
+        self._stages = []  # (|<c_i, x_{i+1}>|, ||x_{i+1}||^2, ||d_i||^2), as computed
+
+    def add(self, component: np.ndarray, remainder=None, defect=None) -> None:
+        """Check a stage's component, remainder and defect; the last component comes alone.
+
+        Without a defect only the component's energy and the sum are kept.
+        A component, remainder or defect whose energy is not finite (a
+        sample that is not, or an overflowing sum) raises ValueError.
+        """
+        energy = finite_energy(component)
+        self._total += component
+        self._energies.append(energy)
+        if defect is not None:
+            self._stages.append((abs(_dot(component, remainder)), finite_energy(remainder),
+                                 finite_energy(defect)))
+
+    def finish(self, c0: float) -> tuple[np.ndarray, LinoepReport]:
+        """The reconstruction c0 + sum of the components, in the sum's memory, and the report.
+
+        The energy ratio is sum ||c_i||^2 / ||x - c0||^2, 1 when x - c0 has
+        zero energy; tail_cross holds the bounds.
+        """
+        energy = finite_energy(self._total)
+        ratio = sum(self._energies) / energy if energy > 0 else 1.0
+        x = np.add(c0, self._total, out=self._total)
+        k = self.n + len(self._energies) + 8
+        u = np.finfo(np.float64).eps / 2
+        gamma = k * u / (1 - k * u)
+        bounds = np.zeros(len(self._stages))
+        later = 0.0  # the bound on D_i: the defects of the stages after i
+        for i in range(len(self._stages) - 1, -1, -1):
+            cross, remainder_energy, defect_energy = self._stages[i]
+            c, r, d = np.sqrt([self._energies[i], remainder_energy, defect_energy])
+            r_lo = (1 - gamma) * r
+            if c > 0 and (r > 0 or later > 0):
+                bounds[i] = 1.0
+                if r_lo > later:
+                    figure = (cross / ((1 - gamma) * c) + gamma * r_lo + later) / (r_lo - later)
+                    bounds[i] = min(figure, 1.0)
+            later += (1 + gamma) * ((1 + 2 * u) * d + u * (c + r))
+        return x, LinoepReport(bounds, ratio)
+
+
 def verify_linoep(d: Decomposition) -> LinoepReport:
     """Check the energy-preserving structure of an FMD decomposition.
 
     Reports, for each i, the normalized inner product of component i with
     the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2,
     where x - c0 is the sum of all the components. An energy that
-    overflows float64 raises.
+    overflows float64 raises. The tail sums run backward over the stored
+    components; :func:`fmd_decompose` with a consumer reports a bound on the
+    same figures instead, stage by stage (:class:`_TailCheck`).
     """
     if d.method not in ("fmd-a", "fmd-b"):
         raise ValueError(f"LINOEP verification applies to fmd decompositions, got {d.method!r}")

@@ -117,6 +117,9 @@ class TestPlanSpec:
         assert BandSpec.from_settings(bands=4) == BandSpec(bands=4)
         assert BandSpec.from_settings(cutoffs="5, 10,25") == BandSpec(cutoffs_hz=(5.0, 10.0, 25.0))
         assert BandSpec.from_settings(cutoffs=[5, 10, 25]) == BandSpec(cutoffs_hz=(5.0, 10.0, 25.0))
+        # an array of cutoffs, as BandSpec itself takes one
+        assert (BandSpec.from_settings(cutoffs=np.array([5.0, 10.0, 25.0]))
+                == BandSpec(cutoffs_hz=(5.0, 10.0, 25.0)))
         with pytest.raises(ValueError, match="only one"):
             BandSpec.from_settings(bands=4, cutoffs="5,25")
         with pytest.raises(ValueError):

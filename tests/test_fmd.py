@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tfekit import (
@@ -14,6 +16,7 @@ from tfekit import (
     dft_decompose,
     fmd_decompose,
     gen_chirp,
+    gen_fm,
     gen_noise,
     mix,
     remove_mean,
@@ -302,6 +305,119 @@ class TestFmdDecompose:
         d = dft_decompose(x, BandSpec(cutoffs_hz=[500.0]).plan(256, 1000.0))
         with pytest.raises(ValueError):
             verify_linoep(d)
+
+
+def _streamed(x, cutoffs, **kwargs):
+    """The streaming form's report, every component dropped as it is handed on."""
+    return fmd_decompose(x, cutoffs, consumer=lambda band: None, **kwargs)[2]
+
+
+@st.composite
+def _ladder_cases(draw):
+    # N from 52 (the shortest a 17-tap stage takes) to 700, odd and even,
+    # M from 2 to 12 bands on any cutoffs, noise with a mean and a Nyquist tone
+    n = draw(st.integers(52, 700))
+    m = draw(st.integers(2, 12))
+    cutoffs = sorted(draw(st.lists(st.integers(1, 499), min_size=m - 1, max_size=m - 1,
+                                   unique=True)))
+    noise = gen_noise(NoiseSpec(seed=draw(st.integers(0, 2**16)), mean=0.5, length=n), 1000.0)
+    nyquist = draw(st.sampled_from([0.0, 0.5, 10.0]))
+    x = Signal(noise.samples + nyquist * (-1.0) ** np.arange(n), 1000.0)
+    return draw(st.sampled_from(["fmd-a", "fmd-b"])), x, [float(c) for c in cutoffs]
+
+
+class TestTailCheck:
+    """The streaming form's forward defect bound against verify_linoep's backward figure."""
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
+    def test_streaming_form_hands_on_the_collected_components(self, method):
+        x = gen_noise(NoiseSpec(seed=65, mean=0.3, length=3001), 1000.0)
+        cutoffs = BandSpec(bands=5).ladder(1000.0)
+        d = fmd_decompose(x, cutoffs, order=64, method=method)
+        handed = []
+
+        def consumer(band):
+            assert isinstance(band, Signal) and not band.samples.flags.writeable
+            handed.append(band.samples.copy())
+
+        c0, reconstruction, report = fmd_decompose(x, cutoffs, order=64, method=method,
+                                                   consumer=consumer)
+        assert c0 == d.c0
+        assert np.array(handed).tobytes() == d.components.tobytes()
+        assert reconstruction.tobytes() == d.reconstruct().tobytes()
+        if method == "causal-fir":
+            assert report is None
+            return
+        exact = verify_linoep(d)
+        assert (report.tail_cross >= exact.tail_cross).all()
+        assert report.max_tail_cross <= 1e-8
+        assert abs(report.energy_ratio - exact.energy_ratio) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ladder_cases())
+    @example(("fmd-a", Signal(np.cos(np.arange(52.0)), 1000.0), [250.0]))
+    @example(("fmd-b", Signal(np.cos(np.arange(701.0)), 1000.0), [40.0 * i for i in range(1, 12)]))
+    @example(("fmd-a", Signal(np.zeros(64), 1000.0), [100.0, 300.0]))
+    def test_bound_at_or_above_the_backward_figure(self, case):
+        method, x, cutoffs = case
+        exact = verify_linoep(fmd_decompose(x, cutoffs, order=16, method=method))
+        bound = _streamed(x, cutoffs, order=16, method=method)
+        assert bound.tail_cross.shape == exact.tail_cross.shape == (len(cutoffs),)
+        assert (bound.tail_cross >= exact.tail_cross).all()
+        assert (bound.tail_cross <= 1).all()
+
+    def test_zero_input_reads_zero(self):
+        # every component and tail is exactly zero: each figure is 0, as verify_linoep's
+        x = Signal(np.zeros(256), 1000.0)
+        bound = _streamed(x, [100.0, 300.0], order=16)
+        assert bound.tail_cross.tolist() == [0.0, 0.0]
+        assert bound.energy_ratio == 1.0
+
+    @pytest.mark.parametrize("x, cutoffs, order, method", [
+        # a low chirp, 5 -> 10 Hz over 1 s at 8 kHz, in 40 bands
+        (gen_chirp(5.0, 10.0, 1.0, 8000.0), BandSpec(bands=40).ladder(8000.0), 256, "fmd-b"),
+        # a pure Nyquist tone, 64 samples of cos(pi n) at 100 Hz, in 3 bands
+        (Signal(np.cos(np.pi * np.arange(64)), 100.0), BandSpec(bands=3).ladder(100.0), 16,
+         "fmd-a"),
+        (Signal(np.cos(np.pi * np.arange(64)), 100.0), BandSpec(bands=3).ladder(100.0), 16,
+         "fmd-b"),
+    ], ids=["low-chirp-fmd-b", "nyquist-tone-fmd-a", "nyquist-tone-fmd-b"])
+    def test_known_failures_still_read_as_failures(self, x, cutoffs, order, method):
+        # the bound hides no failure that the backward figure shows
+        exact = verify_linoep(fmd_decompose(x, cutoffs, order=order, method=method))
+        bound = _streamed(x, cutoffs, order=order, method=method)
+        assert exact.max_tail_cross >= 1e-8
+        assert (bound.tail_cross >= exact.tail_cross).all()
+        assert bound.max_tail_cross >= 1e-8
+
+    def test_component_leaning_on_its_tail_is_flagged(self, monkeypatch):
+        # stage 3 of fmd-a on a 64k mixture stores c_3 + 1e-6 T_3, T_3 being
+        # the sum of the later components, and its defect records that
+        from tfekit import fmd
+
+        x = mix([gen_chirp(1000.0, 2000.0, 8.0, 8000.0), gen_fm(780.0, 200.0, 10.0, 8.0, 8000.0)])
+        assert len(x) == 64000
+        cutoffs = BandSpec(bands=10).ladder(8000.0)
+        d = fmd_decompose(x, cutoffs)
+        tail = d.components[4:].sum(axis=0)
+        assert _streamed(x, cutoffs).max_tail_cross <= 1e-8
+        ladder = fmd._ladder
+
+        def leaning(*args):
+            for i, (component, remainder, defect) in enumerate(ladder(*args)):
+                if i == 3:
+                    component += 1e-6 * tail
+                    defect += 1e-6 * tail
+                yield component, remainder, defect
+
+        monkeypatch.setattr(fmd, "_ladder", leaning)
+        bound = _streamed(x, cutoffs)
+        components = d.components.copy()
+        components[3] += 1e-6 * tail
+        exact = verify_linoep(Decomposition(d.c0, components, "fmd-a"))
+        assert exact.tail_cross[3] >= 1e-8
+        assert (bound.tail_cross >= exact.tail_cross).all()
+        assert bound.tail_cross[3] >= 1e-8
 
 
 class TestCutoffLadders:

@@ -104,6 +104,19 @@ class TestVerifiersScaleFree:
         assert got.tail_cross.tobytes() == want.tail_cross.tobytes()
         assert got.energy_ratio == want.energy_ratio
 
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
+    def test_tail_bound(self, k, method):
+        cutoffs = BandSpec(bands=6).ladder(1000.0)
+
+        def bound(x):
+            return fmd_decompose(x, cutoffs, order=64, method=method,
+                                 consumer=lambda band: None)[2]
+
+        want, got = bound(self.x), bound(_scaled(self.x, k))
+        assert want.max_tail_cross > 0
+        assert got.tail_cross.tobytes() == want.tail_cross.tobytes()
+        assert got.energy_ratio == want.energy_ratio
+
     def test_orthogonality(self, k):
         plan = BandSpec(bands=6).plan(len(self.x), 1000.0)
         want = verify_orthogonality(dft_decompose(self.x, plan))
