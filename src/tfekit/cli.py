@@ -317,8 +317,11 @@ def _resolve_bands(signal: Signal, settings: dict):
 
 
 def _relative_error(reconstruction: np.ndarray, signal: Signal) -> float:
-    err = np.abs(reconstruction - signal.samples).max()
-    return float(err / max(np.abs(signal.samples).max(), 1e-300))
+    """max|reconstruction - x| / max|x|, worked out in the reconstruction's memory."""
+    x = signal.samples
+    err = np.subtract(reconstruction, x, out=reconstruction)
+    err = np.abs(err, out=err).max()
+    return float(err / max(x.max(), -x.min(), 1e-300))
 
 
 def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float | None, dict]:
@@ -387,6 +390,9 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     negative_fractions = []
     weighted = total_energy = 0.0
     workspace = IFWorkspace(len(signal))
+    if ridges is not None:
+        # a track's distance to the nearest ridge, and to the ridge at hand
+        dist, gap = np.empty(len(signal)), np.empty(len(signal))
 
     def sink(component, band):
         nonlocal weighted, total_energy
@@ -396,7 +402,10 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
             write(track)
         negative_fractions.append(track.negative_fraction)
         if ridges is not None:
-            dist = np.min(np.stack([np.abs(track.frequency_hz - r) for r in ridges]), axis=0)
+            np.abs(np.subtract(track.frequency_hz, ridges[0], out=dist), out=dist)
+            for ridge in ridges[1:]:
+                np.abs(np.subtract(track.frequency_hz, ridge, out=gap), out=gap)
+                np.minimum(dist, gap, out=dist)
             weighted += _dot(dist, track.energy)
             total_energy += float(track.energy.sum())
 

@@ -11,7 +11,12 @@ Zero-phase filtering applies the taps' power response |H|^2: the
 reflection-padded input is cut into overlapping blocks, each block's real
 FFT is multiplied by the real |H|^2 and transformed back (overlap-save).
 A real response has exactly zero phase, and the result is the
-forward-backward filter's to rounding.
+forward-backward filter's to rounding. The blocks are transformed a fixed
+batch at a time straight into the output, so a filter call holds its
+N-sample output and batch arrays of about 1.5 MB. With a consumer,
+:func:`fmd_decompose` then peaks at five N-sample arrays: the check's
+running sum, the reused component, the stage's input, its filter output
+and its remainder.
 """
 
 import itertools
@@ -22,6 +27,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import Decomposition
 from .signals import Signal, _dot, finite_energy, remove_mean
+
+# samples of overlap-save frames that _zero_phase transforms at a time (at
+# least one frame): its three batch arrays then take about 1.5 MB whatever
+# N, for orders up to 4096, and fit a 2 MB cache
+_BATCH = 65536
 
 __all__ = [
     "FirFilter",
@@ -125,9 +135,13 @@ def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     # Forward-backward filtering of the padded input, trimmed back to N
     # samples, is the linear convolution with the autocorrelation g of the
     # taps: 2*order+1 taps centred on lag 0, response |H|^2. Overlap-save
-    # runs it on frames of `block` samples taken every `step`; frame k's
-    # outputs order..block-order-1 are free of circular wrap and are output
-    # samples k*step onwards.
+    # runs it on frames of `block` samples taken every `step` from the
+    # reflection-padded, zero-tailed input; frame k's outputs
+    # order..block-order-1 are free of circular wrap and are output samples
+    # k*step onwards. The frames are transformed a batch at a time, each
+    # batch's stretch of the padded input built in one scratch array; a
+    # frame's transform depends only on its own samples, so the batch size
+    # does not move a bit of the output.
     _check_length(samples.size, taps, "forward-backward filtering")
     n, order = samples.size, taps.size - 1
     # a power of two at least 8 times the kernel's 2*order span, so that
@@ -137,17 +151,36 @@ def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
         block *= 2
     step = block - 2 * order
     frames = -(-n // step)
-    padded = np.empty((frames - 1) * step + block)
-    # reflection padding: mirror without repeating the edge sample
-    padded[:order] = samples[order:0:-1]
-    padded[order : order + n] = samples
-    padded[order + n : n + 2 * order] = samples[-2 : -order - 2 : -1]
-    padded[n + 2 * order :] = 0.0
-    spectrum = np.fft.rfft(sliding_window_view(padded, block)[::step], axis=1)
+    batch = min(frames, max(1, _BATCH // block))
     response = np.fft.rfft(taps, block)
-    spectrum *= response.real**2 + response.imag**2
-    out = np.fft.irfft(spectrum, block, axis=1)[:, order : order + step]
-    return out.reshape(-1)[:n]
+    power = response.real**2 + response.imag**2
+    stretch = np.empty((batch - 1) * step + block)
+    spectrum = np.empty((batch, block // 2 + 1), dtype=complex)
+    filtered = np.empty((batch, block))
+    # the padded input: a reflection without the edge sample each side,
+    # the samples between them, zeros after
+    parts = ((0, samples[order:0:-1]), (order, samples), (order + n, samples[-2 : -order - 2 : -1]))
+    out = np.empty(n)
+    for first in range(0, frames, batch):
+        count = min(batch, frames - first)
+        start = first * step
+        padded = stretch[: (count - 1) * step + block]
+        stop = start + padded.size
+        for offset, part in parts:
+            lo, hi = max(start, offset), min(stop, offset + part.size)
+            if lo < hi:
+                padded[lo - start : hi - start] = part[lo - offset : hi - offset]
+        padded[max(n + 2 * order - start, 0) :] = 0.0
+        np.fft.rfft(sliding_window_view(padded, block)[::step], axis=1, out=spectrum[:count])
+        spectrum[:count] *= power
+        np.fft.irfft(spectrum[:count], block, axis=1, out=filtered[:count])
+        # the last frame may reach past the last output sample
+        dest = out[start : start + count * step]
+        rows, rest = divmod(dest.size, step)
+        dest[: rows * step].reshape(rows, step)[...] = filtered[:rows, order : order + step]
+        if rest:
+            dest[rows * step :] = filtered[rows, order : order + rest]
+    return out
 
 
 def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
@@ -159,7 +192,11 @@ def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
     filter's output (filter, reverse, filter, reverse, trim) to rounding;
     the response is real, so passband features keep their sample
     positions exactly. The block length is the smallest power of two
-    >= max(4096, 16 * order).
+    >= max(4096, 16 * order). The blocks go through the transforms a
+    batch of 65536 samples' worth at a time (at least one block), each
+    batch's stretch of the padded input built in one scratch array, so
+    the filter needs its output and a workspace that does not grow with
+    N; the output's bits do not depend on the batch size.
     """
     return Signal(_zero_phase(x.samples, h.taps), x.sample_rate)
 
@@ -278,6 +315,9 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     check = _TailCheck(n)
     for component, remainder, defect in stages:
         check.add(component, remainder, defect)
+        # the defect is the stage's filter output: held here, it would
+        # outlive the stage while the next one filters
+        del remainder, defect
         consumer(Signal._view(component, x.sample_rate))
     reconstruction, report = check.finish(c0)
     return c0, reconstruction, report if linoep else None

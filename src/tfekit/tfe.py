@@ -23,10 +23,12 @@ __all__ = [
 ]
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
-# samples whose grid cells TFEAccumulator.add computes at a time: one
-# index array as long as the tracks raises the peak RSS of a 512k-sample
-# compare by 3.5 MB
-ADD_BLOCK = 65536
+# samples whose time rows TFEAccumulator counts, and whose grid cells its
+# add computes, at a time: the accumulator holds no array as long as the
+# tracks (an index per sample would be 4 MB at 512k samples), and a
+# block's row offsets, a temporary of ADD_BLOCK indices, stay well under
+# one float array of even a short (65536-sample) track
+ADD_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class TFEAccumulator:
     is conserved exactly. The bin counts are checked here, before any
     track is made. A cell whose sum overflows float64 is refused when the
     grid is taken.
+
+    Sample n's time row, min(floor(n / Fs / (T / time_bins)), time_bins - 1)
+    for a record of T seconds, never decreases with n, so the accumulator
+    keeps each row's first sample, time_bins + 1 indices, and no per-sample
+    array: its memory is the grid plus O(time_bins + ADD_BLOCK).
     """
 
     def __init__(self, n_samples: int, sample_rate: float,
@@ -87,10 +94,13 @@ class TFEAccumulator:
         self.time_edges = np.linspace(0.0, t_total, time_bins + 1)
         self.freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
         self.energy = np.zeros((time_bins, freq_bins))
-        t_idx = np.clip((np.arange(n) / fs / (t_total / time_bins)).astype(int),
-                        0, time_bins - 1)
-        # flat index of each sample's time row; add() adds its frequency bin
-        self._row_offset = t_idx * freq_bins
+        row_width = t_total / time_bins
+        counts = np.zeros(time_bins, dtype=np.intp)
+        for start in range(0, n, ADD_BLOCK):
+            rows = (np.arange(start, min(n, start + ADD_BLOCK)) / fs / row_width).astype(int)
+            counts += np.bincount(np.clip(rows, 0, time_bins - 1, out=rows), minlength=time_bins)
+        # the first sample of each time row, then n
+        self._row_starts = np.concatenate([[0], np.cumsum(counts)])
         # add() computes the cell indices of each block of samples here
         self._idx = np.empty(min(n, ADD_BLOCK), dtype=np.intp)
 
@@ -102,6 +112,7 @@ class TFEAccumulator:
         freq_bins = self.energy.shape[1]
         width = (fs / 2) / freq_bins
         cells = self.energy.reshape(-1)
+        starts = self._row_starts
         # the same sequential sums, in the same order, as one 2-D np.add.at
         # on (t_idx, f_idx), through a flat view of the C-contiguous grid
         with np.errstate(over="ignore"):  # grid() refuses an overflowed cell
@@ -112,7 +123,12 @@ class TFEAccumulator:
                 # the cast truncates toward zero, as astype(int) does
                 np.divide(f, width, out=idx, casting="unsafe")
                 np.clip(idx, 0, freq_bins - 1, out=idx)
-                idx += self._row_offset[block]
+                # the time rows that meet the block, each repeated once per sample it has there
+                stop = start + f.size
+                first, last = np.searchsorted(starts, (start, stop - 1), side="right") - 1
+                counts = np.diff(np.clip(starts[first : last + 2], start, stop))
+                idx += np.repeat(np.arange(first * freq_bins, (last + 1) * freq_bins, freq_bins),
+                                 counts)
                 np.add.at(cells, idx, track.energy[block])
 
     def grid(self) -> TFEGrid:

@@ -16,9 +16,11 @@ Marple's one-sided spectrum, one complex synthesis per band with its own
 bin doubling (each band of the bank must match it to rounding), the
 analytic signal as two complex transforms built on it (the real-transform
 quadrature must match it to rounding), the boolean-index phase fold (the
-masked fold must match its bits) and zero-phase filtering as two
+masked fold must match its bits), zero-phase filtering as two
 time-domain convolutions with a reversal between them (the block-FFT
-filter must match it to rounding) and the signal CSV reader that
+filter must match it to rounding), the overlap-save filter that transforms
+every frame of the whole padded input at once (the batched filter must
+match its bits) and the signal CSV reader that
 splits, strips and converts the file line by line (the C-parsed ingest
 must match its bits, or its error message).
 """
@@ -26,6 +28,7 @@ must match its bits, or its error message).
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tfekit import (
     AnalyticSignal,
@@ -261,6 +264,40 @@ def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
     forward = np.convolve(xp, h.taps)[: xp.size]
     backward = np.convolve(forward[::-1], h.taps)[: xp.size][::-1]
     return Signal(backward[pad : pad + len(x)], x.sample_rate)
+
+
+def zero_phase_whole(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Overlap-save zero-phase filtering with every frame in one array.
+
+    The reflection-padded, zero-tailed input is built whole, all its frames
+    are transformed in one batched rfft, scaled by |H|^2 and transformed
+    back in one irfft; each frame's wrap-free middle is its output.
+    """
+    # Forward-backward filtering of the padded input, trimmed back to N
+    # samples, is the linear convolution with the autocorrelation g of the
+    # taps: 2*order+1 taps centred on lag 0, response |H|^2. Overlap-save
+    # runs it on frames of `block` samples taken every `step`; frame k's
+    # outputs order..block-order-1 are free of circular wrap and are output
+    # samples k*step onwards.
+    n, order = samples.size, taps.size - 1
+    # a power of two at least 8 times the kernel's 2*order span, so that
+    # wrap-around costs at most an eighth of each transform
+    block = 4096
+    while block < 16 * order:
+        block *= 2
+    step = block - 2 * order
+    frames = -(-n // step)
+    padded = np.empty((frames - 1) * step + block)
+    # reflection padding: mirror without repeating the edge sample
+    padded[:order] = samples[order:0:-1]
+    padded[order : order + n] = samples
+    padded[order + n : n + 2 * order] = samples[-2 : -order - 2 : -1]
+    padded[n + 2 * order :] = 0.0
+    spectrum = np.fft.rfft(sliding_window_view(padded, block)[::step], axis=1)
+    response = np.fft.rfft(taps, block)
+    spectrum *= response.real**2 + response.imag**2
+    out = np.fft.irfft(spectrum, block, axis=1)[:, order : order + step]
+    return out.reshape(-1)[:n]
 
 
 def dft_decompose(x: Signal, boundaries) -> Decomposition:

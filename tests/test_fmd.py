@@ -1,5 +1,7 @@
 """FIR design, zero-phase/causal filtering, filter-mode decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from tfekit import (
     verify_linoep,
     zero_phase_filter,
 )
+from tfekit.fmd import _BATCH, _zero_phase
 from tfekit.signals import _dot
 
 
@@ -33,6 +36,16 @@ def _block_step(order: int) -> int:
     while block < 16 * order:
         block *= 2
     return block - 2 * order
+
+
+def _peak_bytes(f):
+    """The tracemalloc peak of calling f, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _response(taps: np.ndarray, freq_hz: float, fs: float) -> complex:
@@ -136,6 +149,31 @@ class TestZeroPhaseFilter:
                      filtfilt(h.taps, [1.0], x.samples, padtype="even", padlen=order)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(x.samples).max()
+
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    @pytest.mark.parametrize("length", ["min", "min+1", "step-1", "step+1", "batch-1", "batch",
+                                        "batch+1", "3batch-1", "3batch+1"])
+    def test_batches_match_whole_array_bits(self, order, length):
+        # the frames are transformed a batch at a time; the whole-array
+        # transform gives the same bits at the edges of the frame and batch grids
+        step = _block_step(order)
+        batch = max(1, _BATCH // (step + 2 * order)) * step
+        n = {"min": 3 * order + 4, "min+1": 3 * order + 5, "step-1": step - 1,
+             "step+1": step + 1, "batch-1": batch - 1, "batch": batch, "batch+1": batch + 1,
+             "3batch-1": 3 * batch - 1, "3batch+1": 3 * batch + 1}[length]
+        x = np.random.default_rng(order + n).standard_normal(n) + 0.5
+        taps = design_fir("highpass", 120.0, order, 1000.0).taps
+        assert np.array_equal(_zero_phase(x, taps), oracles.zero_phase_whole(x, taps))
+
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    def test_workspace_fixed_whatever_n(self, order):
+        # the filter's output plus a fixed batch workspace (measured at
+        # 1.7-1.9 MB), where the whole-array transform held about 4 N floats
+        n = 2**19
+        x = np.random.default_rng(order).standard_normal(n)
+        taps = design_fir("highpass", 120.0, order, 1000.0).taps
+        extra = _peak_bytes(lambda: _zero_phase(x, taps)) - 8 * n
+        assert extra < 2.5e6, f"{extra / (8 * n):.2f} N floats above the output"
 
 
 class TestCausalFilter:
@@ -352,6 +390,18 @@ class TestTailCheck:
         assert (report.tail_cross >= exact.tail_cross).all()
         assert report.max_tail_cross <= 1e-8
         assert abs(report.energy_ratio - exact.energy_ratio) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
+    def test_streaming_peak_near_five_arrays(self, method):
+        # measured at 5.00 N floats: the check's sum, the reused component,
+        # the stage input, its filter output and remainder; a filter output
+        # held past its stage made it 8.3
+        n = 2**19
+        x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
+        cutoffs = BandSpec(bands=4).ladder(8000.0)
+        peak = _peak_bytes(lambda: fmd_decompose(x, cutoffs, method=method,
+                                                 consumer=lambda band: None))
+        assert peak < 5.25 * 8 * n, f"{peak / (8 * n):.2f} N floats"
 
     @settings(max_examples=60, deadline=None)
     @given(_ladder_cases())

@@ -105,10 +105,12 @@ class TestBuildTfe:
             assert np.array_equal(got.time_edges, want.time_edges)
             assert np.array_equal(got.freq_edges, want.freq_edges)
 
-    @pytest.mark.parametrize("bins", [(400, 250), (7, 13), (1, 250), (400, 1), (1, 1)])
+    @pytest.mark.parametrize("bins", [(400, 250), (7, 13), (1, 250), (400, 1), (1, 1),
+                                      (4999, 3)])
     def test_flat_deposit_matches_2d_add_at(self, bins):
         # a conventional track below 0 Hz, a track past both ends, one at
-        # exactly Fs/2, and N = 2001, which no bin count here divides
+        # exactly Fs/2, and N = 2001, which no bin count here divides; with
+        # more time rows than samples some rows are empty
         fs, n = 2000.0, 2001
         x = mix([gen_chirp(100, 900, n / fs, fs), gen_chirp(950, 50, n / fs, fs)])
         conventional = if_track(x, mode="conventional")
@@ -143,6 +145,18 @@ class TestBuildTfe:
         for bins in ((400, 250), (3, 7)):
             got = _accumulate(tracks, *bins)
             assert got.energy.tobytes() == oracles.build_tfe(tracks, *bins).energy.tobytes()
+
+    def test_accumulator_memory_independent_of_n(self):
+        # measured: the grid plus 3.6 ADD_BLOCK floats, at 2^16 samples as at
+        # 2^22, where a per-sample index of the time rows took 16 bytes a sample
+        n, time_bins, freq_bins = 2**22, 400, 250
+        tracemalloc.start()
+        try:
+            TFEAccumulator(n, 8000.0, time_bins, freq_bins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (time_bins * freq_bins + 5 * ADD_BLOCK + 2 * (time_bins + 1))
 
     def test_overflowing_cell_refused_when_the_grid_is_taken(self):
         # each sample's energy is finite, their sum in the one cell is not;
