@@ -9,11 +9,11 @@ from the nonnegative bins by one real inverse transform, whose Hermitian
 synthesis does the doubling. :func:`analytic_signal` gives them for a
 whole signal, and the DFT filter bank for each of its bands.
 
-An :class:`IFWorkspace` holds the N-sample arrays of the per-component IF
-path (spectrum, then energies; the quadrature, then the folds' booleans;
-phase increments, then frequencies), so that tracking many components of
-one length touches the same memory instead of mapping fresh pages for
-every one.
+An :class:`IFWorkspace` holds the arrays of the per-component IF path
+(spectrum, then energies; the quadrature, then phase angles, increments
+and frequencies; the folds' booleans), so that tracking many components
+of one length touches the same memory instead of mapping fresh pages for
+every one. Between tracks, the FIR ladder makes each stage in it.
 """
 
 from dataclasses import dataclass
@@ -33,10 +33,11 @@ class IFWorkspace:
 
     * `spectrum`: the n//2+1 bins of the real transform; once the
       quadrature is made, its memory holds the n floats of `energy`;
-    * `quadrature`: the analytic signal's imaginary part; once the phase
-      angles are taken, its 8n bytes hold the folds' n booleans;
-    * `frequency`: the squared quadrature, then the phase increments,
-      folded in place into the frequencies.
+    * `quadrature`: the analytic signal's imaginary part, then the phase
+      angles, differenced and folded in place into the frequencies;
+    * `folds`: the folds' n booleans, in whole floats' worth of bytes (at
+      least one float); before the folds, the energy is summed a slice at
+      a time through them, viewed as floats.
 
     Every result built in a workspace holds views of these arrays, which
     the next use of the workspace overwrites. The arrays are made empty,
@@ -47,7 +48,7 @@ class IFWorkspace:
         self.n = n
         self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
         self.quadrature = np.empty(n)
-        self.frequency = np.empty(n)
+        self.folds = np.empty(n // 8 + 1).view(bool)
 
     @property
     def energy(self) -> np.ndarray:
@@ -85,9 +86,8 @@ class AnalyticSignal:
     def _increments_into(self, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """:meth:`increments` written into `out`, N floats, and returned as ``out[:-1]``.
 
-        `out` receives the N angles, differenced in place; `mask`, at least
-        N-1 booleans, holds the folds' conditions. It is written only after
-        the angles are taken, so it may share memory with `imag`.
+        `out` receives the N angles, differenced in place; it may be `imag`
+        itself. `mask`, at least N-1 booleans, holds the folds' conditions.
         """
         np.arctan2(self.imag, self.real, out=out)
         d = out[:-1]

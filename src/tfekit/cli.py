@@ -324,7 +324,8 @@ def _relative_error(reconstruction: np.ndarray, signal: Signal) -> float:
     return float(err / max(x.max(), -x.min(), 1e-300))
 
 
-def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float | None, dict]:
+def _decompose(signal: Signal, settings: dict, bands, consumer,
+               workspace: IFWorkspace | None = None) -> tuple[float | None, dict]:
     """Decompose on `bands`, as :func:`_resolve_bands` gives them; verify and hand on each component.
 
     `consumer(component, band)` gets each component's samples, in order,
@@ -333,8 +334,9 @@ def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float |
     one component, the signal itself. A DFT band or FIR ladder component is
     handed on as it is made, in one reused array, after the running check
     has taken it in, so no (M, N) array is held; the checks are finished
-    once the last component is in. Returns c0 (None for method 'none') and
-    the verification diagnostics.
+    once the last component is in. An FIR ladder makes its stages in
+    `workspace`, the consumer's IF workspace, when one is given. Returns c0
+    (None for method 'none') and the verification diagnostics.
     """
     method = settings["method"]
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
@@ -360,7 +362,7 @@ def _decompose(signal: Signal, settings: dict, bands, consumer) -> tuple[float |
     order = {} if settings["order"] is None else {"order": settings["order"]}
     # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
     c0, reconstruction, rep = fmd_decompose(
-        signal, bands, **order, method=method,
+        signal, bands, **order, method=method, workspace=workspace,
         consumer=lambda band: consumer(band.samples, lambda: band))
     checks["reconstruction_error"] = _relative_error(reconstruction, signal)
     if method in ("fmd-a", "fmd-b"):
@@ -380,10 +382,11 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     `grid`, appends its rows through `write` when one is given, and adds the
     track to the per-track figures; no list of tracks is kept. Every track
     is made in one IFWorkspace, so `write` gets a track that holds only
-    until the next one. Each component is tracked as :func:`_decompose`
-    hands it on. Returns the diagnostics and, given true `ridges`, the
-    energy-weighted mean distance (Hz) between track samples and the
-    nearest ridge, summed in track order.
+    until the next one; an FIR ladder makes its stages in the same
+    workspace between tracks. Each component is tracked as
+    :func:`_decompose` hands it on. Returns the diagnostics and, given
+    true `ridges`, the energy-weighted mean distance (Hz) between track
+    samples and the nearest ridge, summed in track order.
     """
     scheme = DiffScheme(settings["scheme"])
     if_mode = settings["if"]
@@ -409,7 +412,7 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
             weighted += _dot(dist, track.energy)
             total_energy += float(track.energy.sum())
 
-    _, checks = _decompose(signal, settings, bands, sink)
+    _, checks = _decompose(signal, settings, bands, sink, workspace)
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],

@@ -13,25 +13,33 @@ FFT is multiplied by the real |H|^2 and transformed back (overlap-save).
 A real response has exactly zero phase, and the result is the
 forward-backward filter's to rounding. The blocks are transformed a fixed
 batch at a time straight into the output, so a filter call holds its
-N-sample output and batch arrays of about 1.5 MB. With a consumer,
-:func:`fmd_decompose` then peaks at five N-sample arrays: the check's
-running sum, the reused component, the stage's input, its filter output
-and its remainder.
+N-sample output and batch arrays of about 1.5 MB.
+
+:func:`fmd_decompose` runs each stage in the arrays of an
+:class:`IFWorkspace`: the filter output in its quadrature, the filter's
+batch arrays and then the component in its spectrum. With a consumer
+and the consumer's workspace, it holds three N-sample arrays of its own:
+the check's running sum and the ladder's two buffers, the stage's input
+and the remainder it passes on.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .analytic import IFWorkspace
 from .filterbank import Decomposition
-from .signals import Signal, _dot, finite_energy, remove_mean
+from .signals import Signal, _dot, finite_energy
 
 # samples of overlap-save frames that _zero_phase transforms at a time (at
 # least one frame): its three batch arrays then take about 1.5 MB whatever
 # N, for orders up to 4096, and fit a 2 MB cache
 _BATCH = 65536
+# outputs that _causal convolves at a time (at least the taps): np.convolve
+# makes each block's output, and a copy of its input if that is read-only,
+# as a Signal's samples are, so a call holds 0.25 MB above its output
+_CAUSAL_BLOCK = 16384
 
 __all__ = [
     "FirFilter",
@@ -125,13 +133,28 @@ def _check_length(n: int, taps: np.ndarray, what: str) -> None:
         )
 
 
-def _causal(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # zero initial state, same-length output
+def _causal(samples: np.ndarray, taps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Zero initial state, same-length output, written into `out` a block of
+    # outputs at a time: the first block is the head of the 'full'
+    # convolution, each later one the 'valid' convolution of its samples
+    # and the `order` before them. An output is one dot product of the
+    # same samples and taps either way, so the bits are those of the
+    # whole-array np.convolve(samples, taps)[:n]. A block is never shorter
+    # than the taps, which np.convolve would otherwise swap.
     _check_length(samples.size, taps, "filtering")
-    return np.convolve(samples, taps)[: samples.size]
+    n, order = samples.size, taps.size - 1
+    out = np.empty(n) if out is None else out
+    block = max(_CAUSAL_BLOCK, taps.size)
+    head = min(n, block)
+    out[:head] = np.convolve(samples[:head], taps)[:head]
+    for start in range(head, n, block):
+        stop = min(n, start + block)
+        out[start:stop] = np.convolve(samples[start - order : stop], taps, "valid")
+    return out
 
 
-def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _zero_phase(samples: np.ndarray, taps: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     # Forward-backward filtering of the padded input, trimmed back to N
     # samples, is the linear convolution with the autocorrelation g of the
     # taps: 2*order+1 taps centred on lag 0, response |H|^2. Overlap-save
@@ -141,7 +164,9 @@ def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     # k*step onwards. The frames are transformed a batch at a time, each
     # batch's stretch of the padded input built in one scratch array; a
     # frame's transform depends only on its own samples, so the batch size
-    # does not move a bit of the output.
+    # does not move a bit of the output. The batch arrays are carved from
+    # `scratch`, a complex array, when it holds at least one frame's, with
+    # as many frames a batch as fit, else from one array made here.
     _check_length(samples.size, taps, "forward-backward filtering")
     n, order = samples.size, taps.size - 1
     # a power of two at least 8 times the kernel's 2*order span, so that
@@ -152,15 +177,25 @@ def _zero_phase(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     step = block - 2 * order
     frames = -(-n // step)
     batch = min(frames, max(1, _BATCH // block))
+    half = block // 2 + 1
+    # floats a batch takes: each frame's spectrum, output and step of the
+    # stretch, and the stretch's last block - step samples
+    per_frame, tail = 2 * half + block + step, block - step
+    fits = 0 if scratch is None else (2 * scratch.size - tail) // per_frame
+    if fits >= 1:
+        batch = min(batch, fits)
+    else:
+        scratch = np.empty(-(-(batch * per_frame + tail) // 2), dtype=complex)
+    spectrum = scratch[: batch * half].reshape(batch, half)
+    floats = scratch[batch * half :].view(np.float64)
+    filtered = floats[: batch * block].reshape(batch, block)
+    stretch = floats[batch * block : batch * (block + step) + tail]
     response = np.fft.rfft(taps, block)
     power = response.real**2 + response.imag**2
-    stretch = np.empty((batch - 1) * step + block)
-    spectrum = np.empty((batch, block // 2 + 1), dtype=complex)
-    filtered = np.empty((batch, block))
     # the padded input: a reflection without the edge sample each side,
     # the samples between them, zeros after
     parts = ((0, samples[order:0:-1]), (order, samples), (order + n, samples[-2 : -order - 2 : -1]))
-    out = np.empty(n)
+    out = np.empty(n) if out is None else out
     for first in range(0, frames, batch):
         count = min(batch, frames - first)
         start = first * step
@@ -198,32 +233,55 @@ def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
     the filter needs its output and a workspace that does not grow with
     N; the output's bits do not depend on the batch size.
     """
-    return Signal(_zero_phase(x.samples, h.taps), x.sample_rate)
+    return _filtered(_zero_phase(x.samples, h.taps), x.sample_rate)
 
 
 def causal_filter(x: Signal, h: FirFilter) -> Signal:
     """Single forward pass; a passband tone comes out delayed by order/2 samples."""
-    return Signal(_causal(x.samples, h.taps), x.sample_rate)
+    return _filtered(_causal(x.samples, h.taps), x.sample_rate)
 
 
-def _ladder(current, cutoffs, order, method, sample_rate, rows, defects):
-    """Run the FIR ladder on zero-mean samples, making each component in the next array of `rows`.
+def _filtered(samples: np.ndarray, sample_rate: float) -> Signal:
+    """The Signal of a filter's own output array, refused as Signal refuses it if not finite.
+
+    min and max, not an elementwise test: no temporary per sample; a NaN
+    fails every comparison.
+    """
+    if not (-np.inf < samples.min() and samples.max() < np.inf):
+        raise ValueError("samples must be finite (no NaN/Inf)")
+    return Signal._view(samples, sample_rate)
+
+
+def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace, rows, defects):
+    """Run the FIR ladder on x - c0 in two N-float buffers and the arrays of `workspace`.
 
     `cutoffs` are in stage order. Yields (component, remainder, defect) per
     stage: c_i, the remainder x_{i+1} it passes on and, when `defects` is
-    set, its rounding defect d_i = c_i + x_{i+1} - x_i, computed in the
-    filter output's memory (else None). The last component, the final
-    remainder, comes as (component, None, None). Each array holds only
-    until the next stage runs.
+    set, its rounding defect d_i = c_i + x_{i+1} - x_i (else None). The
+    last component, the final remainder, comes as (component, None, None).
+
+    Stage i filters x_i into the workspace's quadrature, with a
+    zero-phase filter's batch arrays in its spectrum, makes its
+    remainder in the buffer that x_{i-1} left and the component in the
+    float view of the workspace's spectrum, and the defect in the filter
+    output's memory. Then x_i is dead: the component is copied into its
+    buffer, or into row i of `rows` when given, and the workspace is free
+    again while the stage's arrays are out. Each array holds only until
+    the next stage runs.
     """
+    current = np.subtract(x, c0, out=np.empty(x.size))
+    spare = np.empty(x.size)
     alpha_floor = 1e-14 * finite_energy(current)
-    apply_filter = _causal if method == "causal-fir" else _zero_phase
     part_a = method != "fmd-b"
     stage_kind = "highpass" if part_a else "lowpass"
-    rows = iter(rows)
-    for cutoff, component in zip(cutoffs, rows):
-        y = apply_filter(current, design_fir(stage_kind, cutoff, order, sample_rate).taps)
-        r = current - y
+    component = workspace.energy
+    for i, cutoff in enumerate(cutoffs):
+        taps = design_fir(stage_kind, cutoff, order, sample_rate).taps
+        if method == "causal-fir":
+            y = _causal(current, taps, workspace.quadrature)
+        else:
+            y = _zero_phase(current, taps, workspace.quadrature, workspace.spectrum)
+        r = np.subtract(current, y, out=spare)
         # each scaled term is made in `component` or `y`, not in a temporary
         if part_a:
             denom = _dot(r, r)
@@ -238,16 +296,18 @@ def _ladder(current, cutoffs, order, method, sample_rate, rows, defects):
         if defects:
             np.add(component, r, out=y)
             y -= current
-        current = r
-        yield component, current, y if defects else None
-        del y  # freed before the next stage filters
-    component = next(rows)
-    component[:] = current
-    yield component, None, None
+        placed = current if rows is None else rows[i]
+        placed[:] = component
+        current, spare = r, current
+        yield placed, current, y if defects else None
+    if rows is not None:
+        rows[-1] = current
+        current = rows[-1]
+    yield current, None, None
 
 
 def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a",
-                  consumer=None):
+                  consumer=None, workspace: IFWorkspace | None = None):
     """Iterative filter-mode decomposition into energy-preserving components.
 
     Parameters
@@ -267,13 +327,20 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     consumer : callable, optional
         Without one, the components are collected into the returned
         :class:`Decomposition`. With one, each component is made in one
-        reused N-float array, checked by :class:`_TailCheck` as it is made
-        and passed to ``consumer(component)`` as a Signal on a read-only
-        view of that array, valid until the consumer returns. Nothing is
-        collected: the call returns ``(c0, reconstruction, report)``, the
-        reconstruction c0 + sum of the components and a
+        of the ladder's two N-float buffers, checked by :class:`_TailCheck`
+        as it is made and passed to ``consumer(component)`` as a Signal on
+        a read-only view of that buffer, valid until the consumer returns.
+        Nothing is collected: the call returns ``(c0, reconstruction,
+        report)``, the reconstruction c0 + sum of the components and a
         :class:`LinoepReport` of the check's bounds; the report is None
         for 'causal-fir', which :func:`verify_linoep` refuses too.
+    workspace : IFWorkspace, optional
+        An IF workspace for x's length, in whose arrays each stage makes
+        its filter output, component and defect; a fresh one is made when
+        not given. Nothing of a stage is left in it when the consumer is
+        called, so the consumer may track the component in the same
+        workspace, and the ladder then holds no more than two N-float
+        buffers of its own.
 
     Notes
     -----
@@ -303,11 +370,13 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
         cutoffs.reverse()
 
     n = len(x)
-    c0, detrended = remove_mean(x)
-    rows = np.empty((len(cutoffs) + 1, n)) if consumer is None else itertools.repeat(np.empty(n))
+    ws = IFWorkspace(n) if workspace is None else workspace
+    if ws.n != n:
+        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    c0 = float(np.mean(x.samples))
+    rows = np.empty((len(cutoffs) + 1, n)) if consumer is None else None
     linoep = consumer is not None and method != "causal-fir"
-    stages = _ladder(detrended.samples, cutoffs, order, method, x.sample_rate, rows, linoep)
-    del detrended  # the ladder alone holds the zero-mean input, and drops it after one stage
+    stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws, rows, linoep)
     if consumer is None:
         for _ in stages:
             pass
@@ -315,9 +384,6 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     check = _TailCheck(n)
     for component, remainder, defect in stages:
         check.add(component, remainder, defect)
-        # the defect is the stage's filter output: held here, it would
-        # outlive the stage while the next one filters
-        del remainder, defect
         consumer(Signal._view(component, x.sample_rate))
     reconstruction, report = check.finish(c0)
     return c0, reconstruction, report if linoep else None

@@ -178,7 +178,10 @@ def if_track(
     workspace : IFWorkspace, optional
         Arrays for x's length to compute in; a fresh one is made when not
         given. A caller tracking many components of one length passes one
-        workspace to every call, so no call maps new memory.
+        workspace to every call, so no call maps new memory, and may hand
+        the same workspace to :func:`fmd_decompose` for its stages. The
+        energy goes into the spectrum's memory and the frequencies into
+        the quadrature's; an AnalyticSignal's own parts are only read.
 
     Returns
     -------
@@ -195,15 +198,18 @@ def if_track(
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
     a = x if isinstance(x, AnalyticSignal) else analytic_signal(x, ws)
-    # the energy first, with `frequency` free to hold the squared quadrature
+    # the energy first, in the spectrum's memory, while the quadrature is
+    # whole; its squares a slice at a time in the folds' bytes
     energy = ws.energy
+    squares = ws.folds.view(np.float64)
     with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
         np.square(a.real, out=energy)
-        energy += np.square(a.imag, out=ws.frequency)
-    # the folds' booleans on the quadrature's memory: the angles have read
-    # it by the time they are written, also where it is `a.imag` itself
-    mask = ws.quadrature.view(bool)[:n]
-    d = _phase_diff_into(a._increments_into(ws.frequency, mask), scheme, ws.frequency)
+        for start in range(0, n, squares.size):
+            part = energy[start : start + squares.size]
+            part += np.square(a.imag[start : start + part.size], out=squares[: part.size])
+    # the angles over the workspace's quadrature, which may be `a.imag` itself
+    mask = ws.folds[:n]
+    d = _phase_diff_into(a._increments_into(ws.quadrature, mask), scheme, ws.quadrature)
     if mode == "positive":
         freq = _positive_if_into(d, x.sample_rate, mask)
     else:

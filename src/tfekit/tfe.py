@@ -80,8 +80,10 @@ class TFEAccumulator:
 
     Sample n's time row, min(floor(n / Fs / (T / time_bins)), time_bins - 1)
     for a record of T seconds, never decreases with n, so the accumulator
-    keeps each row's first sample, time_bins + 1 indices, and no per-sample
-    array: its memory is the grid plus O(time_bins + ADD_BLOCK).
+    keeps, for each block of ADD_BLOCK samples, the first cell of each row
+    that meets the block and the block's samples in it, and no per-sample
+    array: its memory is the grid plus O(time_bins + N / ADD_BLOCK +
+    ADD_BLOCK).
     """
 
     def __init__(self, n_samples: int, sample_rate: float,
@@ -100,7 +102,21 @@ class TFEAccumulator:
             rows = (np.arange(start, min(n, start + ADD_BLOCK)) / fs / row_width).astype(int)
             counts += np.bincount(np.clip(rows, 0, time_bins - 1, out=rows), minlength=time_bins)
         # the first sample of each time row, then n
-        self._row_starts = np.concatenate([[0], np.cumsum(counts)])
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        # per block of ADD_BLOCK samples, the first cell of each time row
+        # that meets it and the block's samples in that row: block b's are
+        # entries _block_rows[b] to _block_rows[b + 1] of _row_cells and
+        # _row_counts, at most time_bins + N / ADD_BLOCK entries in all
+        cells, sizes, bounds = [], [], [0]
+        for start in range(0, n, ADD_BLOCK):
+            stop = min(n, start + ADD_BLOCK)
+            first, last = np.searchsorted(starts, (start, stop - 1), side="right") - 1
+            cells.append(np.arange(first * freq_bins, (last + 1) * freq_bins, freq_bins))
+            sizes.append(np.diff(np.clip(starts[first : last + 2], start, stop)))
+            bounds.append(bounds[-1] + cells[-1].size)
+        self._row_cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
+        self._row_counts = np.concatenate([np.empty(0, dtype=np.intp), *sizes])
+        self._block_rows = bounds
         # add() computes the cell indices of each block of samples here
         self._idx = np.empty(min(n, ADD_BLOCK), dtype=np.intp)
 
@@ -112,11 +128,11 @@ class TFEAccumulator:
         freq_bins = self.energy.shape[1]
         width = (fs / 2) / freq_bins
         cells = self.energy.reshape(-1)
-        starts = self._row_starts
+        bounds = self._block_rows
         # the same sequential sums, in the same order, as one 2-D np.add.at
         # on (t_idx, f_idx), through a flat view of the C-contiguous grid
         with np.errstate(over="ignore"):  # grid() refuses an overflowed cell
-            for start in range(0, self.n_samples, ADD_BLOCK):
+            for b, start in enumerate(range(0, self.n_samples, ADD_BLOCK)):
                 block = slice(start, start + ADD_BLOCK)
                 f = track.frequency_hz[block]
                 idx = self._idx[: f.size]
@@ -124,11 +140,8 @@ class TFEAccumulator:
                 np.divide(f, width, out=idx, casting="unsafe")
                 np.clip(idx, 0, freq_bins - 1, out=idx)
                 # the time rows that meet the block, each repeated once per sample it has there
-                stop = start + f.size
-                first, last = np.searchsorted(starts, (start, stop - 1), side="right") - 1
-                counts = np.diff(np.clip(starts[first : last + 2], start, stop))
-                idx += np.repeat(np.arange(first * freq_bins, (last + 1) * freq_bins, freq_bins),
-                                 counts)
+                rows = slice(bounds[b], bounds[b + 1])
+                idx += np.repeat(self._row_cells[rows], self._row_counts[rows])
                 np.add.at(cells, idx, track.energy[block])
 
     def grid(self) -> TFEGrid:

@@ -78,6 +78,7 @@ REMOVED_ATTRIBUTES = [
     # an instance attribute: a workspace shows it
     (tfekit.IFWorkspace(4), "mask"),
     (tfekit.IFWorkspace(4), "scratch"),
+    (tfekit.IFWorkspace(4), "frequency"),
 ]
 
 
@@ -101,8 +102,9 @@ def test_removed_attributes_are_gone(owner, name):
 
 @pytest.mark.parametrize("n", [4097, 1 << 16])
 def test_workspace_holds_three_arrays_only(n):
-    # spectrum (n//2+1 complex) and quadrature and frequency (n floats each),
-    # plus the objects themselves: no scratch, no mask
+    # spectrum (n//2+1 complex), quadrature (n floats) and the folds' n
+    # booleans, plus the objects themselves: no third float array, no
+    # scratch, no mask
     tfekit.IFWorkspace(n)
     tracemalloc.start()
     try:
@@ -110,8 +112,8 @@ def test_workspace_holds_three_arrays_only(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (n // 2 + 1) + 16 * n + 2048
-    assert set(vars(workspace)) == {"n", "spectrum", "quadrature", "frequency"}
+    assert peak <= 16 * (n // 2 + 1) + 9 * n + 2048
+    assert set(vars(workspace)) == {"n", "spectrum", "quadrature", "folds"}
 
 
 def test_fir_filter_keeps_no_cutoff():

@@ -11,6 +11,7 @@ import oracles
 from tfekit import (
     BandSpec,
     Decomposition,
+    IFWorkspace,
     NoiseSpec,
     Signal,
     causal_filter,
@@ -20,12 +21,13 @@ from tfekit import (
     gen_chirp,
     gen_fm,
     gen_noise,
+    if_track,
     mix,
     remove_mean,
     verify_linoep,
     zero_phase_filter,
 )
-from tfekit.fmd import _BATCH, _zero_phase
+from tfekit.fmd import _BATCH, _CAUSAL_BLOCK, _causal, _zero_phase
 from tfekit.signals import _dot
 
 
@@ -175,6 +177,35 @@ class TestZeroPhaseFilter:
         extra = _peak_bytes(lambda: _zero_phase(x, taps)) - 8 * n
         assert extra < 2.5e6, f"{extra / (8 * n):.2f} N floats above the output"
 
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    @pytest.mark.parametrize("n", [2**12, 2**14 + 3, 2**16, 2**17 + 1])
+    def test_output_and_scratch_keep_the_bits(self, order, n):
+        # written into `out`, with the batch arrays carved from a workspace's
+        # spectrum (none, one frame, a few or a whole batch fit), the bits
+        # are those of the call that allocates both
+        x = np.random.default_rng(order + n).standard_normal(n) + 0.5
+        taps = design_fir("highpass", 120.0, order, 1000.0).taps
+        want = _zero_phase(x, taps)
+        out = np.full(n, np.nan)
+        assert _zero_phase(x, taps, out) is out
+        assert np.array_equal(out, want)
+        workspace = IFWorkspace(n)
+        workspace.spectrum.fill(np.nan)
+        out.fill(np.nan)
+        assert _zero_phase(x, taps, out, workspace.spectrum) is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    def test_batch_arrays_in_the_scratch(self, order):
+        # measured at 0.18-0.33 MB above the output; 1.7-1.9 MB without scratch
+        n = 2**19
+        x = np.random.default_rng(order).standard_normal(n)
+        taps = design_fir("highpass", 120.0, order, 1000.0).taps
+        out, workspace = np.empty(n), IFWorkspace(n)
+        _zero_phase(x, taps, out, workspace.spectrum)
+        peak = _peak_bytes(lambda: _zero_phase(x, taps, out, workspace.spectrum))
+        assert peak < 0.5e6, f"{peak / 1e6:.2f} MB"
+
 
 class TestCausalFilter:
     def test_tone_delayed_by_half_order(self):
@@ -196,6 +227,48 @@ class TestCausalFilter:
         out = causal_filter(Signal(impulse, fs), h).samples
         assert np.array_equal(out[n0 : n0 + 33], h.taps)
         assert np.abs(out[:n0]).max() == 0.0
+
+    @pytest.mark.parametrize("order", [16, 256, 1024])
+    @pytest.mark.parametrize("length", ["min", "block-1", "block", "block+1",
+                                        "2block+order-1", "2block+order+1"])
+    def test_blocks_match_whole_array_bits(self, order, length):
+        # a block of outputs at a time, written into `out`, against one
+        # whole-array convolution, at the edges of the block grid
+        block = _CAUSAL_BLOCK
+        n = {"min": 3 * order + 4, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "2block+order-1": 2 * block + order - 1,
+             "2block+order+1": 2 * block + order + 1}[length]
+        x = np.random.default_rng(order + n).standard_normal(n) + 0.5
+        taps = design_fir("lowpass", 120.0, order, 1000.0).taps
+        out = np.full(n, np.nan)
+        assert _causal(x, taps, out) is out
+        assert np.array_equal(out, np.convolve(x, taps)[:n])
+        assert np.array_equal(_causal(x, taps), out)
+
+
+@pytest.mark.parametrize("f, bound", [(zero_phase_filter, 1.45), (causal_filter, 1.2)],
+                         ids=["zero-phase", "causal"])
+def test_public_filters_hand_on_their_output(f, bound):
+    # the filter's own output as the Signal's samples: measured at 1.40 N
+    # and 1.06 N floats; a Signal copy and a finite mask made them 2.16 and 2.13
+    n = 2**19
+    x = gen_noise(NoiseSpec(seed=5, length=n), 8000.0)
+    h = design_fir("highpass", 500.0, 256, 8000.0)
+    f(x, h)
+    peak = _peak_bytes(lambda: f(x, h))
+    assert peak <= bound * 8 * n, f"{peak / (8 * n):.2f} N floats"
+    y = f(x, h)
+    assert not y.samples.flags.writeable and y.sample_rate == x.sample_rate
+
+
+@pytest.mark.parametrize("f", [zero_phase_filter, causal_filter], ids=["zero-phase", "causal"])
+def test_public_filters_refuse_a_non_finite_output(f):
+    # the overflow of filtering values near the float64 maximum, refused as Signal refuses it
+    x = Signal(np.full(4000, 1.79e308), 1000.0)
+    h = design_fir("lowpass", 100.0, 32, 1000.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"samples must be finite \(no NaN/Inf\)"):
+            f(x, h)
 
 
 class TestFmdDecompose:
@@ -393,15 +466,73 @@ class TestTailCheck:
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
     def test_streaming_peak_near_five_arrays(self, method):
-        # measured at 5.00 N floats: the check's sum, the reused component,
-        # the stage input, its filter output and remainder; a filter output
-        # held past its stage made it 8.3
+        # measured at 5.20 N floats: the check's sum, the ladder's two
+        # buffers and the IF workspace it makes (2.125 N) for each stage's
+        # filter output, batch arrays, component and defect; a filter
+        # output held past its stage made it 8.3
         n = 2**19
         x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
         cutoffs = BandSpec(bands=4).ladder(8000.0)
         peak = _peak_bytes(lambda: fmd_decompose(x, cutoffs, method=method,
                                                  consumer=lambda band: None))
         assert peak < 5.25 * 8 * n, f"{peak / (8 * n):.2f} N floats"
+
+    @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
+    def test_workspace_is_free_when_the_consumer_runs(self, method):
+        # the stages run in the consumer's IF workspace, stale contents and
+        # all, and leave nothing there that tracking a component overwrites
+        n = 3001
+        x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
+        cutoffs = BandSpec(bands=5).ladder(1000.0)
+        d = fmd_decompose(x, cutoffs, order=64, method=method)
+        want = fmd_decompose(x, cutoffs, order=64, method=method, consumer=lambda band: None)
+        workspace = IFWorkspace(n)
+        for array in (workspace.spectrum, workspace.quadrature, workspace.folds.view(np.float64)):
+            array.fill(np.nan)
+        handed, tracks = [], []
+
+        def consumer(band):
+            handed.append(band.samples.copy())
+            track = if_track(band, workspace=workspace)
+            tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
+
+        c0, reconstruction, report = fmd_decompose(x, cutoffs, order=64, method=method,
+                                                   consumer=consumer, workspace=workspace)
+        assert c0 == want[0] == d.c0
+        assert np.array(handed).tobytes() == d.components.tobytes()
+        assert reconstruction.tobytes() == want[1].tobytes()
+        if method == "causal-fir":
+            assert report is None is want[2]
+        else:
+            assert report.tail_cross.tobytes() == want[2].tail_cross.tobytes()
+            assert report.energy_ratio == want[2].energy_ratio
+        fresh = [if_track(Signal(c, 1000.0)) for c in d.components]
+        assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
+        collected = fmd_decompose(x, cutoffs, order=64, method=method, workspace=workspace)
+        assert collected.components.tobytes() == d.components.tobytes()
+
+    def test_workspace_length_mismatch_refused(self):
+        x = gen_noise(NoiseSpec(seed=67, length=2048), 1000.0)
+        with pytest.raises(ValueError, match="workspace is for 2047 samples, signal has 2048"):
+            fmd_decompose(x, [250.0], order=64, workspace=IFWorkspace(2047))
+
+    @pytest.mark.parametrize("method", ["fmd-a", "causal-fir"])
+    def test_peak_in_a_workspace_near_three_arrays(self, method):
+        # measured at 3.37 N floats (fmd-a) and 3.27 (causal-fir) at 2^16:
+        # the check's sum and the ladder's two buffers, everything else of a
+        # stage in the workspace; the form without one held 5 N
+        n = 2**16
+        x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
+        cutoffs = BandSpec(bands=10).ladder(8000.0)
+        workspace = IFWorkspace(n)
+
+        def run():
+            fmd_decompose(x, cutoffs, method=method, consumer=lambda band: None,
+                          workspace=workspace)
+
+        run()
+        peak = _peak_bytes(run)
+        assert peak < 3.5 * 8 * n, f"{peak / (8 * n):.2f} N floats"
 
     @settings(max_examples=60, deadline=None)
     @given(_ladder_cases())

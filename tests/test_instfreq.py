@@ -302,7 +302,7 @@ class TestWorkspace:
     def test_reused_workspace_tracks_match_fresh_ones(self, n, mode, scheme):
         ws = IFWorkspace(n)
         # stale contents, as a previous length-n track leaves them, must not leak
-        for array in (ws.spectrum, ws.quadrature, ws.frequency):
+        for array in (ws.spectrum, ws.quadrature, ws.folds.view(np.float64)):
             array.fill(np.nan)
         x = _noise_plus_nyquist(n, 100.0)
         bands = []
@@ -316,24 +316,45 @@ class TestWorkspace:
     @pytest.mark.parametrize("mode", ["positive", "conventional"])
     @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
     def test_masks_overwrite_the_tracked_quadrature(self, scheme, mode):
-        # the folds' booleans go on the workspace's quadrature, here the
-        # imaginary part being tracked: it must be read in full first
+        # the energy and the angles are made from the workspace's
+        # quadrature, here the imaginary part being tracked, and the angles
+        # overwrite it: the squares must all be taken first
         n = 4097
         ws = IFWorkspace(n)
         x = _noise_plus_nyquist(n, 100.0)
         for signal in (x, Signal(1e-300 * x.samples, 100.0), gen_delta(n // 2, n, 100.0)):
             a = analytic_signal(signal, ws)
             assert a.imag is ws.quadrature
-            # the same parts on memory of their own, which no mask touches
+            # the same parts on memory of their own, which no angle overwrites
             want = if_track(AnalyticSignal(a.real, a.imag.copy(), a.sample_rate), scheme, mode)
             for got in (if_track(signal, scheme, mode), if_track(a, scheme, mode, ws)):
                 assert got.frequency_hz.tobytes() == want.frequency_hz.tobytes()
                 assert got.energy.tobytes() == want.energy.tobytes()
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 4097])
+    def test_folds_hold_every_boolean_and_a_float(self, n):
+        folds = IFWorkspace(n).folds
+        assert folds.dtype == bool and folds.size >= n
+        assert folds.view(np.float64).size >= 1
+
+    def test_analytic_input_keeps_its_parts(self):
+        # a DFT band's parts are read, never written: the angles go into
+        # the workspace's quadrature
+        n = 4097
+        x = _noise_plus_nyquist(n, 100.0)
+        bands = []
+        dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
+        ws = IFWorkspace(n)
+        for a in bands:
+            real, imag = a.real.copy(), a.imag.copy()
+            track = if_track(a, workspace=ws)
+            assert a.real.tobytes() == real.tobytes() and a.imag.tobytes() == imag.tobytes()
+            assert np.shares_memory(track.frequency_hz, ws.quadrature)
+
     def test_track_holds_until_the_next_call(self):
         ws = IFWorkspace(64)
         first = if_track(gen_chirp(5, 5, 0.64, 100.0), workspace=ws)
-        assert np.shares_memory(first.frequency_hz, ws.frequency)
+        assert np.shares_memory(first.frequency_hz, ws.quadrature)
         assert np.shares_memory(first.energy, ws.spectrum)
         kept = first.frequency_hz.copy()
         if_track(gen_chirp(20, 20, 0.64, 100.0), workspace=ws)

@@ -146,6 +146,23 @@ class TestBuildTfe:
             got = _accumulate(tracks, *bins)
             assert got.energy.tobytes() == oracles.build_tfe(tracks, *bins).energy.tobytes()
 
+    def test_add_looks_no_row_up(self, monkeypatch):
+        # each block's row cells and counts are found once, when the
+        # accumulator is made; add() gives the grid the oracle's bytes
+        fs, n = 1000.0, 2 * ADD_BLOCK + 3
+        rng = np.random.default_rng(5)
+        track = IFTrack(rng.uniform(0.0, 500.0, n), rng.exponential(1.0, n), fs)
+        acc = TFEAccumulator(n, fs, 7, 5)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a row lookup in add()")
+
+        for name in ("searchsorted", "diff", "arange"):
+            monkeypatch.setattr(np, name, refused)
+        acc.add(track)
+        monkeypatch.undo()
+        assert acc.grid().energy.tobytes() == oracles.build_tfe([track], 7, 5).energy.tobytes()
+
     def test_accumulator_memory_independent_of_n(self):
         # measured: the grid plus 3.6 ADD_BLOCK floats, at 2^16 samples as at
         # 2^22, where a per-sample index of the time rows took 16 bytes a sample
