@@ -17,10 +17,12 @@ N-sample output and batch arrays of about 1.5 MB.
 
 :func:`fmd_decompose` runs each stage in the arrays of an
 :class:`IFWorkspace`: the filter output in its quadrature, the filter's
-batch arrays and then the component in its spectrum. With a consumer
-and the consumer's workspace, it holds three N-sample arrays of its own:
-the check's running sum and the ladder's two buffers, the stage's input
-and the remainder it passes on.
+batch arrays and then the component in its spectrum, which is copied
+from there into the ladder's buffer of the stage's input, to go to the
+consumer or into its row of a collected :class:`Decomposition`. With a
+consumer and the consumer's workspace, it holds three N-sample arrays of
+its own: the check's running sum and the ladder's two buffers, the
+stage's input and the remainder it passes on.
 """
 
 from dataclasses import dataclass
@@ -252,30 +254,31 @@ def _filtered(samples: np.ndarray, sample_rate: float) -> Signal:
     return Signal._view(samples, sample_rate)
 
 
-def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace, rows, defects):
+def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace):
     """Run the FIR ladder on x - c0 in two N-float buffers and the arrays of `workspace`.
 
     `cutoffs` are in stage order. Yields (component, remainder, defect) per
-    stage: c_i, the remainder x_{i+1} it passes on and, when `defects` is
-    set, its rounding defect d_i = c_i + x_{i+1} - x_i (else None). The
-    last component, the final remainder, comes as (component, None, None).
+    stage: c_i, the remainder x_{i+1} it passes on and, for fmd-a and
+    fmd-b, its rounding defect d_i = c_i + x_{i+1} - x_i (None for
+    causal-fir, whose components no check bounds). The last component,
+    the final remainder, comes as (component, None, None).
 
     Stage i filters x_i into the workspace's quadrature, with a
     zero-phase filter's batch arrays in its spectrum, makes its
     remainder in the buffer that x_{i-1} left and the component in the
     float view of the workspace's spectrum, and the defect in the filter
     output's memory. Then x_i is dead: the component is copied into its
-    buffer, or into row i of `rows` when given, and the workspace is free
-    again while the stage's arrays are out. Each array holds only until
-    the next stage runs.
+    buffer, and the workspace is free again while the stage's arrays are
+    out. Each array holds only until the next stage runs.
     """
     current = np.subtract(x, c0, out=np.empty(x.size))
     spare = np.empty(x.size)
     alpha_floor = 1e-14 * finite_energy(current)
     part_a = method != "fmd-b"
+    defects = method != "causal-fir"
     stage_kind = "highpass" if part_a else "lowpass"
     component = workspace.energy
-    for i, cutoff in enumerate(cutoffs):
+    for cutoff in cutoffs:
         taps = design_fir(stage_kind, cutoff, order, sample_rate).taps
         if method == "causal-fir":
             y = _causal(current, taps, workspace.quadrature)
@@ -296,13 +299,10 @@ def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace, rows, defects
         if defects:
             np.add(component, r, out=y)
             y -= current
-        placed = current if rows is None else rows[i]
-        placed[:] = component
+        current[:] = component
+        # x_i's buffer, now the component's, takes the next stage's remainder
         current, spare = r, current
-        yield placed, current, y if defects else None
-    if rows is not None:
-        rows[-1] = current
-        current = rows[-1]
+        yield spare, current, y if defects else None
     yield current, None, None
 
 
@@ -325,13 +325,14 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
         lowpass stages up it, low to high. 'causal-fir' is part A with
         single-pass filtering, the contrast mode.
     consumer : callable, optional
-        Without one, the components are collected into the returned
-        :class:`Decomposition`. With one, each component is made in one
-        of the ladder's two N-float buffers, checked by :class:`_TailCheck`
-        as it is made and passed to ``consumer(component)`` as a Signal on
-        a read-only view of that buffer, valid until the consumer returns.
-        Nothing is collected: the call returns ``(c0, reconstruction,
-        report)``, the reconstruction c0 + sum of the components and a
+        Each component is made in one of the ladder's two N-float
+        buffers, either way. Without a consumer, each is copied from there
+        into its row of the returned :class:`Decomposition`. With one, each
+        is checked by :class:`_TailCheck` and passed to
+        ``consumer(component)`` as a Signal on a read-only view of that
+        buffer, valid until the consumer returns. Nothing is collected:
+        the call returns ``(c0, reconstruction, report)``, the
+        reconstruction c0 + sum of the components and a
         :class:`LinoepReport` of the check's bounds; the report is None
         for 'causal-fir', which :func:`verify_linoep` refuses too.
     workspace : IFWorkspace, optional
@@ -374,19 +375,18 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
     c0 = float(np.mean(x.samples))
-    rows = np.empty((len(cutoffs) + 1, n)) if consumer is None else None
-    linoep = consumer is not None and method != "causal-fir"
-    stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws, rows, linoep)
+    stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws)
     if consumer is None:
-        for _ in stages:
-            pass
+        rows = np.empty((len(cutoffs) + 1, n))
+        for row, (component, _, _) in zip(rows, stages):
+            row[:] = component
         return Decomposition(c0, rows, method)
     check = _TailCheck(n)
     for component, remainder, defect in stages:
         check.add(component, remainder, defect)
         consumer(Signal._view(component, x.sample_rate))
     reconstruction, report = check.finish(c0)
-    return c0, reconstruction, report if linoep else None
+    return c0, reconstruction, None if method == "causal-fir" else report
 
 
 @dataclass(frozen=True)

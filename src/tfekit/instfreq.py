@@ -23,6 +23,10 @@ import numpy as np
 from .analytic import AnalyticSignal, IFWorkspace, analytic_signal
 from .signals import Signal
 
+# samples whose signs IFTrack.negative_fraction tests at a time: a 64 KB
+# boolean temporary, not one byte per sample of the track
+_COUNT_SLICE = 65536
+
 __all__ = [
     "DiffScheme",
     "phase_diff",
@@ -153,8 +157,15 @@ class IFTrack:
 
     @property
     def negative_fraction(self) -> float:
-        """Fraction of samples with negative frequency (conventional mode diagnostic)."""
-        return float(np.mean(self.frequency_hz < 0))
+        """Fraction of samples with negative frequency (conventional mode diagnostic).
+
+        The negatives are counted a slice at a time, so no per-sample
+        temporary is made; the exact count over N is np.mean's value.
+        """
+        f = self.frequency_hz
+        negatives = sum(int(np.count_nonzero(f[start : start + _COUNT_SLICE] < 0))
+                        for start in range(0, f.size, _COUNT_SLICE))
+        return negatives / f.size if f.size else float("nan")
 
 
 def if_track(

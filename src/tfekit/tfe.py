@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
-# samples whose time rows TFEAccumulator counts, and whose grid cells its
+# samples whose time rows TFEAccumulator finds, and whose grid cells its
 # add computes, at a time: the accumulator holds no array as long as the
 # tracks (an index per sample would be 4 MB at 512k samples), and a
 # block's row offsets, a temporary of ADD_BLOCK indices, stay well under
@@ -79,11 +79,12 @@ class TFEAccumulator:
     grid is taken.
 
     Sample n's time row, min(floor(n / Fs / (T / time_bins)), time_bins - 1)
-    for a record of T seconds, never decreases with n, so the accumulator
-    keeps, for each block of ADD_BLOCK samples, the first cell of each row
-    that meets the block and the block's samples in it, and no per-sample
-    array: its memory is the grid plus O(time_bins + N / ADD_BLOCK +
-    ADD_BLOCK).
+    for a record of T seconds, never decreases with n, so within each block
+    of ADD_BLOCK samples the samples of one row are one run. The
+    accumulator finds each block's runs in one pass when it is made and
+    keeps the first grid cell of each run's row and the run's length, and
+    no per-sample array: its memory is the grid plus O(time_bins +
+    N / ADD_BLOCK + ADD_BLOCK).
     """
 
     def __init__(self, n_samples: int, sample_rate: float,
@@ -97,26 +98,17 @@ class TFEAccumulator:
         self.freq_edges = np.linspace(0.0, fs / 2, freq_bins + 1)
         self.energy = np.zeros((time_bins, freq_bins))
         row_width = t_total / time_bins
-        counts = np.zeros(time_bins, dtype=np.intp)
+        # per block of ADD_BLOCK samples, (row cells, run lengths): the
+        # first grid cell of each time row that meets the block and the
+        # block's samples in that row, at most time_bins + N / ADD_BLOCK
+        # runs in all
+        self._runs = []
         for start in range(0, n, ADD_BLOCK):
             rows = (np.arange(start, min(n, start + ADD_BLOCK)) / fs / row_width).astype(int)
-            counts += np.bincount(np.clip(rows, 0, time_bins - 1, out=rows), minlength=time_bins)
-        # the first sample of each time row, then n
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        # per block of ADD_BLOCK samples, the first cell of each time row
-        # that meets it and the block's samples in that row: block b's are
-        # entries _block_rows[b] to _block_rows[b + 1] of _row_cells and
-        # _row_counts, at most time_bins + N / ADD_BLOCK entries in all
-        cells, sizes, bounds = [], [], [0]
-        for start in range(0, n, ADD_BLOCK):
-            stop = min(n, start + ADD_BLOCK)
-            first, last = np.searchsorted(starts, (start, stop - 1), side="right") - 1
-            cells.append(np.arange(first * freq_bins, (last + 1) * freq_bins, freq_bins))
-            sizes.append(np.diff(np.clip(starts[first : last + 2], start, stop)))
-            bounds.append(bounds[-1] + cells[-1].size)
-        self._row_cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
-        self._row_counts = np.concatenate([np.empty(0, dtype=np.intp), *sizes])
-        self._block_rows = bounds
+            np.clip(rows, 0, time_bins - 1, out=rows)
+            # the first sample of each run; the block's first sample starts one
+            firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+            self._runs.append((rows[firsts] * freq_bins, np.diff(firsts, append=rows.size)))
         # add() computes the cell indices of each block of samples here
         self._idx = np.empty(min(n, ADD_BLOCK), dtype=np.intp)
 
@@ -128,20 +120,18 @@ class TFEAccumulator:
         freq_bins = self.energy.shape[1]
         width = (fs / 2) / freq_bins
         cells = self.energy.reshape(-1)
-        bounds = self._block_rows
         # the same sequential sums, in the same order, as one 2-D np.add.at
         # on (t_idx, f_idx), through a flat view of the C-contiguous grid
         with np.errstate(over="ignore"):  # grid() refuses an overflowed cell
-            for b, start in enumerate(range(0, self.n_samples, ADD_BLOCK)):
-                block = slice(start, start + ADD_BLOCK)
+            for b, (row_cells, run_lengths) in enumerate(self._runs):
+                block = slice(b * ADD_BLOCK, (b + 1) * ADD_BLOCK)
                 f = track.frequency_hz[block]
                 idx = self._idx[: f.size]
                 # the cast truncates toward zero, as astype(int) does
                 np.divide(f, width, out=idx, casting="unsafe")
                 np.clip(idx, 0, freq_bins - 1, out=idx)
                 # the time rows that meet the block, each repeated once per sample it has there
-                rows = slice(bounds[b], bounds[b + 1])
-                idx += np.repeat(self._row_cells[rows], self._row_counts[rows])
+                idx += np.repeat(row_cells, run_lengths)
                 np.add.at(cells, idx, track.energy[block])
 
     def grid(self) -> TFEGrid:

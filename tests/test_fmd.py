@@ -510,6 +510,9 @@ class TestTailCheck:
         assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
         collected = fmd_decompose(x, cutoffs, order=64, method=method, workspace=workspace)
         assert collected.components.tobytes() == d.components.tobytes()
+        # the collected rows are copies: a later run in the same workspace leaves them be
+        fmd_decompose(x, cutoffs, order=64, method=method, consumer=consumer, workspace=workspace)
+        assert collected.components.tobytes() == d.components.tobytes()
 
     def test_workspace_length_mismatch_refused(self):
         x = gen_noise(NoiseSpec(seed=67, length=2048), 1000.0)

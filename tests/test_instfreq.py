@@ -10,6 +10,7 @@ from tfekit import (
     AnalyticSignal,
     BandSpec,
     DiffScheme,
+    IFTrack,
     IFWorkspace,
     Signal,
     analytic_signal,
@@ -218,6 +219,34 @@ class TestIfTrack:
         positive = if_track(x, mode="positive")
         assert conventional.negative_fraction > 0
         assert positive.negative_fraction == 0.0
+
+    @pytest.mark.parametrize("n", [5, 65535, 65536, 65537, 2 * 65536 + 3])
+    def test_negative_fraction_is_the_mean_bits(self, n):
+        # a conventional track of a two-tone mixture, and an array of +-0.0
+        # and +-1.0: the exact count over N has np.mean's bits
+        fs = 8000.0
+        t = np.arange(max(n, 8)) / fs
+        x = Signal(np.cos(2 * np.pi * 1000 * t) + np.cos(2 * np.pi * 1300 * t), fs)
+        f = if_track(x, mode="conventional").frequency_hz[:n].copy()
+        rng = np.random.default_rng(n)
+        signed_zeros = rng.choice([-0.0, 0.0, -1.0, 1.0], n)
+        for freq in (f, signed_zeros):
+            track = IFTrack(freq, np.ones(n), fs)
+            want = float(np.mean(freq < 0))
+            assert np.float64(track.negative_fraction).tobytes() == np.float64(want).tobytes()
+
+    def test_negative_fraction_makes_no_per_sample_temporary(self):
+        n = 2**19
+        rng = np.random.default_rng(9)
+        track = IFTrack(rng.uniform(-100.0, 100.0, n), np.ones(n), 1000.0)
+        tracemalloc.start()
+        try:
+            fraction = track.negative_fraction
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.45 < fraction < 0.55
+        assert peak < n / 4, f"{peak} bytes"
 
     def test_bad_mode(self):
         x = gen_noise(NoiseSpec(seed=1, length=64), 100.0)

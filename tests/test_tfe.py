@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfekit import (
@@ -40,6 +40,19 @@ def _write_tracks(tracks, path):
         out = TrackCsvWriter(fh)
         for tr in tracks:
             out.write(tr)
+
+
+@st.composite
+def _deposit_cases(draw):
+    """(n, fs, time_bins, freq_bins, seed): up to three ADD_BLOCK blocks and a
+    few samples, a sample rate that is not an integer, up to two time rows a
+    sample; freq_bins shrinks where time_bins is large, so that a grid stays
+    under 10^6 cells (8 MB, and the oracle's as much again)."""
+    n = draw(st.integers(1, 3 * ADD_BLOCK + 5))
+    fs = draw(st.floats(1.5, 96000.0).filter(lambda f: f != int(f)))
+    time_bins = draw(st.integers(1, 2 * n))
+    freq_bins = draw(st.integers(1, max(1, min(300, 10**6 // time_bins))))
+    return n, fs, time_bins, freq_bins, draw(st.integers(0, 2**32 - 1))
 
 
 class TestBuildTfe:
@@ -136,15 +149,19 @@ class TestBuildTfe:
         with pytest.raises(ValueError, match="share"):
             acc.add(if_track(gen_chirp(100, 400, 1.0, 1000.0)))
 
-    def test_blocked_deposit_matches_2d_add_at(self):
-        # block edges fall inside time rows, and the last block is short
-        fs, n = 1000.0, 2 * ADD_BLOCK + 3
-        rng = np.random.default_rng(4)
-        tracks = [IFTrack(rng.uniform(-50.0, 550.0, n), rng.exponential(1.0, n), fs),
+    @settings(max_examples=100, deadline=None)
+    @given(_deposit_cases())
+    @example((2 * ADD_BLOCK + 3, 1000.0, 400, 250, 4))
+    @example((2 * ADD_BLOCK + 3, 1000.0, 3, 7, 4))
+    def test_blocked_deposit_matches_2d_add_at(self, case):
+        # block edges fall inside time rows or between them, the last block
+        # is short, and with more time rows than samples some rows are empty
+        n, fs, time_bins, freq_bins, seed = case
+        rng = np.random.default_rng(seed)
+        tracks = [IFTrack(rng.uniform(-0.1 * fs, 0.6 * fs, n), rng.exponential(1.0, n), fs),
                   IFTrack(np.full(n, fs / 2), np.linspace(0.0, 2.0, n), fs)]
-        for bins in ((400, 250), (3, 7)):
-            got = _accumulate(tracks, *bins)
-            assert got.energy.tobytes() == oracles.build_tfe(tracks, *bins).energy.tobytes()
+        want = oracles.build_tfe(tracks, time_bins, freq_bins)
+        assert _accumulate(tracks, time_bins, freq_bins).energy.tobytes() == want.energy.tobytes()
 
     def test_add_looks_no_row_up(self, monkeypatch):
         # each block's row cells and counts are found once, when the
