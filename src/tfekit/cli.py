@@ -334,9 +334,11 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     one component, the signal itself. A DFT band or FIR ladder component is
     handed on as it is made, in one reused array, after the running check
     has taken it in, so no (M, N) array is held; the checks are finished
-    once the last component is in. An FIR ladder makes its stages in
-    `workspace`, the consumer's IF workspace, when one is given. Returns c0
-    (None for method 'none') and the verification diagnostics.
+    once the last component is in. Given `workspace`, the consumer's IF
+    workspace, both banks run inside it: an FIR ladder makes its stages
+    there, and the DFT bank each band's quadrature and its check's
+    measuring transform. Returns c0 (None for method 'none') and the
+    verification diagnostics.
     """
     method = settings["method"]
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
@@ -347,8 +349,9 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
         # the overflow the check would report, before any band is handed on
         finite_energy(signal.samples)
         bank = _DFTBank(signal, bands)
-        check = _BandCheck(len(signal))
-        for lo, hi, component, analytic in bank.bands(itertools.repeat(np.empty(len(signal)))):
+        check = _BandCheck(len(signal), None if workspace is None else workspace.spectrum)
+        rows = itertools.repeat(np.empty(len(signal)))
+        for lo, hi, component, analytic in bank.bands(rows, workspace):
             check.add(component, lo, hi)
             consumer(component, analytic)
         reconstruction, rep = check.finish(bank.c0)

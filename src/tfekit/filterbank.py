@@ -5,6 +5,13 @@ runs; bin 0 (the mean) is routed to the separate c0 term. A real inverse
 transform of a band's bins gives its component, exactly zero-phase, and,
 when the band is tracked, the analytic signal's quadrature step gives its
 quadrature; components are mutually orthogonal with disjoint support.
+
+The command line runs the bank inside its consumer's :class:`IFWorkspace`,
+as it runs the FIR ladder: each tracked band's quadrature is made in the
+workspace's quadrature and the check's measuring transform in its
+spectrum, so a band costs no N-sample array of its own. The library's
+:func:`dft_decompose` gives each band fresh quadrature floats instead,
+since its callers may keep the bands.
 """
 
 import json
@@ -14,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import AnalyticSignal, _check_analytic_length, _quadrature
+from .analytic import AnalyticSignal, IFWorkspace, _check_analytic_length, _quadrature
 from .signals import Signal, _dot, finite_energy
 
 __all__ = [
@@ -204,7 +211,9 @@ class _DFTBank:
     """The zero-phase DFT bank of one signal: one forward transform, then its bands one at a time.
 
     `c0` is the DC bin (the sample mean) and `boundaries` the checked bin
-    boundaries; :meth:`bands` is the bank's one synthesis loop.
+    boundaries; :meth:`bands` is the bank's one synthesis loop. The full
+    complex transform is taken, since c0's bits are its DC bin's, but only
+    the n//2+1 nonnegative bins that the bands read are kept.
     """
 
     def __init__(self, x: Signal, boundaries):
@@ -212,17 +221,20 @@ class _DFTBank:
         _check_analytic_length(n)
         self.boundaries = _check_boundaries(boundaries, n)
         self.sample_rate = x.sample_rate
-        self._spectrum = np.fft.fft(x.samples, norm="forward")
-        self.c0 = float(self._spectrum[0].real)
+        spectrum = np.fft.fft(x.samples, norm="forward")
+        self.c0 = float(spectrum[0].real)
+        self._spectrum = spectrum[: n // 2 + 1].copy()
 
-    def bands(self, rows):
+    def bands(self, rows, workspace: IFWorkspace | None = None):
         """Make each band's component, in order, in the next array of `rows`.
 
         Yields (lo, hi, component, analytic) per band, which covers bins
         lo+1 .. hi. The component is the real inverse transform of those
         bins; `analytic()` makes the band's :class:`AnalyticSignal`, a
-        read-only view of the component and fresh quadrature floats. Call
-        it at most once, before the next band is made.
+        read-only view of the component and its quadrature: made in
+        `workspace.quadrature` when an IF workspace of the signal's length
+        is given, where :func:`if_track` folds it in place, else in fresh
+        floats. Call it at most once, before the next band is made.
         """
         n = self.n
         bins = np.zeros(n // 2 + 1, dtype=np.complex128)
@@ -230,8 +242,8 @@ class _DFTBank:
         def analytic(component):
             real = component.view()
             real.flags.writeable = False
-            quadrature = _quadrature(bins, n, np.empty(n), "forward")
-            return AnalyticSignal(real, quadrature, self.sample_rate)
+            out = np.empty(n) if workspace is None else workspace.quadrature
+            return AnalyticSignal(real, _quadrature(bins, n, out, "forward"), self.sample_rate)
 
         for lo, hi, row in zip(self.boundaries[:-1], self.boundaries[1:], rows):
             band = slice(lo + 1, hi + 1)
@@ -288,12 +300,17 @@ class _BandCheck:
     pairwise figure. Each leakage adds the measuring transform's own
     rounding, :func:`_fft_rounding`, since that transform may hide at most
     that much out-of-band power.
+
+    The measuring transform's n//2+1 bins go into `spectrum` when it is
+    given: the command line passes its IF workspace's, which is free while
+    a band is checked, since the band's track lands there only afterwards.
+    Otherwise the check makes its own.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, spectrum: np.ndarray | None = None):
         self.n = n
         self._total = np.zeros(n)
-        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128)  # the measuring transform's bins
+        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128) if spectrum is None else spectrum
         self._rounding = _fft_rounding(n)
         self._energies = []
         self._leakages = []

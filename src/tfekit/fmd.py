@@ -142,7 +142,11 @@ def _causal(samples: np.ndarray, taps: np.ndarray, out: np.ndarray | None = None
     # and the `order` before them. An output is one dot product of the
     # same samples and taps either way, so the bits are those of the
     # whole-array np.convolve(samples, taps)[:n]. A block is never shorter
-    # than the taps, which np.convolve would otherwise swap.
+    # than the taps, which np.convolve would otherwise swap. np.convolve is
+    # the one BLAS call on a path to an output (cblas_ddot, through
+    # np.correlate): causal-fir's bytes depend on the BLAS kernel, not on
+    # its thread count. The BLAS-free forms measured slower and change the
+    # bytes; tests/test_reductions.py exempts these two calls by name.
     _check_length(samples.size, taps, "filtering")
     n, order = samples.size, taps.size - 1
     out = np.empty(n) if out is None else out
@@ -374,6 +378,7 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     ws = IFWorkspace(n) if workspace is None else workspace
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    finite_energy(x.samples)  # before the mean, which an overflowing sum would make inf
     c0 = float(np.mean(x.samples))
     stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws)
     if consumer is None:

@@ -201,6 +201,13 @@ def if_track(
         x. Its arrays are the workspace's: a track made in a shared
         workspace holds only until the next call with that workspace, so
         copy what must outlive it.
+
+    Raises
+    ------
+    ValueError
+        When the energy is not finite: an envelope above ~1e154, or an
+        input too large to transform. It is raised before any phase is
+        taken, and numpy warns of nothing on the way.
     """
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
@@ -208,21 +215,26 @@ def if_track(
     ws = IFWorkspace(n) if workspace is None else workspace
     if ws.n != n:
         raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
-    a = x if isinstance(x, AnalyticSignal) else analytic_signal(x, ws)
     # the energy first, in the spectrum's memory, while the quadrature is
     # whole; its squares a slice at a time in the folds' bytes
     energy = ws.energy
     squares = ws.folds.view(np.float64)
-    with np.errstate(over="ignore"):  # IFTrack refuses the inf energy
+    # an input too large to transform has non-finite parts, and an envelope
+    # above ~1e154 an inf square: the track refuses either by its energy
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = x if isinstance(x, AnalyticSignal) else analytic_signal(x, ws)
         np.square(a.real, out=energy)
         for start in range(0, n, squares.size):
             part = energy[start : start + squares.size]
             part += np.square(a.imag[start : start + part.size], out=squares[: part.size])
+    # the track is made here, so its energy is checked before any phase;
+    # its frequencies are then made in place in the array it holds
+    track = IFTrack(ws.quadrature, energy, x.sample_rate)
     # the angles over the workspace's quadrature, which may be `a.imag` itself
     mask = ws.folds[:n]
     d = _phase_diff_into(a._increments_into(ws.quadrature, mask), scheme, ws.quadrature)
     if mode == "positive":
-        freq = _positive_if_into(d, x.sample_rate, mask)
+        _positive_if_into(d, x.sample_rate, mask)
     else:
-        freq = _conventional_if_into(d, x.sample_rate)
-    return IFTrack(freq, energy, x.sample_rate)
+        _conventional_if_into(d, x.sample_rate)
+    return track

@@ -52,6 +52,12 @@ def _write_huge_csv(path):
     path.write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
 
 
+def _write_near_max_csv(path):
+    # a 1e308-amplitude cosine: its spectrum, its mean's sum and its energy all overflow
+    x = 1e308 * np.cos(2 * np.pi * 10 * np.arange(64) / 100)
+    path.write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
+
+
 def _child_env():
     """The environment of a fresh Python process that imports this checkout's tfekit."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -242,11 +248,19 @@ class TestAnalyze:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("method", [["none"], ["fmd-a", "--bands", "4", "--order", "16"],
-                                        ["dft", "--bands", "4"]], ids=["none", "fmd-a", "dft"])
-    def test_overflowing_input_one_error_line(self, workdir, method):
+    @pytest.mark.parametrize("write, method", [
+        (_write_huge_csv, ["none"]),
+        (_write_huge_csv, ["fmd-a", "--bands", "4", "--order", "16"]),
+        (_write_huge_csv, ["dft", "--bands", "4"]),
+        (_write_near_max_csv, ["none"]),
+        (_write_near_max_csv, ["none", "--if", "conventional"]),
+        (_write_near_max_csv, ["fmd-a", "--bands", "4", "--order", "16"]),
+        (_write_near_max_csv, ["dft", "--bands", "4"]),
+    ], ids=["none", "fmd-a", "dft", "near-max-none", "near-max-none-conventional",
+            "near-max-fmd-a", "near-max-dft"])
+    def test_overflowing_input_one_error_line(self, workdir, write, method):
         # a fresh process, so numpy warnings would reach stderr as users see them
-        _write_huge_csv(workdir / "big.csv")
+        write(workdir / "big.csv")
         proc = subprocess.run(
             [sys.executable, "-m", "tfekit.cli", "analyze", "--input", "big.csv",
              "--method", *method, "--out-prefix", "big"],
@@ -378,6 +392,38 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "fmd_decompose", lambda *args, consumer, **kwargs:
                             fmd_decompose(*args, consumer=measured(consumer), **kwargs))
+        tracemalloc.start()
+        try:
+            settings = _settings(args, None)
+            diagnostics, _ = _run_analysis(signal, settings, _resolve_bands(signal, settings),
+                                           TFEAccumulator(n, signal.sample_rate))
+        finally:
+            tracemalloc.stop()
+        assert diagnostics["n_components"] == len(added) == 4
+        assert max(added) < n * 8, [a / (n * 8) for a in added]
+
+    def test_dft_bands_tracked_in_the_workspace(self, monkeypatch):
+        # each DFT band's quadrature is made in the IF workspace, made before
+        # the bank runs, so tracking any band, the first too, adds less than
+        # one N-sample float array to the memory held when it is handed on
+        import tfekit.cli as cli
+
+        n = 1 << 16
+        args = build_parser().parse_args(["analyze", "--gen", "chirp", "--dur", str(n / 8000),
+                                          "--method", "dft", "--bands", "4"])
+        signal, _, _ = _load_input(args)
+        added = []
+        decompose = cli._decompose
+
+        def measured(signal, settings, bands, consumer, workspace=None):
+            def handed_on(component, band):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                consumer(component, band)
+                added.append(tracemalloc.get_traced_memory()[1] - held)
+            return decompose(signal, settings, bands, handed_on, workspace)
+
+        monkeypatch.setattr(cli, "_decompose", measured)
         tracemalloc.start()
         try:
             settings = _settings(args, None)

@@ -1,5 +1,6 @@
 """Band plans and the zero-phase spectral decomposition."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -13,6 +14,7 @@ from oracles import dft_direct
 from tfekit import (
     BandSpec,
     Decomposition,
+    IFWorkspace,
     Signal,
     analytic_signal,
     dft_decompose,
@@ -20,10 +22,12 @@ from tfekit import (
     gen_chirp,
     gen_fm,
     gen_noise,
+    if_track,
     mix,
     NoiseSpec,
     verify_orthogonality,
 )
+from tfekit.filterbank import _BandCheck, _DFTBank
 
 
 class TestUniformPlan:
@@ -334,6 +338,55 @@ class TestTrackedBands:
         own = 16 * n + 8 * m * n + 16 * (n // 2 + 1)
         assert len(bands) == m
         assert peak - own <= (m + 0.5) * 8 * n, f"{(peak - own) / (8 * n):.2f} N-float arrays"
+
+
+class TestBankInAWorkspace:
+    """The CLI's form of the bank: quadratures and the check's transform in one IF workspace."""
+
+    @pytest.mark.parametrize("n", [3000, 3001])
+    def test_workspace_is_free_when_the_consumer_runs(self, n):
+        # the bank runs in the consumer's IF workspace, stale contents and
+        # all, and hands on what the library's bands give, bit for bit
+        x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
+        plan = BandSpec(bands=5).plan(n, 1000.0)
+        kept = []
+        d = dft_decompose(x, plan, kept.append)
+        fresh = [if_track(band) for band in kept]
+        workspace = IFWorkspace(n)
+        for array in (workspace.spectrum, workspace.quadrature, workspace.folds.view(np.float64)):
+            array.fill(np.nan)
+        bank = _DFTBank(x, plan)
+        check = _BandCheck(n, workspace.spectrum)
+        handed, tracks = [], []
+        for lo, hi, component, analytic in bank.bands(itertools.repeat(np.empty(n)), workspace):
+            check.add(component, lo, hi)
+            handed.append(component.copy())
+            band = analytic()
+            assert np.shares_memory(band.imag, workspace.quadrature)
+            track = if_track(band, workspace=workspace)
+            tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
+        reconstruction, report = check.finish(bank.c0)
+        assert bank.c0 == d.c0
+        assert np.array(handed).tobytes() == d.components.tobytes()
+        assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
+        assert reconstruction.tobytes() == d.reconstruct().tobytes()
+        assert report == verify_orthogonality(d)
+
+    def test_check_makes_no_spectrum_of_its_own(self):
+        # given the workspace's spectrum, the check holds only its running sum
+        n = 1 << 14
+        x = gen_noise(NoiseSpec(seed=7, length=n), 100.0)
+        workspace = IFWorkspace(n)
+        component = dft_decompose(x, BandSpec(bands=4).plan(n, 100.0)).components[1]
+        _BandCheck(n, workspace.spectrum).add(component, 1024, 2048)  # numpy.fft imports lazily
+        tracemalloc.start()
+        try:
+            check = _BandCheck(n, workspace.spectrum)
+            check.add(component, 1024, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n, f"{peak / (8 * n):.2f} N floats"
 
 
 @st.composite
