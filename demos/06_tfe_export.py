@@ -27,8 +27,9 @@ from tfekit import (
 
 fs = 8000.0
 x = mix([gen_chirp(1000, 2000, 1.0, fs), gen_fm(780, 200, 2, 1.0, fs)])
-tracks = []  # the bank hands over each band's analytic signal as it makes it
-dft_decompose(x, BandSpec(bands=20).plan(len(x), fs), lambda band: tracks.append(if_track(band)))
+tracks = []  # the bank hands on each band as it makes it; if_track copies out what it keeps
+dft_decompose(x, BandSpec(bands=20).plan(len(x), fs),
+              lambda _, band: tracks.append(if_track(band())))
 
 print("=== 1. accumulate the grid ===")
 fine = TFEAccumulator(len(x), fs, time_bins=200, freq_bins=125)

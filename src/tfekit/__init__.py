@@ -39,7 +39,6 @@ from .signals import (
     gen_fm,
     gen_noise,
     mix,
-    remove_mean,
 )
 from .tfe import (
     TFEAccumulator,
@@ -89,7 +88,6 @@ __all__ = [
     "mix",
     "phase_diff",
     "positive_if",
-    "remove_mean",
     "save_csv",
     "verify_linoep",
     "verify_orthogonality",

@@ -13,7 +13,8 @@ An :class:`IFWorkspace` holds the arrays of the per-component IF path
 (spectrum, then energies; the quadrature, then phase angles, increments
 and frequencies; the folds' booleans), so that tracking many components
 of one length touches the same memory instead of mapping fresh pages for
-every one. Between tracks, the FIR ladder makes each stage in it.
+every one. Between tracks, the FIR ladder makes each stage in it, and
+the DFT bank each band's quadrature and its check's transform.
 """
 
 from dataclasses import dataclass
@@ -49,6 +50,15 @@ class IFWorkspace:
         self.spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
         self.quadrature = np.empty(n)
         self.folds = np.empty(n // 8 + 1).view(bool)
+
+    @classmethod
+    def _for(cls, n: int, workspace: "IFWorkspace | None") -> "IFWorkspace":
+        """`workspace`, refused unless it is for `n` samples, or a fresh one when None."""
+        if workspace is None:
+            return cls(n)
+        if workspace.n != n:
+            raise ValueError(f"workspace is for {workspace.n} samples, signal has {n}")
+        return workspace
 
     @property
     def energy(self) -> np.ndarray:
@@ -133,8 +143,6 @@ def analytic_signal(x: Signal, workspace: IFWorkspace | None = None) -> Analytic
     result's `imag` is the workspace's and holds until its next use.
     """
     n = len(x)
-    ws = IFWorkspace(n) if workspace is None else workspace
-    if ws.n != n:
-        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    ws = IFWorkspace._for(n, workspace)
     quadrature = _quadrature(np.fft.rfft(x.samples, out=ws.spectrum), n, ws.quadrature)
     return AnalyticSignal(x.samples, quadrature, x.sample_rate)

@@ -11,7 +11,6 @@ Configuration may come from flags and/or a JSON file (flags win).
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import IFWorkspace
-from .filterbank import BandSpec, _BandCheck, _DFTBank
+from .filterbank import BandSpec, dft_decompose
 from .fmd import _check_order, fmd_decompose
 from .instfreq import DiffScheme, if_track
 from .io import load_csv, load_wav, save_csv
@@ -31,7 +30,6 @@ from .signals import (
     _dot,
     chirp_true_if,
     delay_pad,
-    finite_energy,
     fm_true_if,
     gen_chirp,
     gen_delta,
@@ -331,14 +329,11 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     `consumer(component, band)` gets each component's samples, in order,
     and a function that makes the Signal or AnalyticSignal to track it
     (call it at most once, before the consumer returns). Method 'none' has
-    one component, the signal itself. A DFT band or FIR ladder component is
-    handed on as it is made, in one reused array, after the running check
-    has taken it in, so no (M, N) array is held; the checks are finished
-    once the last component is in. Given `workspace`, the consumer's IF
-    workspace, both banks run inside it: an FIR ladder makes its stages
-    there, and the DFT bank each band's quadrature and its check's
-    measuring transform. Returns c0 (None for method 'none') and the
-    verification diagnostics.
+    one component, the signal itself; the banks hand theirs on through the
+    stream forms of :func:`dft_decompose` and :func:`fmd_decompose`, in one
+    reused array, after the running check has taken each in, inside
+    `workspace`, the consumer's IF workspace. Returns c0 (None for method
+    'none') and the verification diagnostics.
     """
     method = settings["method"]
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
@@ -346,34 +341,24 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
         consumer(signal.samples, lambda: signal)
         return None, checks
     if method == "dft":
-        # the overflow the check would report, before any band is handed on
-        finite_energy(signal.samples)
-        bank = _DFTBank(signal, bands)
-        check = _BandCheck(len(signal), None if workspace is None else workspace.spectrum)
-        rows = itertools.repeat(np.empty(len(signal)))
-        for lo, hi, component, analytic in bank.bands(rows, workspace):
-            check.add(component, lo, hi)
-            consumer(component, analytic)
-        reconstruction, rep = check.finish(bank.c0)
-        checks["reconstruction_error"] = _relative_error(reconstruction, signal)
+        c0, reconstruction, rep = dft_decompose(signal, bands, consumer, workspace)
         checks["orthogonality"] = {
             "max_normalized_cross": rep.max_normalized_cross,
             "cross_figure": "leakage bound",
             "energy_ratio": rep.energy_ratio,
         }
-        return bank.c0, checks
-    order = {} if settings["order"] is None else {"order": settings["order"]}
-    # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
-    c0, reconstruction, rep = fmd_decompose(
-        signal, bands, **order, method=method, workspace=workspace,
-        consumer=lambda band: consumer(band.samples, lambda: band))
+    else:
+        order = {} if settings["order"] is None else {"order": settings["order"]}
+        # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
+        c0, reconstruction, rep = fmd_decompose(signal, bands, **order, method=method,
+                                                consumer=consumer, workspace=workspace)
+        if method in ("fmd-a", "fmd-b"):
+            checks["linoep"] = {
+                "max_tail_cross": rep.max_tail_cross,
+                "cross_figure": "defect bound",
+                "energy_ratio": rep.energy_ratio,
+            }
     checks["reconstruction_error"] = _relative_error(reconstruction, signal)
-    if method in ("fmd-a", "fmd-b"):
-        checks["linoep"] = {
-            "max_tail_cross": rep.max_tail_cross,
-            "cross_figure": "defect bound",
-            "energy_ratio": rep.energy_ratio,
-        }
     return c0, checks
 
 
@@ -395,13 +380,15 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     if_mode = settings["if"]
     negative_fractions = []
     weighted = total_energy = 0.0
+    tracked = False  # whether a component with a non-zero sample was tracked
     workspace = IFWorkspace(len(signal))
     if ridges is not None:
         # a track's distance to the nearest ridge, and to the ridge at hand
         dist, gap = np.empty(len(signal)), np.empty(len(signal))
 
     def sink(component, band):
-        nonlocal weighted, total_energy
+        nonlocal weighted, total_energy, tracked
+        tracked = tracked or bool(component.any())
         track = if_track(band(), scheme, if_mode, workspace)
         grid.add(track)
         if write is not None:
@@ -416,6 +403,8 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
             total_energy += float(track.energy.sum())
 
     _, checks = _decompose(signal, settings, bands, sink, workspace)
+    if tracked and not grid.energy.any():
+        raise ValueError("signal energy underflows float64 to 0; rescale the input")
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],

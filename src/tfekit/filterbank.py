@@ -6,14 +6,17 @@ transform of a band's bins gives its component, exactly zero-phase, and,
 when the band is tracked, the analytic signal's quadrature step gives its
 quadrature; components are mutually orthogonal with disjoint support.
 
-The command line runs the bank inside its consumer's :class:`IFWorkspace`,
-as it runs the FIR ladder: each tracked band's quadrature is made in the
-workspace's quadrature and the check's measuring transform in its
-spectrum, so a band costs no N-sample array of its own. The library's
-:func:`dft_decompose` gives each band fresh quadrature floats instead,
-since its callers may keep the bands.
+Both banks, this one and the FIR ladder of :mod:`tfekit.fmd`, stream the
+same way. A bank yields (component, band, *what its check takes) per
+component, and :func:`_drive`, their one loop, adds each component to the
+check, hands it to the consumer and finishes the check. Given a consumer,
+:func:`dft_decompose` runs the bank inside the consumer's
+:class:`IFWorkspace`: each band's quadrature is made in the workspace's
+quadrature and the check's measuring transform in its spectrum, so a band
+costs no N-sample array of its own.
 """
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -228,49 +231,81 @@ class _DFTBank:
     def bands(self, rows, workspace: IFWorkspace | None = None):
         """Make each band's component, in order, in the next array of `rows`.
 
-        Yields (lo, hi, component, analytic) per band, which covers bins
-        lo+1 .. hi. The component is the real inverse transform of those
-        bins; `analytic()` makes the band's :class:`AnalyticSignal`, a
-        read-only view of the component and its quadrature: made in
-        `workspace.quadrature` when an IF workspace of the signal's length
-        is given, where :func:`if_track` folds it in place, else in fresh
-        floats. Call it at most once, before the next band is made.
+        Yields (component, band, lo, hi) per band, which covers bins
+        lo+1 .. hi. The component is a read-only view of the real inverse
+        transform of those bins; `band()` makes the band's
+        :class:`AnalyticSignal`, the component and its quadrature, made in
+        `workspace.quadrature`, where :func:`if_track` folds it in place.
+        Call it at most once, before the next band is made; without a
+        workspace, not at all.
         """
         n = self.n
         bins = np.zeros(n // 2 + 1, dtype=np.complex128)
 
-        def analytic(component):
-            real = component.view()
-            real.flags.writeable = False
-            out = np.empty(n) if workspace is None else workspace.quadrature
-            return AnalyticSignal(real, _quadrature(bins, n, out, "forward"), self.sample_rate)
+        def analytic(real):
+            quadrature = _quadrature(bins, n, workspace.quadrature, "forward")
+            return AnalyticSignal(real, quadrature, self.sample_rate)
 
         for lo, hi, row in zip(self.boundaries[:-1], self.boundaries[1:], rows):
             band = slice(lo + 1, hi + 1)
             bins[band] = self._spectrum[band]
-            component = np.fft.irfft(bins, n, norm="forward", out=row)
-            yield lo, hi, component, lambda: analytic(component)
+            component = np.fft.irfft(bins, n, norm="forward", out=row).view()
+            component.flags.writeable = False
+            yield component, lambda: analytic(component), lo, hi
             bins[band] = 0.0
 
 
-def dft_decompose(x: Signal, boundaries, consumer=None) -> Decomposition:
+def _drive(stages, check, c0: float, consumer):
+    """Hand each component of a bank's `stages` to `consumer`, checked; finish the check.
+
+    `stages` yields (component, band, *args) per component, as
+    :meth:`_DFTBank.bands` and :func:`tfekit.fmd._ladder` do: `check` takes
+    ``check.add(component, *args)`` before ``consumer(component, band)`` is
+    called, and the component and what `band()` makes hold only until the
+    consumer returns. Returns ``check.finish(c0)``: the reconstruction and
+    the report.
+    """
+    for component, band, *args in stages:
+        check.add(component, *args)
+        consumer(component, band)
+    return check.finish(c0)
+
+
+def dft_decompose(x: Signal, boundaries, consumer=None, workspace: IFWorkspace | None = None):
     """Split a signal into zero-phase spectral band components.
 
     `boundaries` are the bin boundaries K_0 = 0 < K_1 < ... < K_M = floor(N/2)
     of M bands, as :meth:`BandSpec.plan` gives them: band i (0-based) covers
     bins K_i+1 .. K_{i+1}. Each component is the real inverse transform of
     its bins of the input spectrum; c0 is the DC bin (the sample mean). The
-    spectrum is computed once and the bands are made one at a time; when
-    `consumer` is given, it is called once per band, in order, with the
-    band's :class:`AnalyticSignal`: a read-only view of its row and fresh
-    quadrature floats. Signals under 4 samples are refused, consumer or not.
+    spectrum is computed once and the bands are made one at a time.
+    Signals under 4 samples are refused, consumer or not.
+
+    Without a consumer, the components are collected into a
+    :class:`Decomposition`. With one, each band is made in one reused
+    N-float array, taken in by the check of :func:`verify_orthogonality`
+    and passed to ``consumer(component, band)``: a read-only view of the
+    component and a function that makes the band's :class:`AnalyticSignal`
+    in the quadrature of `workspace`, an :class:`IFWorkspace` of the
+    signal's length (a fresh one when not given), whose spectrum takes the
+    check's transform. Both hold until the consumer returns. Nothing is
+    collected: the call returns ``(c0, reconstruction, report)``, the
+    reconstruction c0 + sum of the components and the
+    :class:`OrthogonalityReport`. An input whose energy overflows float64
+    raises before any band is handed on; the collect form leaves that to
+    :func:`verify_orthogonality`.
     """
+    if consumer is None:
+        bank = _DFTBank(x, boundaries)
+        components = np.empty((len(bank.boundaries) - 1, bank.n))
+        for _ in bank.bands(components):
+            pass
+        return Decomposition(bank.c0, components, "dft", bank.boundaries)
+    finite_energy(x.samples)  # the overflow the check would report, before any band is made
     bank = _DFTBank(x, boundaries)
-    components = np.empty((len(bank.boundaries) - 1, bank.n))
-    for _, _, _, analytic in bank.bands(components):
-        if consumer is not None:
-            consumer(analytic())
-    return Decomposition(bank.c0, components, "dft", bank.boundaries)
+    ws = IFWorkspace._for(bank.n, workspace)
+    stages = bank.bands(itertools.repeat(np.empty(bank.n)), ws)
+    return bank.c0, *_drive(stages, _BandCheck(bank.n, ws.spectrum), bank.c0, consumer)
 
 
 @dataclass(frozen=True)
@@ -301,16 +336,16 @@ class _BandCheck:
     rounding, :func:`_fft_rounding`, since that transform may hide at most
     that much out-of-band power.
 
-    The measuring transform's n//2+1 bins go into `spectrum` when it is
-    given: the command line passes its IF workspace's, which is free while
-    a band is checked, since the band's track lands there only afterwards.
-    Otherwise the check makes its own.
+    The measuring transform's n//2+1 bins go into `spectrum`: the stream
+    form of :func:`dft_decompose` passes its IF workspace's, which is free
+    while a band is checked, since the band's track lands there only
+    afterwards.
     """
 
-    def __init__(self, n: int, spectrum: np.ndarray | None = None):
+    def __init__(self, n: int, spectrum: np.ndarray):
         self.n = n
         self._total = np.zeros(n)
-        self._spectrum = np.empty(n // 2 + 1, dtype=np.complex128) if spectrum is None else spectrum
+        self._spectrum = spectrum
         self._rounding = _fft_rounding(n)
         self._energies = []
         self._leakages = []
@@ -377,7 +412,8 @@ def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
         raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
     if d.boundaries is None:
         raise ValueError("orthogonality verification needs the decomposition's bin boundaries")
-    check = _BandCheck(d.components.shape[1])
+    n = d.components.shape[1]
+    check = _BandCheck(n, np.empty(n // 2 + 1, dtype=np.complex128))
     for component, lo, hi in zip(d.components, d.boundaries, d.boundaries[1:]):
         check.add(component, lo, hi)
     return check.finish(d.c0)[1]

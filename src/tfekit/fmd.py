@@ -20,9 +20,12 @@ N-sample output and batch arrays of about 1.5 MB.
 batch arrays and then the component in its spectrum, which is copied
 from there into the ladder's buffer of the stage's input, to go to the
 consumer or into its row of a collected :class:`Decomposition`. With a
-consumer and the consumer's workspace, it holds three N-sample arrays of
-its own: the check's running sum and the ladder's two buffers, the
-stage's input and the remainder it passes on.
+consumer it streams as the DFT bank does: the ladder yields
+(component, band, remainder, defect) per stage, and the filter bank's one
+loop, ``filterbank._drive``, checks each component and hands it on. With
+the consumer's workspace, it holds three N-sample arrays of its own: the
+check's running sum and the ladder's two buffers, the stage's input and
+the remainder it passes on.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import IFWorkspace
-from .filterbank import Decomposition
+from .filterbank import Decomposition, _drive
 from .signals import Signal, _dot, finite_energy
 
 # samples of overlap-save frames that _zero_phase transforms at a time (at
@@ -261,11 +264,12 @@ def _filtered(samples: np.ndarray, sample_rate: float) -> Signal:
 def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace):
     """Run the FIR ladder on x - c0 in two N-float buffers and the arrays of `workspace`.
 
-    `cutoffs` are in stage order. Yields (component, remainder, defect) per
-    stage: c_i, the remainder x_{i+1} it passes on and, for fmd-a and
-    fmd-b, its rounding defect d_i = c_i + x_{i+1} - x_i (None for
-    causal-fir, whose components no check bounds). The last component,
-    the final remainder, comes as (component, None, None).
+    `cutoffs` are in stage order. Yields (component, band, remainder,
+    defect) per stage: a read-only view of c_i, a function that gives its
+    Signal, the remainder x_{i+1} it passes on and, for fmd-a and fmd-b,
+    its rounding defect d_i = c_i + x_{i+1} - x_i (None for causal-fir,
+    whose components no check bounds). The last component, the final
+    remainder, comes as (component, band, None, None).
 
     Stage i filters x_i into the workspace's quadrature, with a
     zero-phase filter's batch arrays in its spectrum, makes its
@@ -306,8 +310,10 @@ def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace):
         current[:] = component
         # x_i's buffer, now the component's, takes the next stage's remainder
         current, spare = r, current
-        yield spare, current, y if defects else None
-    yield current, None, None
+        band = Signal._view(spare, sample_rate)
+        yield band.samples, lambda: band, current, y if defects else None
+    band = Signal._view(current, sample_rate)
+    yield band.samples, lambda: band, None, None
 
 
 def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a",
@@ -333,12 +339,13 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
         buffers, either way. Without a consumer, each is copied from there
         into its row of the returned :class:`Decomposition`. With one, each
         is checked by :class:`_TailCheck` and passed to
-        ``consumer(component)`` as a Signal on a read-only view of that
-        buffer, valid until the consumer returns. Nothing is collected:
-        the call returns ``(c0, reconstruction, report)``, the
-        reconstruction c0 + sum of the components and a
-        :class:`LinoepReport` of the check's bounds; the report is None
-        for 'causal-fir', which :func:`verify_linoep` refuses too.
+        ``consumer(component, band)``: a read-only view of that buffer and
+        a function that gives the component's Signal on it, both valid
+        until the consumer returns. Nothing is collected: the call returns
+        ``(c0, reconstruction, report)``, the reconstruction c0 + sum of
+        the components and a :class:`LinoepReport` of the check's bounds;
+        the report is None for 'causal-fir', which :func:`verify_linoep`
+        refuses too.
     workspace : IFWorkspace, optional
         An IF workspace for x's length, in whose arrays each stage makes
         its filter output, component and defect; a fresh one is made when
@@ -375,22 +382,16 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
         cutoffs.reverse()
 
     n = len(x)
-    ws = IFWorkspace(n) if workspace is None else workspace
-    if ws.n != n:
-        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    ws = IFWorkspace._for(n, workspace)
     finite_energy(x.samples)  # before the mean, which an overflowing sum would make inf
     c0 = float(np.mean(x.samples))
     stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws)
     if consumer is None:
         rows = np.empty((len(cutoffs) + 1, n))
-        for row, (component, _, _) in zip(rows, stages):
+        for row, (component, *_) in zip(rows, stages):
             row[:] = component
         return Decomposition(c0, rows, method)
-    check = _TailCheck(n)
-    for component, remainder, defect in stages:
-        check.add(component, remainder, defect)
-        consumer(Signal._view(component, x.sample_rate))
-    reconstruction, report = check.finish(c0)
+    reconstruction, report = _drive(stages, _TailCheck(n), c0, consumer)
     return c0, reconstruction, None if method == "causal-fir" else report
 
 

@@ -180,7 +180,7 @@ def if_track(
     ----------
     x : Signal or AnalyticSignal
         Input, at least 4 samples, or its analytic signal, whose two real
-        parts are read in place (as `dft_decompose` hands each band over).
+        parts are read in place (as a DFT band's `band()` makes it).
     scheme : DiffScheme
         Finite-difference scheme for the phase derivative (default FORWARD).
     mode : {'positive', 'conventional'}
@@ -212,9 +212,7 @@ def if_track(
     if mode not in ("positive", "conventional"):
         raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
     n = x.real.size if isinstance(x, AnalyticSignal) else len(x)
-    ws = IFWorkspace(n) if workspace is None else workspace
-    if ws.n != n:
-        raise ValueError(f"workspace is for {ws.n} samples, signal has {n}")
+    ws = IFWorkspace._for(n, workspace)
     # the energy first, in the spectrum's memory, while the quadrature is
     # whole; its squares a slice at a time in the folds' bytes
     energy = ws.energy

@@ -18,7 +18,6 @@ __all__ = [
     "gen_noise",
     "mix",
     "delay_pad",
-    "remove_mean",
     "chirp_true_if",
     "fm_true_if",
 ]
@@ -253,9 +252,3 @@ def delay_pad(x: Signal, delay: float, total_duration: float) -> Signal:
             f"plus signal of {len(x) / x.sample_rate} s"
         )
     return Signal(np.concatenate([np.zeros(front), x.samples, np.zeros(back)]), x.sample_rate)
-
-
-def remove_mean(x: Signal) -> tuple[float, Signal]:
-    """Split a signal into its sample mean and the zero-mean remainder."""
-    c0 = float(np.mean(x.samples))
-    return c0, Signal(x.samples - c0, x.sample_rate)

@@ -44,7 +44,6 @@ PUBLIC = [
     "mix",
     "phase_diff",
     "positive_if",
-    "remove_mean",
     "save_csv",
     "verify_linoep",
     "verify_orthogonality",
@@ -62,6 +61,7 @@ REMOVED = [
     ("filterbank", "uniform_band_plan"),
     ("filterbank", "custom_band_plan"),
     ("io", "SAVE_BLOCK"),
+    ("signals", "remove_mean"),
 ]
 
 REMOVED_ATTRIBUTES = [

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
+from streams import kept_bands
 
 from tfekit import (
     BandSpec,
@@ -294,8 +295,40 @@ class TestAnalyze:
             "error: grid cells must be finite; a cell's energy sum overflows float64\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["big.csv"]
 
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e-310], ids=["tiny", "denormal"])
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--method", "none"],
+        ["analyze", "--method", "dft", "--bands", "4"],
+        ["analyze", "--method", "fmd-a", "--bands", "2", "--order", "16"],
+        ["compare", "--a-method", "dft", "--a-bands", "4", "--b-method", "none"],
+    ], ids=["none", "dft", "fmd-a", "compare"])
+    def test_underflowing_energy_fails_loudly(self, workdir, capsys, amplitude, command):
+        # every sample's energy underflows to 0, so the grid would hold nothing
+        x = amplitude * np.cos(2 * np.pi * 10 * np.arange(64) / 100)
+        (workdir / "tiny.csv").write_text("# sample_rate=100\n" + "".join(f"{v:.17g}\n" for v in x))
+        rc = main([*command, "--input", "tiny.csv", "--time-bins", "1", "--freq-bins", "1",
+                   "--out-prefix", "tiny"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: signal energy underflows float64 to 0; rescale the input\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["tiny.csv"]
+
+    @pytest.mark.parametrize("value, method", [
+        (0.0, ["none"]),
+        (0.0, ["dft", "--bands", "4"]),
+        (0.0, ["fmd-a", "--bands", "2", "--order", "16"]),
+        (3.0, ["dft", "--bands", "4"]),
+        (3.0, ["fmd-a", "--bands", "2", "--order", "16"]),
+    ], ids=["zero-none", "zero-dft", "zero-fmd-a", "constant-dft", "constant-fmd-a"])
+    def test_nothing_to_track_is_no_underflow(self, workdir, value, method):
+        # a zero signal, or a constant one's components, hold no energy to lose
+        (workdir / "flat.csv").write_text("# sample_rate=100\n" + f"{value}\n" * 64)
+        assert main(["analyze", "--input", "flat.csv", "--method", *method, "--time-bins", "1",
+                     "--freq-bins", "1", "--out-prefix", "flat"]) == 0
+        assert load_grid_csv(workdir / "flat_grid.csv").energy.tolist() == [[0.0]]
+
     def test_failed_check_after_streaming_leaves_no_tracks_file(self, workdir, capsys, monkeypatch):
-        import tfekit.cli as cli
+        from tfekit import filterbank
 
         streamed = []
 
@@ -303,7 +336,7 @@ class TestAnalyze:
             streamed.extend(workdir.iterdir())
             raise ValueError("forced failure")
 
-        monkeypatch.setattr(cli._BandCheck, "finish", failing)
+        monkeypatch.setattr(filterbank._BandCheck, "finish", failing)
         rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--method", "dft",
                    "--bands", "4", "--out-prefix", "x"])
         assert rc == 1
@@ -383,10 +416,10 @@ class TestAnalyze:
         added = []
 
         def measured(consumer):
-            def handed_on(band):
+            def handed_on(component, band):
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                consumer(band)
+                consumer(component, band)
                 added.append(tracemalloc.get_traced_memory()[1] - held)
             return handed_on
 
@@ -854,7 +887,7 @@ class TestCompare:
         import tfekit.cli as cli
 
         calls = []
-        for name in ("_DFTBank", "fmd_decompose"):
+        for name in ("dft_decompose", "fmd_decompose"):
             def counted(*args, _fn=getattr(cli, name), **kwargs):
                 calls.append(_fn)
                 return _fn(*args, **kwargs)
@@ -906,9 +939,9 @@ def _oracle_tracks(x, method, bands):
     if method == "none":
         return [if_track(x)], checks
     if method == "dft":
-        kept = []
-        d = dft_decompose(x, BandSpec(bands=bands).plan(len(x), fs), kept.append)
-        tracks = [if_track(band) for band in kept]
+        plan = BandSpec(bands=bands).plan(len(x), fs)
+        d = dft_decompose(x, plan)
+        tracks = [if_track(band) for band in kept_bands(x, plan)]
     else:
         ladder = BandSpec(bands=bands).ladder(fs)
         d = fmd_decompose(x, ladder, 256, method)
@@ -923,7 +956,7 @@ def _oracle_tracks(x, method, bands):
                                    "energy_ratio": rep.energy_ratio}
     elif method == "fmd-a":
         # the streaming check's figures, at or above the backward exact ones
-        _, _, rep = fmd_decompose(x, ladder, 256, method, consumer=lambda band: None)
+        _, _, rep = fmd_decompose(x, ladder, 256, method, consumer=lambda component, band: None)
         exact = verify_linoep(d)
         assert (rep.tail_cross >= exact.tail_cross).all()
         assert abs(rep.energy_ratio - exact.energy_ratio) <= 1e-12
@@ -1143,3 +1176,34 @@ def test_tracer_counts_the_fir_stages(tmp_path):
     assert sum(s.get("stages", 0) for s in spans) == 6
     names = {s["name"] for s in spans}
     assert {"io.load_csv", "analytic.analytic_signal"} <= names
+
+
+def test_traced_layers_in_process(workdir, monkeypatch):
+    # perfbench/tracer.py's own Tracer and LAYERS wrapped around main(): the
+    # FIR stages counted from cli.fmd_decompose's cutoffs, 9 a side at 10
+    # bands, the ingest and analytic-signal spans, and a DFT side's span
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert main(["gen", "chirp", "--dur", "0.5", "--out", "in.csv"]) == 0
+
+    def traced(*sides):
+        spans = tracer.Tracer("test")
+        with monkeypatch.context() as patched:
+            for owner, attr, name, extra in tracer.LAYERS:
+                fn = getattr(owner, attr, None)
+                if fn is not None:
+                    patched.setattr(owner, attr, spans.wrap(name, fn, extra))
+            assert main(["compare", "--input", "in.csv", *sides, "--out-prefix", "t"]) == 0
+        return spans.spans
+
+    fir = traced("--a-method", "fmd-a", "--a-bands", "10", "--a-order", "16",
+                 "--b-method", "causal-fir", "--b-bands", "10", "--b-order", "16")
+    assert sum(s.get("stages", 0) for s in fir) == 18
+    assert {"io.load_csv", "analytic.analytic_signal"} <= {s["name"] for s in fir}
+    dft = traced("--a-method", "dft", "--a-bands", "10",
+                 "--b-method", "fmd-a", "--b-bands", "10", "--b-order", "16")
+    assert [s["name"] for s in dft].count("filterbank.dft_decompose") == 1

@@ -1,6 +1,5 @@
 """Band plans and the zero-phase spectral decomposition."""
 
-import itertools
 import json
 import tracemalloc
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import dft_direct
+from streams import kept_bands
 from tfekit import (
     BandSpec,
     Decomposition,
@@ -25,9 +25,10 @@ from tfekit import (
     if_track,
     mix,
     NoiseSpec,
+    verify_linoep,
     verify_orthogonality,
 )
-from tfekit.filterbank import _BandCheck, _DFTBank
+from tfekit.filterbank import _BandCheck
 
 
 class TestUniformPlan:
@@ -248,8 +249,7 @@ class TestDftDecompose:
     def test_matches_hermitian_mask_oracle(self, n, plan):
         x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
         plan = plan(n, x.sample_rate)
-        bands = []
-        d = dft_decompose(x, plan, bands.append)
+        d, bands = dft_decompose(x, plan), kept_bands(x, plan)
         ref = oracles.dft_decompose(x, plan)
         assert d.c0 == ref.c0
         scale = np.abs(x.samples).max()
@@ -266,9 +266,7 @@ class TestDftDecompose:
         n, fs = 64, 8.0
         rng = np.random.default_rng(5)
         x = Signal(rng.normal(size=n) + 0.5 * (-1.0) ** np.arange(n), fs)
-        bands = []
-        dft_decompose(x, (0, n // 2 - 1, n // 2), bands.append)
-        top = bands[1]
+        top = kept_bands(x, (0, n // 2 - 1, n // 2))[1]
         tone = dft_direct(x.samples)[n // 2].real * (-1.0) ** np.arange(n)
         scale = np.abs(x.samples).max()
         assert np.abs(top.real - tone).max() <= 1e-12 * scale
@@ -282,8 +280,7 @@ class TestDftDecompose:
     def test_bands_match_one_sided_oracle(self, case):
         # Marple's complex synthesis, with its own doubling, DC and Nyquist rules
         x, bounds = case
-        bands = []
-        d = dft_decompose(x, bounds, bands.append)
+        d, bands = dft_decompose(x, bounds), kept_bands(x, bounds)
         spectrum = np.fft.fft(x.samples, norm="forward")
         assert len(bands) == len(bounds) - 1
         for lo, hi, comp, band in zip(bounds, bounds[1:], d.components, bands):
@@ -297,8 +294,8 @@ class TestDftDecompose:
         # each band's analytic signal is that of its component
         scipy_signal = pytest.importorskip("scipy.signal")
         x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
-        bands = []
-        d = dft_decompose(x, BandSpec(bands=n // 4 + 1).plan(n, 50.0), bands.append)
+        plan = BandSpec(bands=n // 4 + 1).plan(n, 50.0)
+        d, bands = dft_decompose(x, plan), kept_bands(x, plan)
         scale = np.abs(x.samples).max()
         for comp, band in zip(d.components, bands):
             z = band.real + 1j * band.imag
@@ -306,67 +303,53 @@ class TestDftDecompose:
 
 
 class TestTrackedBands:
-    """What the bank hands its consumer: a view of the component's row and the band's own quadrature."""
+    """What the bank hands its consumer: read-only views of one reused row and the workspace."""
 
     def test_real_is_a_read_only_view_of_the_row(self):
         x = gen_noise(NoiseSpec(seed=4, mean=0.5, length=256), 50.0)
-        bands = []
-        d = dft_decompose(x, BandSpec(bands=4).plan(256, 50.0), bands.append)
-        for row, band in zip(d.components, bands):
-            assert np.shares_memory(band.real, row)
-            assert not band.real.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                band.real[0] = 0.0
-            # kept bands stay whole: no later band reuses this quadrature's memory
-            assert not np.shares_memory(band.imag, d.components)
-            assert not any(np.shares_memory(band.imag, a.imag) for a in bands if a is not band)
+        workspace = IFWorkspace(256)
+        handed = []
 
-    def test_one_float_array_per_kept_band(self):
-        # beyond the spectrum, the (M, N) components and the bins, each band
-        # costs its N-float quadrature; half an array more covers the Python objects
-        n, m = 16384, 8
-        x = gen_noise(NoiseSpec(seed=6, length=n), 100.0)
-        plan = BandSpec(bands=m).plan(n, 100.0)
-        dft_decompose(x, plan, [].append)  # numpy.fft imports lazily on first use
-        bands = []
-        tracemalloc.start()
-        try:
-            dft_decompose(x, plan, bands.append)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        own = 16 * n + 8 * m * n + 16 * (n // 2 + 1)
-        assert len(bands) == m
-        assert peak - own <= (m + 0.5) * 8 * n, f"{(peak - own) / (8 * n):.2f} N-float arrays"
+        def consumer(component, band):
+            a = band()
+            assert np.shares_memory(a.real, component)
+            assert not component.flags.writeable and not a.real.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.real[0] = 0.0
+            assert np.shares_memory(a.imag, workspace.quadrature)
+            handed.append(component)
+
+        dft_decompose(x, BandSpec(bands=4).plan(256, 50.0), consumer, workspace)
+        # every band is made in the same row
+        assert len(handed) == 4
+        assert all(np.shares_memory(c, handed[0]) for c in handed)
 
 
 class TestBankInAWorkspace:
-    """The CLI's form of the bank: quadratures and the check's transform in one IF workspace."""
+    """The stream form of the bank: quadratures and the check's transform in one IF workspace."""
 
     @pytest.mark.parametrize("n", [3000, 3001])
     def test_workspace_is_free_when_the_consumer_runs(self, n):
         # the bank runs in the consumer's IF workspace, stale contents and
-        # all, and hands on what the library's bands give, bit for bit
+        # all, and hands on what the collected bands give, bit for bit
         x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
         plan = BandSpec(bands=5).plan(n, 1000.0)
-        kept = []
-        d = dft_decompose(x, plan, kept.append)
-        fresh = [if_track(band) for band in kept]
+        d = dft_decompose(x, plan)
+        fresh = [if_track(band) for band in kept_bands(x, plan)]
         workspace = IFWorkspace(n)
         for array in (workspace.spectrum, workspace.quadrature, workspace.folds.view(np.float64)):
             array.fill(np.nan)
-        bank = _DFTBank(x, plan)
-        check = _BandCheck(n, workspace.spectrum)
         handed, tracks = [], []
-        for lo, hi, component, analytic in bank.bands(itertools.repeat(np.empty(n)), workspace):
-            check.add(component, lo, hi)
+
+        def consumer(component, band):
             handed.append(component.copy())
-            band = analytic()
-            assert np.shares_memory(band.imag, workspace.quadrature)
-            track = if_track(band, workspace=workspace)
+            a = band()
+            assert np.shares_memory(a.imag, workspace.quadrature)
+            track = if_track(a, workspace=workspace)
             tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
-        reconstruction, report = check.finish(bank.c0)
-        assert bank.c0 == d.c0
+
+        c0, reconstruction, report = dft_decompose(x, plan, consumer, workspace)
+        assert c0 == d.c0
         assert np.array(handed).tobytes() == d.components.tobytes()
         assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
         assert reconstruction.tobytes() == d.reconstruct().tobytes()
@@ -436,6 +419,43 @@ def test_components_are_one_c_contiguous_array(method):
     assert d.components.shape == (5, 1024) and d.components.dtype == np.float64
     assert d.components.flags.c_contiguous
     assert np.array_equal(d.reconstruct(), d.c0 + np.sum(list(d.components), axis=0))
+
+
+@pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
+def test_both_banks_stream_alike(method):
+    # one consumer for both stream forms: read-only views, the collect
+    # form's components and reconstruction to the byte, and the report of
+    # the collected components' check (DFT) or a bound on it (FMD)
+    x = gen_noise(NoiseSpec(seed=8, mean=0.4, length=1024), 100.0)
+    handed = []
+
+    def consumer(component, band):
+        made = band()
+        real = made.real if method == "dft" else made.samples
+        assert np.shares_memory(real, component)
+        for view in (component, real):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+        handed.append(component.copy())
+
+    if method == "dft":
+        plan = BandSpec(bands=5).plan(1024, 100.0)
+        d = dft_decompose(x, plan)
+        c0, reconstruction, report = dft_decompose(x, plan, consumer)
+        assert report == verify_orthogonality(d)
+    else:
+        cutoffs = [10.0, 20.0, 30.0, 40.0]
+        d = fmd_decompose(x, cutoffs, 32, method)
+        c0, reconstruction, report = fmd_decompose(x, cutoffs, 32, method, consumer)
+        if method == "causal-fir":
+            assert report is None
+        else:
+            exact = verify_linoep(d)
+            assert (report.tail_cross >= exact.tail_cross).all()
+            assert abs(report.energy_ratio - exact.energy_ratio) <= 1e-12
+    assert c0 == d.c0
+    assert np.array(handed).tobytes() == d.components.tobytes()
+    assert reconstruction.tobytes() == d.reconstruct().tobytes()
 
 
 class TestVerifyOrthogonality:

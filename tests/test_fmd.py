@@ -23,7 +23,6 @@ from tfekit import (
     gen_noise,
     if_track,
     mix,
-    remove_mean,
     verify_linoep,
     zero_phase_filter,
 )
@@ -359,7 +358,8 @@ class TestFmdDecompose:
         # the array ladder does the arithmetic of one built from causal_filter
         x = gen_noise(NoiseSpec(seed=63, mean=0.3, length=3000), 1000.0)
         cutoffs, order = [80.0, 200.0, 330.0], 64
-        c0, current = remove_mean(x)
+        c0 = float(np.mean(x.samples))
+        current = Signal(x.samples - c0, x.sample_rate)
         floor = 1e-14 * _dot(current.samples, current.samples)
         want = []
         for cutoff in reversed(cutoffs):
@@ -420,7 +420,7 @@ class TestFmdDecompose:
 
 def _streamed(x, cutoffs, **kwargs):
     """The streaming form's report, every component dropped as it is handed on."""
-    return fmd_decompose(x, cutoffs, consumer=lambda band: None, **kwargs)[2]
+    return fmd_decompose(x, cutoffs, consumer=lambda component, band: None, **kwargs)[2]
 
 
 @st.composite
@@ -447,9 +447,11 @@ class TestTailCheck:
         d = fmd_decompose(x, cutoffs, order=64, method=method)
         handed = []
 
-        def consumer(band):
-            assert isinstance(band, Signal) and not band.samples.flags.writeable
-            handed.append(band.samples.copy())
+        def consumer(component, band):
+            signal = band()
+            assert isinstance(signal, Signal) and not signal.samples.flags.writeable
+            assert np.shares_memory(signal.samples, component) and not component.flags.writeable
+            handed.append(component.copy())
 
         c0, reconstruction, report = fmd_decompose(x, cutoffs, order=64, method=method,
                                                    consumer=consumer)
@@ -474,7 +476,7 @@ class TestTailCheck:
         x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
         cutoffs = BandSpec(bands=4).ladder(8000.0)
         peak = _peak_bytes(lambda: fmd_decompose(x, cutoffs, method=method,
-                                                 consumer=lambda band: None))
+                                                 consumer=lambda component, band: None))
         assert peak < 5.25 * 8 * n, f"{peak / (8 * n):.2f} N floats"
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
@@ -485,15 +487,16 @@ class TestTailCheck:
         x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
         cutoffs = BandSpec(bands=5).ladder(1000.0)
         d = fmd_decompose(x, cutoffs, order=64, method=method)
-        want = fmd_decompose(x, cutoffs, order=64, method=method, consumer=lambda band: None)
+        want = fmd_decompose(x, cutoffs, order=64, method=method,
+                             consumer=lambda component, band: None)
         workspace = IFWorkspace(n)
         for array in (workspace.spectrum, workspace.quadrature, workspace.folds.view(np.float64)):
             array.fill(np.nan)
         handed, tracks = [], []
 
-        def consumer(band):
-            handed.append(band.samples.copy())
-            track = if_track(band, workspace=workspace)
+        def consumer(component, band):
+            handed.append(component.copy())
+            track = if_track(band(), workspace=workspace)
             tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
 
         c0, reconstruction, report = fmd_decompose(x, cutoffs, order=64, method=method,
@@ -530,7 +533,7 @@ class TestTailCheck:
         workspace = IFWorkspace(n)
 
         def run():
-            fmd_decompose(x, cutoffs, method=method, consumer=lambda band: None,
+            fmd_decompose(x, cutoffs, method=method, consumer=lambda component, band: None,
                           workspace=workspace)
 
         run()
@@ -588,11 +591,11 @@ class TestTailCheck:
         ladder = fmd._ladder
 
         def leaning(*args):
-            for i, (component, remainder, defect) in enumerate(ladder(*args)):
+            for i, (component, band, remainder, defect) in enumerate(ladder(*args)):
                 if i == 3:
-                    component += 1e-6 * tail
+                    component = component + 1e-6 * tail  # the ladder hands on a read-only view
                     defect += 1e-6 * tail
-                yield component, remainder, defect
+                yield component, band, remainder, defect
 
         monkeypatch.setattr(fmd, "_ladder", leaning)
         bound = _streamed(x, cutoffs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import fold_increments, four_pass_if
+from streams import kept_bands
 from tfekit import (
     AnalyticSignal,
     BandSpec,
@@ -16,7 +17,6 @@ from tfekit import (
     analytic_signal,
     chirp_true_if,
     conventional_if,
-    dft_decompose,
     gen_chirp,
     gen_delta,
     gen_fm,
@@ -283,9 +283,7 @@ class TestIncrementPath:
     def test_nyquist_only_band_reads_half_the_rate(self, n):
         # the band's phase advances by exactly pi per sample: the two ends of the fold meet
         fs = 8.0
-        bands = []
-        dft_decompose(_noise_plus_nyquist(n, fs), (0, n // 2 - 1, n // 2), bands.append)
-        top = bands[1]
+        top = kept_bands(_noise_plus_nyquist(n, fs), (0, n // 2 - 1, n // 2))[1]
         for scheme in DiffScheme:
             f = if_track(top, scheme).frequency_hz
             assert f.size == n
@@ -294,9 +292,7 @@ class TestIncrementPath:
     @pytest.mark.parametrize("n", [64, 8000])
     def test_bin_one_band_stays_below_quarter_rate(self, n):
         fs = 8.0
-        bands = []
-        dft_decompose(_noise_plus_nyquist(n, fs), (0, 1, n // 2), bands.append)
-        low = bands[0]
+        low = kept_bands(_noise_plus_nyquist(n, fs), (0, 1, n // 2))[0]
         for scheme in DiffScheme:
             f = if_track(low, scheme).frequency_hz
             assert f.max() <= fs / 4
@@ -314,8 +310,8 @@ class TestIncrementPath:
     @pytest.mark.parametrize("scheme", list(DiffScheme), ids=lambda s: s.value)
     def test_matches_four_pass_oracle(self, scheme):
         x = _mixture()
-        bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0))]
-        dft_decompose(x, (0, 800, 1200, 2000, 4000), bands.append)
+        bands = [analytic_signal(x), analytic_signal(gen_delta(1999, 4000, 1000.0)),
+                 *kept_bands(x, (0, 800, 1200, 2000, 4000))]
         for a in bands:
             envelope = np.abs(a.real + 1j * a.imag)
             keep = envelope > 0.1 * envelope.max()
@@ -334,8 +330,7 @@ class TestWorkspace:
         for array in (ws.spectrum, ws.quadrature, ws.folds.view(np.float64)):
             array.fill(np.nan)
         x = _noise_plus_nyquist(n, 100.0)
-        bands = []
-        dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
+        bands = kept_bands(x, BandSpec(bands=3).plan(n, 100.0))
         for signal in (x, *bands, Signal(1e-300 * x.samples, 100.0), gen_delta(n // 2, n, 100.0)):
             want = if_track(signal, scheme, mode)
             got = if_track(signal, scheme, mode, ws)
@@ -371,8 +366,7 @@ class TestWorkspace:
         # the workspace's quadrature
         n = 4097
         x = _noise_plus_nyquist(n, 100.0)
-        bands = []
-        dft_decompose(x, BandSpec(bands=3).plan(n, 100.0), bands.append)
+        bands = kept_bands(x, BandSpec(bands=3).plan(n, 100.0))
         ws = IFWorkspace(n)
         for a in bands:
             real, imag = a.real.copy(), a.imag.copy()
@@ -394,8 +388,7 @@ class TestWorkspace:
         n = 1 << 16
         ws = IFWorkspace(n)
         x = _noise_plus_nyquist(n, 100.0)
-        band = []
-        dft_decompose(x, BandSpec(bands=2).plan(n, 100.0), band.append)
+        band = kept_bands(x, BandSpec(bands=2).plan(n, 100.0))
         if_track(x, scheme, workspace=ws)
         tracemalloc.start()
         try:

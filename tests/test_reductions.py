@@ -143,7 +143,7 @@ class TestVerifiersScaleFree:
 
         def bound(x):
             return fmd_decompose(x, cutoffs, order=64, method=method,
-                                 consumer=lambda band: None)[2]
+                                 consumer=lambda component, band: None)[2]
 
         want, got = bound(self.x), bound(_scaled(self.x, k))
         assert want.max_tail_cross > 0

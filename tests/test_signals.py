@@ -18,7 +18,6 @@ from tfekit import (
     gen_fm,
     gen_noise,
     mix,
-    remove_mean,
 )
 
 
@@ -221,26 +220,3 @@ class TestDelayPad:
             delay_pad(x, -0.1, 2.0)
         with pytest.raises(ValueError):
             delay_pad(x, 0.8, 1.5)
-
-
-class TestRemoveMean:
-    def test_constant(self):
-        c0, out = remove_mean(Signal(np.full(64, 3.0), 10.0))
-        assert c0 == 3.0
-        assert np.abs(out.samples).max() == 0.0
-
-    def test_zero_mean_tone_unchanged(self):
-        x = gen_chirp(100, 100, 1.0, 1000)
-        c0, out = remove_mean(x)
-        assert abs(c0) < 1e-12
-        assert np.abs(out.samples - x.samples).max() < 1e-12
-
-    def test_random_signal_direct_summation(self):
-        rng = np.random.default_rng(11)
-        samples = rng.normal(2.5, 1.0, 4097)
-        x = Signal(samples, 100.0)
-        c0, out = remove_mean(x)
-        # oracle: compensated summation of the output
-        assert abs(math.fsum(out.samples) / len(out)) < 1e-12 * np.abs(samples).max()
-        # exact pointwise reconstruction
-        assert np.abs(c0 + out.samples - samples).max() <= 1e-12 * np.abs(samples).max()
