@@ -327,8 +327,9 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     """Decompose on `bands`, as :func:`_resolve_bands` gives them; verify and hand on each component.
 
     `consumer(component, band)` gets each component's samples, in order,
-    and a function that makes the Signal or AnalyticSignal to track it
-    (call it at most once, before the consumer returns). Method 'none' has
+    and a function that gives the Signal or AnalyticSignal to track it,
+    the same object however often it is called before the consumer
+    returns. Method 'none' has
     one component, the signal itself; the banks hand theirs on through the
     stream forms of :func:`dft_decompose` and :func:`fmd_decompose`, in one
     reused array, after the running check has taken each in, inside

@@ -16,6 +16,7 @@ quadrature and the check's measuring transform in its spectrum, so a band
 costs no N-sample array of its own.
 """
 
+import functools
 import itertools
 import json
 import numbers
@@ -228,7 +229,7 @@ class _DFTBank:
         self.c0 = float(spectrum[0].real)
         self._spectrum = spectrum[: n // 2 + 1].copy()
 
-    def bands(self, rows, workspace: IFWorkspace | None = None):
+    def bands(self, rows, workspace: IFWorkspace):
         """Make each band's component, in order, in the next array of `rows`.
 
         Yields (component, band, lo, hi) per band, which covers bins
@@ -236,22 +237,20 @@ class _DFTBank:
         transform of those bins; `band()` makes the band's
         :class:`AnalyticSignal`, the component and its quadrature, made in
         `workspace.quadrature`, where :func:`if_track` folds it in place.
-        Call it at most once, before the next band is made; without a
-        workspace, not at all.
+        The first call makes it and later ones return the same object; it
+        holds until the next band is made or the workspace is used again.
         """
         n = self.n
         bins = np.zeros(n // 2 + 1, dtype=np.complex128)
-
-        def analytic(real):
-            quadrature = _quadrature(bins, n, workspace.quadrature, "forward")
-            return AnalyticSignal(real, quadrature, self.sample_rate)
-
         for lo, hi, row in zip(self.boundaries[:-1], self.boundaries[1:], rows):
             band = slice(lo + 1, hi + 1)
             bins[band] = self._spectrum[band]
             component = np.fft.irfft(bins, n, norm="forward", out=row).view()
             component.flags.writeable = False
-            yield component, lambda: analytic(component), lo, hi
+            # made once: _quadrature overwrites the band's bins
+            analytic = functools.cache(lambda real=component: AnalyticSignal(
+                real, _quadrature(bins, n, workspace.quadrature, "forward"), self.sample_rate))
+            yield component, analytic, lo, hi
             bins[band] = 0.0
 
 
@@ -288,22 +287,23 @@ def dft_decompose(x: Signal, boundaries, consumer=None, workspace: IFWorkspace |
     component and a function that makes the band's :class:`AnalyticSignal`
     in the quadrature of `workspace`, an :class:`IFWorkspace` of the
     signal's length (a fresh one when not given), whose spectrum takes the
-    check's transform. Both hold until the consumer returns. Nothing is
+    check's transform; later calls return the same object. Both hold until
+    the consumer returns. Nothing is
     collected: the call returns ``(c0, reconstruction, report)``, the
     reconstruction c0 + sum of the components and the
     :class:`OrthogonalityReport`. An input whose energy overflows float64
     raises before any band is handed on; the collect form leaves that to
     :func:`verify_orthogonality`.
     """
-    if consumer is None:
-        bank = _DFTBank(x, boundaries)
-        components = np.empty((len(bank.boundaries) - 1, bank.n))
-        for _ in bank.bands(components):
-            pass
-        return Decomposition(bank.c0, components, "dft", bank.boundaries)
-    finite_energy(x.samples)  # the overflow the check would report, before any band is made
+    if consumer is not None:
+        finite_energy(x.samples)  # the overflow the check would report, before any band is made
     bank = _DFTBank(x, boundaries)
     ws = IFWorkspace._for(bank.n, workspace)
+    if consumer is None:
+        components = np.empty((len(bank.boundaries) - 1, bank.n))
+        for _ in bank.bands(components, ws):
+            pass
+        return Decomposition(bank.c0, components, "dft", bank.boundaries)
     stages = bank.bands(itertools.repeat(np.empty(bank.n)), ws)
     return bank.c0, *_drive(stages, _BandCheck(bank.n, ws.spectrum), bank.c0, consumer)
 

@@ -324,6 +324,28 @@ class TestTrackedBands:
         assert len(handed) == 4
         assert all(np.shares_memory(c, handed[0]) for c in handed)
 
+    def test_band_called_twice_gives_one_analytic_signal(self):
+        # a second call returns the first call's AnalyticSignal, whose
+        # quadrature is the band's, not a second pass over the band's bins
+        x = gen_noise(NoiseSpec(seed=5, mean=0.2, length=256), 50.0)
+        plan = BandSpec(bands=4).plan(256, 50.0)
+        d = dft_decompose(x, plan)
+        once = kept_bands(x, plan)
+        twice = []
+
+        def consumer(component, band):
+            first = band()
+            assert band() is first
+            twice.append((first.real.copy(), first.imag.copy()))
+
+        dft_decompose(x, plan, consumer)
+        assert len(twice) == 4
+        for (real, imag), kept, row in zip(twice, once, d.components):
+            assert real.tobytes() == row.tobytes() == kept.real.tobytes()
+            assert imag.tobytes() == kept.imag.tobytes()
+            oracle = analytic_signal(Signal(row, 50.0)).imag
+            assert np.max(np.abs(imag - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
 
 class TestBankInAWorkspace:
     """The stream form of the bank: quadratures and the check's transform in one IF workspace."""
