@@ -19,7 +19,6 @@ from tfekit import (
     gen_fm,
     if_track,
     mix,
-    verify_orthogonality,
 )
 
 fs = 8000.0
@@ -29,8 +28,11 @@ x = mix([chirp, fm])
 
 print("=== 1. two bands split at 1 kHz separate the two components ===")
 plan = BandSpec(cutoffs_hz=[1000.0, 4000.0]).plan(len(x), fs)
-d = dft_decompose(x, plan)
-low, high = d.components
+# the bank hands each component on as a view that holds until the consumer
+# returns: to keep the components, copy each into its row of an array
+low, high = rows = np.empty((len(plan) - 1, len(x)))
+row = iter(rows)
+dft_decompose(x, plan, lambda component, _: np.copyto(next(row), component))
 print(f"low band vs FM addend:    rel energy error "
       f"{np.dot(low - fm.samples, low - fm.samples) / np.dot(fm.samples, fm.samples):.2e}")
 print(f"high band vs chirp addend: rel energy error "
@@ -38,12 +40,14 @@ print(f"high band vs chirp addend: rel energy error "
 
 print()
 print("=== 2. the decomposition is exact and orthogonal ===")
-# the cross figure bounds every pairwise |<y_i, y_l>| / (||y_i|| ||y_l||)
+# the call returns c0, the reconstruction (c0 plus the sum of the
+# components) and the report of the check that takes in each band as it is
+# made; the cross figure bounds every pairwise |<y_i, y_l>| / (||y_i|| ||y_l||)
 # from each component's leakage outside its own bins
 for n_bands in (2, 10, 100):
-    d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), fs))
-    report = verify_orthogonality(d)
-    recon = np.abs(d.reconstruct() - x.samples).max() / np.abs(x.samples).max()
+    c0, reconstruction, report = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), fs),
+                                               lambda component, band: None)
+    recon = np.abs(reconstruction - x.samples).max() / np.abs(x.samples).max()
     print(f"M={n_bands:3d}: reconstruction {recon:.1e}, "
           f"cross bound {report.max_normalized_cross:.1e}, "
           f"energy ratio {report.energy_ratio:.15f}")
@@ -53,11 +57,10 @@ print("=== 3. 100 bands concentrate the energy on the true ridges ===")
 ridge_a = chirp_true_if(1000, 2000, 1.0, fs)
 ridge_b = fm_true_if(780, 200, 2, 1.0, fs)
 tracks = []
-# the stream form hands each band on as it makes it: the component and a
-# function that makes its analytic signal, views that hold until the
-# consumer returns, so each band is tracked (if_track makes the track's own
-# arrays) before the next one is made; instead of the components, the call
-# returns c0, their sum plus c0 and the orthogonality report
+# the bank hands each band on as it makes it: the component and a function
+# that makes its analytic signal, views that hold until the consumer
+# returns, so each band is tracked (if_track makes the track's own arrays)
+# before the next one is made
 c0, reconstruction, report = dft_decompose(x, BandSpec(bands=100).plan(len(x), fs),
                                            lambda _, band: tracks.append(if_track(band())))
 recon = np.abs(reconstruction - x.samples).max() / np.abs(x.samples).max()

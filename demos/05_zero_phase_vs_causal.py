@@ -11,7 +11,6 @@ import numpy as np
 
 from tfekit import (
     BandSpec,
-    Signal,
     causal_filter,
     chirp_true_if,
     design_fir,
@@ -39,21 +38,24 @@ x = mix([gen_chirp(f0, f1, 1.0, fs) for f0, f1 in bands])
 ridges = [chirp_true_if(f0, f1, 1.0, fs) for f0, f1 in bands]
 
 
-def ridge_error(decomposition):
+def ridge_error(method):
+    """Energy-weighted distance to the nearest ridge, each component tracked as it is handed on."""
     weighted = total = 0.0
-    for component in decomposition.components:
-        tr = if_track(Signal(component, fs))
+
+    def track(component, band):
+        nonlocal weighted, total
+        tr = if_track(band())
         dist = np.min([np.abs(tr.frequency_hz - r) for r in ridges], axis=0)
         weighted += float(dist @ tr.energy)
         total += float(tr.energy.sum())
+
+    fmd_decompose(x, cutoffs, track, order=128, method=method)
     return weighted / total
 
 
 cutoffs = BandSpec(bands=10).ladder(fs)
-zero_phase = fmd_decompose(x, cutoffs, order=128, method="fmd-a")
-causal = fmd_decompose(x, cutoffs, order=128, method="causal-fir")
-e_zp = ridge_error(zero_phase)
-e_ca = ridge_error(causal)
+e_zp = ridge_error("fmd-a")
+e_ca = ridge_error("causal-fir")
 print(f"zero-phase ladder: energy-weighted ridge error {e_zp:6.1f} Hz")
 print(f"causal ladder:     energy-weighted ridge error {e_ca:6.1f} Hz"
       f"  ({e_ca / e_zp:.0f}x worse)")

@@ -15,7 +15,6 @@ from .filterbank import (
     Decomposition,
     OrthogonalityReport,
     dft_decompose,
-    verify_orthogonality,
 )
 from .fmd import (
     FirFilter,
@@ -23,7 +22,6 @@ from .fmd import (
     causal_filter,
     design_fir,
     fmd_decompose,
-    verify_linoep,
     zero_phase_filter,
 )
 from .instfreq import DiffScheme, IFTrack, conventional_if, if_track, phase_diff, positive_if
@@ -89,7 +87,5 @@ __all__ = [
     "phase_diff",
     "positive_if",
     "save_csv",
-    "verify_linoep",
-    "verify_orthogonality",
     "zero_phase_filter",
 ]

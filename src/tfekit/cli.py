@@ -329,10 +329,9 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     `consumer(component, band)` gets each component's samples, in order,
     and a function that gives the Signal or AnalyticSignal to track it,
     the same object however often it is called before the consumer
-    returns. Method 'none' has
-    one component, the signal itself; the banks hand theirs on through the
-    stream forms of :func:`dft_decompose` and :func:`fmd_decompose`, in one
-    reused array, after the running check has taken each in, inside
+    returns. Method 'none' has one component, the signal itself; the banks
+    hand theirs on through :func:`dft_decompose` and :func:`fmd_decompose`,
+    in one reused array, after the running check has taken each in, inside
     `workspace`, the consumer's IF workspace. Returns c0 (None for method
     'none') and the verification diagnostics.
     """
@@ -351,8 +350,8 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     else:
         order = {} if settings["order"] is None else {"order": settings["order"]}
         # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
-        c0, reconstruction, rep = fmd_decompose(signal, bands, **order, method=method,
-                                                consumer=consumer, workspace=workspace)
+        c0, reconstruction, rep = fmd_decompose(signal, bands, consumer, **order, method=method,
+                                                workspace=workspace)
         if method in ("fmd-a", "fmd-b"):
             checks["linoep"] = {
                 "max_tail_cross": rep.max_tail_cross,

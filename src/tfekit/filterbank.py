@@ -9,19 +9,19 @@ quadrature; components are mutually orthogonal with disjoint support.
 Both banks, this one and the FIR ladder of :mod:`tfekit.fmd`, stream the
 same way. A bank yields (component, band, *what its check takes) per
 component, and :func:`_drive`, their one loop, adds each component to the
-check, hands it to the consumer and finishes the check. Given a consumer,
-:func:`dft_decompose` runs the bank inside the consumer's
-:class:`IFWorkspace`: each band's quadrature is made in the workspace's
-quadrature and the check's measuring transform in its spectrum, so a band
-costs no N-sample array of its own.
+check, hands it to the consumer and finishes the check into a
+:class:`Decomposition`. :func:`dft_decompose` runs the bank inside the
+consumer's :class:`IFWorkspace`: each band's quadrature is made in the
+workspace's quadrature and the check's measuring transform in its
+spectrum, so a band costs no N-sample array of its own.
 """
 
 import functools
-import itertools
 import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "Decomposition",
     "dft_decompose",
     "OrthogonalityReport",
-    "verify_orthogonality",
 ]
 
 
@@ -158,45 +157,19 @@ class BandSpec:
         return _check_cutoffs(self.cutoffs_hz, sample_rate)[:-1]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Mean term c0 plus the component signals of one method, as rows of one array.
+class Decomposition(NamedTuple):
+    """What a decomposition returns once it has handed on every component.
 
-    `components` is a C-contiguous (M, N) float64 array whose row i is
-    component i; c0 + components.sum(axis=0) reconstructs the analyzed
-    signal pointwise. `method` names the producing algorithm as the CLI's
-    --method does: 'dft', 'fmd-a', 'fmd-b' or 'causal-fir'. `boundaries`
-    are a DFT decomposition's bin boundaries, as :func:`dft_decompose`
-    takes them; :func:`verify_orthogonality` needs them.
+    `c0` is the mean term, `reconstruction` c0 + the sum of the components
+    (an N-float array) and `report` the check's report: an
+    :class:`OrthogonalityReport` for the DFT bank, a
+    :class:`tfekit.fmd.LinoepReport` for 'fmd-a' and 'fmd-b', None for
+    'causal-fir'.
     """
 
     c0: float
-    components: np.ndarray
-    method: str
-    boundaries: tuple | None = None
-
-    def __post_init__(self):
-        comps = np.ascontiguousarray(self.components, dtype=np.float64)
-        if comps.ndim != 2 or comps.shape[0] == 0:
-            raise ValueError(f"components must form an (M, N) array with M >= 1, got {comps.shape}")
-        for row in comps:  # one row at a time: no (M, N) temporary
-            if not np.isfinite(row).all():
-                raise ValueError("components must be finite")
-        object.__setattr__(self, "components", comps)
-        if self.boundaries is not None:
-            bounds = _check_boundaries(self.boundaries, comps.shape[1])
-            if len(bounds) != comps.shape[0] + 1:
-                raise ValueError(f"{comps.shape[0]} components need {comps.shape[0] + 1} "
-                                 f"boundaries, got {len(bounds)}")
-            object.__setattr__(self, "boundaries", bounds)
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """c0 + sum of components."""
-        return self.c0 + np.sum(self.components, axis=0)
+    reconstruction: np.ndarray
+    report: object
 
 
 def _check_boundaries(boundaries, n: int) -> tuple[int, ...]:
@@ -229,8 +202,8 @@ class _DFTBank:
         self.c0 = float(spectrum[0].real)
         self._spectrum = spectrum[: n // 2 + 1].copy()
 
-    def bands(self, rows, workspace: IFWorkspace):
-        """Make each band's component, in order, in the next array of `rows`.
+    def bands(self, row: np.ndarray, workspace: IFWorkspace):
+        """Make each band's component, in order, in the N-float array `row`.
 
         Yields (component, band, lo, hi) per band, which covers bins
         lo+1 .. hi. The component is a read-only view of the real inverse
@@ -242,7 +215,7 @@ class _DFTBank:
         """
         n = self.n
         bins = np.zeros(n // 2 + 1, dtype=np.complex128)
-        for lo, hi, row in zip(self.boundaries[:-1], self.boundaries[1:], rows):
+        for lo, hi in zip(self.boundaries[:-1], self.boundaries[1:]):
             band = slice(lo + 1, hi + 1)
             bins[band] = self._spectrum[band]
             component = np.fft.irfft(bins, n, norm="forward", out=row).view()
@@ -261,51 +234,42 @@ def _drive(stages, check, c0: float, consumer):
     :meth:`_DFTBank.bands` and :func:`tfekit.fmd._ladder` do: `check` takes
     ``check.add(component, *args)`` before ``consumer(component, band)`` is
     called, and the component and what `band()` makes hold only until the
-    consumer returns. Returns ``check.finish(c0)``: the reconstruction and
-    the report.
+    consumer returns. Returns the :class:`Decomposition` of c0 and what
+    ``check.finish(c0)`` gives: the reconstruction and the report.
     """
     for component, band, *args in stages:
         check.add(component, *args)
         consumer(component, band)
-    return check.finish(c0)
+    return Decomposition(c0, *check.finish(c0))
 
 
-def dft_decompose(x: Signal, boundaries, consumer=None, workspace: IFWorkspace | None = None):
-    """Split a signal into zero-phase spectral band components.
+def dft_decompose(x: Signal, boundaries, consumer,
+                  workspace: IFWorkspace | None = None) -> Decomposition:
+    """Split a signal into zero-phase spectral band components, handing each on as it is made.
 
     `boundaries` are the bin boundaries K_0 = 0 < K_1 < ... < K_M = floor(N/2)
     of M bands, as :meth:`BandSpec.plan` gives them: band i (0-based) covers
     bins K_i+1 .. K_{i+1}. Each component is the real inverse transform of
     its bins of the input spectrum; c0 is the DC bin (the sample mean). The
-    spectrum is computed once and the bands are made one at a time.
-    Signals under 4 samples are refused, consumer or not.
+    spectrum is computed once and the bands are made one at a time, each
+    in one reused N-float array. Signals under 4 samples are refused, and
+    an input whose energy overflows float64 raises before any band is made.
 
-    Without a consumer, the components are collected into a
-    :class:`Decomposition`. With one, each band is made in one reused
-    N-float array, taken in by the check of :func:`verify_orthogonality`
-    and passed to ``consumer(component, band)``: a read-only view of the
-    component and a function that makes the band's :class:`AnalyticSignal`
-    in the quadrature of `workspace`, an :class:`IFWorkspace` of the
-    signal's length (a fresh one when not given), whose spectrum takes the
-    check's transform; later calls return the same object. Both hold until
-    the consumer returns. Nothing is
-    collected: the call returns ``(c0, reconstruction, report)``, the
-    reconstruction c0 + sum of the components and the
-    :class:`OrthogonalityReport`. An input whose energy overflows float64
-    raises before any band is handed on; the collect form leaves that to
-    :func:`verify_orthogonality`.
+    Each band is taken in by :class:`_BandCheck` and passed to
+    ``consumer(component, band)``: a read-only view of the component and a
+    function that makes the band's :class:`AnalyticSignal` in the
+    quadrature of `workspace`, an :class:`IFWorkspace` of the signal's
+    length (a fresh one when not given), whose spectrum takes the check's
+    transform; later calls return the same object. Both hold until the
+    consumer returns. Nothing is collected: the call returns the
+    :class:`Decomposition` of c0, the reconstruction and the
+    :class:`OrthogonalityReport`.
     """
-    if consumer is not None:
-        finite_energy(x.samples)  # the overflow the check would report, before any band is made
+    finite_energy(x.samples)  # the overflow the check would report, before any band is made
     bank = _DFTBank(x, boundaries)
     ws = IFWorkspace._for(bank.n, workspace)
-    if consumer is None:
-        components = np.empty((len(bank.boundaries) - 1, bank.n))
-        for _ in bank.bands(components, ws):
-            pass
-        return Decomposition(bank.c0, components, "dft", bank.boundaries)
-    stages = bank.bands(itertools.repeat(np.empty(bank.n)), ws)
-    return bank.c0, *_drive(stages, _BandCheck(bank.n, ws.spectrum), bank.c0, consumer)
+    stages = bank.bands(np.empty(bank.n), ws)
+    return _drive(stages, _BandCheck(bank.n, ws.spectrum), bank.c0, consumer)
 
 
 @dataclass(frozen=True)
@@ -336,10 +300,9 @@ class _BandCheck:
     rounding, :func:`_fft_rounding`, since that transform may hide at most
     that much out-of-band power.
 
-    The measuring transform's n//2+1 bins go into `spectrum`: the stream
-    form of :func:`dft_decompose` passes its IF workspace's, which is free
-    while a band is checked, since the band's track lands there only
-    afterwards.
+    The measuring transform's n//2+1 bins go into `spectrum`:
+    :func:`dft_decompose` passes its IF workspace's, which is free while a
+    band is checked, since the band's track lands there only afterwards.
     """
 
     def __init__(self, n: int, spectrum: np.ndarray):
@@ -397,23 +360,3 @@ def _fft_rounding(n: int) -> float:
     """
     u = np.finfo(np.float64).eps / 2
     return float(16 * u * np.ceil(np.log2(2 * n)))
-
-
-def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
-    """Check mutual orthogonality and Parseval energy balance of a DFT decomposition.
-
-    Reports a bound on the max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||),
-    from each component's out-of-band leakage (:class:`_BandCheck`), and
-    (sum ||y_i||^2 + N*c0^2) / ||x||^2, where x is the reconstruction; the
-    ratio is 1 when x has zero energy. It needs the decomposition's bin
-    boundaries. An energy that overflows float64 raises.
-    """
-    if d.method != "dft":
-        raise ValueError(f"orthogonality verification applies to 'dft' decompositions, got {d.method!r}")
-    if d.boundaries is None:
-        raise ValueError("orthogonality verification needs the decomposition's bin boundaries")
-    n = d.components.shape[1]
-    check = _BandCheck(n, np.empty(n // 2 + 1, dtype=np.complex128))
-    for component, lo, hi in zip(d.components, d.boundaries, d.boundaries[1:]):
-        check.add(component, lo, hi)
-    return check.finish(d.c0)[1]

@@ -19,8 +19,7 @@ N-sample output and batch arrays of about 1.5 MB.
 :class:`IFWorkspace`: the filter output in its quadrature, the filter's
 batch arrays and then the component in its spectrum, which is copied
 from there into the ladder's buffer of the stage's input, to go to the
-consumer or into its row of a collected :class:`Decomposition`. With a
-consumer it streams as the DFT bank does: the ladder yields
+consumer. It streams as the DFT bank does: the ladder yields
 (component, band, remainder, defect) per stage, and the filter bank's one
 loop, ``filterbank._drive``, checks each component and hands it on. With
 the consumer's workspace, it holds three N-sample arrays of its own: the
@@ -53,7 +52,6 @@ __all__ = [
     "causal_filter",
     "fmd_decompose",
     "LinoepReport",
-    "verify_linoep",
 ]
 
 
@@ -316,9 +314,9 @@ def _ladder(x, c0, cutoffs, order, method, sample_rate, workspace):
     yield band.samples, lambda: band, None, None
 
 
-def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a",
-                  consumer=None, workspace: IFWorkspace | None = None):
-    """Iterative filter-mode decomposition into energy-preserving components.
+def fmd_decompose(x: Signal, cutoffs_hz, consumer, order: int = 256, method: str = "fmd-a",
+                  workspace: IFWorkspace | None = None) -> Decomposition:
+    """Iterative filter-mode decomposition into energy-preserving components, handed on one by one.
 
     Parameters
     ----------
@@ -327,6 +325,15 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     cutoffs_hz : sequence of float
         M-1 stage cutoffs, strictly increasing, as :meth:`BandSpec.ladder`
         gives them.
+    consumer : callable
+        Each component is made in one of the ladder's two N-float
+        buffers, checked by :class:`_TailCheck` and passed to
+        ``consumer(component, band)``: a read-only view of that buffer and
+        a function that gives the component's Signal on it, both valid
+        until the consumer returns. Nothing is collected: the call returns
+        the :class:`Decomposition` of c0, the reconstruction c0 + sum of
+        the components and a :class:`LinoepReport` of the check's bounds,
+        None for 'causal-fir'.
     order : int
         FIR order for every stage filter.
     method : {'fmd-a', 'fmd-b', 'causal-fir'}
@@ -334,18 +341,6 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
         components go from high to low frequency; 'fmd-b' (part B) runs
         lowpass stages up it, low to high. 'causal-fir' is part A with
         single-pass filtering, the contrast mode.
-    consumer : callable, optional
-        Each component is made in one of the ladder's two N-float
-        buffers, either way. Without a consumer, each is copied from there
-        into its row of the returned :class:`Decomposition`. With one, each
-        is checked by :class:`_TailCheck` and passed to
-        ``consumer(component, band)``: a read-only view of that buffer and
-        a function that gives the component's Signal on it, both valid
-        until the consumer returns. Nothing is collected: the call returns
-        ``(c0, reconstruction, report)``, the reconstruction c0 + sum of
-        the components and a :class:`LinoepReport` of the check's bounds;
-        the report is None for 'causal-fir', which :func:`verify_linoep`
-        refuses too.
     workspace : IFWorkspace, optional
         An IF workspace for x's length, in whose arrays each stage makes
         its filter output, component and defect; a fresh one is made when
@@ -370,8 +365,8 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     orthogonal to the sum of all later components. When the
     orthogonalization denominator falls below 1e-14 times the input
     energy, alpha is set to 0 and the remaining stages degenerate
-    gracefully. An input whose energy overflows float64
-    raises ValueError before any stage runs.
+    gracefully. An input whose energy overflows float64 raises
+    ValueError before any stage runs.
     """
     if method not in ("fmd-a", "fmd-b", "causal-fir"):
         raise ValueError(f"method must be 'fmd-a', 'fmd-b' or 'causal-fir', got {method!r}")
@@ -386,21 +381,16 @@ def fmd_decompose(x: Signal, cutoffs_hz, order: int = 256, method: str = "fmd-a"
     finite_energy(x.samples)  # before the mean, which an overflowing sum would make inf
     c0 = float(np.mean(x.samples))
     stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws)
-    if consumer is None:
-        rows = np.empty((len(cutoffs) + 1, n))
-        for row, (component, *_) in zip(rows, stages):
-            row[:] = component
-        return Decomposition(c0, rows, method)
-    reconstruction, report = _drive(stages, _TailCheck(n), c0, consumer)
-    return c0, reconstruction, None if method == "causal-fir" else report
+    d = _drive(stages, _TailCheck(n), c0, consumer)
+    return d._replace(report=None) if method == "causal-fir" else d
 
 
 @dataclass(frozen=True)
 class LinoepReport:
     """Tail-orthogonality and energy-identity summary of an FMD decomposition.
 
-    tail_cross[i] is |<c_i, sum_{l>i} c_l>| normalized by the norms, or,
-    from :class:`_TailCheck`, a bound on it; pairwise orthogonality between
+    tail_cross[i] bounds |<c_i, sum_{l>i} c_l>| normalized by the norms
+    (:class:`_TailCheck` says how); pairwise orthogonality between
     arbitrary components is not expected and not reported.
     """
 
@@ -420,14 +410,14 @@ class _TailCheck:
     d_i = c_i + x_{i+1} - x_i telescopes: the last component is the last
     remainder, so the tail T_i = sum_{l>i} c_l equals x_{i+1} + sum_{l>i} d_l
     exactly. With D_i = sum_{l>i} ||d_l||, Cauchy-Schwarz and the triangle
-    inequality bound :func:`verify_linoep`'s figure as
+    inequality bound the normalized tail product as
 
         |<c_i, T_i>| / (||c_i|| ||T_i||)
             <= (|<c_i, x_{i+1}>| + ||c_i|| D_i) / (||c_i|| (||x_{i+1}|| - D_i))
 
     when ||x_{i+1}|| > D_i. The figure is at most 1, and the bound reads 1
     where D_i reaches ||x_{i+1}||; it reads 0 for a zero component or a
-    tail that is exactly zero, as :func:`verify_linoep` does.
+    tail that is exactly zero, as the figure itself does.
 
     The bound also covers the rounding of what it is made from (u = 2^-53,
     gamma_k = k*u / (1 - k*u), no underflow):
@@ -495,31 +485,3 @@ class _TailCheck:
                     bounds[i] = min(figure, 1.0)
             later += (1 + gamma) * ((1 + 2 * u) * d + u * (c + r))
         return x, LinoepReport(bounds, ratio)
-
-
-def verify_linoep(d: Decomposition) -> LinoepReport:
-    """Check the energy-preserving structure of an FMD decomposition.
-
-    Reports, for each i, the normalized inner product of component i with
-    the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2,
-    where x - c0 is the sum of all the components. An energy that
-    overflows float64 raises. The tail sums run backward over the stored
-    components; :func:`fmd_decompose` with a consumer reports a bound on the
-    same figures instead, stage by stage (:class:`_TailCheck`).
-    """
-    if d.method not in ("fmd-a", "fmd-b"):
-        raise ValueError(f"LINOEP verification applies to fmd decompositions, got {d.method!r}")
-    comps = d.components
-    energies = [finite_energy(c) for c in comps]
-    tail, tail_energy = comps[-1].copy(), energies[-1]
-    crosses = np.zeros(len(comps) - 1)
-    for i in range(len(comps) - 2, -1, -1):
-        # the product of the norms, not the root of the energies' product,
-        # which overflows or underflows far sooner
-        denom = np.sqrt(energies[i]) * np.sqrt(tail_energy)
-        crosses[i] = abs(_dot(comps[i], tail)) / denom if denom > 0 else 0.0
-        tail += comps[i]
-        tail_energy = finite_energy(tail)
-    # the tail is now x - c0
-    ratio = sum(energies) / tail_energy if tail_energy > 0 else 1.0
-    return LinoepReport(crosses, ratio)

@@ -49,8 +49,8 @@ class Signal:
         """A Signal on a read-only view of `samples`, without the copy and checks.
 
         For arrays already known to pass them: one-dimensional, finite
-        float64, at least 2 samples, at a valid rate (a row of a
-        Decomposition's components, say).
+        float64, at least 2 samples, at a valid rate (a filter's own
+        output, or a component a bank hands on, say).
         """
         view = samples.view()
         view.flags.writeable = False

@@ -20,9 +20,11 @@ masked fold must match its bits), zero-phase filtering as two
 time-domain convolutions with a reversal between them (the block-FFT
 filter must match it to rounding), the overlap-save filter that transforms
 every frame of the whole padded input at once (the batched filter must
-match its bits) and the signal CSV reader that
+match its bits), the signal CSV reader that
 splits, strips and converts the file line by line (the C-parsed ingest
-must match its bits, or its error message).
+must match its bits, or its error message) and the FMD tail figures
+summed backward over every stored component (the streaming check's
+defect bound must cover them).
 """
 
 from pathlib import Path
@@ -32,13 +34,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tfekit import (
     AnalyticSignal,
-    Decomposition,
     FirFilter,
+    LinoepReport,
     OrthogonalityReport,
     Signal,
     TFEGrid,
 )
-from tfekit.signals import finite_energy
+from tfekit.signals import _dot, finite_energy
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
 
@@ -300,8 +302,8 @@ def zero_phase_whole(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
-def dft_decompose(x: Signal, boundaries) -> Decomposition:
-    """Split a signal into zero-phase spectral band components.
+def dft_decompose(x: Signal, boundaries) -> tuple[float, np.ndarray]:
+    """Split a signal into zero-phase spectral band components: c0 and the (M, N) components.
 
     Each component is the inverse transform of the input spectrum masked
     to one band's bins and their mirrors; c0 is the DC bin (the sample
@@ -331,7 +333,7 @@ def dft_decompose(x: Signal, boundaries) -> Decomposition:
                 f"{residue_limit:.3e}; spectral mask lost Hermitian symmetry"
             )
         components.append(y.real)
-    return Decomposition(c0, components, "dft", tuple(boundaries))
+    return c0, np.array(components)
 
 
 def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
@@ -360,16 +362,42 @@ def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
     return TFEGrid(time_edges, freq_edges, grid)
 
 
-def verify_orthogonality(d: Decomposition) -> OrthogonalityReport:
+def verify_orthogonality(c0: float, components) -> OrthogonalityReport:
     """Pairwise orthogonality and Parseval balance, on a stacked copy of the components."""
-    x = d.c0 + np.sum(list(d.components), axis=0)
+    x = c0 + np.sum(list(components), axis=0)
     energy = finite_energy(x)
-    comps = np.stack(list(d.components))
+    comps = np.stack(list(components))
     gram = comps @ comps.T
     norms = np.sqrt(np.diag(gram))
     denom = np.outer(norms, norms)
     denom[denom == 0] = 1.0
     normalized = np.abs(gram) / denom
     np.fill_diagonal(normalized, 0.0)
-    energy_ratio = float((np.trace(gram) + x.size * d.c0**2) / energy) if energy > 0 else 1.0
+    energy_ratio = float((np.trace(gram) + x.size * c0**2) / energy) if energy > 0 else 1.0
     return OrthogonalityReport(float(normalized.max()), energy_ratio)
+
+
+def verify_linoep(components) -> LinoepReport:
+    """Check the energy-preserving structure of an FMD decomposition's (M, N) components.
+
+    Reports, for each i, the normalized inner product of component i with
+    the sum of all later components, plus sum ||c_i||^2 / ||x - c0||^2,
+    where x - c0 is the sum of all the components. An energy that
+    overflows float64 raises. The tail sums run backward over the stored
+    components; :func:`tfekit.fmd_decompose` reports a bound on the same
+    figures instead, stage by stage (``tfekit.fmd._TailCheck``).
+    """
+    comps = components
+    energies = [finite_energy(c) for c in comps]
+    tail, tail_energy = comps[-1].copy(), energies[-1]
+    crosses = np.zeros(len(comps) - 1)
+    for i in range(len(comps) - 2, -1, -1):
+        # the product of the norms, not the root of the energies' product,
+        # which overflows or underflows far sooner
+        denom = np.sqrt(energies[i]) * np.sqrt(tail_energy)
+        crosses[i] = abs(_dot(comps[i], tail)) / denom if denom > 0 else 0.0
+        tail += comps[i]
+        tail_energy = finite_energy(tail)
+    # the tail is now x - c0
+    ratio = sum(energies) / tail_energy if tail_energy > 0 else 1.0
+    return LinoepReport(crosses, ratio)

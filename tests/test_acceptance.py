@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import dft_direct, idft_direct
-from streams import kept_bands
+from streams import collect, drop, kept_bands
 from tfekit import (
     BandSpec,
     DiffScheme,
@@ -28,8 +28,6 @@ from tfekit import (
     gen_noise,
     if_track,
     mix,
-    verify_linoep,
-    verify_orthogonality,
     zero_phase_filter,
 )
 
@@ -140,10 +138,10 @@ def test_criterion_04_two_tone_average_and_band_split():
     max_rel = float(rel.max())
 
     plan = BandSpec(bands=100).plan(len(x), fs)
-    decomposition = dft_decompose(x, plan)
+    _, components = collect(dft_decompose, x, plan)
     in_band = 0.0
     total = 0.0
-    for component in decomposition.components:
+    for component in components:
         tr = if_track(Signal(component, fs))
         distance = np.minimum(np.abs(tr.frequency_hz - ridge_a),
                               np.abs(tr.frequency_hz - ridge_b))
@@ -170,9 +168,9 @@ def test_criterion_06_dft_decomposition_invariants():
     x = _example1_mixture()
     worst = {"recon": 0.0, "cross": 0.0, "energy": 0.0}
     for n_bands in (2, 10, 100):
-        d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate))
-        recon = float(np.abs(d.reconstruct() - x.samples).max() / np.abs(x.samples).max())
-        report = verify_orthogonality(d)
+        d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop)
+        recon = float(np.abs(d.reconstruction - x.samples).max() / np.abs(x.samples).max())
+        report = d.report
         worst["recon"] = max(worst["recon"], recon)
         worst["cross"] = max(worst["cross"], report.max_normalized_cross)
         worst["energy"] = max(worst["energy"], abs(report.energy_ratio - 1.0))
@@ -192,10 +190,10 @@ def test_criterion_07_fmd_invariants():
         for n_bands in (2, 5, 10):
             for method in ("fmd-a", "fmd-b"):
                 cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
-                d = fmd_decompose(x, cutoffs, order=order, method=method)
-                recon = float(np.abs(d.reconstruct() - x.samples).max()
+                d = fmd_decompose(x, cutoffs, drop, order=order, method=method)
+                recon = float(np.abs(d.reconstruction - x.samples).max()
                               / np.abs(x.samples).max())
-                report = verify_linoep(d)
+                report = d.report
                 worst["recon"] = max(worst["recon"], recon)
                 worst["tail"] = max(worst["tail"], report.max_tail_cross)
                 worst["energy"] = max(worst["energy"], abs(report.energy_ratio - 1.0))
@@ -254,7 +252,7 @@ def test_criterion_11_oracle_equivalence():
         x = rng.normal(size=n)
         spectrum = dft_direct(x)
         plan = BandSpec(bands=n // 2).plan(n, 1.0)
-        d, bands = dft_decompose(Signal(x, 1.0), plan), kept_bands(Signal(x, 1.0), plan)
+        d, bands = dft_decompose(Signal(x, 1.0), plan, drop), kept_bands(Signal(x, 1.0), plan)
         err_f = abs(d.c0 - spectrum[0].real) / float(np.abs(spectrum).max())
         worst_transform = max(worst_transform, err_f)
         for k, band in enumerate(bands, start=1):
@@ -265,34 +263,35 @@ def test_criterion_11_oracle_equivalence():
             worst_transform = max(worst_transform, err_i)
 
     x = Signal(rng.normal(size=64), 64.0)
-    d = dft_decompose(x, BandSpec(bands=4).plan(64, 64.0))
-    report = verify_orthogonality(d)
+    d, components = collect(dft_decompose, x, BandSpec(bands=4).plan(64, 64.0))
+    report = d.report
     cross = 0.0
     for i in range(4):
         for j in range(i + 1, 4):
-            ci, cj = d.components[i], d.components[j]
+            ci, cj = components[i], components[j]
             denom = np.sqrt(np.dot(ci, ci) * np.dot(cj, cj))
             cross = max(cross, abs(float(np.dot(ci, cj))) / denom)
-    energy = (sum(float(np.dot(c, c)) for c in d.components) + 64 * d.c0**2) / np.dot(x.samples, x.samples)
+    energy = ((sum(float(np.dot(c, c)) for c in components) + 64 * d.c0**2)
+              / np.dot(x.samples, x.samples))
     orth_dev = max(abs(report.max_normalized_cross - cross),
                    abs(report.energy_ratio - energy))
 
-    f = fmd_decompose(x, [16.0, 24.0], order=16)
-    linoep = verify_linoep(f)
+    f, components = collect(fmd_decompose, x, [16.0, 24.0], order=16)
+    linoep = f.report
     tails = []
-    for i in range(f.n_components - 1):
-        tail = np.sum(f.components[i + 1 :], axis=0)
-        ci = f.components[i]
+    for i in range(len(components) - 1):
+        tail = np.sum(components[i + 1 :], axis=0)
+        ci = components[i]
         denom = np.sqrt(np.dot(ci, ci) * np.dot(tail, tail))
         tails.append(abs(float(np.dot(ci, tail))) / denom)
     detrended = x.samples - x.samples.mean()
-    ratio = sum(float(np.dot(c, c)) for c in f.components) / float(np.dot(detrended, detrended))
+    ratio = sum(float(np.dot(c, c)) for c in components) / float(np.dot(detrended, detrended))
     linoep_dev = max(abs(linoep.max_tail_cross - max(tails)),
                      abs(linoep.energy_ratio - ratio))
 
-    # the orthogonality figure is a leakage bound: at or above the pairwise one
+    # the orthogonality and tail figures are bounds: at or above the direct ones
     ok = (worst_transform <= 1e-10 and orth_dev <= 1e-12 and linoep_dev <= 1e-12
-          and report.max_normalized_cross >= cross)
+          and report.max_normalized_cross >= cross and linoep.max_tail_cross >= max(tails))
     _report(11, "library results match O(N^2) and direct inner-product oracles", ok,
             f"transform={worst_transform:.2e}, orth_dev={orth_dev:.2e}, "
             f"linoep_dev={linoep_dev:.2e}")

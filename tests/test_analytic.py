@@ -13,7 +13,7 @@ from oracles import (
     unwrap_phase,
     wrap_angle,
 )
-from streams import kept_bands
+from streams import collect, drop, kept_bands
 from tfekit import (
     AnalyticSignal,
     BandSpec,
@@ -43,9 +43,10 @@ class TestDft:
 
     def test_delta_spectrum(self):
         # a flat spectrum of 1/N: c0, the bin-1 cosine and the Nyquist tone all carry 0.25
-        d = dft_decompose(Signal([1.0, 0.0, 0.0, 0.0], 4.0), BandSpec(bands=2).plan(4, 4.0))
+        d, rows = collect(dft_decompose, Signal([1.0, 0.0, 0.0, 0.0], 4.0),
+                          BandSpec(bands=2).plan(4, 4.0))
         assert np.allclose(d.c0, 0.25)
-        assert np.allclose(d.components, [[0.5, 0.0, -0.5, 0.0], [0.25, -0.25, 0.25, -0.25]])
+        assert np.allclose(rows, [[0.5, 0.0, -0.5, 0.0], [0.25, -0.25, 0.25, -0.25]])
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(1)
@@ -54,14 +55,14 @@ class TestDft:
         z = one_sided(np.fft.fft(x, norm="forward"), 0, 128)
         assert np.abs(z.real - x).max() <= 1e-10 * scale
         assert np.abs(z.imag - analytic_signal(Signal(x, 1.0)).imag).max() <= 1e-10 * scale
-        d = dft_decompose(Signal(x, 1.0), BandSpec(bands=1).plan(257, 1.0))
-        assert np.abs(d.reconstruct() - x).max() <= 1e-10 * scale
+        d = dft_decompose(Signal(x, 1.0), BandSpec(bands=1).plan(257, 1.0), drop)
+        assert np.abs(d.reconstruction - x).max() <= 1e-10 * scale
 
     def test_bin_aligned_cosine(self):
         # the cosine is 0.5 at bin 1 and at its mirror: band 1 is its analytic signal
         n = np.arange(8)
         x, plan = Signal(np.cos(2 * np.pi * n / 8), 8.0), BandSpec(bands=4).plan(8, 8.0)
-        d, bands = dft_decompose(x, plan), kept_bands(x, plan)
+        d, bands = dft_decompose(x, plan, drop), kept_bands(x, plan)
         assert abs(d.c0) < 1e-12
         assert np.abs(bands[0].real + 1j * bands[0].imag - np.exp(2j * np.pi * n / 8)).max() < 1e-12
         assert max(np.abs(band.real + 1j * band.imag).max() for band in bands[1:]) < 1e-12
@@ -73,7 +74,7 @@ class TestDft:
         x = rng.normal(size=n)
         spectrum = dft_direct(x)
         plan = BandSpec(bands=n // 2).plan(n, 1.0)
-        d, bands = dft_decompose(Signal(x, 1.0), plan), kept_bands(Signal(x, 1.0), plan)
+        d, bands = dft_decompose(Signal(x, 1.0), plan, drop), kept_bands(Signal(x, 1.0), plan)
         assert abs(d.c0 - spectrum[0].real) <= 1e-10 * np.abs(spectrum).max()
         for k, band in enumerate(bands, start=1):
             one_bin = np.zeros(n, dtype=complex)
@@ -84,7 +85,7 @@ class TestDft:
     def test_empty_rejected(self):
         # the analytic signal's length rule, whether or not the bands are tracked
         for n in (2, 3):
-            for consumer in (None, lambda component, band: None):
+            for consumer in (drop, lambda component, band: band()):
                 with pytest.raises(ValueError, match=f"at least 4 samples, got {n}"):
                     dft_decompose(Signal(np.ones(n), 1.0), (0, 1), consumer)
         with pytest.raises(ValueError, match="at least 2 samples"):
@@ -235,7 +236,7 @@ class TestOneSided:
     def test_bands_add_up_to_the_full_band(self, n):
         # c0, then runs of bins up to Nyquist: the analytic signal is linear in its bins
         x = Signal(np.random.default_rng(n).normal(size=n), 1.0)
-        d = dft_decompose(x, (0, 3, 4, n // 2))
+        d = dft_decompose(x, (0, 3, 4, n // 2), drop)
         parts = [band.real + 1j * band.imag for band in kept_bands(x, (0, 3, 4, n // 2))]
         a = analytic_signal(x)
         full = a.real + 1j * a.imag
@@ -246,7 +247,7 @@ class TestOneSided:
         for bounds, message in [((-1, 2, 4), "start at 0"), ((0, 3, 2, 4), "strictly increasing"),
                                 ((0, 1, 5), "last boundary must be 4")]:
             with pytest.raises(ValueError, match=message):
-                dft_decompose(x, bounds)
+                dft_decompose(x, bounds, drop)
 
 
 class TestHilbertKernel:

@@ -45,8 +45,6 @@ PUBLIC = [
     "phase_diff",
     "positive_if",
     "save_csv",
-    "verify_linoep",
-    "verify_orthogonality",
     "zero_phase_filter",
 ]
 
@@ -62,6 +60,8 @@ REMOVED = [
     ("filterbank", "custom_band_plan"),
     ("io", "SAVE_BLOCK"),
     ("signals", "remove_mean"),
+    ("filterbank", "verify_orthogonality"),
+    ("fmd", "verify_linoep"),
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -75,6 +75,11 @@ REMOVED_ATTRIBUTES = [
     (tfekit.Signal, "duration"),
     (tfekit.Signal, "energy"),
     (tfekit.Decomposition, "sample_rate"),
+    (tfekit.Decomposition, "components"),
+    (tfekit.Decomposition, "method"),
+    (tfekit.Decomposition, "boundaries"),
+    (tfekit.Decomposition, "n_components"),
+    (tfekit.Decomposition, "reconstruct"),
     # an instance attribute: a workspace shows it
     (tfekit.IFWorkspace(4), "mask"),
     (tfekit.IFWorkspace(4), "scratch"),

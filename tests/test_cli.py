@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from streams import kept_bands
+from streams import collect, kept_bands
 
 from tfekit import (
     BandSpec,
@@ -24,8 +24,6 @@ from tfekit import (
     load_csv,
     load_grid_csv,
     load_track_csv,
-    verify_linoep,
-    verify_orthogonality,
 )
 from tfekit.cli import (
     FIXTURE_FLAGS,
@@ -423,8 +421,8 @@ class TestAnalyze:
                 added.append(tracemalloc.get_traced_memory()[1] - held)
             return handed_on
 
-        monkeypatch.setattr(cli, "fmd_decompose", lambda *args, consumer, **kwargs:
-                            fmd_decompose(*args, consumer=measured(consumer), **kwargs))
+        monkeypatch.setattr(cli, "fmd_decompose", lambda x, cutoffs, consumer, **kwargs:
+                            fmd_decompose(x, cutoffs, measured(consumer), **kwargs))
         tracemalloc.start()
         try:
             settings = _settings(args, None)
@@ -472,8 +470,8 @@ class TestMethodSettings:
     @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
     def test_decomposition_carries_the_cli_method_name(self, monkeypatch, method):
         # the FIR ladder runs under its --method name and hands on, bit for
-        # bit, the components of the library's Decomposition of that name;
-        # the DFT bank runs no ladder and reports the orthogonality checks
+        # bit, the components the library hands on under that name; the
+        # DFT bank runs no ladder and reports the orthogonality checks
         import tfekit.cli as cli
 
         methods = []
@@ -493,10 +491,9 @@ class TestMethodSettings:
             assert methods == [] and checks["orthogonality"] is not None
         else:
             assert methods == [method]
-            made = fmd_decompose(signal, bands, method=method)
-            assert made.method == method
+            made, rows = collect(fmd_decompose, signal, bands, method=method)
             assert c0 == made.c0
-            assert np.array(handed).tobytes() == made.components.tobytes()
+            assert np.array(handed).tobytes() == rows.tobytes()
             assert (checks["linoep"] is None) == (method == "causal-fir")
 
     @pytest.mark.parametrize("method", ["none", "dft"])
@@ -940,24 +937,24 @@ def _oracle_tracks(x, method, bands):
         return [if_track(x)], checks
     if method == "dft":
         plan = BandSpec(bands=bands).plan(len(x), fs)
-        d = dft_decompose(x, plan)
+        d, rows = collect(dft_decompose, x, plan)
         tracks = [if_track(band) for band in kept_bands(x, plan)]
     else:
         ladder = BandSpec(bands=bands).ladder(fs)
-        d = fmd_decompose(x, ladder, 256, method)
-        tracks = [if_track(Signal(c, fs)) for c in list(d.components)]
-    err = np.abs(d.c0 + np.sum(list(d.components), axis=0) - x.samples).max()
+        d, rows = collect(fmd_decompose, x, ladder, 256, method)
+        tracks = [if_track(Signal(c, fs)) for c in rows]
+    err = np.abs(d.c0 + np.sum(rows, axis=0) - x.samples).max()
     checks["reconstruction_error"] = float(err / max(np.abs(x.samples).max(), 1e-300))
+    rep = d.report
     if method == "dft":
-        rep = verify_orthogonality(d)
-        assert rep.max_normalized_cross >= oracles.verify_orthogonality(d).max_normalized_cross
+        assert (rep.max_normalized_cross
+                >= oracles.verify_orthogonality(d.c0, rows).max_normalized_cross)
         checks["orthogonality"] = {"max_normalized_cross": rep.max_normalized_cross,
                                    "cross_figure": "leakage bound",
                                    "energy_ratio": rep.energy_ratio}
     elif method == "fmd-a":
         # the streaming check's figures, at or above the backward exact ones
-        _, _, rep = fmd_decompose(x, ladder, 256, method, consumer=lambda component, band: None)
-        exact = verify_linoep(d)
+        exact = oracles.verify_linoep(rows)
         assert (rep.tail_cross >= exact.tail_cross).all()
         assert abs(rep.energy_ratio - exact.energy_ratio) <= 1e-12
         checks["linoep"] = {"max_tail_cross": rep.max_tail_cross, "cross_figure": "defect bound",
