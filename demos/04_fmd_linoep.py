@@ -9,10 +9,10 @@ exactly while keeping full control of the cutoff ladder.
 
 import numpy as np
 
-from tfekit import BandSpec, NoiseSpec, fmd_decompose, gen_noise
+from tfekit import BandSpec, fmd_decompose, gen_noise
 
 fs = 1000.0
-x = gen_noise(NoiseSpec(seed=42, mean=0.0, variance=1.0, length=8192), fs)
+x = gen_noise(seed=42, length=8192, sample_rate=fs)
 cutoffs = BandSpec(bands=5).ladder(fs)
 
 

@@ -24,10 +24,9 @@ from .fmd import (
     fmd_decompose,
     zero_phase_filter,
 )
-from .instfreq import DiffScheme, IFTrack, conventional_if, if_track, phase_diff, positive_if
+from .instfreq import IFTrack, conventional_if, if_track, phase_diff, positive_if
 from .io import load_csv, load_wav, save_csv
 from .signals import (
-    NoiseSpec,
     Signal,
     chirp_true_if,
     delay_pad,
@@ -53,12 +52,10 @@ __all__ = [
     "AnalyticSignal",
     "BandSpec",
     "Decomposition",
-    "DiffScheme",
     "FirFilter",
     "IFTrack",
     "IFWorkspace",
     "LinoepReport",
-    "NoiseSpec",
     "OrthogonalityReport",
     "Signal",
     "TFEAccumulator",

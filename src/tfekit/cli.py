@@ -11,6 +11,7 @@ Configuration may come from flags and/or a JSON file (flags win).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,11 +22,10 @@ import numpy as np
 from . import __version__
 from .analytic import IFWorkspace
 from .filterbank import BandSpec, dft_decompose
-from .fmd import _check_order, fmd_decompose
-from .instfreq import DiffScheme, if_track
+from .fmd import METHODS, _check_order, fmd_decompose
+from .instfreq import MODES, SCHEMES, if_track
 from .io import load_csv, load_wav, save_csv
 from .signals import (
-    NoiseSpec,
     Signal,
     _dot,
     chirp_true_if,
@@ -86,7 +86,7 @@ FIXTURES = {
     ),
     "noise": (
         dict(seed=0, mean=0.0, var=1.0, length=10240, fs=100.0),
-        lambda p: gen_noise(NoiseSpec(p["seed"], p["mean"], p["var"], p["length"]), p["fs"]),
+        lambda p: gen_noise(p["seed"], p["length"], p["fs"], p["mean"], p["var"]),
         None,
     ),
     "chirp-fm-mix": (
@@ -153,8 +153,7 @@ def _add_fixture_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # the settings that take one of a few words, lower-cased, as flags and in config files alike
-CHOICES = {"method": ("none", "dft", "fmd-a", "fmd-b", "causal-fir"),
-           "scheme": ("forward", "backward", "central"), "if": ("positive", "conventional")}
+CHOICES = {"method": ("none", "dft", *METHODS), "scheme": SCHEMES, "if": MODES}
 
 
 def _add_analysis_flags(
@@ -376,8 +375,7 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
     true `ridges`, the energy-weighted mean distance (Hz) between track
     samples and the nearest ridge, summed in track order.
     """
-    scheme = DiffScheme(settings["scheme"])
-    if_mode = settings["if"]
+    scheme, if_mode = settings["scheme"], settings["if"]
     negative_fractions = []
     weighted = total_energy = 0.0
     tracked = False  # whether a component with a non-zero sample was tracked
@@ -400,16 +398,20 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
                 np.abs(np.subtract(track.frequency_hz, ridge, out=gap), out=gap)
                 np.minimum(dist, gap, out=dist)
             weighted += _dot(dist, track.energy)
-            total_energy += float(track.energy.sum())
+            with np.errstate(over="ignore"):  # an inf sum is refused below
+                total_energy += float(track.energy.sum())
 
     _, checks = _decompose(signal, settings, bands, sink, workspace)
     if tracked and not grid.energy.any():
         raise ValueError("signal energy underflows float64 to 0; rescale the input")
+    # the ridge figure's sums, over all samples, can overflow where no grid cell's does
+    if not (np.isfinite(weighted) and np.isfinite(total_energy)):
+        raise ValueError("signal energy overflows float64; rescale the input")
     diagnostics = {
         "schema": DIAGNOSTICS_SCHEMA,
         "method": settings["method"],
         "if_mode": if_mode,
-        "scheme": scheme.value,
+        "scheme": scheme,
         "n_samples": len(signal),
         "sample_rate_hz": signal.sample_rate,
         "n_components": len(negative_fractions),
@@ -424,6 +426,32 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
 
 def _write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, indent=2, allow_nan=False) + "\n")
+
+
+@contextlib.contextmanager
+def _staged():
+    """Stage a command's outputs, so that a failed command leaves none behind.
+
+    Yields `stage(path)`, which returns ``<path>.partial`` to write the
+    output to. When the block ends, every staged file is renamed into
+    place; if the block or a rename raises, every staged file is removed,
+    any already renamed too.
+    """
+    staged, renamed = [], []  # (partial, path) pairs; the paths renamed into place
+
+    def stage(path: Path) -> Path:
+        staged.append((Path(f"{path}.partial"), path))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for partial, path in staged:
+            os.replace(partial, path)
+            renamed.append(path)
+    except BaseException:
+        for path in [partial for partial, _ in staged] + renamed:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def cmd_gen(args) -> int:
@@ -443,18 +471,12 @@ def cmd_analyze(args) -> int:
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
     diag_path = Path(f"{prefix}_diagnostics.json")
-    # the tracks stream into a sibling file, renamed once every check has run
-    partial_path = Path(f"{track_path}.partial")
-    try:
-        with open(partial_path, "w") as fh:
+    with _staged() as stage:
+        with open(stage(track_path), "w") as fh:
             diagnostics, _ = _run_analysis(signal, settings, bands, grid, TrackCsvWriter(fh).write)
-        export_grid_csv(grid.grid(), grid_path)
+        export_grid_csv(grid.grid(), stage(grid_path))
         diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
-        _write_json(diag_path, diagnostics)
-        os.replace(partial_path, track_path)
-    except BaseException:
-        partial_path.unlink(missing_ok=True)
-        raise
+        _write_json(stage(diag_path), diagnostics)
     for path in (track_path, grid_path, diag_path):
         print(f"wrote {path}")
     return 0
@@ -468,17 +490,17 @@ def cmd_decompose(args) -> int:
     bands = _resolve_bands(signal, settings)
     prefix = args.out_prefix
     written = []
-
-    def write(component, _):
-        path = Path(f"{prefix}_component_{len(written) + 1:03d}.csv")
-        written.append(path)
-        save_csv(Signal._view(component, signal.sample_rate), path)
-
     diag_path = Path(f"{prefix}_diagnostics.json")
-    try:
-        # each component is written as it is handed on; a later error removes them all
+    with _staged() as stage:
+
+        def write(component, _):
+            path = Path(f"{prefix}_component_{len(written) + 1:03d}.csv")
+            written.append(path)
+            save_csv(Signal._view(component, signal.sample_rate), stage(path))
+
+        # each component is written as it is handed on
         c0, checks = _decompose(signal, settings, bands, write)
-        _write_json(diag_path, {
+        _write_json(stage(diag_path), {
             "schema": DIAGNOSTICS_SCHEMA,
             "method": settings["method"],
             "n_samples": len(signal),
@@ -488,10 +510,6 @@ def cmd_decompose(args) -> int:
             "c0": c0,
             "outputs": {"components": [str(p) for p in written]},
         })
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
     print(f"wrote {len(written)} components and {diag_path}")
     return 0
 
@@ -505,25 +523,22 @@ def cmd_compare(args) -> int:
              for side in ("a", "b")}
     # either side's settings error, before side a writes anything
     plans = {side: _resolve_bands(signal, settings) for side, settings in sides.items()}
-    # each side's grid is held until both sides have run, so a run-time
-    # error in side b leaves no file either
-    grids = {}
-    for side, settings in sides.items():
-        # checks the bin counts before side a is decomposed
-        grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
-        diagnostics, ridge_error = _run_analysis(signal, settings, plans[side], grid, ridges=ridges)
-        grid_path = Path(f"{args.out_prefix}_{side}_grid.csv")
-        grids[grid_path] = grid.grid()
-        entry = {**diagnostics, "grid_csv": str(grid_path)}
-        if ridges is not None:
-            entry["ridge_error_hz"] = ridge_error
-        report["sides"][side] = entry
-    for grid_path, tfe_grid in grids.items():
-        export_grid_csv(tfe_grid, grid_path)
-        print(f"wrote {grid_path}")
+    grid_paths = {side: Path(f"{args.out_prefix}_{side}_grid.csv") for side in sides}
     report_path = Path(f"{args.out_prefix}_compare.json")
-    _write_json(report_path, report)
-    print(f"wrote {report_path}")
+    with _staged() as stage:
+        for side, settings in sides.items():
+            # checks the bin counts before side a is decomposed
+            grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
+            diagnostics, ridge_error = _run_analysis(signal, settings, plans[side], grid,
+                                                     ridges=ridges)
+            export_grid_csv(grid.grid(), stage(grid_paths[side]))
+            entry = {**diagnostics, "grid_csv": str(grid_paths[side])}
+            if ridges is not None:
+                entry["ridge_error_hz"] = ridge_error
+            report["sides"][side] = entry
+        _write_json(stage(report_path), report)
+    for path in (*grid_paths.values(), report_path):
+        print(f"wrote {path}")
     return 0
 
 

@@ -184,54 +184,38 @@ def _check_boundaries(boundaries, n: int) -> tuple[int, ...]:
     return bounds
 
 
-class _DFTBank:
-    """The zero-phase DFT bank of one signal: one forward transform, then its bands one at a time.
+def _dft_bands(spectrum, boundaries, sample_rate, row, workspace):
+    """Make each band's component, in order, in the N-float array `row`.
 
-    `c0` is the DC bin (the sample mean) and `boundaries` the checked bin
-    boundaries; :meth:`bands` is the bank's one synthesis loop. The full
-    complex transform is taken, since c0's bits are its DC bin's, but only
-    the n//2+1 nonnegative bins that the bands read are kept.
+    `spectrum` holds the signal's n//2+1 nonnegative DFT bins, "forward"
+    scaled, and `boundaries` its checked bin boundaries. Yields
+    (component, band, lo, hi) per band, which covers bins lo+1 .. hi. The
+    component is a read-only view of the real inverse transform of those
+    bins; `band()` makes the band's :class:`AnalyticSignal`, the component
+    and its quadrature, made in `workspace.quadrature`, where
+    :func:`if_track` folds it in place. The first call makes it and later
+    ones return the same object; it holds until the next band is made or
+    the workspace is used again.
     """
-
-    def __init__(self, x: Signal, boundaries):
-        self.n = n = len(x)
-        _check_analytic_length(n)
-        self.boundaries = _check_boundaries(boundaries, n)
-        self.sample_rate = x.sample_rate
-        spectrum = np.fft.fft(x.samples, norm="forward")
-        self.c0 = float(spectrum[0].real)
-        self._spectrum = spectrum[: n // 2 + 1].copy()
-
-    def bands(self, row: np.ndarray, workspace: IFWorkspace):
-        """Make each band's component, in order, in the N-float array `row`.
-
-        Yields (component, band, lo, hi) per band, which covers bins
-        lo+1 .. hi. The component is a read-only view of the real inverse
-        transform of those bins; `band()` makes the band's
-        :class:`AnalyticSignal`, the component and its quadrature, made in
-        `workspace.quadrature`, where :func:`if_track` folds it in place.
-        The first call makes it and later ones return the same object; it
-        holds until the next band is made or the workspace is used again.
-        """
-        n = self.n
-        bins = np.zeros(n // 2 + 1, dtype=np.complex128)
-        for lo, hi in zip(self.boundaries[:-1], self.boundaries[1:]):
-            band = slice(lo + 1, hi + 1)
-            bins[band] = self._spectrum[band]
-            component = np.fft.irfft(bins, n, norm="forward", out=row).view()
-            component.flags.writeable = False
-            # made once: _quadrature overwrites the band's bins
-            analytic = functools.cache(lambda real=component: AnalyticSignal(
-                real, _quadrature(bins, n, workspace.quadrature, "forward"), self.sample_rate))
-            yield component, analytic, lo, hi
-            bins[band] = 0.0
+    n = row.size
+    bins = np.zeros(spectrum.size, dtype=np.complex128)
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        band = slice(lo + 1, hi + 1)
+        bins[band] = spectrum[band]
+        component = np.fft.irfft(bins, n, norm="forward", out=row).view()
+        component.flags.writeable = False
+        # made once: _quadrature overwrites the band's bins
+        analytic = functools.cache(lambda real=component: AnalyticSignal(
+            real, _quadrature(bins, n, workspace.quadrature, "forward"), sample_rate))
+        yield component, analytic, lo, hi
+        bins[band] = 0.0
 
 
 def _drive(stages, check, c0: float, consumer):
     """Hand each component of a bank's `stages` to `consumer`, checked; finish the check.
 
     `stages` yields (component, band, *args) per component, as
-    :meth:`_DFTBank.bands` and :func:`tfekit.fmd._ladder` do: `check` takes
+    :func:`_dft_bands` and :func:`tfekit.fmd._ladder` do: `check` takes
     ``check.add(component, *args)`` before ``consumer(component, band)`` is
     called, and the component and what `band()` makes hold only until the
     consumer returns. Returns the :class:`Decomposition` of c0 and what
@@ -266,10 +250,17 @@ def dft_decompose(x: Signal, boundaries, consumer,
     :class:`OrthogonalityReport`.
     """
     finite_energy(x.samples)  # the overflow the check would report, before any band is made
-    bank = _DFTBank(x, boundaries)
-    ws = IFWorkspace._for(bank.n, workspace)
-    stages = bank.bands(np.empty(bank.n), ws)
-    return _drive(stages, _BandCheck(bank.n, ws.spectrum), bank.c0, consumer)
+    n = len(x)
+    _check_analytic_length(n)
+    boundaries = _check_boundaries(boundaries, n)
+    # the full transform, since c0's bits are its DC bin's; keeping only the
+    # n//2+1 bins the bands read frees it before the first band is made
+    spectrum = np.fft.fft(x.samples, norm="forward")
+    c0 = float(spectrum[0].real)
+    spectrum = spectrum[: n // 2 + 1].copy()
+    ws = IFWorkspace._for(n, workspace)
+    stages = _dft_bands(spectrum, boundaries, x.sample_rate, np.empty(n), ws)
+    return _drive(stages, _BandCheck(n, ws.spectrum), c0, consumer)
 
 
 @dataclass(frozen=True)

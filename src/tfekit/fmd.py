@@ -44,6 +44,8 @@ _BATCH = 65536
 # makes each block's output, and a copy of its input if that is read-only,
 # as a Signal's samples are, so a call holds 0.25 MB above its output
 _CAUSAL_BLOCK = 16384
+# the FIR ladder's methods, the words fmd_decompose's `method` takes
+METHODS = ("fmd-a", "fmd-b", "causal-fir")
 
 __all__ = [
     "FirFilter",
@@ -368,7 +370,7 @@ def fmd_decompose(x: Signal, cutoffs_hz, consumer, order: int = 256, method: str
     gracefully. An input whose energy overflows float64 raises
     ValueError before any stage runs.
     """
-    if method not in ("fmd-a", "fmd-b", "causal-fir"):
+    if method not in METHODS:
         raise ValueError(f"method must be 'fmd-a', 'fmd-b' or 'causal-fir', got {method!r}")
     cutoffs = [float(c) for c in cutoffs_hz]
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):

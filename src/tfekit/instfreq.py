@@ -16,7 +16,6 @@ steps in place, through private `_..._into` forms, in the arrays of one
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,8 +26,11 @@ from .signals import Signal
 # boolean temporary, not one byte per sample of the track
 _COUNT_SLICE = 65536
 
+# the finite-difference schemes and the IF modes, the words each setting takes
+SCHEMES = ("forward", "backward", "central")
+MODES = ("positive", "conventional")
+
 __all__ = [
-    "DiffScheme",
     "phase_diff",
     "conventional_if",
     "positive_if",
@@ -37,41 +39,40 @@ __all__ = [
 ]
 
 
-class DiffScheme(Enum):
-    """Finite-difference scheme for the phase derivative."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    CENTRAL = "central"
+def _check_word(setting: str, value, words: tuple) -> None:
+    """Refuse a `value` of `setting` that is not one of its `words`."""
+    if value not in words:
+        raise ValueError(f"{setting} must be one of {', '.join(words)}; got {value!r}")
 
 
-def phase_diff(increments, scheme: DiffScheme = DiffScheme.FORWARD) -> np.ndarray:
+def phase_diff(increments, scheme: str = "forward") -> np.ndarray:
     """Per-sample phase derivative in rad/sample from the N-1 phase increments.
 
     `increments[n]` is the phase advance from sample n to n+1, as
-    :meth:`AnalyticSignal.increments` gives it. Forward differences place
-    it at sample n, backward at n+1, central averages the two increments
-    around each sample. The result has N samples; boundary samples the
-    scheme cannot compute repeat the nearest computed one.
+    :meth:`AnalyticSignal.increments` gives it. `scheme` is one of
+    :data:`SCHEMES`: forward differences place it at sample n, backward at
+    n+1, central averages the two increments around each sample. The
+    result has N samples; boundary samples the scheme cannot compute
+    repeat the nearest computed one.
     """
+    _check_word("scheme", scheme, SCHEMES)
     d = np.asarray(increments, dtype=np.float64)
     return _phase_diff_into(d, scheme, np.empty(d.size + 1))
 
 
-def _phase_diff_into(d: np.ndarray, scheme, out: np.ndarray) -> np.ndarray:
+def _phase_diff_into(d: np.ndarray, scheme: str, out: np.ndarray) -> np.ndarray:
     """:func:`phase_diff` of the increments `d` written into `out`, N floats.
 
     `d` may be ``out[:-1]``, where :meth:`AnalyticSignal._increments_into`
     leaves the increments; they are then overwritten in place.
     """
-    scheme = DiffScheme(scheme)
-    min_len = 2 if scheme is DiffScheme.CENTRAL else 1
+    min_len = 2 if scheme == "central" else 1
     if d.size < min_len:
-        raise ValueError(f"{scheme.value} differencing needs >= {min_len} increments, got {d.size}")
-    if scheme is DiffScheme.FORWARD:
+        raise ValueError(f"{scheme} differencing needs >= {min_len} increments, got {d.size}")
+    if scheme == "forward":
         out[:-1] = d
         out[-1] = out[-2]
-    elif scheme is DiffScheme.BACKWARD:
+    elif scheme == "backward":
         out[1:] = d
         out[0] = out[1]
     else:
@@ -170,7 +171,7 @@ class IFTrack:
 
 def if_track(
     x: Signal | AnalyticSignal,
-    scheme: DiffScheme = DiffScheme.FORWARD,
+    scheme: str = "forward",
     mode: str = "positive",
     workspace: IFWorkspace | None = None,
 ) -> IFTrack:
@@ -181,8 +182,9 @@ def if_track(
     x : Signal or AnalyticSignal
         Input, at least 4 samples, or its analytic signal, whose two real
         parts are read in place (as a DFT band's `band()` makes it).
-    scheme : DiffScheme
-        Finite-difference scheme for the phase derivative (default FORWARD).
+    scheme : {'forward', 'backward', 'central'}
+        Finite-difference scheme for the phase derivative, one of
+        :data:`SCHEMES`.
     mode : {'positive', 'conventional'}
         'positive' applies the fold into [0, Fs/2]; 'conventional' keeps the
         sign-indefinite raw derivative.
@@ -205,12 +207,13 @@ def if_track(
     Raises
     ------
     ValueError
-        When the energy is not finite: an envelope above ~1e154, or an
-        input too large to transform. It is raised before any phase is
-        taken, and numpy warns of nothing on the way.
+        When `scheme` or `mode` is not one of its words, or the energy is
+        not finite: an envelope above ~1e154, or an input too large to
+        transform. It is raised before any phase is taken, and numpy warns
+        of nothing on the way.
     """
-    if mode not in ("positive", "conventional"):
-        raise ValueError(f"mode must be 'positive' or 'conventional', got {mode!r}")
+    _check_word("scheme", scheme, SCHEMES)
+    _check_word("mode", mode, MODES)
     n = x.real.size if isinstance(x, AnalyticSignal) else len(x)
     ws = IFWorkspace._for(n, workspace)
     # the energy first, in the spectrum's memory, while the quadrature is

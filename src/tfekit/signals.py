@@ -5,13 +5,12 @@ fresh :class:`Signal` values and never touch shared state, so they are safe
 to call from multiple threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Signal",
-    "NoiseSpec",
     "gen_chirp",
     "gen_fm",
     "gen_delta",
@@ -83,28 +82,6 @@ def finite_energy(samples: np.ndarray) -> float:
     if not np.isfinite(energy):
         raise ValueError("signal energy overflows float64; rescale the input")
     return energy
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Parameters of a reproducible Gaussian noise draw.
-
-    The same seed always yields the bit-identical sequence on a given
-    platform and numpy version.
-    """
-
-    seed: int
-    mean: float = 0.0
-    variance: float = 1.0
-    length: int = field(default=1024)
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if self.length < 2:
-            raise ValueError("length must be at least 2 samples")
 
 
 def _time_grid(duration: float, sample_rate: float) -> np.ndarray:
@@ -214,10 +191,20 @@ def gen_delta(n0: int, length: int, sample_rate: float) -> Signal:
     return Signal(samples, sample_rate)
 
 
-def gen_noise(spec: NoiseSpec, sample_rate: float) -> Signal:
-    """Seeded Gaussian noise; identical spec -> bit-identical samples."""
-    rng = np.random.default_rng(spec.seed)
-    samples = rng.normal(spec.mean, np.sqrt(spec.variance), spec.length)
+def gen_noise(seed: int, length: int, sample_rate: float, mean: float = 0.0,
+              variance: float = 1.0) -> Signal:
+    """Seeded Gaussian noise of `length` samples with the given mean and variance.
+
+    The same arguments always yield the bit-identical sequence on a given
+    platform and numpy version.
+    """
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    if length < 2:
+        raise ValueError("length must be at least 2 samples")
+    samples = np.random.default_rng(seed).normal(mean, np.sqrt(variance), length)
     return Signal(samples, sample_rate)
 
 

@@ -11,12 +11,10 @@ PUBLIC = [
     "AnalyticSignal",
     "BandSpec",
     "Decomposition",
-    "DiffScheme",
     "FirFilter",
     "IFTrack",
     "IFWorkspace",
     "LinoepReport",
-    "NoiseSpec",
     "OrthogonalityReport",
     "Signal",
     "TFEAccumulator",
@@ -62,6 +60,8 @@ REMOVED = [
     ("signals", "remove_mean"),
     ("filterbank", "verify_orthogonality"),
     ("fmd", "verify_linoep"),
+    ("instfreq", "DiffScheme"),
+    ("signals", "NoiseSpec"),
 ]
 
 REMOVED_ATTRIBUTES = [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import wave
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -671,6 +672,19 @@ class TestConfigFiles:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: bad.json: Expecting property name")
 
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        ({"method": "dft", "bands": 4, "band": 4, "shceme": "central"},
+         "unknown config keys ['band', 'shceme']"),
+    ], ids=["not-an-object", "unknown-keys"])
+    def test_config_shape_refused_naming_the_file(self, workdir, capsys, config, message):
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        rc = main(["analyze", "--gen", "chirp", "--dur", "0.1", "--config", "cfg.json",
+                   "--out-prefix", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cfg.json: {message}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json"]
+
     def test_choices_lower_cased_as_the_flags_are(self, workdir):
         config = {"method": "DFT", "bands": 4, "scheme": "Central", "if": "POSITIVE"}
         (workdir / "cfg.json").write_text(json.dumps(config))
@@ -699,6 +713,32 @@ class TestConfigFiles:
             f"error: b.json: {key} must be one of {choices}; got {value!r}\n")
         assert not tracked
         assert not list(workdir.glob("x_*"))
+
+
+class TestInput:
+    @pytest.mark.parametrize("flags, rate", [([], 8000.0), (["--fs", "4000"], 4000.0)],
+                             ids=["header-rate", "fs-override"])
+    def test_wav_input(self, workdir, flags, rate):
+        ints = np.round(16000 * np.cos(2 * np.pi * 1000 * np.arange(800) / 8000)).astype("<i2")
+        with wave.open("s.wav", "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(8000)
+            w.writeframes(ints.tobytes())
+        assert main(["analyze", "--input", "s.wav", *flags, "--out-prefix", "x"]) == 0
+        diag = json.loads((workdir / "x_diagnostics.json").read_text())
+        assert (diag["n_samples"], diag["sample_rate_hz"]) == (800, rate)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--input", "in.csv", "--gen", "chirp"], "give either --input or --gen, not both"),
+        ([], "no input: give --input FILE or --gen FIXTURE"),
+    ], ids=["both", "neither"])
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "compare"])
+    def test_one_input_required(self, workdir, capsys, command, argv, message):
+        (workdir / "in.csv").write_text("# sample_rate=100\n1.0\n-1.0\n0.5\n0.25\n")
+        assert main([command, *argv, "--out-prefix", "x"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.csv"]
 
 
 class TestDecompose:
@@ -898,6 +938,18 @@ class TestCompare:
         assert calls == []
         assert not list(workdir.iterdir())
 
+    @pytest.mark.parametrize("amplitude", [1e153, 1e152], ids=["energy-sum", "weighted-sum"])
+    def test_overflowing_ridge_figure_refused(self, workdir, capsys, amplitude):
+        # no grid cell overflows; the ridge figure's sums over all samples do:
+        # side a's energies at 1e153, and at 1e152 side b's energies weighted
+        # by their distance to the ridge, some 15 Hz on average for 4 DFT bands
+        rc = main(["compare", "--gen", "chirp", "--amp", str(amplitude), "--a-method", "none",
+                   "--b-method", "dft", "--b-bands", "4", "--out-prefix", "c1"])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: signal energy overflows float64; rescale the input\n")
+        assert not list(workdir.iterdir())
+
     def test_out_of_memory_is_one_error_line(self, workdir):
         # a billion-sample signal needs 8 GB for its samples alone; the
         # address-space limit is set in the child process, never in the
@@ -1080,9 +1132,10 @@ def test_dft_peak_memory_does_not_grow_with_bands(workdir, monkeypatch, command)
     # where one (M, N) component array would add 504 N-float arrays
     import tfekit.cli as cli
 
-    # the tracks and component files would grow with M; their writers are stubbed out
+    # the tracks and component files would grow with M; their writers are stubbed out,
+    # the component writer making an empty file for the command to rename into place
     monkeypatch.setattr(cli, "TrackCsvWriter", lambda fh: SimpleNamespace(write=len))
-    monkeypatch.setattr(cli, "save_csv", lambda signal, path: None)
+    monkeypatch.setattr(cli, "save_csv", lambda signal, path: Path(path).touch())
     n = 16384
     peaks = []
     for m in (8, 8, 512):  # the first run imports and caches what later runs reuse
@@ -1110,9 +1163,10 @@ def test_fmd_peak_memory_does_not_grow_with_bands(workdir, monkeypatch, command)
     # (M, N) component array would add 28 N-float arrays
     import tfekit.cli as cli
 
-    # the tracks and component files would grow with M; their writers are stubbed out
+    # the tracks and component files would grow with M; their writers are stubbed out,
+    # the component writer making an empty file for the command to rename into place
     monkeypatch.setattr(cli, "TrackCsvWriter", lambda fh: SimpleNamespace(write=len))
-    monkeypatch.setattr(cli, "save_csv", lambda signal, path: None)
+    monkeypatch.setattr(cli, "save_csv", lambda signal, path: Path(path).touch())
     n = 16384
     peaks = []
     for m in (4, 4, 32):  # the first run imports and caches what later runs reuse
@@ -1130,8 +1184,8 @@ def test_fmd_peak_memory_does_not_grow_with_bands(workdir, monkeypatch, command)
 
 
 def test_decompose_failure_after_two_stages_leaves_no_component(workdir, capsys, monkeypatch):
-    # decompose writes each FMD component as the ladder makes it; a failure
-    # at the third stage's check removes the two already written
+    # decompose stages each FMD component as the ladder makes it; a failure
+    # at the third stage's check removes the two already staged
     from tfekit import fmd
 
     seen = []
@@ -1148,8 +1202,25 @@ def test_decompose_failure_after_two_stages_leaves_no_component(workdir, capsys,
                "--bands", "4", "--out-prefix", "x"])
     assert rc == 1
     assert capsys.readouterr().err == "error: forced failure\n"
-    assert seen == ["x_component_001.csv", "x_component_002.csv"]
+    assert seen == ["x_component_001.csv.partial", "x_component_002.csv.partial"]
     assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize("command, last", [
+    (["analyze", "--method", "dft", "--bands", "4"], "x_diagnostics.json"),
+    (["decompose", "--method", "dft", "--bands", "4"], "x_diagnostics.json"),
+    (["compare", "--a-method", "dft", "--a-bands", "4", "--b-method", "none"], "x_compare.json"),
+], ids=["analyze", "decompose", "compare"])
+def test_failed_last_write_leaves_no_output(workdir, capsys, command, last):
+    # a directory where the last output goes: every output was written, to
+    # its .partial file, and none may stay behind when the last one fails
+    (workdir / last).mkdir()
+    rc = main([*command, "--gen", "chirp", "--dur", "0.1", "--out-prefix", "x"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [p.name for p in workdir.iterdir()] == [last]
 
 
 def test_tracer_counts_the_fir_stages(tmp_path):

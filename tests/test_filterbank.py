@@ -26,7 +26,6 @@ from tfekit import (
     gen_noise,
     if_track,
     mix,
-    NoiseSpec,
 )
 from tfekit.filterbank import _BandCheck
 
@@ -162,6 +161,18 @@ class TestPlanSpec:
             spec.ladder(50.0)
         assert str(dft_err.value) == str(fmd_err.value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BandSpec(cutoffs_hz=[0, 25]).plan(1000, 50.0),
+         "cutoffs must be positive, got 0.0"),
+        (lambda: BandSpec(cutoffs_hz=[-5, 25]).ladder(50.0), "cutoffs must be positive, got -5.0"),
+        (lambda: BandSpec.from_settings(plan={"type": "custom", "cutoffs": [5, 25]}),
+         "custom band plan needs 'cutoffs_hz'"),
+    ], ids=["zero-cutoff", "negative-cutoff", "custom-without-cutoffs"])
+    def test_plan_refusals(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("cutoffs, shown", [
         ((np.nan, 4000), "nan"), ((1000, np.nan), "nan"), ((1000, np.inf), "inf"),
         ((-np.inf, 4000), "-inf"),
@@ -218,7 +229,7 @@ class TestDftDecompose:
 
     @pytest.mark.parametrize("n_bands", [2, 10, 100])
     def test_reconstruction_orthogonality_parseval(self, n_bands):
-        x = gen_noise(NoiseSpec(seed=77, length=2048), 1000.0)
+        x = gen_noise(seed=77, length=2048, sample_rate=1000.0)
         d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop)
         err = np.abs(d.reconstruction - x.samples).max()
         assert err <= 1e-9 * np.abs(x.samples).max()
@@ -239,12 +250,12 @@ class TestDftDecompose:
         assert corr.argmax() - (n - 1) == 0
 
     def test_length_mismatch(self):
-        x = gen_noise(NoiseSpec(seed=1, length=128), 100.0)
+        x = gen_noise(seed=1, length=128, sample_rate=100.0)
         with pytest.raises(ValueError):
             dft_decompose(x, BandSpec(bands=2).plan(64, 100.0), drop)
 
     def test_odd_length_reconstruction(self):
-        x = gen_noise(NoiseSpec(seed=2, length=257), 100.0)
+        x = gen_noise(seed=2, length=257, sample_rate=100.0)
         d = dft_decompose(x, BandSpec(bands=5).plan(257, 100.0), drop)
         assert np.abs(d.reconstruction - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
         assert abs(d.report.energy_ratio - 1.0) <= 1e-10
@@ -257,7 +268,7 @@ class TestDftDecompose:
         (250, lambda n, fs: BandSpec(cutoffs_hz=[3.0, 10.0, 12.5, 25.0]).plan(n, fs)),
     ], ids=["even", "odd", "one-band", "n-over-2-bands", "custom"])
     def test_matches_hermitian_mask_oracle(self, n, plan):
-        x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
+        x = gen_noise(seed=n, length=n, sample_rate=50.0, mean=0.5)
         plan = plan(n, x.sample_rate)
         (d, rows), bands = collect(dft_decompose, x, plan), kept_bands(x, plan)
         ref_c0, ref = oracles.dft_decompose(x, plan)
@@ -303,7 +314,7 @@ class TestDftDecompose:
     def test_bands_match_scipy_hilbert(self, n):
         # each band's analytic signal is that of its component
         scipy_signal = pytest.importorskip("scipy.signal")
-        x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 50.0)
+        x = gen_noise(seed=n, length=n, sample_rate=50.0, mean=0.5)
         plan = BandSpec(bands=n // 4 + 1).plan(n, 50.0)
         (_, rows), bands = collect(dft_decompose, x, plan), kept_bands(x, plan)
         scale = np.abs(x.samples).max()
@@ -316,7 +327,7 @@ class TestTrackedBands:
     """What the bank hands its consumer: read-only views of one reused row and the workspace."""
 
     def test_real_is_a_read_only_view_of_the_row(self):
-        x = gen_noise(NoiseSpec(seed=4, mean=0.5, length=256), 50.0)
+        x = gen_noise(seed=4, length=256, sample_rate=50.0, mean=0.5)
         workspace = IFWorkspace(256)
         handed = []
 
@@ -337,7 +348,7 @@ class TestTrackedBands:
     def test_band_called_twice_gives_one_analytic_signal(self):
         # a second call returns the first call's AnalyticSignal, whose
         # quadrature is the band's, not a second pass over the band's bins
-        x = gen_noise(NoiseSpec(seed=5, mean=0.2, length=256), 50.0)
+        x = gen_noise(seed=5, length=256, sample_rate=50.0, mean=0.2)
         plan = BandSpec(bands=4).plan(256, 50.0)
         _, rows = collect(dft_decompose, x, plan)
         once = kept_bands(x, plan)
@@ -364,7 +375,7 @@ class TestBankInAWorkspace:
     def test_workspace_is_free_when_the_consumer_runs(self, n):
         # the bank runs in the consumer's IF workspace, stale contents and
         # all, and hands on what it gives in a fresh workspace, bit for bit
-        x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
+        x = gen_noise(seed=66, length=n, sample_rate=1000.0, mean=0.3)
         plan = BandSpec(bands=5).plan(n, 1000.0)
         d, rows = collect(dft_decompose, x, plan)
         fresh = [if_track(band) for band in kept_bands(x, plan)]
@@ -390,7 +401,7 @@ class TestBankInAWorkspace:
     def test_check_makes_no_spectrum_of_its_own(self):
         # given the workspace's spectrum, the check holds only its running sum
         n = 1 << 14
-        x = gen_noise(NoiseSpec(seed=7, length=n), 100.0)
+        x = gen_noise(seed=7, length=n, sample_rate=100.0)
         workspace = IFWorkspace(n)
         component = collect(dft_decompose, x, BandSpec(bands=4).plan(n, 100.0))[1][1]
         _BandCheck(n, workspace.spectrum).add(component, 1024, 2048)  # numpy.fft imports lazily
@@ -420,7 +431,7 @@ class TestBoundaries:
         ((0, 4, 9), "last boundary must be 8 for length 16, got 9"),
     ], ids=["nonzero-start", "no-band", "repeated", "decreasing", "short-top", "past-top"])
     def test_refused(self, bounds, message):
-        x = gen_noise(NoiseSpec(seed=6, length=16), 16.0)
+        x = gen_noise(seed=6, length=16, sample_rate=16.0)
         with pytest.raises(ValueError, match=message):
             dft_decompose(x, bounds, drop)
 
@@ -432,7 +443,7 @@ class TestBoundaries:
         assert len(bounds) == m + 1 and bounds[0] == 0 and bounds[-1] == n // 2
         widths = np.diff(bounds)
         assert widths.min() >= 1 and widths.max() - widths.min() <= 1
-        x = gen_noise(NoiseSpec(seed=n, mean=0.5, length=n), 100.0)
+        x = gen_noise(seed=n, length=n, sample_rate=100.0, mean=0.5)
         d = dft_decompose(x, bounds, drop)
         assert np.abs(d.reconstruction - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
         assert d.report.max_normalized_cross <= 1e-10
@@ -443,7 +454,7 @@ class TestBoundaries:
 def test_returns_one_decomposition(method):
     # c0, the reconstruction as one N-float array and the check's report,
     # None for causal-fir, whose components no check bounds
-    x = gen_noise(NoiseSpec(seed=4, length=1024), 100.0)
+    x = gen_noise(seed=4, length=1024, sample_rate=100.0)
     if method == "dft":
         d, rows = collect(dft_decompose, x, BandSpec(bands=5).plan(1024, 100.0))
     else:
@@ -462,7 +473,7 @@ def test_both_banks_stream_alike(method):
     # one consumer for both banks: read-only views, the components and
     # reconstruction of a second run to the byte, and the report of the
     # check run on those components (DFT) or a bound on the exact figure (FMD)
-    x = gen_noise(NoiseSpec(seed=8, mean=0.4, length=1024), 100.0)
+    x = gen_noise(seed=8, length=1024, sample_rate=100.0, mean=0.4)
     handed = []
 
     def consumer(component, band):
@@ -517,7 +528,7 @@ class TestVerifyOrthogonality:
     def test_matches_stacked_gram_oracle(self, n_bands):
         # the leakage bound is at or above the Gram figure; the energy
         # ratios differ only in how the squares are summed
-        x = gen_noise(NoiseSpec(seed=n_bands, mean=0.3, length=4096), 100.0)
+        x = gen_noise(seed=n_bands, length=4096, sample_rate=100.0, mean=0.3)
         d, rows = collect(dft_decompose, x, BandSpec(bands=n_bands).plan(4096, 100.0))
         report, gram = d.report, oracles.verify_orthogonality(d.c0, rows)
         assert gram.max_normalized_cross <= report.max_normalized_cross <= 1e-10
@@ -538,7 +549,7 @@ class TestVerifyOrthogonality:
     def test_leakage_of_a_mixed_band_is_seen(self):
         # a component that is not confined to its band reads as leakage
         n = 64
-        x = gen_noise(NoiseSpec(seed=3, length=n), 8.0)
+        x = gen_noise(seed=3, length=n, sample_rate=8.0)
         d, rows = collect(dft_decompose, x, (0, 8, 32))
         assert _band_report(d.c0, rows[::-1], (0, 8, 32)).max_normalized_cross > 1.0
         assert d.report.max_normalized_cross <= 1e-10
@@ -547,7 +558,7 @@ class TestVerifyOrthogonality:
         # band 0 (bins 1..31) given a constant and some of band 1, the even-N
         # Nyquist bin: its leakage is the share of power those two carry
         n = 64
-        x = gen_noise(NoiseSpec(seed=5, length=n), 8.0)
+        x = gen_noise(seed=5, length=n, sample_rate=8.0)
         bounds = (0, n // 2 - 1, n // 2)
         d, (low, nyquist) = collect(dft_decompose, x, bounds)
         mixed = low + 0.3 * nyquist + 0.2

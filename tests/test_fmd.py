@@ -11,8 +11,8 @@ import oracles
 from streams import collect, drop
 from tfekit import (
     BandSpec,
+    FirFilter,
     IFWorkspace,
-    NoiseSpec,
     Signal,
     causal_filter,
     design_fir,
@@ -88,6 +88,17 @@ class TestDesignFir:
             design_fir("lowpass", 100.0, 8, 4000.0)  # too short
         with pytest.raises(ValueError):
             design_fir("bandpass", 100.0, 64, 4000.0)
+
+    @pytest.mark.parametrize("taps, kind, message", [
+        ([0.5, 0.5], "lowpass", "taps length must be odd, got 2"),
+        ([0.25, 0.5, 0.26], "lowpass", "taps must be exactly symmetric"),
+        ([0.25, 0.5, 0.25], "bandpass", "kind must be 'lowpass' or 'highpass', got 'bandpass'"),
+        ([0.25, 0.5, 0.25], "highpass", "highpass DC gain 1.0 not within 1e-6 of 0.0"),
+    ], ids=["even-length", "asymmetric", "unknown-kind", "dc-gain"])
+    def test_fir_filter_refusals(self, taps, kind, message):
+        with pytest.raises(ValueError) as err:
+            FirFilter(np.array(taps), kind)
+        assert str(err.value) == message
 
 
 class TestZeroPhaseFilter:
@@ -250,7 +261,7 @@ def test_public_filters_hand_on_their_output(f, bound):
     # the filter's own output as the Signal's samples: measured at 1.40 N
     # and 1.06 N floats; a Signal copy and a finite mask made them 2.16 and 2.13
     n = 2**19
-    x = gen_noise(NoiseSpec(seed=5, length=n), 8000.0)
+    x = gen_noise(seed=5, length=n, sample_rate=8000.0)
     h = design_fir("highpass", 500.0, 256, 8000.0)
     f(x, h)
     peak = _peak_bytes(lambda: f(x, h))
@@ -286,7 +297,7 @@ class TestFmdDecompose:
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
     @pytest.mark.parametrize("n_bands", [2, 5])
     def test_reconstruction_identity(self, method, n_bands):
-        x = gen_noise(NoiseSpec(seed=55, length=4096), 1000.0)
+        x = gen_noise(seed=55, length=4096, sample_rate=1000.0)
         cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
         d, rows = collect(fmd_decompose, x, cutoffs, order=128, method=method)
         assert len(rows) == n_bands
@@ -295,7 +306,7 @@ class TestFmdDecompose:
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
     def test_linoep_structure(self, method):
-        x = gen_noise(NoiseSpec(seed=56, length=4096), 1000.0)
+        x = gen_noise(seed=56, length=4096, sample_rate=1000.0)
         cutoffs = BandSpec(bands=5).ladder(x.sample_rate)
         report = oracles.verify_linoep(collect(fmd_decompose, x, cutoffs, order=128,
                                                method=method)[1])
@@ -304,7 +315,7 @@ class TestFmdDecompose:
 
     def test_stage_outputs_orthogonal_to_remainder(self):
         # the mixing coefficient forces <c_i, x_{i+1}> = 0 at every stage
-        x = gen_noise(NoiseSpec(seed=57, length=2048), 1000.0)
+        x = gen_noise(seed=57, length=2048, sample_rate=1000.0)
         _, comps = collect(fmd_decompose, x, [100.0, 250.0, 400.0], order=64)
         for i in range(len(comps) - 1):
             tail = np.sum(comps[i + 1 :], axis=0)
@@ -312,7 +323,7 @@ class TestFmdDecompose:
             assert abs(np.dot(comps[i], tail)) / denom < 1e-12
 
     def test_pairwise_orthogonality_of_last_two(self):
-        x = gen_noise(NoiseSpec(seed=58, length=2048), 1000.0)
+        x = gen_noise(seed=58, length=2048, sample_rate=1000.0)
         _, (c1, c2) = collect(fmd_decompose, x, [250.0], order=64)
         denom = np.linalg.norm(c1) * np.linalg.norm(c2)
         assert abs(np.dot(c1, c2)) / denom < 1e-8
@@ -326,7 +337,7 @@ class TestFmdDecompose:
             assert np.abs(c).max() < 1e-12
 
     def test_spectral_ordering(self):
-        x = gen_noise(NoiseSpec(seed=59, length=4096), 1000.0)
+        x = gen_noise(seed=59, length=4096, sample_rate=1000.0)
 
         def centroid(c):
             power = np.abs(np.fft.rfft(c)) ** 2
@@ -343,7 +354,7 @@ class TestFmdDecompose:
         assert all(a < b for a, b in zip(cents, cents[1:]))
 
     def test_causal_mode_tag_and_reconstruction(self):
-        x = gen_noise(NoiseSpec(seed=60, length=2048), 1000.0)
+        x = gen_noise(seed=60, length=2048, sample_rate=1000.0)
         d = fmd_decompose(x, [250.0], drop, order=64, method="causal-fir")
         assert d.report is None
         err = np.abs(d.reconstruction - x.samples).max()
@@ -351,7 +362,7 @@ class TestFmdDecompose:
 
     def test_causal_ladder_matches_causal_filter_bits(self):
         # the array ladder does the arithmetic of one built from causal_filter
-        x = gen_noise(NoiseSpec(seed=63, mean=0.3, length=3000), 1000.0)
+        x = gen_noise(seed=63, length=3000, sample_rate=1000.0, mean=0.3)
         cutoffs, order = [80.0, 200.0, 330.0], 64
         c0 = float(np.mean(x.samples))
         current = Signal(x.samples - c0, x.sample_rate)
@@ -371,7 +382,7 @@ class TestFmdDecompose:
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
     def test_short_input_refused_only_when_a_stage_runs(self, method):
-        x = gen_noise(NoiseSpec(seed=64, mean=1.0, length=100), 1000.0)
+        x = gen_noise(seed=64, length=100, sample_rate=1000.0, mean=1.0)
         d, rows = collect(fmd_decompose, x, [], order=256, method=method)
         assert np.array_equal(rows, [x.samples - d.c0])
         with pytest.raises(ValueError, match=r"too short .* \(need > 771\)"):
@@ -379,7 +390,7 @@ class TestFmdDecompose:
 
     def test_cutoff_direction_validation(self):
         # every method takes the ladder increasing, as BandSpec.ladder gives it
-        x = gen_noise(NoiseSpec(seed=61, length=2048), 1000.0)
+        x = gen_noise(seed=61, length=2048, sample_rate=1000.0)
         for method in ("fmd-a", "fmd-b", "causal-fir"):
             for cutoffs in ([250.0, 100.0], [100.0, 100.0]):
                 with pytest.raises(ValueError, match="strictly increasing"):
@@ -387,7 +398,7 @@ class TestFmdDecompose:
 
     @pytest.mark.parametrize("method", ["A", "B", "fmd-A", "zero-phase", "causal"])
     def test_only_cli_method_names(self, method):
-        x = gen_noise(NoiseSpec(seed=61, length=2048), 1000.0)
+        x = gen_noise(seed=61, length=2048, sample_rate=1000.0)
         with pytest.raises(ValueError, match="'fmd-a', 'fmd-b' or 'causal-fir'"):
             fmd_decompose(x, [250.0], drop, order=64, method=method)
 
@@ -422,7 +433,7 @@ def _ladder_cases(draw):
     m = draw(st.integers(2, 12))
     cutoffs = sorted(draw(st.lists(st.integers(1, 499), min_size=m - 1, max_size=m - 1,
                                    unique=True)))
-    noise = gen_noise(NoiseSpec(seed=draw(st.integers(0, 2**16)), mean=0.5, length=n), 1000.0)
+    noise = gen_noise(seed=draw(st.integers(0, 2**16)), length=n, sample_rate=1000.0, mean=0.5)
     nyquist = draw(st.sampled_from([0.0, 0.5, 10.0]))
     x = Signal(noise.samples + nyquist * (-1.0) ** np.arange(n), 1000.0)
     return draw(st.sampled_from(["fmd-a", "fmd-b"])), x, [float(c) for c in cutoffs]
@@ -433,7 +444,7 @@ class TestTailCheck:
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b", "causal-fir"])
     def test_streaming_form_hands_on_the_collected_components(self, method):
-        x = gen_noise(NoiseSpec(seed=65, mean=0.3, length=3001), 1000.0)
+        x = gen_noise(seed=65, length=3001, sample_rate=1000.0, mean=0.3)
         cutoffs = BandSpec(bands=5).ladder(1000.0)
         d, rows = collect(fmd_decompose, x, cutoffs, order=64, method=method)
         handed = []
@@ -463,7 +474,7 @@ class TestTailCheck:
         # filter output, batch arrays, component and defect; a filter
         # output held past its stage made it 8.3
         n = 2**19
-        x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
+        x = gen_noise(seed=3, length=n, sample_rate=8000.0)
         cutoffs = BandSpec(bands=4).ladder(8000.0)
         peak = _peak_bytes(lambda: fmd_decompose(x, cutoffs, drop, method=method))
         assert peak < 5.25 * 8 * n, f"{peak / (8 * n):.2f} N floats"
@@ -473,7 +484,7 @@ class TestTailCheck:
         # the stages run in the consumer's IF workspace, stale contents and
         # all, and leave nothing there that tracking a component overwrites
         n = 3001
-        x = gen_noise(NoiseSpec(seed=66, mean=0.3, length=n), 1000.0)
+        x = gen_noise(seed=66, length=n, sample_rate=1000.0, mean=0.3)
         cutoffs = BandSpec(bands=5).ladder(1000.0)
         want, rows = collect(fmd_decompose, x, cutoffs, order=64, method=method)
         workspace = IFWorkspace(n)
@@ -500,7 +511,7 @@ class TestTailCheck:
         assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
 
     def test_workspace_length_mismatch_refused(self):
-        x = gen_noise(NoiseSpec(seed=67, length=2048), 1000.0)
+        x = gen_noise(seed=67, length=2048, sample_rate=1000.0)
         with pytest.raises(ValueError, match="workspace is for 2047 samples, signal has 2048"):
             fmd_decompose(x, [250.0], drop, order=64, workspace=IFWorkspace(2047))
 
@@ -510,7 +521,7 @@ class TestTailCheck:
         # the check's sum and the ladder's two buffers, everything else of a
         # stage in the workspace; the form without one held 5 N
         n = 2**16
-        x = gen_noise(NoiseSpec(seed=3, length=n), 8000.0)
+        x = gen_noise(seed=3, length=n, sample_rate=8000.0)
         cutoffs = BandSpec(bands=10).ladder(8000.0)
         workspace = IFWorkspace(n)
 

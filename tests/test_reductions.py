@@ -16,7 +16,6 @@ import oracles
 from streams import collect, drop
 from tfekit import (
     BandSpec,
-    NoiseSpec,
     Signal,
     dft_decompose,
     fmd_decompose,
@@ -126,7 +125,7 @@ class TestVerifiersScaleFree:
     here, at 2^(4k), and report 0 for every pair.
     """
 
-    x = gen_noise(NoiseSpec(seed=19, mean=0.5, length=4096), 1000.0)
+    x = gen_noise(seed=19, length=4096, sample_rate=1000.0, mean=0.5)
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
     def test_linoep(self, k, method):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tfekit import (
-    NoiseSpec,
     Signal,
     chirp_true_if,
     delay_pad,
@@ -31,6 +30,22 @@ class TestSignal:
             Signal(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
             Signal(np.array([1.0, 2.0]), -5.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Signal(np.zeros((2, 2)), 100.0), "samples must be one-dimensional"),
+        (lambda: gen_chirp(10.0, 20.0, 0.01, 100.0), "duration too short for this sample rate"),
+        (lambda: gen_noise(seed=-1, length=64, sample_rate=100.0),
+         "seed must be a nonnegative integer"),
+        (lambda: gen_noise(seed=1, length=1, sample_rate=100.0),
+         "length must be at least 2 samples"),
+        (lambda: gen_noise(seed=1, length=64, sample_rate=100.0, variance=-1.0),
+         "variance must be positive, got -1.0"),
+    ], ids=["two-dimensional", "duration-too-short", "negative-seed", "one-sample-noise",
+            "negative-variance"])
+    def test_refusals(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
     def test_samples_immutable(self):
         x = Signal(np.zeros(10), 10.0)
@@ -144,22 +159,20 @@ class TestDelta:
 
 class TestNoise:
     def test_moments(self):
-        spec = NoiseSpec(seed=42, mean=0.0, variance=1.0, length=10240)
-        x = gen_noise(spec, 100.0)
+        x = gen_noise(seed=42, length=10240, sample_rate=100.0, mean=0.0, variance=1.0)
         assert abs(x.samples.mean()) < 4 / np.sqrt(10240)
         assert abs(x.samples.var() - 1.0) < 0.1
 
     def test_deterministic(self):
-        spec = NoiseSpec(seed=7, length=512)
-        a = gen_noise(spec, 100.0)
-        b = gen_noise(spec, 100.0)
+        a = gen_noise(seed=7, length=512, sample_rate=100.0)
+        b = gen_noise(seed=7, length=512, sample_rate=100.0)
         assert np.array_equal(a.samples, b.samples)
-        c = gen_noise(NoiseSpec(seed=8, length=512), 100.0)
+        c = gen_noise(seed=8, length=512, sample_rate=100.0)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            NoiseSpec(seed=1, variance=0.0, length=64)
+            gen_noise(seed=1, length=64, sample_rate=100.0, variance=0.0)
 
 
 class TestMix:

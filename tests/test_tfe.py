@@ -64,6 +64,16 @@ class TestBuildTfe:
         row = np.searchsorted(grid.freq_edges, 1000.0, "right") - 1
         assert marginal[row] == pytest.approx(grid.total_energy, rel=1e-9)
 
+    @pytest.mark.parametrize("energy, message", [
+        (np.zeros((2, 3)),
+         "energy shape (2, 3) inconsistent with 2 time bins and 2 frequency bins"),
+        (np.array([[0.0, 1.0], [-1e-300, 2.0]]), "grid cells must be nonnegative"),
+    ], ids=["shape", "negative-cell"])
+    def test_grid_refusals(self, energy, message):
+        with pytest.raises(ValueError) as err:
+            TFEGrid([0.0, 0.5, 1.0], [0.0, 25.0, 50.0], energy)
+        assert str(err.value) == message
+
     def test_delta_concentrated(self):
         fs, n0 = 1000.0, 1999
         track = if_track(gen_delta(n0, 4000, fs))
@@ -445,7 +455,9 @@ class TestGridCsv:
         (",0,25,50\n0,1,x\n0.5,3,4\n1\n", "could not convert string to float: 'x'"),
         (",0,y,50\n0,1,2\n0.5,3,4\n1\n", "could not convert string to float: 'y'"),
         (",0,25,50\n0,1,2\n0.5,3,4\n1,5\n", "could not convert string to float: '1,5'"),
-    ], ids=["short-row", "long-row", "bad-cell", "bad-frequency-edge", "bad-closing-edge"])
+        (",0,25,50\n\n1\n", "not a grid CSV (too few lines)"),
+    ], ids=["short-row", "long-row", "bad-cell", "bad-frequency-edge", "bad-closing-edge",
+            "too-few-lines"])
     def test_malformed_grid_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
