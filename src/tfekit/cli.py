@@ -262,8 +262,8 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
             # as the band plan checks them, here naming the file; a plan
             # file's path is read later, and its errors name that file
             for key in ("bands", "cutoffs", "plan"):
-                if loaded.get(key) is not None and not isinstance(loaded[key], str):
-                    BandSpec.from_settings(**{key: loaded[key]})
+                if key != "plan" or not isinstance(loaded.get(key), str):
+                    BandSpec.from_settings(**{key: loaded.get(key)})
         except ValueError as exc:  # malformed JSON included
             raise ValueError(f"{config_path}: {exc}") from None
         settings.update(loaded)
@@ -457,7 +457,8 @@ def _staged():
 def cmd_gen(args) -> int:
     signal, _ = _build_fixture(args.fixture, args)
     out = Path(args.out) if args.out else Path(f"{args.fixture}.csv")
-    save_csv(signal, out)
+    with _staged() as stage:
+        save_csv(signal, stage(out))
     print(f"wrote {out} ({len(signal)} samples at {signal.sample_rate:g} Hz)")
     return 0
 

@@ -101,7 +101,10 @@ class BandSpec:
             return cls(bands=bands)
         if given == ["cutoffs"]:
             if isinstance(cutoffs, str):
-                cutoffs = [float(c) for c in cutoffs.split(",") if c.strip()]
+                try:
+                    cutoffs = [float(c) for c in cutoffs.split(",") if c.strip()]
+                except ValueError:
+                    raise ValueError(f"cutoffs must be a list of numbers, got {cutoffs!r}") from None
             return cls(cutoffs_hz=cutoffs)
         if not isinstance(plan, str):
             return cls._from_document(plan)

@@ -93,6 +93,21 @@ def test_all_is_the_public_list():
         assert getattr(tfekit, name) is not None
 
 
+def test_each_module_lists_its_own_public_names():
+    # tfekit star-imports these modules: a name two of them listed would be shadowed
+    modules = [tfekit.analytic, tfekit.filterbank, tfekit.fmd, tfekit.instfreq, tfekit.io,
+               tfekit.signals, tfekit.tfe]
+    listed = []
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert getattr(tfekit, name) is getattr(module, name), name
+        listed += module.__all__
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == PUBLIC
+
+
 @pytest.mark.parametrize("module, name", REMOVED, ids=[name for _, name in REMOVED])
 def test_removed_functions_are_gone(module, name):
     assert not hasattr(tfekit, name)

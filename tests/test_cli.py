@@ -137,6 +137,23 @@ class TestGen:
             main(["gen", "sawtooth"])
         assert err.value.code == 2
 
+    def test_failed_write_leaves_the_earlier_file(self, workdir, capsys, monkeypatch):
+        import tfekit.cli as cli
+
+        (workdir / "x.csv").write_text("# sample_rate=100\n0\n1\n0\n-1\n")
+        before = (workdir / "x.csv").read_bytes()
+
+        def failing(signal, path):
+            Path(path).write_text("# sample_rate=100\n0.5\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_csv", failing)
+        rc = main(["gen", "noise", "--len", "1000", "--out", "x.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["x.csv"]
+        assert (workdir / "x.csv").read_bytes() == before
+
 
 class TestAnalyze:
     def test_dft_run(self, workdir):
@@ -580,8 +597,10 @@ class TestConfigFiles:
          "cfg.json: cutoffs must be a list of numbers, got [1000, True, 4000]"),
         ({"method": "fmd-a", "bands": 2, "order": 16.0}, None,
          "cfg.json: order must be an integer, got 16.0"),
+        ({"method": "dft", "cutoffs": "1000,abc"}, None,
+         "cfg.json: cutoffs must be a list of numbers, got '1000,abc'"),
     ], ids=["fractional-bands", "bool-bands", "fractional-plan-bands", "bool-cutoff",
-            "float-order"])
+            "float-order", "cutoff-string-not-numbers"])
     def test_numbers_refused_where_the_flags_refuse_them(self, workdir, capsys, config, plan,
                                                          message):
         (workdir / "cfg.json").write_text(json.dumps(config))
@@ -644,8 +663,11 @@ class TestConfigFiles:
          "last cutoff must equal Nyquist (4000.0 Hz), got 3000.0"),
         (["--config", "cfg.json", "--bands", "4000"], {"cfg.json": {"method": "dft", "bands": 4}},
          "n_bands must be in [1, 400] for length 800, got 4000"),
+        (["--method", "dft", "--cutoffs", "1000,abc"], {},
+         "cutoffs must be a list of numbers, got '1000,abc'"),
     ], ids=["plan-file-cutoffs", "config-cutoffs", "config-bands", "config-plan-number",
-            "config-names-plan-file", "flag-cutoffs", "flag-over-config-bands"])
+            "config-names-plan-file", "flag-cutoffs", "flag-over-config-bands",
+            "flag-cutoffs-not-numbers"])
     def test_band_value_errors_name_the_file(self, workdir, capsys, argv, files, message):
         # checked once the signal's length and rate are known; a flag's error names no file
         for name, document in files.items():
