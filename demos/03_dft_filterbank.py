@@ -20,6 +20,7 @@ from tfekit import (
     if_track,
     mix,
 )
+from tfekit.filterbank import CHECKS
 
 fs = 8000.0
 chirp = gen_chirp(1000, 2000, 1.0, fs)
@@ -40,16 +41,18 @@ print(f"high band vs chirp addend: rel energy error "
 
 print()
 print("=== 2. the decomposition is exact and orthogonal ===")
-# the call returns c0, the reconstruction (c0 plus the sum of the
-# components) and the report of the check that takes in each band as it is
-# made; the cross figure bounds every pairwise |<y_i, y_l>| / (||y_i|| ||y_l||)
-# from each component's leakage outside its own bins
+# the call returns c0 and the report of the check that takes in each band
+# as it is made: the relative error of c0 plus the sum of the components,
+# and a cross figure that bounds every pairwise
+# |<y_i, y_l>| / (||y_i|| ||y_l||) from each component's leakage outside
+# its own bins; CHECKS holds the tolerance of each figure
+tolerances = CHECKS["orthogonality"]
 for n_bands in (2, 10, 100):
-    c0, reconstruction, report = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), fs),
-                                               lambda component, band: None)
-    recon = np.abs(reconstruction - x.samples).max() / np.abs(x.samples).max()
-    print(f"M={n_bands:3d}: reconstruction {recon:.1e}, "
-          f"cross bound {report.max_normalized_cross:.1e}, "
+    c0, report = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), fs),
+                               lambda component, band: None)
+    print(f"M={n_bands:3d}: reconstruction {report.reconstruction_error:.1e} "
+          f"(tolerance {CHECKS['reconstruction_error']:.0e}), "
+          f"cross bound {report.cross:.1e} (tolerance {tolerances['max_normalized_cross']:.0e}), "
           f"energy ratio {report.energy_ratio:.15f}")
 
 print()
@@ -61,11 +64,10 @@ tracks = []
 # that makes its analytic signal, views that hold until the consumer
 # returns, so each band is tracked (if_track makes the track's own arrays)
 # before the next one is made
-c0, reconstruction, report = dft_decompose(x, BandSpec(bands=100).plan(len(x), fs),
-                                           lambda _, band: tracks.append(if_track(band())))
-recon = np.abs(reconstruction - x.samples).max() / np.abs(x.samples).max()
-print(f"streamed M=100: reconstruction {recon:.1e}, "
-      f"cross bound {report.max_normalized_cross:.1e}")
+c0, report = dft_decompose(x, BandSpec(bands=100).plan(len(x), fs),
+                           lambda _, band: tracks.append(if_track(band())))
+print(f"streamed M=100: reconstruction {report.reconstruction_error:.1e}, "
+      f"cross bound {report.cross:.1e}")
 on_ridge = total = 0.0
 for tr in tracks:
     dist = np.minimum(np.abs(tr.frequency_hz - ridge_a), np.abs(tr.frequency_hz - ridge_b))

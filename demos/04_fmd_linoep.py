@@ -10,6 +10,7 @@ exactly while keeping full control of the cutoff ladder.
 import numpy as np
 
 from tfekit import BandSpec, fmd_decompose, gen_noise
+from tfekit.filterbank import CHECKS
 
 fs = 1000.0
 x = gen_noise(seed=42, length=8192, sample_rate=fs)
@@ -28,11 +29,13 @@ def decompose(method):
 print("=== 1. five bands, highest to lowest (part A) ===")
 d, comps = decompose("fmd-a")
 report = d.report
-recon = np.abs(d.reconstruction - x.samples).max() / np.abs(x.samples).max()
-print(f"reconstruction error {recon:.1e}")
+print(f"reconstruction error {report.reconstruction_error:.1e} "
+      f"(tolerance {CHECKS['reconstruction_error']:.0e})")
 # each stage's rounding defect bounds |<c_i, sum of later c>| / (||c_i|| ||sum||)
-# as the ladder runs, with no component kept
-print(f"tail orthogonality defect bound per stage: {[f'{v:.1e}' for v in report.tail_cross]}")
+# as the ladder runs, with no component kept; the report's "linoep" section
+# holds their largest
+print(f"tail orthogonality defect bound per stage: {[f'{v:.1e}' for v in report.bounds]}")
+print(f"largest {report.cross:.1e} (tolerance {CHECKS['linoep']['max_tail_cross']:.0e})")
 print(f"sum ||c_i||^2 / ||x - mean||^2 = {report.energy_ratio:.15f}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import IFWorkspace
-from .filterbank import BandSpec, dft_decompose
+from .filterbank import CHECKS, BandSpec, dft_decompose
 from .fmd import METHODS, _check_order, fmd_decompose
 from .instfreq import MODES, SCHEMES, if_track
 from .io import load_csv, load_wav, save_csv
@@ -313,14 +313,6 @@ def _resolve_bands(signal: Signal, settings: dict):
         raise ValueError(f"{settings['band_file']}: {exc}") from None
 
 
-def _relative_error(reconstruction: np.ndarray, signal: Signal) -> float:
-    """max|reconstruction - x| / max|x|, worked out in the reconstruction's memory."""
-    x = signal.samples
-    err = np.subtract(reconstruction, x, out=reconstruction)
-    err = np.abs(err, out=err).max()
-    return float(err / max(x.max(), -x.min(), 1e-300))
-
-
 def _decompose(signal: Signal, settings: dict, bands, consumer,
                workspace: IFWorkspace | None = None) -> tuple[float | None, dict]:
     """Decompose on `bands`, as :func:`_resolve_bands` gives them; verify and hand on each component.
@@ -332,33 +324,21 @@ def _decompose(signal: Signal, settings: dict, bands, consumer,
     hand theirs on through :func:`dft_decompose` and :func:`fmd_decompose`,
     in one reused array, after the running check has taken each in, inside
     `workspace`, the consumer's IF workspace. Returns c0 (None for method
-    'none') and the verification diagnostics.
+    'none') and the checks' part of the diagnostics, every figure None for
+    method 'none'.
     """
     method = settings["method"]
-    checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
         consumer(signal.samples, lambda: signal)
-        return None, checks
+        return None, dict.fromkeys(CHECKS)
     if method == "dft":
-        c0, reconstruction, rep = dft_decompose(signal, bands, consumer, workspace)
-        checks["orthogonality"] = {
-            "max_normalized_cross": rep.max_normalized_cross,
-            "cross_figure": "leakage bound",
-            "energy_ratio": rep.energy_ratio,
-        }
+        c0, report = dft_decompose(signal, bands, consumer, workspace)
     else:
         order = {} if settings["order"] is None else {"order": settings["order"]}
         # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
-        c0, reconstruction, rep = fmd_decompose(signal, bands, consumer, **order, method=method,
-                                                workspace=workspace)
-        if method in ("fmd-a", "fmd-b"):
-            checks["linoep"] = {
-                "max_tail_cross": rep.max_tail_cross,
-                "cross_figure": "defect bound",
-                "energy_ratio": rep.energy_ratio,
-            }
-    checks["reconstruction_error"] = _relative_error(reconstruction, signal)
-    return c0, checks
+        c0, report = fmd_decompose(signal, bands, consumer, **order, method=method,
+                                   workspace=workspace)
+    return c0, report.diagnostics()
 
 
 def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, write=None,

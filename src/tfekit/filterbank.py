@@ -10,10 +10,12 @@ Both banks, this one and the FIR ladder of :mod:`tfekit.fmd`, stream the
 same way. A bank yields (component, band, *what its check takes) per
 component, and :func:`_drive`, their one loop, adds each component to the
 check, hands it to the consumer and finishes the check into a
-:class:`Decomposition`. :func:`dft_decompose` runs the bank inside the
-consumer's :class:`IFWorkspace`: each band's quadrature is made in the
-workspace's quadrature and the check's measuring transform in its
-spectrum, so a band costs no N-sample array of its own.
+:class:`Decomposition`: c0 and the one :class:`CheckReport` both checks
+make, whose figures' tolerances :data:`CHECKS` holds. :func:`dft_decompose`
+runs the bank inside the consumer's :class:`IFWorkspace`: each band's
+quadrature is made in the workspace's quadrature and the check's
+measuring transform in its spectrum, so a band costs no N-sample array of
+its own.
 """
 
 import functools
@@ -30,10 +32,22 @@ from .signals import Signal, _dot, finite_energy
 
 __all__ = [
     "BandSpec",
+    "CheckReport",
     "Decomposition",
     "dft_decompose",
-    "OrthogonalityReport",
 ]
+
+# The figures of the checks as tfekit-diagnostics/1 writes them, each with
+# its tolerance, once: every method's reconstruction error and each bank's
+# section, whose cross figure comes first, its kind under "cross_figure",
+# and whose energy ratio is held to |ratio - 1|. The figures are reported,
+# not yet enforced.
+CHECKS = {
+    "reconstruction_error": 1e-9,
+    "orthogonality": {"max_normalized_cross": 1e-10, "cross_figure": "leakage bound",
+                      "energy_ratio": 1e-10},
+    "linoep": {"max_tail_cross": 1e-8, "cross_figure": "defect bound", "energy_ratio": 1e-8},
+}
 
 
 def _check_cutoffs(cutoffs_hz, sample_rate: float) -> list[float]:
@@ -160,19 +174,44 @@ class BandSpec:
         return _check_cutoffs(self.cutoffs_hz, sample_rate)[:-1]
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """What a decomposition's check found: one record for both banks.
+
+    `reconstruction_error` is max|c0 + sum of the components - x| / max|x|;
+    `section` the :data:`CHECKS` section its figures belong to,
+    "orthogonality" for the DFT bank, "linoep" for 'fmd-a' and 'fmd-b' and
+    None for 'causal-fir', whose components no check bounds. `cross` is the
+    section's cross figure, `energy_ratio` the energy of the components
+    over that of what they sum to, and `bounds` the per-band leakages (DFT)
+    or per-stage tail bounds (FIR ladder) that `cross` is made from; the
+    checks, :class:`_BandCheck` and :class:`tfekit.fmd._TailCheck`, say how.
+    """
+
+    reconstruction_error: float
+    section: str | None
+    cross: float
+    energy_ratio: float
+    bounds: tuple[float, ...]
+
+    def diagnostics(self) -> dict:
+        """The checks' part of a tfekit-diagnostics/1 document: every section, None but its own."""
+        fragment = {**dict.fromkeys(CHECKS), "reconstruction_error": self.reconstruction_error}
+        if self.section is not None:
+            row = CHECKS[self.section]
+            fragment[self.section] = {**row, next(iter(row)): self.cross,
+                                      "energy_ratio": self.energy_ratio}
+        return fragment
+
+
 class Decomposition(NamedTuple):
     """What a decomposition returns once it has handed on every component.
 
-    `c0` is the mean term, `reconstruction` c0 + the sum of the components
-    (an N-float array) and `report` the check's report: an
-    :class:`OrthogonalityReport` for the DFT bank, a
-    :class:`tfekit.fmd.LinoepReport` for 'fmd-a' and 'fmd-b', None for
-    'causal-fir'.
+    `c0` is the mean term and `report` the :class:`CheckReport` of its check.
     """
 
     c0: float
-    reconstruction: np.ndarray
-    report: object
+    report: CheckReport
 
 
 def _check_boundaries(boundaries, n: int) -> tuple[int, ...]:
@@ -221,13 +260,20 @@ def _drive(stages, check, c0: float, consumer):
     :func:`_dft_bands` and :func:`tfekit.fmd._ladder` do: `check` takes
     ``check.add(component, *args)`` before ``consumer(component, band)`` is
     called, and the component and what `band()` makes hold only until the
-    consumer returns. Returns the :class:`Decomposition` of c0 and what
-    ``check.finish(c0)`` gives: the reconstruction and the report.
+    consumer returns. Returns the :class:`Decomposition` of c0 and the
+    report ``check.finish(c0)`` gives.
     """
     for component, band, *args in stages:
         check.add(component, *args)
         consumer(component, band)
-    return Decomposition(c0, *check.finish(c0))
+    return Decomposition(c0, check.finish(c0))
+
+
+def _relative_error(reconstruction: np.ndarray, x: np.ndarray) -> float:
+    """max|reconstruction - x| / max|x|, worked out in the reconstruction's memory."""
+    err = np.subtract(reconstruction, x, out=reconstruction)
+    err = np.abs(err, out=err).max()
+    return float(err / max(x.max(), -x.min(), 1e-300))
 
 
 def dft_decompose(x: Signal, boundaries, consumer,
@@ -249,8 +295,8 @@ def dft_decompose(x: Signal, boundaries, consumer,
     length (a fresh one when not given), whose spectrum takes the check's
     transform; later calls return the same object. Both hold until the
     consumer returns. Nothing is collected: the call returns the
-    :class:`Decomposition` of c0, the reconstruction and the
-    :class:`OrthogonalityReport`.
+    :class:`Decomposition` of c0 and the :class:`CheckReport` of the
+    "orthogonality" section.
     """
     finite_energy(x.samples)  # the overflow the check would report, before any band is made
     n = len(x)
@@ -263,20 +309,7 @@ def dft_decompose(x: Signal, boundaries, consumer,
     spectrum = spectrum[: n // 2 + 1].copy()
     ws = IFWorkspace._for(n, workspace)
     stages = _dft_bands(spectrum, boundaries, x.sample_rate, np.empty(n), ws)
-    return _drive(stages, _BandCheck(n, ws.spectrum), c0, consumer)
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Orthogonality and energy-preservation summary.
-
-    `max_normalized_cross` bounds max over pairs of |<y_i, y_l>| / (||y_i|| ||y_l||)
-    from above (:class:`_BandCheck` says how); `energy_ratio` is
-    (sum ||y_i||^2 + N*c0^2) / ||x||^2.
-    """
-
-    max_normalized_cross: float
-    energy_ratio: float
+    return _drive(stages, _BandCheck(x.samples, ws.spectrum), c0, consumer)
 
 
 class _BandCheck:
@@ -294,22 +327,25 @@ class _BandCheck:
     rounding, :func:`_fft_rounding`, since that transform may hide at most
     that much out-of-band power.
 
-    The measuring transform's n//2+1 bins go into `spectrum`:
+    Its report's `cross` is that sum, its `bounds` the leakages and its
+    `energy_ratio` (sum ||y_i||^2 + N*c0^2) / ||x||^2, x being the
+    reconstruction c0 + sum of the components. The measuring transform's
+    n//2+1 bins go into `spectrum`:
     :func:`dft_decompose` passes its IF workspace's, which is free while a
     band is checked, since the band's track lands there only afterwards.
     """
 
-    def __init__(self, n: int, spectrum: np.ndarray):
-        self.n = n
-        self._total = np.zeros(n)
+    def __init__(self, x: np.ndarray, spectrum: np.ndarray):
+        self.x = x
+        self._total = np.zeros(x.size)
         self._spectrum = spectrum
-        self._rounding = _fft_rounding(n)
+        self._rounding = _fft_rounding(x.size)
         self._energies = []
         self._leakages = []
 
     def add(self, component: np.ndarray, lo: int, hi: int) -> None:
         """Check band (lo, hi)'s component: its energy, its leakage; add it to the sum."""
-        n = self.n
+        n = self.x.size
         energy = finite_energy(component)
         # re, im pairs; with "forward" scaling Parseval's weighted sum of
         # |Y_k|^2 is the energy / n, so no square overflows a finite energy
@@ -328,8 +364,8 @@ class _BandCheck:
         leakage = np.sqrt(n * outside / energy) + self._rounding if energy > 0 else 0.0
         self._leakages.append(float(leakage))
 
-    def finish(self, c0: float) -> tuple[np.ndarray, OrthogonalityReport]:
-        """The reconstruction c0 + sum of the components, in the sum's memory, and the report.
+    def finish(self, c0: float) -> CheckReport:
+        """The report, with the reconstruction c0 + sum of the components made in the sum's memory.
 
         An energy that overflows float64 raises; the ratio is 1 when the
         reconstruction has zero energy.
@@ -338,9 +374,10 @@ class _BandCheck:
         energy = finite_energy(x)
         two = sorted(self._leakages)[-2:]
         cross = two[0] + two[1] if len(two) == 2 else 0.0
-        parts = np.add.reduce(self._energies) + self.n * c0**2
+        parts = np.add.reduce(self._energies) + self.x.size * c0**2
         ratio = float(parts / energy) if energy > 0 else 1.0
-        return x, OrthogonalityReport(cross, ratio)
+        return CheckReport(_relative_error(x, self.x), "orthogonality", cross, ratio,
+                           tuple(self._leakages))
 
 
 def _fft_rounding(n: int) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import IFWorkspace
-from .filterbank import Decomposition, _drive
+from .filterbank import CheckReport, Decomposition, _drive, _relative_error
 from .signals import Signal, _dot, finite_energy
 
 # samples of overlap-save frames that _zero_phase transforms at a time (at
@@ -53,7 +53,6 @@ __all__ = [
     "zero_phase_filter",
     "causal_filter",
     "fmd_decompose",
-    "LinoepReport",
 ]
 
 
@@ -333,9 +332,10 @@ def fmd_decompose(x: Signal, cutoffs_hz, consumer, order: int = 256, method: str
         ``consumer(component, band)``: a read-only view of that buffer and
         a function that gives the component's Signal on it, both valid
         until the consumer returns. Nothing is collected: the call returns
-        the :class:`Decomposition` of c0, the reconstruction c0 + sum of
-        the components and a :class:`LinoepReport` of the check's bounds,
-        None for 'causal-fir'.
+        the :class:`Decomposition` of c0 and the check's
+        :class:`CheckReport`: the "linoep" section's tail bounds for
+        'fmd-a' and 'fmd-b', no section for 'causal-fir', and the
+        reconstruction error and energy ratio for all three.
     order : int
         FIR order for every stage filter.
     method : {'fmd-a', 'fmd-b', 'causal-fir'}
@@ -383,25 +383,8 @@ def fmd_decompose(x: Signal, cutoffs_hz, consumer, order: int = 256, method: str
     finite_energy(x.samples)  # before the mean, which an overflowing sum would make inf
     c0 = float(np.mean(x.samples))
     stages = _ladder(x.samples, c0, cutoffs, order, method, x.sample_rate, ws)
-    d = _drive(stages, _TailCheck(n), c0, consumer)
-    return d._replace(report=None) if method == "causal-fir" else d
-
-
-@dataclass(frozen=True)
-class LinoepReport:
-    """Tail-orthogonality and energy-identity summary of an FMD decomposition.
-
-    tail_cross[i] bounds |<c_i, sum_{l>i} c_l>| normalized by the norms
-    (:class:`_TailCheck` says how); pairwise orthogonality between
-    arbitrary components is not expected and not reported.
-    """
-
-    tail_cross: np.ndarray
-    energy_ratio: float
-
-    @property
-    def max_tail_cross(self) -> float:
-        return float(self.tail_cross.max()) if self.tail_cross.size else 0.0
+    section = None if method == "causal-fir" else "linoep"
+    return _drive(stages, _TailCheck(x.samples, section), c0, consumer)
 
 
 class _TailCheck:
@@ -440,11 +423,17 @@ class _TailCheck:
     (|<c_i, x_{i+1}>|' / ||c_i||_lo + gamma ||x_{i+1}||_lo + D_i) / (||x_{i+1}||_lo - D_i).
     gamma is gamma_k with k = n + M + 8, which also covers the M-term
     sums D_i and the few roundings of the scalar arithmetic.
+
+    Its report's `bounds` are these bounds, stage by stage, its `cross`
+    their largest (0 with no stage) and its `energy_ratio`
+    sum ||c_i||^2 / ||x - c0||^2; `section` is the report's section,
+    "linoep", or None for a ladder whose stages bring no defect.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self._total = np.zeros(n)
+    def __init__(self, x: np.ndarray, section: str | None):
+        self.x = x
+        self.section = section
+        self._total = np.zeros(x.size)
         self._energies = []
         self._stages = []  # (|<c_i, x_{i+1}>|, ||x_{i+1}||^2, ||d_i||^2), as computed
 
@@ -462,16 +451,15 @@ class _TailCheck:
             self._stages.append((abs(_dot(component, remainder)), finite_energy(remainder),
                                  finite_energy(defect)))
 
-    def finish(self, c0: float) -> tuple[np.ndarray, LinoepReport]:
-        """The reconstruction c0 + sum of the components, in the sum's memory, and the report.
+    def finish(self, c0: float) -> CheckReport:
+        """The report, with the reconstruction c0 + sum of the components made in the sum's memory.
 
-        The energy ratio is sum ||c_i||^2 / ||x - c0||^2, 1 when x - c0 has
-        zero energy; tail_cross holds the bounds.
+        The energy ratio is 1 when x - c0 has zero energy.
         """
         energy = finite_energy(self._total)
         ratio = sum(self._energies) / energy if energy > 0 else 1.0
         x = np.add(c0, self._total, out=self._total)
-        k = self.n + len(self._energies) + 8
+        k = self.x.size + len(self._energies) + 8
         u = np.finfo(np.float64).eps / 2
         gamma = k * u / (1 - k * u)
         bounds = np.zeros(len(self._stages))
@@ -486,4 +474,6 @@ class _TailCheck:
                     figure = (cross / ((1 - gamma) * c) + gamma * r_lo + later) / (r_lo - later)
                     bounds[i] = min(figure, 1.0)
             later += (1 + gamma) * ((1 + 2 * u) * d + u * (c + r))
-        return x, LinoepReport(bounds, ratio)
+        bounds = tuple(bounds.tolist())
+        return CheckReport(_relative_error(x, self.x), self.section, max(bounds, default=0.0),
+                           ratio, bounds)

@@ -9,8 +9,10 @@ list of lines (the streaming writers must match them byte for byte), a
 DFT bank built another way: a Hermitian 0/1 mask per band with an
 imaginary-residue guard, scaling numpy's transforms by N itself (the
 real-transform bank must match it component by component), and the
-list-based grid that held every track at once (the streaming CLI must
-match its bytes), the stacked Gram check of every pair of components (the
+list-based grid that held every track at once and the analysis's tracks
+and diagnostics built from stacked components, with the diagnostics'
+per-method layout written out here (the streaming CLI must match their
+bytes), the stacked Gram check of every pair of components (the
 leakage bound must cover it),
 Marple's one-sided spectrum, one complex synthesis per band with its own
 bin doubling (each band of the bank must match it to rounding), the
@@ -28,18 +30,14 @@ defect bound must cover them).
 """
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from streams import collect, kept_bands
 
-from tfekit import (
-    AnalyticSignal,
-    FirFilter,
-    LinoepReport,
-    OrthogonalityReport,
-    Signal,
-    TFEGrid,
-)
+import tfekit
+from tfekit import AnalyticSignal, BandSpec, FirFilter, Signal, TFEGrid, if_track
 from tfekit.signals import _dot, finite_energy
 
 TRACK_HEADER = "time_s,frequency_hz,energy"
@@ -362,7 +360,27 @@ def build_tfe(tracks, time_bins: int = 400, freq_bins: int = 250) -> TFEGrid:
     return TFEGrid(time_edges, freq_edges, grid)
 
 
-def verify_orthogonality(c0: float, components) -> OrthogonalityReport:
+def reconstruction_error(c0: float, rows, x) -> float:
+    """max|c0 + the sum of the (M, N) rows - x| / max|x|, the rows summed in order."""
+    err = np.abs(c0 + np.sum(rows, axis=0) - x).max()
+    return float(err / max(np.abs(x).max(), 1e-300))
+
+
+class GramFigures(NamedTuple):
+    """The stacked Gram check's largest pairwise normalized cross and its energy ratio."""
+
+    max_normalized_cross: float
+    energy_ratio: float
+
+
+class TailFigures(NamedTuple):
+    """Each FMD component's normalized cross with its tail, and the energy ratio."""
+
+    tail_cross: np.ndarray
+    energy_ratio: float
+
+
+def verify_orthogonality(c0: float, components) -> GramFigures:
     """Pairwise orthogonality and Parseval balance, on a stacked copy of the components."""
     x = c0 + np.sum(list(components), axis=0)
     energy = finite_energy(x)
@@ -374,10 +392,10 @@ def verify_orthogonality(c0: float, components) -> OrthogonalityReport:
     normalized = np.abs(gram) / denom
     np.fill_diagonal(normalized, 0.0)
     energy_ratio = float((np.trace(gram) + x.size * c0**2) / energy) if energy > 0 else 1.0
-    return OrthogonalityReport(float(normalized.max()), energy_ratio)
+    return GramFigures(float(normalized.max()), energy_ratio)
 
 
-def verify_linoep(components) -> LinoepReport:
+def verify_linoep(components) -> TailFigures:
     """Check the energy-preserving structure of an FMD decomposition's (M, N) components.
 
     Reports, for each i, the normalized inner product of component i with
@@ -400,4 +418,58 @@ def verify_linoep(components) -> LinoepReport:
         tail_energy = finite_energy(tail)
     # the tail is now x - c0
     ratio = sum(energies) / tail_energy if tail_energy > 0 else 1.0
-    return LinoepReport(crosses, ratio)
+    return TailFigures(crosses, ratio)
+
+
+def analysis_tracks(x, method: str, bands: int):
+    """Every IF track of `method` held in one list, and the checks, on the stacked components.
+
+    `bands` is a uniform band count; the FIR methods run at order 256. The
+    checks are the diagnostics' per-method layout of tfekit-diagnostics/1,
+    written out here: the library's figures, each bound held to the exact
+    figure of the stacked components, and the reconstruction error of
+    their sum.
+    """
+    fs = x.sample_rate
+    checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
+    if method == "none":
+        return [if_track(x)], checks
+    if method == "dft":
+        plan = BandSpec(bands=bands).plan(len(x), fs)
+        d, rows = collect(tfekit.dft_decompose, x, plan)
+        tracks = [if_track(band) for band in kept_bands(x, plan)]
+    else:
+        ladder = BandSpec(bands=bands).ladder(fs)
+        d, rows = collect(tfekit.fmd_decompose, x, ladder, 256, method)
+        tracks = [if_track(Signal(c, fs)) for c in rows]
+    checks["reconstruction_error"] = reconstruction_error(d.c0, rows, x.samples)
+    rep = d.report
+    if method == "dft":
+        assert rep.cross >= verify_orthogonality(d.c0, rows).max_normalized_cross
+        checks["orthogonality"] = {"max_normalized_cross": rep.cross,
+                                   "cross_figure": "leakage bound",
+                                   "energy_ratio": rep.energy_ratio}
+    elif method in ("fmd-a", "fmd-b"):
+        # the streaming check's figures, at or above the backward exact ones
+        exact = verify_linoep(rows)
+        assert (np.array(rep.bounds) >= exact.tail_cross).all()
+        assert rep.cross == max(rep.bounds, default=0.0)
+        assert abs(rep.energy_ratio - exact.energy_ratio) <= 1e-12
+        checks["linoep"] = {"max_tail_cross": rep.cross, "cross_figure": "defect bound",
+                            "energy_ratio": rep.energy_ratio}
+    return tracks, checks
+
+
+def analysis_diagnostics(x, method: str, tracks, checks) -> dict:
+    """The tfekit-diagnostics/1 document of an analysis, forward scheme, positive mode."""
+    return {
+        "schema": "tfekit-diagnostics/1",
+        "method": method,
+        "if_mode": "positive",
+        "scheme": "forward",
+        "n_samples": len(x),
+        "sample_rate_hz": x.sample_rate,
+        "n_components": len(tracks),
+        "negative_if_fraction": float(np.mean([t.negative_fraction for t in tracks])),
+        **checks,
+    }

@@ -28,6 +28,7 @@ from tfekit import (
     mix,
     zero_phase_filter,
 )
+from tfekit.filterbank import CHECKS
 
 FIVE_CHIRP_BANDS = [(500, 1500), (1000, 2000), (1500, 2500), (2000, 3000), (2500, 3500)]
 
@@ -166,13 +167,14 @@ def test_criterion_06_dft_decomposition_invariants():
     x = _example1_mixture()
     worst = {"recon": 0.0, "cross": 0.0, "energy": 0.0}
     for n_bands in (2, 10, 100):
-        d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop)
-        recon = float(np.abs(d.reconstruction - x.samples).max() / np.abs(x.samples).max())
-        report = d.report
-        worst["recon"] = max(worst["recon"], recon)
-        worst["cross"] = max(worst["cross"], report.max_normalized_cross)
+        report = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop).report
+        worst["recon"] = max(worst["recon"], report.reconstruction_error)
+        worst["cross"] = max(worst["cross"], report.cross)
         worst["energy"] = max(worst["energy"], abs(report.energy_ratio - 1.0))
-    ok = worst["recon"] <= 1e-9 and worst["cross"] <= 1e-10 and worst["energy"] <= 1e-10
+    tolerances = CHECKS["orthogonality"]
+    ok = (worst["recon"] <= CHECKS["reconstruction_error"]
+          and worst["cross"] <= tolerances["max_normalized_cross"]
+          and worst["energy"] <= tolerances["energy_ratio"])
     _report(6, "spectral bank M in {2,10,100}: reconstruction, orthogonality, Parseval", ok,
             f"recon={worst['recon']:.2e}, cross={worst['cross']:.2e}, "
             f"energy_dev={worst['energy']:.2e}")
@@ -188,14 +190,14 @@ def test_criterion_07_fmd_invariants():
         for n_bands in (2, 5, 10):
             for method in ("fmd-a", "fmd-b"):
                 cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
-                d = fmd_decompose(x, cutoffs, drop, order=order, method=method)
-                recon = float(np.abs(d.reconstruction - x.samples).max()
-                              / np.abs(x.samples).max())
-                report = d.report
-                worst["recon"] = max(worst["recon"], recon)
-                worst["tail"] = max(worst["tail"], report.max_tail_cross)
+                report = fmd_decompose(x, cutoffs, drop, order=order, method=method).report
+                worst["recon"] = max(worst["recon"], report.reconstruction_error)
+                worst["tail"] = max(worst["tail"], report.cross)
                 worst["energy"] = max(worst["energy"], abs(report.energy_ratio - 1.0))
-    ok = worst["recon"] <= 1e-9 and worst["tail"] <= 1e-8 and worst["energy"] <= 1e-8
+    tolerances = CHECKS["linoep"]
+    ok = (worst["recon"] <= CHECKS["reconstruction_error"]
+          and worst["tail"] <= tolerances["max_tail_cross"]
+          and worst["energy"] <= tolerances["energy_ratio"])
     _report(7, "FMD parts A/B, M in {2,5,10}: reconstruction, tail orthogonality, energy", ok,
             f"recon={worst['recon']:.2e}, tail={worst['tail']:.2e}, "
             f"energy_dev={worst['energy']:.2e}")
@@ -271,7 +273,7 @@ def test_criterion_11_oracle_equivalence():
             cross = max(cross, abs(float(np.dot(ci, cj))) / denom)
     energy = ((sum(float(np.dot(c, c)) for c in components) + 64 * d.c0**2)
               / np.dot(x.samples, x.samples))
-    orth_dev = max(abs(report.max_normalized_cross - cross),
+    orth_dev = max(abs(report.cross - cross),
                    abs(report.energy_ratio - energy))
 
     f, components = collect(fmd_decompose, x, [16.0, 24.0], order=16)
@@ -284,12 +286,12 @@ def test_criterion_11_oracle_equivalence():
         tails.append(abs(float(np.dot(ci, tail))) / denom)
     detrended = x.samples - x.samples.mean()
     ratio = sum(float(np.dot(c, c)) for c in components) / float(np.dot(detrended, detrended))
-    linoep_dev = max(abs(linoep.max_tail_cross - max(tails)),
+    linoep_dev = max(abs(linoep.cross - max(tails)),
                      abs(linoep.energy_ratio - ratio))
 
     # the orthogonality and tail figures are bounds: at or above the direct ones
     ok = (worst_transform <= 1e-10 and orth_dev <= 1e-12 and linoep_dev <= 1e-12
-          and report.max_normalized_cross >= cross and linoep.max_tail_cross >= max(tails))
+          and report.cross >= cross and linoep.cross >= max(tails))
     _report(11, "library results match O(N^2) and direct inner-product oracles", ok,
             f"transform={worst_transform:.2e}, orth_dev={orth_dev:.2e}, "
             f"linoep_dev={linoep_dev:.2e}")

@@ -10,12 +10,11 @@ import tfekit
 PUBLIC = [
     "AnalyticSignal",
     "BandSpec",
+    "CheckReport",
     "Decomposition",
     "FirFilter",
     "IFTrack",
     "IFWorkspace",
-    "LinoepReport",
-    "OrthogonalityReport",
     "Signal",
     "TFEAccumulator",
     "TFEGrid",
@@ -62,6 +61,8 @@ REMOVED = [
     ("fmd", "verify_linoep"),
     ("instfreq", "DiffScheme"),
     ("signals", "NoiseSpec"),
+    ("filterbank", "OrthogonalityReport"),
+    ("fmd", "LinoepReport"),
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -80,6 +81,7 @@ REMOVED_ATTRIBUTES = [
     (tfekit.Decomposition, "boundaries"),
     (tfekit.Decomposition, "n_components"),
     (tfekit.Decomposition, "reconstruct"),
+    (tfekit.Decomposition, "reconstruction"),
     # an instance attribute: a workspace shows it
     (tfekit.IFWorkspace(4), "mask"),
     (tfekit.IFWorkspace(4), "scratch"),

@@ -12,14 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from streams import collect, kept_bands
+from streams import collect
 
 from tfekit import (
     BandSpec,
     IFWorkspace,
-    Signal,
     TFEAccumulator,
-    dft_decompose,
     fmd_decompose,
     if_track,
     load_csv,
@@ -37,6 +35,7 @@ from tfekit.cli import (
     build_parser,
     main,
 )
+from tfekit.filterbank import CHECKS
 from tfekit.signals import _dot
 
 
@@ -164,8 +163,9 @@ class TestAnalyze:
         diag = json.loads((workdir / "run_diagnostics.json").read_text())
         assert diag["schema"] == "tfekit-diagnostics/1"
         assert diag["n_components"] == 10
-        assert diag["reconstruction_error"] < 1e-9
-        assert diag["orthogonality"]["max_normalized_cross"] < 1e-10
+        assert diag["reconstruction_error"] <= CHECKS["reconstruction_error"]
+        assert (diag["orthogonality"]["max_normalized_cross"]
+                <= CHECKS["orthogonality"]["max_normalized_cross"])
         assert diag["negative_if_fraction"] == 0.0
         t, f, e = load_track_csv(workdir / "run_tracks.csv")
         assert t.size == 10 * 4000
@@ -206,8 +206,8 @@ class TestAnalyze:
         assert rc == 0
         diag = json.loads((workdir / "eq_diagnostics.json").read_text())
         assert diag["n_components"] == 4
-        assert diag["linoep"]["max_tail_cross"] < 1e-8
-        assert abs(diag["linoep"]["energy_ratio"] - 1) < 1e-8
+        assert diag["linoep"]["max_tail_cross"] <= CHECKS["linoep"]["max_tail_cross"]
+        assert abs(diag["linoep"]["energy_ratio"] - 1) <= CHECKS["linoep"]["energy_ratio"]
 
     def test_config_file_with_flag_override(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"method": "dft", "bands": 4}))
@@ -774,7 +774,8 @@ class TestDecompose:
         assert len(parts) == 4
         x = load_csv(workdir / "in.csv")
         rebuilt = diag["c0"] + np.sum([p.samples for p in parts], axis=0)
-        assert np.abs(rebuilt - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
+        rel = np.abs(rebuilt - x.samples).max() / np.abs(x.samples).max()
+        assert rel <= CHECKS["reconstruction_error"]
 
     def test_method_required(self, workdir, capsys):
         rc = main(["decompose", "--gen", "chirp", "--out-prefix", "dec"])
@@ -1003,53 +1004,6 @@ class TestCompare:
         assert report["sides"]["b"]["negative_if_fraction"] >= 0.0
 
 
-def _oracle_tracks(x, method, bands):
-    """Every IF track of `method` held in one list, and the checks, on the stacked components."""
-    fs = x.sample_rate
-    checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
-    if method == "none":
-        return [if_track(x)], checks
-    if method == "dft":
-        plan = BandSpec(bands=bands).plan(len(x), fs)
-        d, rows = collect(dft_decompose, x, plan)
-        tracks = [if_track(band) for band in kept_bands(x, plan)]
-    else:
-        ladder = BandSpec(bands=bands).ladder(fs)
-        d, rows = collect(fmd_decompose, x, ladder, 256, method)
-        tracks = [if_track(Signal(c, fs)) for c in rows]
-    err = np.abs(d.c0 + np.sum(rows, axis=0) - x.samples).max()
-    checks["reconstruction_error"] = float(err / max(np.abs(x.samples).max(), 1e-300))
-    rep = d.report
-    if method == "dft":
-        assert (rep.max_normalized_cross
-                >= oracles.verify_orthogonality(d.c0, rows).max_normalized_cross)
-        checks["orthogonality"] = {"max_normalized_cross": rep.max_normalized_cross,
-                                   "cross_figure": "leakage bound",
-                                   "energy_ratio": rep.energy_ratio}
-    elif method == "fmd-a":
-        # the streaming check's figures, at or above the backward exact ones
-        exact = oracles.verify_linoep(rows)
-        assert (rep.tail_cross >= exact.tail_cross).all()
-        assert abs(rep.energy_ratio - exact.energy_ratio) <= 1e-12
-        checks["linoep"] = {"max_tail_cross": rep.max_tail_cross, "cross_figure": "defect bound",
-                            "energy_ratio": rep.energy_ratio}
-    return tracks, checks
-
-
-def _oracle_diagnostics(x, method, tracks, checks):
-    return {
-        "schema": "tfekit-diagnostics/1",
-        "method": method,
-        "if_mode": "positive",
-        "scheme": "forward",
-        "n_samples": len(x),
-        "sample_rate_hz": x.sample_rate,
-        "n_components": len(tracks),
-        "negative_if_fraction": float(np.mean([t.negative_fraction for t in tracks])),
-        **checks,
-    }
-
-
 def _json_bytes(document):
     return (json.dumps(document, indent=2, allow_nan=False) + "\n").encode()
 
@@ -1062,18 +1016,18 @@ def _mixture():
 class TestStreamingMatchesListOracle:
     """The CLI streams each track into the grid and the CSV; the bytes are those of the list path."""
 
-    @pytest.mark.parametrize("method", ["none", "dft", "fmd-a", "causal-fir"])
+    @pytest.mark.parametrize("method", ["none", "dft", "fmd-a", "fmd-b", "causal-fir"])
     def test_analyze_bytes(self, workdir, method):
         bands = [] if method == "none" else ["--bands", "12"]
         assert main(["analyze", "--gen", "chirp-fm-mix", "--method", method, *bands,
                      "--out-prefix", "cli"]) == 0
         x, _ = _mixture()
-        tracks, checks = _oracle_tracks(x, method, 12)
+        tracks, checks = oracles.analysis_tracks(x, method, 12)
         want = workdir / "oracle"
         want.mkdir()
         oracles.export_track_csv(tracks, want / "tracks.csv")
         oracles.export_grid_csv(oracles.build_tfe(tracks), want / "grid.csv")
-        diagnostics = _oracle_diagnostics(x, method, tracks, checks)
+        diagnostics = oracles.analysis_diagnostics(x, method, tracks, checks)
         diagnostics["outputs"] = {"tracks_csv": "cli_tracks.csv", "grid_csv": "cli_grid.csv"}
         assert (workdir / "cli_tracks.csv").read_bytes() == (want / "tracks.csv").read_bytes()
         assert (workdir / "cli_grid.csv").read_bytes() == (want / "grid.csv").read_bytes()
@@ -1085,7 +1039,7 @@ class TestStreamingMatchesListOracle:
         x, ridges = _mixture()
         report = {"schema": "tfekit-compare/1", "sides": {}}
         for side, method, bands in (("a", "dft", 12), ("b", "causal-fir", 6)):
-            tracks, checks = _oracle_tracks(x, method, bands)
+            tracks, checks = oracles.analysis_tracks(x, method, bands)
             oracles.export_grid_csv(oracles.build_tfe(tracks), workdir / f"want_{side}.csv")
             assert ((workdir / f"cli_{side}_grid.csv").read_bytes()
                     == (workdir / f"want_{side}.csv").read_bytes())
@@ -1094,7 +1048,7 @@ class TestStreamingMatchesListOracle:
                 dist = np.min(np.stack([np.abs(tr.frequency_hz - r) for r in ridges]), axis=0)
                 weighted += _dot(dist, tr.energy)
                 total += float(tr.energy.sum())
-            report["sides"][side] = {**_oracle_diagnostics(x, method, tracks, checks),
+            report["sides"][side] = {**oracles.analysis_diagnostics(x, method, tracks, checks),
                                      "grid_csv": f"cli_{side}_grid.csv",
                                      "ridge_error_hz": weighted / total}
         assert (workdir / "cli_compare.json").read_bytes() == _json_bytes(report)
@@ -1133,14 +1087,16 @@ def test_half_as_many_bands_as_samples(workdir, argv):
     else:
         diag = json.loads((workdir / "edge_diagnostics.json").read_text())
     assert diag["n_components"] == n // 2
-    assert diag["reconstruction_error"] <= 1e-9
-    assert diag["orthogonality"]["max_normalized_cross"] <= 1e-10
-    assert abs(diag["orthogonality"]["energy_ratio"] - 1) <= 1e-10
+    assert diag["reconstruction_error"] <= CHECKS["reconstruction_error"]
+    tolerances = CHECKS["orthogonality"]
+    assert diag["orthogonality"]["max_normalized_cross"] <= tolerances["max_normalized_cross"]
+    assert abs(diag["orthogonality"]["energy_ratio"] - 1) <= tolerances["energy_ratio"]
     if argv[0] == "decompose":
         parts = [load_csv(p).samples for p in diag["outputs"]["components"]]
         args = build_parser().parse_args(["decompose", "--gen", "noise", "--len", str(n)])
         x = _load_input(args)[0]
-        assert np.abs(diag["c0"] + np.sum(parts, axis=0) - x.samples).max() <= 1e-9
+        rebuilt = diag["c0"] + np.sum(parts, axis=0)
+        assert np.abs(rebuilt - x.samples).max() <= CHECKS["reconstruction_error"]
 
 
 @pytest.mark.parametrize("command", [

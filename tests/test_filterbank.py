@@ -1,7 +1,9 @@
 """Band plans and the zero-phase spectral decomposition."""
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,9 @@ from oracles import dft_direct
 from streams import collect, drop, kept_bands
 from tfekit import (
     BandSpec,
+    CheckReport,
     Decomposition,
     IFWorkspace,
-    LinoepReport,
-    OrthogonalityReport,
     Signal,
     analytic_signal,
     dft_decompose,
@@ -27,16 +28,16 @@ from tfekit import (
     if_track,
     mix,
 )
-from tfekit.filterbank import _BandCheck
+from tfekit.filterbank import CHECKS, _BandCheck
 
 
-def _band_report(c0, components, boundaries) -> OrthogonalityReport:
-    """The DFT check's report on given components, added band by band as dft_decompose adds them."""
+def _band_report(x, c0, components, boundaries) -> CheckReport:
+    """The DFT check's report on given components of x, added band by band as dft_decompose does."""
     n = components.shape[1]
-    check = _BandCheck(n, np.empty(n // 2 + 1, dtype=np.complex128))
+    check = _BandCheck(x, np.empty(n // 2 + 1, dtype=np.complex128))
     for component, lo, hi in zip(components, boundaries, boundaries[1:]):
         check.add(component, lo, hi)
-    return check.finish(c0)[1]
+    return check.finish(c0)
 
 
 class TestUniformPlan:
@@ -230,11 +231,9 @@ class TestDftDecompose:
     @pytest.mark.parametrize("n_bands", [2, 10, 100])
     def test_reconstruction_orthogonality_parseval(self, n_bands):
         x = gen_noise(seed=77, length=2048, sample_rate=1000.0)
-        d = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop)
-        err = np.abs(d.reconstruction - x.samples).max()
-        assert err <= 1e-9 * np.abs(x.samples).max()
-        report = d.report
-        assert report.max_normalized_cross <= 1e-10
+        report = dft_decompose(x, BandSpec(bands=n_bands).plan(len(x), x.sample_rate), drop).report
+        assert report.reconstruction_error <= 1e-9
+        assert report.cross <= 1e-10
         assert abs(report.energy_ratio - 1.0) <= 1e-10
 
     def test_zero_phase_bin_aligned_tone(self):
@@ -256,8 +255,9 @@ class TestDftDecompose:
 
     def test_odd_length_reconstruction(self):
         x = gen_noise(seed=2, length=257, sample_rate=100.0)
-        d = dft_decompose(x, BandSpec(bands=5).plan(257, 100.0), drop)
-        assert np.abs(d.reconstruction - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
+        d, rows = collect(dft_decompose, x, BandSpec(bands=5).plan(257, 100.0))
+        assert d.report.reconstruction_error == oracles.reconstruction_error(d.c0, rows, x.samples)
+        assert d.report.reconstruction_error <= 1e-9
         assert abs(d.report.energy_ratio - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("n, plan", [
@@ -391,12 +391,12 @@ class TestBankInAWorkspace:
             track = if_track(a, workspace=workspace)
             tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
 
-        c0, reconstruction, report = dft_decompose(x, plan, consumer, workspace)
+        c0, report = dft_decompose(x, plan, consumer, workspace)
         assert c0 == d.c0
         assert np.array(handed).tobytes() == rows.tobytes()
         assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
-        assert reconstruction.tobytes() == (d.c0 + np.sum(rows, axis=0)).tobytes()
-        assert report == d.report == _band_report(d.c0, rows, plan)
+        assert report.reconstruction_error == oracles.reconstruction_error(c0, rows, x.samples)
+        assert report == d.report == _band_report(x.samples, d.c0, rows, plan)
 
     def test_check_makes_no_spectrum_of_its_own(self):
         # given the workspace's spectrum, the check holds only its running sum
@@ -404,10 +404,11 @@ class TestBankInAWorkspace:
         x = gen_noise(seed=7, length=n, sample_rate=100.0)
         workspace = IFWorkspace(n)
         component = collect(dft_decompose, x, BandSpec(bands=4).plan(n, 100.0))[1][1]
-        _BandCheck(n, workspace.spectrum).add(component, 1024, 2048)  # numpy.fft imports lazily
+        # numpy.fft imports lazily
+        _BandCheck(x.samples, workspace.spectrum).add(component, 1024, 2048)
         tracemalloc.start()
         try:
-            check = _BandCheck(n, workspace.spectrum)
+            check = _BandCheck(x.samples, workspace.spectrum)
             check.add(component, 1024, 2048)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -444,35 +445,40 @@ class TestBoundaries:
         widths = np.diff(bounds)
         assert widths.min() >= 1 and widths.max() - widths.min() <= 1
         x = gen_noise(seed=n, length=n, sample_rate=100.0, mean=0.5)
-        d = dft_decompose(x, bounds, drop)
-        assert np.abs(d.reconstruction - x.samples).max() <= 1e-9 * np.abs(x.samples).max()
-        assert d.report.max_normalized_cross <= 1e-10
+        report = dft_decompose(x, bounds, drop).report
+        assert report.reconstruction_error <= 1e-9
+        assert report.cross <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"],
                          ids=["dft", "fmd-A", "fmd-B", "causal-fir"])
 def test_returns_one_decomposition(method):
-    # c0, the reconstruction as one N-float array and the check's report,
-    # None for causal-fir, whose components no check bounds
+    # c0 and the check's one report type: a leakage per DFT band, a tail
+    # bound per FMD stage, and no section for causal-fir, whose components
+    # no check bounds
     x = gen_noise(seed=4, length=1024, sample_rate=100.0)
     if method == "dft":
         d, rows = collect(dft_decompose, x, BandSpec(bands=5).plan(1024, 100.0))
     else:
         d, rows = collect(fmd_decompose, x, [10.0, 20.0, 30.0, 40.0], 32, method)
-    assert type(d) is Decomposition and d._fields == ("c0", "reconstruction", "report")
+    assert type(d) is Decomposition and d._fields == ("c0", "report")
     assert isinstance(d.c0, float)
-    assert d.reconstruction.shape == (1024,) and d.reconstruction.dtype == np.float64
     assert rows.shape == (5, 1024)
-    assert np.array_equal(d.reconstruction, d.c0 + np.sum(rows, axis=0))
-    want = {"dft": OrthogonalityReport, "causal-fir": type(None)}.get(method, LinoepReport)
-    assert type(d.report) is want
+    report = d.report
+    assert type(report) is CheckReport
+    assert report.section == {"dft": "orthogonality", "causal-fir": None}.get(method, "linoep")
+    assert len(report.bounds) == {"dft": 5, "causal-fir": 0}.get(method, 4)
+    assert all(type(v) is float for v in (report.reconstruction_error, report.cross,
+                                          report.energy_ratio, *report.bounds))
+    assert report.reconstruction_error == oracles.reconstruction_error(d.c0, rows, x.samples)
 
 
 @pytest.mark.parametrize("method", ["dft", "fmd-a", "fmd-b", "causal-fir"])
 def test_both_banks_stream_alike(method):
     # one consumer for both banks: read-only views, the components and
-    # reconstruction of a second run to the byte, and the report of the
-    # check run on those components (DFT) or a bound on the exact figure (FMD)
+    # report of a second run to the byte, the report that of the check run
+    # on those components (DFT) or a bound on the exact figure (FMD), and
+    # the reconstruction error of their sum
     x = gen_noise(seed=8, length=1024, sample_rate=100.0, mean=0.4)
     handed = []
 
@@ -488,21 +494,56 @@ def test_both_banks_stream_alike(method):
     if method == "dft":
         plan = BandSpec(bands=5).plan(1024, 100.0)
         d, rows = collect(dft_decompose, x, plan)
-        c0, reconstruction, report = dft_decompose(x, plan, consumer)
-        assert report == _band_report(d.c0, rows, plan)
+        c0, report = dft_decompose(x, plan, consumer)
+        assert report == _band_report(x.samples, d.c0, rows, plan)
     else:
         cutoffs = [10.0, 20.0, 30.0, 40.0]
         d, rows = collect(fmd_decompose, x, cutoffs, 32, method)
-        c0, reconstruction, report = fmd_decompose(x, cutoffs, consumer, 32, method)
-        if method == "causal-fir":
-            assert report is None
-        else:
+        c0, report = fmd_decompose(x, cutoffs, consumer, 32, method)
+        if method != "causal-fir":
             exact = oracles.verify_linoep(rows)
-            assert (report.tail_cross >= exact.tail_cross).all()
+            assert np.greater_equal(report.bounds, exact.tail_cross).all()
             assert abs(report.energy_ratio - exact.energy_ratio) <= 1e-12
-    assert c0 == d.c0
+    assert c0 == d.c0 and report == d.report
     assert np.array(handed).tobytes() == rows.tobytes()
-    assert reconstruction.tobytes() == (d.c0 + np.sum(rows, axis=0)).tobytes()
+    assert report.reconstruction_error == oracles.reconstruction_error(c0, rows, x.samples)
+
+
+class TestCheckReport:
+    """The one record of both checks, and the one table of their tolerances."""
+
+    @pytest.mark.parametrize("section, want", [
+        ("orthogonality", {"reconstruction_error": 1e-16,
+                           "orthogonality": {"max_normalized_cross": 3e-14,
+                                             "cross_figure": "leakage bound", "energy_ratio": 0.5},
+                           "linoep": None}),
+        ("linoep", {"reconstruction_error": 1e-16, "orthogonality": None,
+                    "linoep": {"max_tail_cross": 3e-14, "cross_figure": "defect bound",
+                               "energy_ratio": 0.5}}),
+        (None, {"reconstruction_error": 1e-16, "orthogonality": None, "linoep": None}),
+    ], ids=["orthogonality", "linoep", "none"])
+    def test_diagnostics_fragment(self, section, want):
+        # tfekit-diagnostics/1's layout, key order included
+        report = CheckReport(1e-16, section, 3e-14, 0.5, (1e-14, 2e-14))
+        assert json.dumps(report.diagnostics()) == json.dumps(want)
+
+    def test_benchmark_keeps_a_copy_of_the_table(self):
+        # perfbench/checks.py holds its own tolerances, read here without
+        # importing or changing it: they must be the table's
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+        constants = {target.id: ast.literal_eval(node.value)
+                     for node in ast.parse(source.read_text()).body
+                     if isinstance(node, ast.Assign) for target in node.targets
+                     if isinstance(target, ast.Name) and target.id.endswith("_TOL")}
+        assert {name: constants[name] for name in ("RECONSTRUCTION_TOL", "DFT_CROSS_TOL",
+                                                   "DFT_ENERGY_TOL", "FMD_TAIL_TOL",
+                                                   "FMD_ENERGY_TOL")} == {
+            "RECONSTRUCTION_TOL": CHECKS["reconstruction_error"],
+            "DFT_CROSS_TOL": CHECKS["orthogonality"]["max_normalized_cross"],
+            "DFT_ENERGY_TOL": CHECKS["orthogonality"]["energy_ratio"],
+            "FMD_TAIL_TOL": CHECKS["linoep"]["max_tail_cross"],
+            "FMD_ENERGY_TOL": CHECKS["linoep"]["energy_ratio"],
+        }
 
 
 class TestVerifyOrthogonality:
@@ -520,7 +561,7 @@ class TestVerifyOrthogonality:
                 val = abs(sum(a * b for a, b in zip(comps[i], comps[j]))) / (ni * nj)
                 best = max(best, val)
         # a bound, from the leakages: at or above the pairwise figure
-        assert best <= report.max_normalized_cross <= best + 1e-12
+        assert best <= report.cross <= best + 1e-12
         energy = sum(sum(v * v for v in c) for c in comps) + len(x) * d.c0**2
         assert abs(report.energy_ratio - energy / np.dot(x.samples, x.samples)) <= 1e-12
 
@@ -531,7 +572,7 @@ class TestVerifyOrthogonality:
         x = gen_noise(seed=n_bands, length=4096, sample_rate=100.0, mean=0.3)
         d, rows = collect(dft_decompose, x, BandSpec(bands=n_bands).plan(4096, 100.0))
         report, gram = d.report, oracles.verify_orthogonality(d.c0, rows)
-        assert gram.max_normalized_cross <= report.max_normalized_cross <= 1e-10
+        assert gram.max_normalized_cross <= report.cross <= 1e-10
         assert abs(report.energy_ratio - gram.energy_ratio) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -543,7 +584,7 @@ class TestVerifyOrthogonality:
         # N from 4 to 600 and up to N/2 bands of any widths
         x, bounds = case
         d, rows = collect(dft_decompose, x, bounds)
-        bound = d.report.max_normalized_cross
+        bound = d.report.cross
         assert oracles.verify_orthogonality(d.c0, rows).max_normalized_cross <= bound <= 1e-10
 
     def test_leakage_of_a_mixed_band_is_seen(self):
@@ -551,8 +592,8 @@ class TestVerifyOrthogonality:
         n = 64
         x = gen_noise(seed=3, length=n, sample_rate=8.0)
         d, rows = collect(dft_decompose, x, (0, 8, 32))
-        assert _band_report(d.c0, rows[::-1], (0, 8, 32)).max_normalized_cross > 1.0
-        assert d.report.max_normalized_cross <= 1e-10
+        assert _band_report(x.samples, d.c0, rows[::-1], (0, 8, 32)).cross > 1.0
+        assert d.report.cross <= 1e-10
 
     def test_leakage_weighs_dc_and_nyquist_once(self):
         # band 0 (bins 1..31) given a constant and some of band 1, the even-N
@@ -564,14 +605,14 @@ class TestVerifyOrthogonality:
         mixed = low + 0.3 * nyquist + 0.2
         outside = np.dot(0.3 * nyquist, 0.3 * nyquist) + n * 0.2**2
         want = np.sqrt(outside / (np.dot(low, low) + outside))
-        report = _band_report(d.c0, np.array([mixed, nyquist]), bounds)
-        assert abs(report.max_normalized_cross - want) <= 1e-12
+        report = _band_report(x.samples, d.c0, np.array([mixed, nyquist]), bounds)
+        assert abs(report.cross - want) <= 1e-12
 
     def test_zero_energy_ratio_is_one(self):
         report = dft_decompose(Signal(np.zeros(64), 8.0), BandSpec(bands=4).plan(64, 8.0),
                                drop).report
         assert report.energy_ratio == 1.0
-        assert report.max_normalized_cross == 0.0
+        assert report.cross == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_energy_rejected(self):

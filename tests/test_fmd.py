@@ -301,8 +301,8 @@ class TestFmdDecompose:
         cutoffs = BandSpec(bands=n_bands).ladder(x.sample_rate)
         d, rows = collect(fmd_decompose, x, cutoffs, order=128, method=method)
         assert len(rows) == n_bands
-        err = np.abs(d.reconstruction - x.samples).max()
-        assert err <= 1e-9 * np.abs(x.samples).max()
+        assert d.report.reconstruction_error == oracles.reconstruction_error(d.c0, rows, x.samples)
+        assert d.report.reconstruction_error <= 1e-9
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"], ids=["A", "B"])
     def test_linoep_structure(self, method):
@@ -310,7 +310,7 @@ class TestFmdDecompose:
         cutoffs = BandSpec(bands=5).ladder(x.sample_rate)
         report = oracles.verify_linoep(collect(fmd_decompose, x, cutoffs, order=128,
                                                method=method)[1])
-        assert report.max_tail_cross <= 1e-8
+        assert report.tail_cross.max() <= 1e-8
         assert abs(report.energy_ratio - 1.0) <= 1e-8
 
     def test_stage_outputs_orthogonal_to_remainder(self):
@@ -354,11 +354,13 @@ class TestFmdDecompose:
         assert all(a < b for a, b in zip(cents, cents[1:]))
 
     def test_causal_mode_tag_and_reconstruction(self):
+        # no section and no bounds: no check bounds causal-fir's components
         x = gen_noise(seed=60, length=2048, sample_rate=1000.0)
-        d = fmd_decompose(x, [250.0], drop, order=64, method="causal-fir")
-        assert d.report is None
-        err = np.abs(d.reconstruction - x.samples).max()
-        assert err <= 1e-9 * np.abs(x.samples).max()
+        d, rows = collect(fmd_decompose, x, [250.0], order=64, method="causal-fir")
+        assert (d.report.section, d.report.cross, d.report.bounds) == (None, 0.0, ())
+        assert d.report.reconstruction_error == oracles.reconstruction_error(d.c0, rows, x.samples)
+        assert d.report.reconstruction_error <= 1e-9
+        assert abs(d.report.energy_ratio - oracles.verify_linoep(rows).energy_ratio) <= 1e-12
 
     def test_causal_ladder_matches_causal_filter_bits(self):
         # the array ladder does the arithmetic of one built from causal_filter
@@ -455,16 +457,17 @@ class TestTailCheck:
             assert np.shares_memory(signal.samples, component) and not component.flags.writeable
             handed.append(component.copy())
 
-        c0, reconstruction, report = fmd_decompose(x, cutoffs, consumer, order=64, method=method)
+        c0, report = fmd_decompose(x, cutoffs, consumer, order=64, method=method)
         assert c0 == d.c0
         assert np.array(handed).tobytes() == rows.tobytes()
-        assert reconstruction.tobytes() == (d.c0 + np.sum(rows, axis=0)).tobytes()
+        assert report.reconstruction_error == oracles.reconstruction_error(c0, rows, x.samples)
         if method == "causal-fir":
-            assert report is None
+            assert report.section is None and report.bounds == ()
             return
         exact = oracles.verify_linoep(rows)
-        assert (report.tail_cross >= exact.tail_cross).all()
-        assert report.max_tail_cross <= 1e-8
+        assert report.section == "linoep"
+        assert np.greater_equal(report.bounds, exact.tail_cross).all()
+        assert report.cross == max(report.bounds) <= 1e-8
         assert abs(report.energy_ratio - exact.energy_ratio) <= 1e-12
 
     @pytest.mark.parametrize("method", ["fmd-a", "fmd-b"])
@@ -497,16 +500,11 @@ class TestTailCheck:
             track = if_track(band(), workspace=workspace)
             tracks.append(track.frequency_hz.tobytes() + track.energy.tobytes())
 
-        c0, reconstruction, report = fmd_decompose(x, cutoffs, consumer, order=64, method=method,
-                                                   workspace=workspace)
+        c0, report = fmd_decompose(x, cutoffs, consumer, order=64, method=method,
+                                   workspace=workspace)
         assert c0 == want.c0
         assert np.array(handed).tobytes() == rows.tobytes()
-        assert reconstruction.tobytes() == want.reconstruction.tobytes()
-        if method == "causal-fir":
-            assert report is None is want.report
-        else:
-            assert report.tail_cross.tobytes() == want.report.tail_cross.tobytes()
-            assert report.energy_ratio == want.report.energy_ratio
+        assert report == want.report
         fresh = [if_track(Signal(c, 1000.0)) for c in rows]
         assert tracks == [t.frequency_hz.tobytes() + t.energy.tobytes() for t in fresh]
 
@@ -542,15 +540,15 @@ class TestTailCheck:
         _, rows = collect(fmd_decompose, x, cutoffs, order=16, method=method)
         exact = oracles.verify_linoep(rows)
         bound = _streamed(x, cutoffs, order=16, method=method)
-        assert bound.tail_cross.shape == exact.tail_cross.shape == (len(cutoffs),)
-        assert (bound.tail_cross >= exact.tail_cross).all()
-        assert (bound.tail_cross <= 1).all()
+        assert len(bound.bounds) == exact.tail_cross.size == len(cutoffs)
+        assert np.greater_equal(bound.bounds, exact.tail_cross).all()
+        assert max(bound.bounds) <= 1
 
     def test_zero_input_reads_zero(self):
         # every component and tail is exactly zero: each figure is 0, as the backward one is
         x = Signal(np.zeros(256), 1000.0)
         bound = _streamed(x, [100.0, 300.0], order=16)
-        assert bound.tail_cross.tolist() == [0.0, 0.0]
+        assert bound.bounds == (0.0, 0.0)
         assert bound.energy_ratio == 1.0
 
     @pytest.mark.parametrize("x, cutoffs, order, method", [
@@ -567,9 +565,9 @@ class TestTailCheck:
         exact = oracles.verify_linoep(collect(fmd_decompose, x, cutoffs, order=order,
                                               method=method)[1])
         bound = _streamed(x, cutoffs, order=order, method=method)
-        assert exact.max_tail_cross >= 1e-8
-        assert (bound.tail_cross >= exact.tail_cross).all()
-        assert bound.max_tail_cross >= 1e-8
+        assert exact.tail_cross.max() >= 1e-8
+        assert np.greater_equal(bound.bounds, exact.tail_cross).all()
+        assert bound.cross >= 1e-8
 
     def test_component_leaning_on_its_tail_is_flagged(self, monkeypatch):
         # stage 3 of fmd-a on a 64k mixture stores c_3 + 1e-6 T_3, T_3 being
@@ -581,7 +579,7 @@ class TestTailCheck:
         cutoffs = BandSpec(bands=10).ladder(8000.0)
         _, rows = collect(fmd_decompose, x, cutoffs)
         tail = rows[4:].sum(axis=0)
-        assert _streamed(x, cutoffs).max_tail_cross <= 1e-8
+        assert _streamed(x, cutoffs).cross <= 1e-8
         ladder = fmd._ladder
 
         def leaning(*args):
@@ -596,8 +594,8 @@ class TestTailCheck:
         rows[3] += 1e-6 * tail
         exact = oracles.verify_linoep(rows)
         assert exact.tail_cross[3] >= 1e-8
-        assert (bound.tail_cross >= exact.tail_cross).all()
-        assert bound.tail_cross[3] >= 1e-8
+        assert np.greater_equal(bound.bounds, exact.tail_cross).all()
+        assert bound.bounds[3] >= 1e-8
 
 
 class TestCutoffLadders:
