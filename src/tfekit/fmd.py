@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytic import IFWorkspace
 from .filterbank import CheckReport, Decomposition, _drive, _relative_error
-from .signals import Signal, _dot, finite_energy
+from .signals import Signal, _check_word, _dot, finite_energy
 
 # samples of overlap-save frames that _zero_phase transforms at a time (at
 # least one frame): its three batch arrays then take about 1.5 MB whatever
@@ -370,8 +370,7 @@ def fmd_decompose(x: Signal, cutoffs_hz, consumer, order: int = 256, method: str
     gracefully. An input whose energy overflows float64 raises
     ValueError before any stage runs.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be 'fmd-a', 'fmd-b' or 'causal-fir', got {method!r}")
+    _check_word("method", method, METHODS)
     cutoffs = [float(c) for c in cutoffs_hz]
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticSignal, IFWorkspace, analytic_signal
-from .signals import Signal
+from .signals import Signal, _check_word
 
 # samples whose signs IFTrack.negative_fraction tests at a time: a 64 KB
 # boolean temporary, not one byte per sample of the track
@@ -37,12 +37,6 @@ __all__ = [
     "IFTrack",
     "if_track",
 ]
-
-
-def _check_word(setting: str, value, words: tuple) -> None:
-    """Refuse a `value` of `setting` that is not one of its `words`."""
-    if value not in words:
-        raise ValueError(f"{setting} must be one of {', '.join(words)}; got {value!r}")
 
 
 def phase_diff(increments, scheme: str = "forward") -> np.ndarray:

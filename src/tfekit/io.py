@@ -2,10 +2,14 @@
 
 CSV format: an optional header line ``# sample_rate=<Hz>`` followed by one
 sample per line in decimal notation (17 significant digits on write, so a
-round trip is exact). WAV ingestion is limited to mono 16-bit PCM; samples
-are normalized to [-1, 1).
+round trip is exact). numpy's C reader decides the files tfekit writes,
+whose only ``#`` is a first-line header's; the line scan reads every other
+file to the same result, comment lines anywhere included. WAV ingestion is
+limited to mono 16-bit PCM; samples are normalized to [-1, 1). Either
+reader names the file when a :class:`Signal` refuses what it read.
 """
 
+import re
 import wave
 import warnings
 from pathlib import Path
@@ -58,7 +62,15 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
         )
     if not values.size:
         raise ValueError(f"{path}: no samples found")
-    return Signal(values, rate)
+    return _signal(path, values, rate)
+
+
+def _signal(path: Path, samples: np.ndarray, rate: float) -> Signal:
+    """The Signal a reader read from `path`; a refusal of its contents names the file."""
+    try:
+        return Signal(samples, rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # Bytes that the line scan's str.splitlines or str.strip treat otherwise
@@ -70,33 +82,21 @@ _LINE_SCAN_BYTES = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _parse_fast(path: Path):
     """(header rate, samples) through numpy's C reader, or None where it cannot decide.
 
-    It decides plain-ASCII files whose every ``#`` opens a comment line and
-    whose every other line holds one number numpy's reader accepts; for
-    any other file, :func:`_parse_lines` names the bad line or reads what
-    ``float()`` accepts and that reader does not (``1_0``, say).
+    It decides the files tfekit writes: plain ASCII, with no ``#`` past the
+    first byte, so at most a first-line ``# sample_rate=`` header, and one
+    number numpy's reader accepts on every other line, whatever the line
+    ends. Any other file goes to :func:`_parse_lines`, which names the bad
+    line or reads what ``float()`` accepts and that reader does not
+    (``1_0``, say).
     """
     data = path.read_bytes()
-    if not data.isascii() or any(byte in data for byte in _LINE_SCAN_BYTES):
+    if (not data.isascii() or data.find(b"#", 1) >= 0
+            or any(byte in data for byte in _LINE_SCAN_BYTES)):
         return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header_rate = None
-    pos = data.find(b"#")
-    while pos >= 0:
-        start = data.rfind(b"\n", 0, pos) + 1
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        line = data[start:end].strip().decode()
-        if line[0] != "#":  # a '#' after a number: no float() reads it
-            return None
-        try:
-            rate = _header_rate(line)
-        except ValueError:
-            return None
-        if rate is not None:
-            header_rate = rate
-        pos = data.find(b"#", end)
+    # the first line, to a "\n" or a lone "\r", when it opens with '#'
+    header = re.match(rb"#[^\r\n]*", data)
     try:
+        header_rate = _header_rate(header[0].strip().decode()) if header else None
         with warnings.catch_warnings():  # an empty body is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # numpy reads the path again, from the page cache: handed the
@@ -176,4 +176,4 @@ def load_wav(path) -> Signal:
     except wave.Error as exc:
         raise ValueError(f"{path}: malformed WAV file: {exc}") from exc
     ints = np.frombuffer(frames, dtype="<i2")
-    return Signal(ints / 32768.0, rate)
+    return _signal(path, ints / 32768.0, rate)

@@ -62,6 +62,12 @@ class Signal:
         return self.samples.size
 
 
+def _check_word(setting: str, value, words: tuple) -> None:
+    """Refuse a `value` of `setting` that is not one of its `words`."""
+    if value not in words:
+        raise ValueError(f"{setting} must be one of {', '.join(words)}; got {value!r}")
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """The inner product of two 1-D arrays, the one way tfekit takes one.
 

@@ -205,18 +205,26 @@ def load_track_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != TRACK_HEADER:
         raise ValueError(f"{path}: missing triplet header {TRACK_HEADER!r}")
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    if not rows:
-        return np.array([]), np.array([]), np.array([])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != 3:
-            raise ValueError(f"{path}: track row {i} has {len(row)} fields, expected 3")
+    data = _float_rows(path, "track", [line for line in lines[1:] if line.strip()], 3)
+    return data[:, 0], data[:, 1], data[:, 2]
+
+
+def _float_rows(path, kind: str, lines: list[str], width: int, first: int = 1) -> np.ndarray:
+    """The comma-separated numbers of `lines` as a (len(lines), width) array.
+
+    A line without `width` fields raises ValueError naming the file and the
+    line as ``<kind> row <n>``, the lines numbered from `first`; a field
+    that is not a number raises ValueError naming the file.
+    """
+    rows = [line.split(",") for line in lines]
+    for i, row in enumerate(rows, start=first):
+        if len(row) != width:
+            raise ValueError(f"{path}: {kind} row {i} has {len(row)} fields, expected {width}")
     try:
         # numpy parses each string as float() does, in one call
-        data = np.array(rows, dtype=np.float64)
+        return np.array(rows, dtype=np.float64).reshape(-1, width)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return data[:, 0], data[:, 1], data[:, 2]
 
 
 def export_grid_csv(grid: TFEGrid, path) -> None:
@@ -248,19 +256,13 @@ def load_grid_csv(path) -> TFEGrid:
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ValueError(f"{path}: not a grid CSV (too few lines)")
-    first = lines[0].split(",")
-    if first[0] != "":
+    if lines[0][0] != ",":
         raise ValueError(f"{path}: grid CSV must start with an empty corner field")
-    rows = [line.split(",") for line in lines[1:-1]]
-    width = len(first) - 1  # a time edge, then one cell per frequency bin
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"{path}: grid row {i} has {len(row)} fields, expected {width}")
+    # row 0 the frequency edges after the corner, then the body rows: a time
+    # edge and one cell per frequency bin, as many fields as there are edges
+    table = _float_rows(path, "grid", [lines[0][1:], *lines[1:-1]], lines[0].count(","), first=0)
     try:
-        # numpy parses each string as float() does, in one call
-        freq_edges = np.array(first[1:], dtype=np.float64)
-        body = np.array(rows, dtype=np.float64)
         closing = float(lines[-1])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return TFEGrid(np.append(body[:, 0], closing), freq_edges, body[:, 1:])
+    return TFEGrid(np.append(table[1:, 0], closing), table[0], table[1:, 1:])

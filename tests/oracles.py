@@ -217,7 +217,8 @@ def save_csv(x, path) -> None:
 def load_csv(path, sample_rate: float | None = None) -> Signal:
     """Read a signal CSV line by line: strip each line, take the ones opening
     with '#' as comments (the last '# sample_rate=' wins), convert the rest
-    in one np.array call and name the first line float() refuses."""
+    in one np.array call and name the first line float() refuses; a sample
+    or rate Signal refuses is named with the file too."""
     path = Path(path)
     lines = list(map(str.strip, path.read_text().splitlines()))
     kept = [line for line in lines if line and line[0] != "#"]
@@ -253,7 +254,10 @@ def load_csv(path, sample_rate: float | None = None) -> Signal:
         )
     if not values.size:
         raise ValueError(f"{path}: no samples found")
-    return Signal(values, rate)
+    try:
+        return Signal(values, rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def zero_phase_filter(x: Signal, h: FirFilter) -> Signal:
@@ -421,10 +425,11 @@ def verify_linoep(components) -> TailFigures:
     return TailFigures(crosses, ratio)
 
 
-def analysis_tracks(x, method: str, bands: int):
+def analysis_tracks(x, method: str, bands: int, scheme: str = "forward", mode: str = "positive"):
     """Every IF track of `method` held in one list, and the checks, on the stacked components.
 
-    `bands` is a uniform band count; the FIR methods run at order 256. The
+    `bands` is a uniform band count; the FIR methods run at order 256, and
+    every track takes its IF by `scheme` in `mode`. The
     checks are the diagnostics' per-method layout of tfekit-diagnostics/1,
     written out here: the library's figures, each bound held to the exact
     figure of the stacked components, and the reconstruction error of
@@ -433,15 +438,15 @@ def analysis_tracks(x, method: str, bands: int):
     fs = x.sample_rate
     checks = {"reconstruction_error": None, "orthogonality": None, "linoep": None}
     if method == "none":
-        return [if_track(x)], checks
+        return [if_track(x, scheme, mode)], checks
     if method == "dft":
         plan = BandSpec(bands=bands).plan(len(x), fs)
         d, rows = collect(tfekit.dft_decompose, x, plan)
-        tracks = [if_track(band) for band in kept_bands(x, plan)]
+        tracks = [if_track(band, scheme, mode) for band in kept_bands(x, plan)]
     else:
         ladder = BandSpec(bands=bands).ladder(fs)
         d, rows = collect(tfekit.fmd_decompose, x, ladder, 256, method)
-        tracks = [if_track(Signal(c, fs)) for c in rows]
+        tracks = [if_track(Signal(c, fs), scheme, mode) for c in rows]
     checks["reconstruction_error"] = reconstruction_error(d.c0, rows, x.samples)
     rep = d.report
     if method == "dft":
@@ -460,13 +465,14 @@ def analysis_tracks(x, method: str, bands: int):
     return tracks, checks
 
 
-def analysis_diagnostics(x, method: str, tracks, checks) -> dict:
-    """The tfekit-diagnostics/1 document of an analysis, forward scheme, positive mode."""
+def analysis_diagnostics(x, method: str, tracks, checks, scheme: str = "forward",
+                         mode: str = "positive") -> dict:
+    """The tfekit-diagnostics/1 document of an analysis by `scheme` in `mode`."""
     return {
         "schema": "tfekit-diagnostics/1",
         "method": method,
-        "if_mode": "positive",
-        "scheme": "forward",
+        "if_mode": mode,
+        "scheme": scheme,
         "n_samples": len(x),
         "sample_rate_hz": x.sample_rate,
         "n_components": len(tracks),

@@ -1008,26 +1008,35 @@ def _json_bytes(document):
     return (json.dumps(document, indent=2, allow_nan=False) + "\n").encode()
 
 
-def _mixture():
+def _mixture(**params):
     defaults, build, ridges = FIXTURES["chirp-fm-mix"]
-    return build(dict(defaults)), ridges(dict(defaults))
+    params = {**defaults, **params}
+    return build(params), ridges(params)
 
 
 class TestStreamingMatchesListOracle:
     """The CLI streams each track into the grid and the CSV; the bytes are those of the list path."""
 
-    @pytest.mark.parametrize("method", ["none", "dft", "fmd-a", "fmd-b", "causal-fir"])
-    def test_analyze_bytes(self, workdir, method):
+    # the default settings at 8000 samples for every method; then an odd N,
+    # 4001 samples, with the backward and central schemes and both IF modes
+    @pytest.mark.parametrize("method, dur, scheme, mode", [
+        *(pytest.param(m, 1.0, "forward", "positive", id=m)
+          for m in ("none", "dft", "fmd-a", "fmd-b", "causal-fir")),
+        *(pytest.param(m, 0.500125, scheme, mode, id=f"{m}-odd-{scheme}-{mode}")
+          for m in ("none", "dft", "fmd-b", "causal-fir")
+          for scheme, mode in (("backward", "conventional"), ("central", "positive"))),
+    ])
+    def test_analyze_bytes(self, workdir, method, dur, scheme, mode):
         bands = [] if method == "none" else ["--bands", "12"]
-        assert main(["analyze", "--gen", "chirp-fm-mix", "--method", method, *bands,
-                     "--out-prefix", "cli"]) == 0
-        x, _ = _mixture()
-        tracks, checks = oracles.analysis_tracks(x, method, 12)
+        assert main(["analyze", "--gen", "chirp-fm-mix", "--dur", str(dur), "--method", method,
+                     *bands, "--scheme", scheme, "--if", mode, "--out-prefix", "cli"]) == 0
+        x, _ = _mixture(dur=dur)
+        tracks, checks = oracles.analysis_tracks(x, method, 12, scheme, mode)
         want = workdir / "oracle"
         want.mkdir()
         oracles.export_track_csv(tracks, want / "tracks.csv")
         oracles.export_grid_csv(oracles.build_tfe(tracks), want / "grid.csv")
-        diagnostics = oracles.analysis_diagnostics(x, method, tracks, checks)
+        diagnostics = oracles.analysis_diagnostics(x, method, tracks, checks, scheme, mode)
         diagnostics["outputs"] = {"tracks_csv": "cli_tracks.csv", "grid_csv": "cli_grid.csv"}
         assert (workdir / "cli_tracks.csv").read_bytes() == (want / "tracks.csv").read_bytes()
         assert (workdir / "cli_grid.csv").read_bytes() == (want / "grid.csv").read_bytes()

@@ -1,7 +1,9 @@
 """Signal file round trips and format errors."""
 
+import importlib.util
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfekit.io
 from tfekit import Signal, gen_chirp, load_csv, load_wav, save_csv
 from tfekit._csvtext import BLOCK
 
@@ -112,6 +115,68 @@ class TestCsv:
         with pytest.raises(ValueError, match="no samples"):
             load_csv(path)
 
+    # numpy's reader decides the first three, the line scan the other two
+    @pytest.mark.parametrize("text, message", [
+        ("# sample_rate=100\n1.0\n", "need at least 2 samples, got 1"),
+        ("# sample_rate=100\n1.0\nnan\n", "samples must be finite (no NaN/Inf)"),
+        ("# sample_rate=-5\n1.0\n2.0\n", "sample_rate must be a positive number, got -5.0"),
+        ("1.0\n# sample_rate=-5\n2.0\n", "sample_rate must be a positive number, got -5.0"),
+        ("# sample_rate=100\n# note\n1_0\n", "need at least 2 samples, got 1"),
+    ], ids=["one-sample", "nan", "negative-rate", "negative-rate-late", "one-sample-scanned"])
+    def test_refused_contents_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "refused.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+def _refuse(path):
+    raise AssertionError(f"{path} went to the line scan")
+
+
+def _benchmark_writer():
+    """The signal CSV writer the benchmark makes its inputs with."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_signal_csv
+
+
+class TestCsvReaderGate:
+    """numpy's reader decides the files tfekit and its benchmark write; the line scan the rest."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+    def test_saved_files_take_numpys_reader(self, tmp_path, monkeypatch, newline):
+        monkeypatch.setattr("tfekit.io._parse_lines", _refuse)
+        x = GOLDEN_SIGNALS["negative-subnormal-and-extremes"]
+        path = tmp_path / "saved.csv"
+        save_csv(x, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        y = load_csv(path)
+        assert (y.samples.tobytes(), y.sample_rate) == (x.samples.tobytes(), x.sample_rate)
+
+    def test_benchmark_inputs_take_numpys_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tfekit.io._parse_lines", _refuse)
+        samples = np.random.default_rng(6).normal(size=1001)
+        path = tmp_path / "bench.csv"
+        _benchmark_writer()(samples, path)
+        y = load_csv(path)
+        assert y.samples.tobytes() == samples.tobytes()
+        assert y.sample_rate == 8000.0
+
+    @pytest.mark.parametrize("text", [
+        "# sample_rate=100\n1.0\n# note\n2.0\n",
+        "\n# sample_rate=100\n1.0\n2.0\n",
+    ], ids=["comment-on-line-3", "blank-before-header"])
+    def test_other_comments_take_the_line_scan(self, tmp_path, text):
+        path = tmp_path / "scanned.csv"
+        path.write_text(text)
+        assert tfekit.io._parse_fast(path) is None
+        y, want = load_csv(path), oracles.load_csv(path)
+        assert (y.samples.tobytes(), y.sample_rate) == (want.samples.tobytes(), want.sample_rate)
+
 
 # Lines numpy's C reader and float() may treat differently, or that no
 # reader accepts: special values, underscores, a second field, a trailing
@@ -155,14 +220,23 @@ class TestCsvIngestMatchesLineOracle:
         path.write_bytes((newline.join(lines) + (newline if final else "")).encode())
         assert _outcome(load_csv, path, rate) == _outcome(oracles.load_csv, path, rate)
 
-    # three the C reader refuses and the line scan reads; three it reads itself
+    # the line scan reads the first three, which the C reader refuses or
+    # the gate keeps from it; a '#' past the first byte sends the next three
+    # to the line scan; the C reader decides the last five whatever their
+    # line ends, but for the lone-CR '#sample_rate', whose bad first-line
+    # header the line scan names
     @pytest.mark.parametrize("text", [
         "# sample_rate=100\n1_0\n2\n",
         "# sample_rate=100\n1.0\f2.0\n",
         "# sample_rate=100\n\u0661\n",
         "1.0\n# sample_rate=100\n  # note\n\n2.0\r\n3.0",
         "# sample_rate=100\n# sample_rate=200\n",
+        "  # sample_rate=100\n1\n2\n",
         "",
+        "# sample_rate=100\r\n1\r\n2\r\n",
+        "# sample_rate=100\r1\r2\r",
+        "#sample_rate\r1\r2\r",
+        "# note\n1\n",
     ])
     def test_fixed_cases(self, tmp_path, text):
         path = tmp_path / "x.csv"
@@ -204,6 +278,13 @@ class TestWav:
         _write_wav(path, [0, 1, 2, 3], 50, width=1)
         with pytest.raises(ValueError, match="16-bit"):
             load_wav(path)
+
+    def test_refused_contents_name_the_file(self, tmp_path):
+        path = tmp_path / "one.wav"
+        _write_wav(path, [100], 50)
+        with pytest.raises(ValueError) as err:
+            load_wav(path)
+        assert str(err.value) == f"{path}: need at least 2 samples, got 1"
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"

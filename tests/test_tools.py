@@ -65,3 +65,17 @@ def test_same_outputs_names_a_changed_output(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines if not line.startswith("same")] == [
         ["DIFFERS", "d_diagnostics.json"], ["5", "of"]]
+
+
+def test_same_outputs_names_a_changed_message(tmp_path, capsys):
+    # a copy of the tree whose signal CSV reader words a bad sample otherwise:
+    # the failing command writes no file, so only its stderr tells the trees apart
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other, ignore=shutil.ignore_patterns("__pycache__"))
+    io = other / "tfekit" / "io.py"
+    io.write_text(io.read_text().replace(": not a number: ", ": not a sample: "))
+    tool = _tool("same_outputs")
+    command = ["analyze", "--input", "bad.csv", "--out-prefix", "x"]
+    assert not tool.same_outputs(ROOT / "src", other, [command], tmp_path / "runs")
+    assert capsys.readouterr().out.splitlines() == [
+        f"stderr DIFFERS  tfekit {' '.join(command)}", "0 of 0 outputs the same"]

@@ -5,12 +5,13 @@ Each tree runs the commands of COMMANDS in order, as
 temporary directory of its own that first holds FILES. Every file a tree's
 commands leave in its directory is an output. One line is printed per
 output: ``same`` or ``DIFFERS`` and the two digests' first 16 hex digits,
-or ``missing`` and the side that lacks it. A command whose exit status
-differs between the trees is printed too. The last line counts the
-outputs that are the same.
+or ``missing`` and the side that lacks it. A command whose exit status,
+or whose printed stdout or stderr bytes, differ between the trees is
+printed too. The last line counts the outputs that are the same.
 
 Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC
-Exits 0 when every output and every exit status is the same, 1 otherwise.
+Exits 0 when every output, every exit status and every command's printed
+bytes are the same, 1 otherwise.
 """
 
 import hashlib
@@ -20,17 +21,22 @@ import sys
 import tempfile
 from pathlib import Path
 
-# written into each tree's directory before the commands run
+# written into each tree's directory before the commands run; scanned.csv
+# takes the line scan of the signal CSV reader (a second comment line, CRLF
+# line ends, a sample only float() reads) and bad.csv names its bad line
 FILES = {
     "plan.json": '{"type": "custom", "cutoffs_hz": [500, 1000, 2000, 4000]}\n',
     "odd_plan.json": '{"type": "uniform", "bands": 5}\n',
+    "scanned.csv": "".join(f"{line}\r\n" for line in
+                           ["# sample_rate=100", "# a note", "1_0", *range(-20, 20, 3)]),
+    "bad.csv": "# sample_rate=100\n1.0\n-2.0\n3.0x\n",
 }
 
 # tfekit arguments, run in order: the gen commands write the inputs of the
 # later ones. Every method, odd (odd.csv, 4097 samples) and even N, the three
 # schemes, both IF modes, causal-fir at order 1000, a --cutoffs and a --plan
-# band plan, both fixtures with two or more true ridges in compare, and one
-# command that fails
+# band plan, both fixtures with two or more true ridges in compare, a signal
+# CSV the line scan reads, and two commands that fail
 COMMANDS = [
     ["gen", "chirp-fm-mix", "--out", "mix.csv"],
     ["gen", "noise", "--len", "4097", "--fs", "100", "--seed", "3", "--out", "odd.csv"],
@@ -78,19 +84,25 @@ COMMANDS = [
     ["compare", "--input", "delayed.csv", "--a-method", "dft", "--a-cutoffs", "1000,4000",
      "--b-method", "fmd-b", "--b-plan", "plan.json", "--b-order", "64",
      "--time-bins", "60", "--freq-bins", "40", "--out-prefix", "c_delayed"],
+    ["analyze", "--input", "scanned.csv", "--method", "dft", "--bands", "3",
+     "--out-prefix", "a_scanned"],
     ["analyze", "--input", "mix.csv", "--method", "none", "--bands", "4", "--out-prefix", "a_bad"],
+    ["analyze", "--input", "bad.csv", "--out-prefix", "a_bad_line"],
 ]
 
 
-def run_commands(src: Path, workdir: Path, commands) -> list[int]:
-    """Run each command with `src` on PYTHONPATH in `workdir`, after FILES; the exit statuses."""
+def run_commands(src: Path, workdir: Path, commands) -> list[tuple[int, bytes, bytes]]:
+    """Run each command with `src` on PYTHONPATH in `workdir`, after FILES.
+
+    The exit status, stdout bytes and stderr bytes of each command.
+    """
     workdir.mkdir(parents=True)
     for name, text in FILES.items():
-        (workdir / name).write_text(text)
+        (workdir / name).write_bytes(text.encode())
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
-    return [subprocess.run([sys.executable, "-m", "tfekit.cli", *args], cwd=workdir, env=env,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-            for args in commands]
+    runs = (subprocess.run([sys.executable, "-m", "tfekit.cli", *args], cwd=workdir, env=env,
+                           capture_output=True) for args in commands)
+    return [(run.returncode, run.stdout, run.stderr) for run in runs]
 
 
 def digests(workdir: Path) -> dict[str, str]:
@@ -101,15 +113,19 @@ def digests(workdir: Path) -> dict[str, str]:
 
 def same_outputs(parent_src, change_src, commands, root: Path) -> bool:
     """Run `commands` for both trees, in root/parent and root/change; print and compare."""
-    statuses, sides = {}, {}
+    runs, sides = {}, {}
     for side, src in (("parent", parent_src), ("change", change_src)):
-        statuses[side] = run_commands(src, root / side, commands)
+        runs[side] = run_commands(src, root / side, commands)
         sides[side] = digests(root / side)
     same = True
-    for args, before, after in zip(commands, statuses["parent"], statuses["change"]):
-        if before != after:
-            print(f"exit {before} -> {after}  tfekit {' '.join(args)}")
-            same = False
+    for args, before, after in zip(commands, runs["parent"], runs["change"]):
+        command = f"tfekit {' '.join(args)}"
+        if before[0] != after[0]:
+            print(f"exit {before[0]} -> {after[0]}  {command}")
+        for stream, old, new in zip(("stdout", "stderr"), before[1:], after[1:]):
+            if old != new:
+                print(f"{stream} DIFFERS  {command}")
+        same = same and before == after
     matched = 0
     for name in sorted(sides["parent"].keys() | sides["change"].keys()):
         before, after = sides["parent"].get(name), sides["change"].get(name)
