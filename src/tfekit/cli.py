@@ -15,6 +15,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +220,8 @@ def _load_input(args) -> tuple[Signal, str | None, dict | None]:
     if args.input:
         _refuse_fixture_flags(args, (), "--input")
         path = Path(args.input)
-        if path.suffix.lower() == ".wav":
-            signal = load_wav(path)
-            if args.fs is not None and args.fs != signal.sample_rate:
-                signal = Signal(signal.samples, args.fs)
-        else:
-            signal = load_csv(path, sample_rate=args.fs)
-        return signal, None, None
+        reader = load_wav if path.suffix.lower() == ".wav" else load_csv
+        return reader(path, sample_rate=args.fs), None, None
     if args.fixture:
         signal, params = _build_fixture(args.fixture, args)
         return signal, args.fixture, params
@@ -284,11 +280,15 @@ def _settings(args, config_path: str | None, prefix: str = "") -> dict:
 
 
 def _resolve_bands(signal: Signal, settings: dict):
-    """Check the settings against the signal and resolve their band plan.
+    """Check the settings against the signal and resolve the decomposition they name.
 
-    Returns None for method 'none', the bin boundaries for 'dft' and the FIR
-    cutoff ladder for the other methods; raises ValueError on any setting
-    that does not fit, before anything is computed.
+    Returns None for method 'none'; otherwise the decomposition to run,
+    bound to the signal and its band plan: :func:`dft_decompose` on the
+    bin boundaries for 'dft', :func:`fmd_decompose` on the FIR cutoff
+    ladder, at any order given and under the method's name, for the other
+    methods. Call it with a consumer and, as keyword, a workspace. Raises
+    ValueError on any setting that does not fit, before anything is
+    computed.
     """
     method = settings["method"]
     spec = BandSpec.from_settings(settings["bands"], settings["cutoffs"], settings["plan"])
@@ -305,55 +305,31 @@ def _resolve_bands(signal: Signal, settings: dict):
         _check_order(settings["order"])
     try:
         if method == "dft":
-            return spec.plan(len(signal), signal.sample_rate)
-        return spec.ladder(signal.sample_rate)
+            return partial(dft_decompose, signal, spec.plan(len(signal), signal.sample_rate))
+        order = {} if settings["order"] is None else {"order": settings["order"]}
+        # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
+        return partial(fmd_decompose, signal, spec.ladder(signal.sample_rate), **order,
+                       method=method)
     except ValueError as exc:
         if settings["band_file"] is None:
             raise
         raise ValueError(f"{settings['band_file']}: {exc}") from None
 
 
-def _decompose(signal: Signal, settings: dict, bands, consumer,
-               workspace: IFWorkspace | None = None) -> tuple[float | None, dict]:
-    """Decompose on `bands`, as :func:`_resolve_bands` gives them; verify and hand on each component.
-
-    `consumer(component, band)` gets each component's samples, in order,
-    and a function that gives the Signal or AnalyticSignal to track it,
-    the same object however often it is called before the consumer
-    returns. Method 'none' has one component, the signal itself; the banks
-    hand theirs on through :func:`dft_decompose` and :func:`fmd_decompose`,
-    in one reused array, after the running check has taken each in, inside
-    `workspace`, the consumer's IF workspace. Returns c0 (None for method
-    'none') and the checks' part of the diagnostics, every figure None for
-    method 'none'.
-    """
-    method = settings["method"]
-    if method == "none":
-        consumer(signal.samples, lambda: signal)
-        return None, dict.fromkeys(CHECKS)
-    if method == "dft":
-        c0, report = dft_decompose(signal, bands, consumer, workspace)
-    else:
-        order = {} if settings["order"] is None else {"order": settings["order"]}
-        # perfbench/tracer.py counts the FIR stages from the cutoffs, the second positional argument
-        c0, report = fmd_decompose(signal, bands, consumer, **order, method=method,
-                                   workspace=workspace)
-    return c0, report.diagnostics()
-
-
-def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, write=None,
-                  ridges=None) -> tuple[dict, float | None]:
+def _run_analysis(signal: Signal, settings: dict, decomposition, grid: TFEAccumulator,
+                  write=None, ridges=None) -> tuple[dict, float | None]:
     """Decompose and verify, handing each component's IF track to one sink as it is made.
 
-    `bands` is as for :func:`_decompose`. The sink deposits the track into
+    `decomposition` is as :func:`_resolve_bands` gives it; for None the one
+    component is the signal itself. The sink deposits the track into
     `grid`, appends its rows through `write` when one is given, and adds the
     track to the per-track figures; no list of tracks is kept. Every track
     is made in one IFWorkspace, so `write` gets a track that holds only
     until the next one; an FIR ladder makes its stages in the same
-    workspace between tracks. Each component is tracked as
-    :func:`_decompose` hands it on. Returns the diagnostics and, given
-    true `ridges`, the energy-weighted mean distance (Hz) between track
-    samples and the nearest ridge, summed in track order.
+    workspace between tracks. Each component is tracked as the
+    decomposition hands it on. Returns the diagnostics and, given true
+    `ridges`, the energy-weighted mean distance (Hz) between track samples
+    and the nearest ridge, summed in track order.
     """
     scheme, if_mode = settings["scheme"], settings["if"]
     negative_fractions = []
@@ -381,7 +357,11 @@ def _run_analysis(signal: Signal, settings: dict, bands, grid: TFEAccumulator, w
             with np.errstate(over="ignore"):  # an inf sum is refused below
                 total_energy += float(track.energy.sum())
 
-    _, checks = _decompose(signal, settings, bands, sink, workspace)
+    if decomposition is None:
+        sink(signal.samples, lambda: signal)
+        checks = dict.fromkeys(CHECKS)
+    else:
+        checks = decomposition(sink, workspace=workspace).report.diagnostics()
     if tracked and not grid.energy.any():
         raise ValueError("signal energy underflows float64 to 0; rescale the input")
     # the ridge figure's sums, over all samples, can overflow where no grid cell's does
@@ -447,14 +427,15 @@ def cmd_analyze(args) -> int:
     signal, _, _ = _load_input(args)
     settings = _settings(args, args.config)
     grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
-    bands = _resolve_bands(signal, settings)
+    decomposition = _resolve_bands(signal, settings)
     prefix = args.out_prefix
     track_path = Path(f"{prefix}_tracks.csv")
     grid_path = Path(f"{prefix}_grid.csv")
     diag_path = Path(f"{prefix}_diagnostics.json")
     with _staged() as stage:
         with open(stage(track_path), "w") as fh:
-            diagnostics, _ = _run_analysis(signal, settings, bands, grid, TrackCsvWriter(fh).write)
+            diagnostics, _ = _run_analysis(signal, settings, decomposition, grid,
+                                           TrackCsvWriter(fh).write)
         export_grid_csv(grid.grid(), stage(grid_path))
         diagnostics["outputs"] = {"tracks_csv": str(track_path), "grid_csv": str(grid_path)}
         _write_json(stage(diag_path), diagnostics)
@@ -468,7 +449,7 @@ def cmd_decompose(args) -> int:
     settings = _settings(args, args.config)
     if settings["method"] == "none":
         raise ValueError("decompose needs --method dft|fmd-a|fmd-b|causal-fir")
-    bands = _resolve_bands(signal, settings)
+    decomposition = _resolve_bands(signal, settings)
     prefix = args.out_prefix
     written = []
     diag_path = Path(f"{prefix}_diagnostics.json")
@@ -480,14 +461,14 @@ def cmd_decompose(args) -> int:
             save_csv(Signal._view(component, signal.sample_rate), stage(path))
 
         # each component is written as it is handed on
-        c0, checks = _decompose(signal, settings, bands, write)
+        c0, report = decomposition(write)
         _write_json(stage(diag_path), {
             "schema": DIAGNOSTICS_SCHEMA,
             "method": settings["method"],
             "n_samples": len(signal),
             "sample_rate_hz": signal.sample_rate,
             "n_components": len(written),
-            **checks,
+            **report.diagnostics(),
             "c0": c0,
             "outputs": {"components": [str(p) for p in written]},
         })
@@ -503,15 +484,15 @@ def cmd_compare(args) -> int:
     sides = {side: _settings(args, getattr(args, f"config_{side}"), prefix=f"{side}_")
              for side in ("a", "b")}
     # either side's settings error, before side a writes anything
-    plans = {side: _resolve_bands(signal, settings) for side, settings in sides.items()}
+    decompositions = {side: _resolve_bands(signal, settings) for side, settings in sides.items()}
     grid_paths = {side: Path(f"{args.out_prefix}_{side}_grid.csv") for side in sides}
     report_path = Path(f"{args.out_prefix}_compare.json")
     with _staged() as stage:
         for side, settings in sides.items():
             # checks the bin counts before side a is decomposed
             grid = TFEAccumulator(len(signal), signal.sample_rate, args.time_bins, args.freq_bins)
-            diagnostics, ridge_error = _run_analysis(signal, settings, plans[side], grid,
-                                                     ridges=ridges)
+            diagnostics, ridge_error = _run_analysis(signal, settings, decompositions[side],
+                                                     grid, ridges=ridges)
             export_grid_csv(grid.grid(), stage(grid_paths[side]))
             entry = {**diagnostics, "grid_csv": str(grid_paths[side])}
             if ridges is not None:

@@ -158,8 +158,11 @@ def _header_rate(line: str) -> float | None:
         raise ValueError(f"bad sample_rate value {val!r}") from None
 
 
-def load_wav(path) -> Signal:
-    """Read a mono 16-bit PCM WAV file, normalizing samples to [-1, 1)."""
+def load_wav(path, sample_rate: float | None = None) -> Signal:
+    """Read a mono 16-bit PCM WAV file, normalizing samples to [-1, 1).
+
+    `sample_rate`, when given, overrides the file's frame rate.
+    """
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as w:
@@ -171,7 +174,7 @@ def load_wav(path) -> Signal:
                 )
             if w.getcomptype() != "NONE":
                 raise ValueError(f"{path}: compressed WAV ({w.getcomptype()}) not supported")
-            rate = float(w.getframerate())
+            rate = float(w.getframerate()) if sample_rate is None else sample_rate
             frames = w.readframes(w.getnframes())
     except wave.Error as exc:
         raise ValueError(f"{path}: malformed WAV file: {exc}") from exc

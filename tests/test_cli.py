@@ -18,6 +18,7 @@ from tfekit import (
     BandSpec,
     IFWorkspace,
     TFEAccumulator,
+    dft_decompose,
     fmd_decompose,
     if_track,
     load_csv,
@@ -27,7 +28,6 @@ from tfekit import (
 from tfekit.cli import (
     FIXTURE_FLAGS,
     FIXTURES,
-    _decompose,
     _load_input,
     _resolve_bands,
     _run_analysis,
@@ -462,17 +462,17 @@ class TestAnalyze:
                                           "--method", "dft", "--bands", "4"])
         signal, _, _ = _load_input(args)
         added = []
-        decompose = cli._decompose
 
-        def measured(signal, settings, bands, consumer, workspace=None):
+        def measured(consumer):
             def handed_on(component, band):
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 consumer(component, band)
                 added.append(tracemalloc.get_traced_memory()[1] - held)
-            return decompose(signal, settings, bands, handed_on, workspace)
+            return handed_on
 
-        monkeypatch.setattr(cli, "_decompose", measured)
+        monkeypatch.setattr(cli, "dft_decompose", lambda x, bounds, consumer, **kwargs:
+                            dft_decompose(x, bounds, measured(consumer), **kwargs))
         tracemalloc.start()
         try:
             settings = _settings(args, None)
@@ -500,19 +500,50 @@ class TestMethodSettings:
                                           "--method", method, "--bands", "4"])
         signal, _, _ = _load_input(args)
         settings = _settings(args, None)
-        bands = _resolve_bands(signal, settings)
         handed = []
-        c0, checks = _decompose(signal, settings, bands,
-                                lambda component, band: handed.append(component.copy()))
+        c0, report = _resolve_bands(signal, settings)(
+            lambda component, band: handed.append(component.copy()))
+        checks = report.diagnostics()
         assert len(handed) == 4
         if method == "dft":
             assert methods == [] and checks["orthogonality"] is not None
         else:
             assert methods == [method]
-            made, rows = collect(fmd_decompose, signal, bands, method=method)
+            cutoffs = BandSpec.from_settings(4).ladder(signal.sample_rate)
+            made, rows = collect(fmd_decompose, signal, cutoffs, method=method)
             assert c0 == made.c0
             assert np.array(handed).tobytes() == rows.tobytes()
             assert (checks["linoep"] is None) == (method == "causal-fir")
+
+    def test_method_none_resolves_to_no_decomposition(self):
+        args = build_parser().parse_args(["analyze", "--gen", "chirp", "--dur", "0.1",
+                                          "--method", "none"])
+        signal, _, _ = _load_input(args)
+        assert _resolve_bands(signal, _settings(args, None)) is None
+
+    @pytest.mark.parametrize("method", ["fmd-a", "causal-fir"])
+    def test_fir_decomposition_runs_at_the_order_given(self, monkeypatch, method):
+        # the ladder runs at --order, and its components are those the
+        # library makes at that order, not at the default 256
+        import tfekit.cli as cli
+
+        orders = []
+        monkeypatch.setattr(cli, "fmd_decompose",
+                            lambda *args, **kwargs: orders.append(kwargs.get("order"))
+                            or fmd_decompose(*args, **kwargs))
+        args = build_parser().parse_args(["decompose", "--gen", "chirp", "--dur", "0.1",
+                                          "--method", method, "--bands", "4", "--order", "64"])
+        signal, _, _ = _load_input(args)
+        handed = []
+        c0, _ = _resolve_bands(signal, _settings(args, None))(
+            lambda component, band: handed.append(component.copy()))
+        assert orders == [64]
+        cutoffs = BandSpec.from_settings(4).ladder(signal.sample_rate)
+        made, rows = collect(fmd_decompose, signal, cutoffs, order=64, method=method)
+        assert c0 == made.c0
+        assert np.array(handed).tobytes() == rows.tobytes()
+        _, default = collect(fmd_decompose, signal, cutoffs, method=method)
+        assert default.tobytes() != rows.tobytes()
 
     @pytest.mark.parametrize("method", ["none", "dft"])
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -737,19 +768,32 @@ class TestConfigFiles:
         assert not list(workdir.glob("x_*"))
 
 
+def _write_tone_wav(path):
+    # 800 samples of a 1 kHz tone, mono 16-bit at 8000 Hz
+    ints = np.round(16000 * np.cos(2 * np.pi * 1000 * np.arange(800) / 8000)).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(ints.tobytes())
+
+
 class TestInput:
     @pytest.mark.parametrize("flags, rate", [([], 8000.0), (["--fs", "4000"], 4000.0)],
                              ids=["header-rate", "fs-override"])
     def test_wav_input(self, workdir, flags, rate):
-        ints = np.round(16000 * np.cos(2 * np.pi * 1000 * np.arange(800) / 8000)).astype("<i2")
-        with wave.open("s.wav", "wb") as w:
-            w.setnchannels(1)
-            w.setsampwidth(2)
-            w.setframerate(8000)
-            w.writeframes(ints.tobytes())
+        _write_tone_wav("s.wav")
         assert main(["analyze", "--input", "s.wav", *flags, "--out-prefix", "x"]) == 0
         diag = json.loads((workdir / "x_diagnostics.json").read_text())
         assert (diag["n_samples"], diag["sample_rate_hz"]) == (800, rate)
+
+    @pytest.mark.parametrize("fs", ["0", "-5"])
+    def test_wav_rate_refused_names_the_file(self, workdir, capsys, fs):
+        _write_tone_wav("s.wav")
+        assert main(["analyze", "--input", "s.wav", "--fs", fs, "--out-prefix", "x"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: s.wav: sample_rate must be a positive number, got {float(fs)}\n")
+        assert [p.name for p in workdir.iterdir()] == ["s.wav"]
 
     @pytest.mark.parametrize("argv, message", [
         (["--input", "in.csv", "--gen", "chirp"], "give either --input or --gen, not both"),
@@ -1018,20 +1062,26 @@ class TestStreamingMatchesListOracle:
     """The CLI streams each track into the grid and the CSV; the bytes are those of the list path."""
 
     # the default settings at 8000 samples for every method; then an odd N,
-    # 4001 samples, with the backward and central schemes and both IF modes
-    @pytest.mark.parametrize("method, dur, scheme, mode", [
-        *(pytest.param(m, 1.0, "forward", "positive", id=m)
+    # 4001 samples, with the backward and central schemes and both IF modes;
+    # then 20001 samples, past one 16384-sample deposit block, whose last
+    # deposit block and last 2048-row CSV block are both partial; then
+    # M = N/2, 32 one-bin bands of 64 samples
+    @pytest.mark.parametrize("method, dur, scheme, mode, m", [
+        *(pytest.param(m, 1.0, "forward", "positive", 12, id=m)
           for m in ("none", "dft", "fmd-a", "fmd-b", "causal-fir")),
-        *(pytest.param(m, 0.500125, scheme, mode, id=f"{m}-odd-{scheme}-{mode}")
+        *(pytest.param(m, 0.500125, scheme, mode, 12, id=f"{m}-odd-{scheme}-{mode}")
           for m in ("none", "dft", "fmd-b", "causal-fir")
           for scheme, mode in (("backward", "conventional"), ("central", "positive"))),
+        *(pytest.param(m, 2.500125, "forward", "positive", 12, id=f"{m}-20001")
+          for m in ("dft", "fmd-a")),
+        pytest.param("dft", 0.008, "forward", "positive", 32, id="dft-64-half-n-bands"),
     ])
-    def test_analyze_bytes(self, workdir, method, dur, scheme, mode):
-        bands = [] if method == "none" else ["--bands", "12"]
+    def test_analyze_bytes(self, workdir, method, dur, scheme, mode, m):
+        bands = [] if method == "none" else ["--bands", str(m)]
         assert main(["analyze", "--gen", "chirp-fm-mix", "--dur", str(dur), "--method", method,
                      *bands, "--scheme", scheme, "--if", mode, "--out-prefix", "cli"]) == 0
         x, _ = _mixture(dur=dur)
-        tracks, checks = oracles.analysis_tracks(x, method, 12, scheme, mode)
+        tracks, checks = oracles.analysis_tracks(x, method, m, scheme, mode)
         want = workdir / "oracle"
         want.mkdir()
         oracles.export_track_csv(tracks, want / "tracks.csv")

@@ -267,6 +267,14 @@ class TestWav:
         assert x.samples.max() < 1.0
         assert x.samples.min() >= -1.0
 
+    def test_sample_rate_overrides_the_file(self, tmp_path):
+        ints = [0, 16384, -16384, 32767, -32768, 12345]
+        path = tmp_path / "x.wav"
+        _write_wav(path, ints, 50)
+        x = load_wav(path, sample_rate=8000.0)
+        assert x.sample_rate == 8000.0
+        assert np.array_equal(x.samples, np.array(ints) / 32768.0)
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         _write_wav(path, [0, 0, 1, 1], 50, channels=2)

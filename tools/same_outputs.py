@@ -15,11 +15,28 @@ bytes are the same, 1 otherwise.
 """
 
 import hashlib
+import io
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
+import wave
 from pathlib import Path
+
+
+def _tone_wav() -> bytes:
+    """A mono 16-bit WAV at 8000 Hz: 800 samples of a 1 kHz tone."""
+    samples = [round(16000 * math.cos(2 * math.pi * n / 8)) for n in range(800)]
+    out = io.BytesIO()
+    with wave.open(out, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(struct.pack(f"<{len(samples)}h", *samples))
+    return out.getvalue()
+
 
 # written into each tree's directory before the commands run; scanned.csv
 # takes the line scan of the signal CSV reader (a second comment line, CRLF
@@ -30,15 +47,19 @@ FILES = {
     "scanned.csv": "".join(f"{line}\r\n" for line in
                            ["# sample_rate=100", "# a note", "1_0", *range(-20, 20, 3)]),
     "bad.csv": "# sample_rate=100\n1.0\n-2.0\n3.0x\n",
+    "tone.wav": _tone_wav(),
 }
 
 # tfekit arguments, run in order: the gen commands write the inputs of the
-# later ones. Every method, odd (odd.csv, 4097 samples) and even N, the three
-# schemes, both IF modes, causal-fir at order 1000, a --cutoffs and a --plan
-# band plan, both fixtures with two or more true ridges in compare, a signal
-# CSV the line scan reads, and two commands that fail
+# later ones. Every method, odd (odd.csv, 4097 samples) and even N, an input
+# past one 16384-sample block (long.csv, 20001 samples), the three schemes,
+# both IF modes, causal-fir at order 1000, a --cutoffs and a --plan band
+# plan, both fixtures with two or more true ridges in compare, a signal CSV
+# the line scan reads, a WAV with its rate overridden, and three commands
+# that fail
 COMMANDS = [
     ["gen", "chirp-fm-mix", "--out", "mix.csv"],
+    ["gen", "chirp", "--dur", "2.500125", "--out", "long.csv"],
     ["gen", "noise", "--len", "4097", "--fs", "100", "--seed", "3", "--out", "odd.csv"],
     ["gen", "five-chirps", "--dur", "1.0", "--out", "five.csv"],
     ["gen", "fm", "--dur", "0.5", "--out", "fm.csv"],
@@ -88,6 +109,10 @@ COMMANDS = [
      "--out-prefix", "a_scanned"],
     ["analyze", "--input", "mix.csv", "--method", "none", "--bands", "4", "--out-prefix", "a_bad"],
     ["analyze", "--input", "bad.csv", "--out-prefix", "a_bad_line"],
+    ["analyze", "--input", "long.csv", "--method", "dft", "--bands", "8", "--out-prefix", "a_long"],
+    ["analyze", "--input", "tone.wav", "--fs", "4000", "--method", "dft", "--bands", "4",
+     "--out-prefix", "a_wav"],
+    ["analyze", "--input", "tone.wav", "--fs", "0", "--out-prefix", "a_wav_fs0"],
 ]
 
 
@@ -97,8 +122,8 @@ def run_commands(src: Path, workdir: Path, commands) -> list[tuple[int, bytes, b
     The exit status, stdout bytes and stderr bytes of each command.
     """
     workdir.mkdir(parents=True)
-    for name, text in FILES.items():
-        (workdir / name).write_bytes(text.encode())
+    for name, data in FILES.items():
+        (workdir / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     runs = (subprocess.run([sys.executable, "-m", "tfekit.cli", *args], cwd=workdir, env=env,
                            capture_output=True) for args in commands)
